@@ -25,7 +25,7 @@ from .dataset import (
     save_csv,
 )
 from .exceptions import NumericError, PsldError
-from .model import finite_difference_check, load_checkpoint, predict, save_checkpoint
+from .model import finite_difference_check, load_checkpoint, save_checkpoint
 from .numerics import Rng
 from .sampler import NORM_MODES, SampleDesign, random_graph, unbiasedness_mc_check
 from .training import (
@@ -270,11 +270,7 @@ def cmd_eval(args) -> int:
 
 
 def _dump_predictions(path, params, store, config, split, denorm_stats) -> None:
-    x_rows, y_rows, n_win = tr._stack_split(store, config.l_in, config.l_out, split)
-    pred = predict(params, x_rows, config.decomposer_config())
-    if denorm_stats is not None:
-        pred = tr._denorm_rows(pred, denorm_stats, n_win, config.sigma_floor)
-        y_rows = tr._denorm_rows(y_rows, denorm_stats, n_win, config.sigma_floor)
+    pred, y_rows, n_win = tr._predict_split(params, store, config, split, denorm_stats)
     n_nodes = store.n_nodes
     with open(path, "w", encoding="utf-8") as f:
         f.write("t0,node,h,y,y_hat\n")

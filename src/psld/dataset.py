@@ -7,6 +7,7 @@ input block of ``l_in`` timesteps with the following ``l_out`` timesteps.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,6 +94,10 @@ def _parse_float(token: str, line_no: int, field_no: int) -> float:
         ) from None
 
 
+def _non_finite(line_no: int, field_no: int, value: float) -> ParseError:
+    return ParseError(f"line {line_no}, field {field_no}: non-finite value {value!r}")
+
+
 def load_csv(path, adjacency_path=None) -> SeriesStore:
     """Read a series CSV (rows are nodes, columns timesteps).
 
@@ -126,11 +131,18 @@ def load_csv(path, adjacency_path=None) -> SeriesStore:
         values.append([_parse_float(tok, line_no, i + 1) for i, tok in enumerate(fields)])
     if not has_ids:
         ids = [str(i) for i in range(len(values))]
+    values = np.array(values, dtype=np.float64)
+    # checked on the array, not per token, so parsing cost stays flat;
+    # argwhere yields the first bad cell in file order
+    bad = np.argwhere(~np.isfinite(values))
+    if bad.size:
+        row, col = bad[0]
+        raise _non_finite(rows[row][0], col + 1, float(values[row, col]))
 
     adjacency = None
     if adjacency_path is not None:
         adjacency = _load_adjacency(adjacency_path)
-    return SeriesStore(np.array(values, dtype=np.float64), tuple(ids), adjacency)
+    return SeriesStore(values, tuple(ids), adjacency)
 
 
 def _load_adjacency(path) -> tuple:
@@ -151,6 +163,8 @@ def _load_adjacency(path) -> tuple:
         except ValueError:
             raise ParseError(f"line {line_no}: node indices must be integers") from None
         w = _parse_float(fields[2], line_no, 3) if len(fields) == 3 else 1.0
+        if not math.isfinite(w):
+            raise _non_finite(line_no, 3, w)
         edges.append((src, dst, w))
         edges.append((dst, src, w))
     return tuple(edges)

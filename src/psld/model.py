@@ -568,9 +568,9 @@ def load_checkpoint(path):
             head = f.read(4)
             if not head:
                 break
-            (name_len,) = struct.unpack("<I", head if len(head) == 4 else b"\0\0\0\0")
             if len(head) != 4:
                 raise CheckpointError("truncated checkpoint while reading a name length")
+            (name_len,) = struct.unpack("<I", head)
             name = _read_exact(f, name_len, "a tensor name").decode("utf-8")
             (rank,) = struct.unpack("<I", _read_exact(f, 4, f"rank of {name!r}"))
             dims = struct.unpack(f"<{rank}Q", _read_exact(f, 8 * rank, f"dims of {name!r}"))

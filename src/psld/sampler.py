@@ -27,6 +27,10 @@ class SubgraphBatch:
 
     ``x`` is (n_windows, l_in, n_sub), ``y`` is (n_windows, l_out, n_sub),
     ``adjacency`` is the dense (n_sub, n_sub) weight block for the chunk.
+    ``x`` and ``y`` are read-only strided views over one (n_sub, l_data)
+    copy of the chunk's series, so a batch holds O(n_sub * l_data) values
+    however many windows it exposes; indexing a subset of windows copies
+    only that subset.
     """
 
     node_index: np.ndarray
@@ -69,6 +73,7 @@ def rss_partition(
             f"needs at least {l_in + l_out}"
         )
     order = shuffle_indices(n, rng) if training else np.arange(n)
+    view = np.lib.stride_tricks.sliding_window_view
     adj = dense_adjacency(store)
     size = n // n_subgraphs
     batches = []
@@ -78,8 +83,8 @@ def rss_partition(
         else:
             idx = order[k * size:]
         sliced = store.values[idx]
-        x = np.stack([sliced[:, t:t + l_in].T for t in range(l_time)])
-        y = np.stack([sliced[:, t + l_in:t + l_in + l_out].T for t in range(l_time)])
+        x = view(sliced, l_in, axis=1)[:, :l_time].transpose(1, 2, 0)
+        y = view(sliced[:, l_in:], l_out, axis=1).transpose(1, 2, 0)
         batches.append(SubgraphBatch(idx.copy(), x, y, adj[np.ix_(idx, idx)]))
     return batches
 

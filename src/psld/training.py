@@ -35,6 +35,12 @@ from .exceptions import NumericError
 from .numerics import Rng
 from .sampler import rss_partition
 
+# Rows per evaluation forward pass. At hidden 128 each (rows, hidden)
+# intermediate is 512 KiB, small enough to be reused from the allocator's
+# free lists; multi-MiB chunks are page-faulted in afresh every call and
+# made evaluation slower than the unchunked pass.
+EVAL_CHUNK_ROWS = 512
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -166,18 +172,44 @@ def _denorm_rows(rows: np.ndarray, stats: NormStats, n_win: int, sigma_floor: fl
     return rows * sigma + mu
 
 
+def _predict_split(params, store: SeriesStore, config: TrainConfig, split: tuple,
+                   denorm_stats: NormStats | None = None):
+    """Forecast every window of the split; returns (pred, truth, n_win).
+
+    Rows follow ``_stack_split``. The forward pass runs on
+    ``EVAL_CHUNK_ROWS`` rows at a time into one preallocated output, so
+    its intermediates keep a fixed size however many nodes and windows
+    the split has. Rows are independent, but BLAS may round a product of
+    a few rows differently in the last bit from the same rows inside a
+    larger product. So the last chunk is shifted back to end at the last
+    row: every call sees the same row count, and no short remainder call
+    depends on where the split ends. With ``denorm_stats`` both arrays
+    are mapped back to the raw scale.
+    """
+    x_rows, y_rows, n_win = _stack_split(store, config.l_in, config.l_out, split)
+    dcfg = config.decomposer_config()
+    n_rows = x_rows.shape[0]
+    pred = np.empty_like(y_rows)
+    for start in range(0, n_rows, EVAL_CHUNK_ROWS):
+        lo = max(min(start, n_rows - EVAL_CHUNK_ROWS), 0)
+        hi = lo + EVAL_CHUNK_ROWS
+        pred[lo:hi] = md.predict(params, x_rows[lo:hi], dcfg)
+    if denorm_stats is not None:
+        pred = _denorm_rows(pred, denorm_stats, n_win, config.sigma_floor)
+        y_rows = _denorm_rows(y_rows, denorm_stats, n_win, config.sigma_floor)
+    return pred, y_rows, n_win
+
+
 def evaluate(params, store: SeriesStore, config: TrainConfig, split: tuple,
              denorm_stats: NormStats | None = None) -> dict:
     """MSE and MAE over all windows, horizon steps, and nodes of the split.
 
-    With ``denorm_stats`` both forecast and truth are mapped back to the
-    raw scale before the metrics.
+    The forecast is computed in fixed chunks of ``EVAL_CHUNK_ROWS`` rows;
+    the metrics are then taken over the full split at once. With
+    ``denorm_stats`` both forecast and truth are mapped back to the raw
+    scale before the metrics.
     """
-    x_rows, y_rows, n_win = _stack_split(store, config.l_in, config.l_out, split)
-    pred = md.predict(params, x_rows, config.decomposer_config())
-    if denorm_stats is not None:
-        pred = _denorm_rows(pred, denorm_stats, n_win, config.sigma_floor)
-        y_rows = _denorm_rows(y_rows, denorm_stats, n_win, config.sigma_floor)
+    pred, y_rows, _ = _predict_split(params, store, config, split, denorm_stats)
     return _metrics(pred, y_rows)
 
 

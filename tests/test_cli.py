@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import psld
 from psld.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 
 
@@ -228,11 +231,16 @@ class TestTopLevel:
         assert run_cli(capsys, "frobnicate")[0] == EXIT_USAGE
 
     def test_module_entry_point(self, tmp_path):
+        # the child imports the same package as this process, installed or not
         out = tmp_path / "d"
+        package_root = str(Path(psld.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (package_root, env.get("PYTHONPATH")) if p)
         proc = subprocess.run(
             [sys.executable, "-m", "psld", "synth", "--nodes", "4",
              "--length", "70", "--out", str(out)],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=env)
         assert proc.returncode == 0
         assert (out / "series.csv").exists()
 

@@ -169,6 +169,35 @@ class TestCsv:
             load_csv(p)
         assert "line 3" in str(exc.value)
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "NaN", "1e999"])
+    def test_non_finite_value_names_line_and_field(self, tmp_path, token):
+        p = tmp_path / "bad.csv"
+        p.write_text(f"a,1,2,3\nb,4,{token},6\n")
+        with pytest.raises(ParseError) as exc:
+            load_csv(p)
+        assert "line 2" in str(exc.value)
+        assert "field 2" in str(exc.value)
+        assert "non-finite" in str(exc.value)
+
+    def test_non_finite_value_without_id_column(self, tmp_path):
+        p = tmp_path / "bad.csv"
+        p.write_text("1,2,3\n4,5,inf\n")
+        with pytest.raises(ParseError) as exc:
+            load_csv(p)
+        assert "line 2, field 3" in str(exc.value)
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    def test_adjacency_non_finite_weight_names_line_and_field(self, tmp_path, token):
+        p = tmp_path / "s.csv"
+        a = tmp_path / "adj.csv"
+        p.write_text("a,1,2\nb,3,4\nc,5,6\n")
+        a.write_text(f"0,1,1.0\n1,2,{token}\n")
+        with pytest.raises(ParseError) as exc:
+            load_csv(p, a)
+        assert "line 2" in str(exc.value)
+        assert "field 3" in str(exc.value)
+        assert "non-finite" in str(exc.value)
+
     def test_adjacency_adds_both_directions(self, tmp_path):
         p = tmp_path / "s.csv"
         a = tmp_path / "adj.csv"

@@ -274,6 +274,17 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("stray", [1, 2, 3])
+    def test_stray_trailing_bytes(self, tmp_path, stray):
+        # fewer than the four bytes of a tensor's name length after the last tensor
+        p = init_params("mvd", 4, 2, 4, 0.0, "separate", Rng(0))
+        path = tmp_path / "model.psld"
+        save_checkpoint(path, p, {})
+        path.write_bytes(path.read_bytes() + b"\x01" * stray)
+        with pytest.raises(CheckpointError) as exc:
+            load_checkpoint(path)
+        assert "name length" in str(exc.value)
+
     def test_missing_sidecar(self, tmp_path):
         p = init_params("mvd", 4, 2, 4, 0.0, "separate", Rng(0))
         path = tmp_path / "model.psld"

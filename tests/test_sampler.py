@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -82,6 +83,44 @@ class TestPartition:
                         want = edge_set.get((int(u), int(v)), 0.0)
                         assert batch.adjacency[i, j] == want
                         assert dense[u, v] == want
+
+    @pytest.mark.parametrize("training,seed", [(False, 0), (True, 0), (True, 5)])
+    def test_windows_equal_stacked_copies(self, training, seed):
+        # reference: the per-window copy construction the views replace
+        store = generate_synthetic(10, 64, Rng(2))
+        l_in, l_out = 6, 4
+        l_time = store.l_data - l_in - l_out + 1
+        for b in rss_partition(store, 3, l_in, l_out, training=training, rng=Rng(seed)):
+            sliced = store.values[b.node_index]
+            x = np.stack([sliced[:, t:t + l_in].T for t in range(l_time)])
+            y = np.stack([sliced[:, t + l_in:t + l_in + l_out].T for t in range(l_time)])
+            assert b.x.shape == x.shape and b.y.shape == y.shape
+            assert np.array_equal(b.x, x)
+            assert np.array_equal(b.y, y)
+
+    def test_windows_are_read_only(self):
+        store = six_node_store()
+        for b in rss_partition(store, 2, 3, 2, training=True, rng=Rng(0)):
+            assert not b.x.flags.writeable
+            assert not b.y.flags.writeable
+            with pytest.raises(ValueError):
+                b.x[0, 0, 0] = 1.0
+
+    @pytest.mark.parametrize("l_in", [4, 24])
+    def test_returned_arrays_scale_with_series_not_windows(self, l_in):
+        # the batches hold one copy of the series per chunk, however many
+        # windows they expose; copying every window would hold ~(l_in + l_out)
+        # times that
+        store = generate_synthetic(64, 200, Rng(4))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            batches = rss_partition(store, 4, l_in, 12, training=True, rng=Rng(1))
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        small = sum(b.adjacency.nbytes + b.node_index.nbytes for b in batches)
+        assert held <= store.values.nbytes + small + 32 * 1024
 
     def test_too_many_subgraphs_rejected(self):
         store = six_node_store()

@@ -1,8 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from psld import model as md
+from psld import training as tr
 from psld.dataset import SeriesStore, generate_synthetic, split_ranges
-from psld.model import named_tensors
+from psld.model import init_params, init_plain_params, named_tensors
 from psld.numerics import Rng
 from psld.training import (
     EpochReport,
@@ -91,6 +95,116 @@ class TestEvaluate:
         m = _metrics(y + c, y)
         assert m["mse"] == pytest.approx(c * c, rel=1e-12)
         assert m["mae"] == pytest.approx(c, rel=1e-12)
+
+
+def _eval_params(kind, cfg):
+    if kind == "plain":
+        return init_plain_params(cfg.l_in, cfg.l_out, cfg.hidden, cfg.dropout, Rng(9))
+    return init_params(kind, cfg.l_in, cfg.l_out, cfg.hidden, cfg.dropout,
+                       cfg.mode, Rng(9))
+
+
+class TestChunkedEvaluate:
+    """evaluate runs the forward pass in EVAL_CHUNK_ROWS-row chunks."""
+
+    @pytest.fixture(scope="class")
+    def split_setup(self, train_store):
+        cfg = small_config()
+        normed, ranges, stats = prepare_store(train_store, cfg)
+        x_rows, y_rows, n_win = tr._stack_split(normed, cfg.l_in, cfg.l_out,
+                                                ranges["test"])
+        assert x_rows.shape[0] % 7 != 0 and x_rows.shape[0] > 7
+        return cfg, normed, ranges["test"], stats, x_rows, y_rows, n_win
+
+    @pytest.mark.parametrize("denorm", [False, True])
+    def test_chunks_assemble_every_row_in_place(self, split_setup, monkeypatch, denorm):
+        # a row-wise exact stand-in for the model makes the assembly
+        # checkable with ==: every row is predicted, in order, in 7-row calls
+        cfg, normed, split, stats, x_rows, y_rows, n_win = split_setup
+        calls = []
+
+        def fake_predict(params, x, dcfg=None):
+            calls.append(x.shape[0])
+            return x[:, :cfg.l_out] * 2.0 + 1.0
+
+        monkeypatch.setattr(tr, "EVAL_CHUNK_ROWS", 7)
+        monkeypatch.setattr(md, "predict", fake_predict)
+        stats_arg = stats if denorm else None
+        pred, truth, got_n_win = tr._predict_split(None, normed, cfg, split, stats_arg)
+        want_pred, want_truth = x_rows[:, :cfg.l_out] * 2.0 + 1.0, y_rows
+        if denorm:
+            want_pred = tr._denorm_rows(want_pred, stats, n_win, cfg.sigma_floor)
+            want_truth = tr._denorm_rows(y_rows, stats, n_win, cfg.sigma_floor)
+        assert got_n_win == n_win
+        assert np.array_equal(pred, want_pred)
+        assert np.array_equal(truth, want_truth)
+        assert calls == [7] * -(-x_rows.shape[0] // 7)
+        got = evaluate(None, normed, cfg, split, denorm_stats=stats_arg)
+        assert got == tr._metrics(want_pred, want_truth)
+
+    def test_split_smaller_than_a_chunk_is_one_call(self, split_setup, monkeypatch):
+        cfg, normed, split, _, x_rows, _, _ = split_setup
+        calls = []
+
+        def fake_predict(params, x, dcfg=None):
+            calls.append(x.shape[0])
+            return x[:, :cfg.l_out]
+
+        monkeypatch.setattr(md, "predict", fake_predict)
+        assert x_rows.shape[0] < tr.EVAL_CHUNK_ROWS
+        tr._predict_split(None, normed, cfg, split)
+        assert calls == [x_rows.shape[0]]
+
+    @pytest.mark.parametrize("kind,mode", [("mvd", "separate"), ("mvd", "merged"),
+                                           ("stl", "separate"), ("stl", "merged"),
+                                           ("plain", "separate")])
+    @pytest.mark.parametrize("denorm", [False, True])
+    def test_matches_one_shot_predict(self, split_setup, monkeypatch, kind, mode, denorm):
+        # BLAS picks kernels by matrix size, so 7-row products may round
+        # differently from the full-split product in the last bits
+        _, normed, split, stats, x_rows, y_rows, n_win = split_setup
+        cfg = small_config(decomposer=kind if kind != "plain" else "mvd", mode=mode)
+        params = _eval_params(kind, cfg)
+        pred = md.predict(params, x_rows, cfg.decomposer_config())
+        truth = y_rows
+        stats_arg = stats if denorm else None
+        if denorm:
+            pred = tr._denorm_rows(pred, stats, n_win, cfg.sigma_floor)
+            truth = tr._denorm_rows(y_rows, stats, n_win, cfg.sigma_floor)
+        want = tr._metrics(pred, truth)
+        monkeypatch.setattr(tr, "EVAL_CHUNK_ROWS", 7)
+        got_pred, _, _ = tr._predict_split(params, normed, cfg, split, stats_arg)
+        got = evaluate(params, normed, cfg, split, denorm_stats=stats_arg)
+        np.testing.assert_allclose(got_pred, pred, rtol=1e-12, atol=1e-12)
+        assert got["mse"] == pytest.approx(want["mse"], rel=1e-12)
+        assert got["mae"] == pytest.approx(want["mae"], rel=1e-12)
+
+    def test_peak_memory_does_not_grow_with_nodes(self):
+        # Beyond the full-split arrays (stacked inputs and targets, the
+        # forecast, and the two full-size temporaries of the metrics), the
+        # traced peak must stay flat when the split has 4x the rows.
+        cfg = small_config(l_in=12, l_out=12, hidden=128)
+        params = _eval_params("mvd", cfg)
+
+        def excess(n_nodes):
+            store = generate_synthetic(n_nodes, 300, Rng(5))
+            normed, ranges, _ = prepare_store(store, cfg)
+            x_rows, y_rows, _ = tr._stack_split(normed, cfg.l_in, cfg.l_out,
+                                                ranges["test"])
+            assert x_rows.shape[0] > tr.EVAL_CHUNK_ROWS
+            split_bytes = x_rows.nbytes + 4 * y_rows.nbytes
+            del x_rows, y_rows
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                evaluate(params, normed, cfg, ranges["test"])
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            return peak - split_bytes
+
+        small, large = excess(32), excess(128)
+        assert large <= small + 256 * 1024
 
 
 class TestTrain:
