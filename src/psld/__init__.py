@@ -13,12 +13,10 @@ __version__ = "0.1.0"
 from .dataset import (
     NormStats,
     SeriesStore,
-    WindowPair,
     apply_norm,
     fit_norm_stats,
     generate_synthetic,
     load_csv,
-    make_windows,
     restrict_time,
     save_adjacency_csv,
     save_csv,
@@ -60,7 +58,7 @@ from .model import (
     predict,
     save_checkpoint,
 )
-from .numerics import Matrix, Rng, matmul, relu, shuffle_indices
+from .numerics import Matrix, Rng, relu, shuffle_indices
 from .sampler import (
     GraphSpec,
     McReport,

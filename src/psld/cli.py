@@ -23,6 +23,7 @@ from .dataset import (
     load_csv,
     save_adjacency_csv,
     save_csv,
+    split_ranges,
 )
 from .exceptions import NumericError, PsldError
 from .model import finite_difference_check, load_checkpoint, save_checkpoint
@@ -189,7 +190,7 @@ def cmd_train(args) -> int:
             f"--n-sub {config.n_subgraphs} exceeds the {store.n_nodes} nodes in --data"
         )
     try:
-        _, ranges, _ = prepare_store(store, config)
+        ranges = split_ranges(store.l_data, config.split)
         for name in ("train", "val", "test"):
             t0, t1 = ranges[name]
             if (t1 - t0) < config.l_in + config.l_out:
@@ -280,7 +281,7 @@ def _dump_predictions(path, params, store, config, split, denorm_stats) -> None:
                 row = w * n_nodes + d
                 for h in range(config.l_out):
                     f.write(f"{t0},{store.node_ids[d]},{h + 1},"
-                            f"{y_rows[row, h]!r},{pred[row, h]!r}\n")
+                            f"{float(y_rows[row, h])!r},{float(pred[row, h])!r}\n")
 
 
 def cmd_rss_check(args) -> int:

@@ -1,8 +1,7 @@
-"""Series storage, CSV round trips, synthetic data, normalization, windows.
+"""Series storage, CSV round trips, synthetic data, normalization, splits.
 
 A :class:`SeriesStore` holds one value row per node over a shared time axis,
-plus an optional undirected weighted adjacency. Supervised windows pair an
-input block of ``l_in`` timesteps with the following ``l_out`` timesteps.
+plus an optional undirected weighted adjacency.
 """
 
 from __future__ import annotations
@@ -74,15 +73,6 @@ class NormStats:
     def __post_init__(self):
         object.__setattr__(self, "mu", np.asarray(self.mu, dtype=np.float64))
         object.__setattr__(self, "sigma", np.asarray(self.sigma, dtype=np.float64))
-
-
-@dataclass(frozen=True)
-class WindowPair:
-    """One supervised example: x is (l_in, n_nodes), y is (l_out, n_nodes)."""
-
-    x: np.ndarray
-    y: np.ndarray
-    t0: int
 
 
 def _parse_float(token: str, line_no: int, field_no: int) -> float:
@@ -253,13 +243,6 @@ def apply_norm(store: SeriesStore, stats: NormStats, sigma_floor: float = SIGMA_
     return SeriesStore(normed, store.node_ids, store.adjacency)
 
 
-def denorm_values(values: np.ndarray, mu: np.ndarray, sigma: np.ndarray,
-                  sigma_floor: float = SIGMA_FLOOR) -> np.ndarray:
-    """Inverse of apply_norm for arrays whose leading axis matches mu."""
-    scale = np.maximum(sigma, sigma_floor)
-    return values * scale + mu
-
-
 def restrict_time(store: SeriesStore, t0: int, t1: int) -> SeriesStore:
     """Slice the store to timesteps [t0, t1), keeping ids and adjacency."""
     if not (0 <= t0 < t1 <= store.l_data):
@@ -278,32 +261,3 @@ def split_ranges(l_data: int, ratios=SPLIT_RATIOS) -> dict:
         raise ValueError(f"ratios {ratios} leave an empty split for length {l_data}")
     return {"train": (0, a), "val": (a, b), "test": (b, l_data)}
 
-
-def make_windows(store: SeriesStore, l_in: int, l_out: int, split: tuple) -> list:
-    """All stride-1 windows fully inside [split[0], split[1]).
-
-    Produces (t1 - t0) - l_in - l_out + 1 pairs; x and y are transposed to
-    (time, node) layout. Consecutive windows overlap in l_in - 1 input rows.
-    """
-    if l_in < 1 or l_out < 1:
-        raise ValueError(f"l_in and l_out must be positive, got {l_in}, {l_out}")
-    t0, t1 = split
-    if not (0 <= t0 < t1 <= store.l_data):
-        raise ValueError(f"invalid split [{t0}, {t1}) for length {store.l_data}")
-    n_win = (t1 - t0) - l_in - l_out + 1
-    if n_win < 1:
-        raise ValueError(
-            f"split of length {t1 - t0} too short for windows; needs at least {l_in + l_out}"
-        )
-    v = store.values
-    out = []
-    for k in range(n_win):
-        s = t0 + k
-        out.append(
-            WindowPair(
-                x=v[:, s:s + l_in].T.copy(),
-                y=v[:, s + l_in:s + l_in + l_out].T.copy(),
-                t0=s,
-            )
-        )
-    return out

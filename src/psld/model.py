@@ -1,22 +1,29 @@
 """Component heads, the combinator, manual backprop, ADAM, checkpoints.
 
-Every head is a two-layer MLP "learner" (linear, ReLU, inverted dropout,
-linear) followed by a linear "predictor". Heads act per variable along the
-time axis: a stacked input of shape (rows, in_len) maps to (rows, out_len)
-with one row per (window, variable) pair, so the same parameters serve any
-number of variables.
+There is one head type, :class:`Head`: a two-layer MLP learner (linear,
+ReLU, inverted dropout, linear) followed by a linear predictor. Heads act
+per variable along the time axis: a stacked input of shape (rows, in_len)
+maps to (rows, out_len) with one row per (window, variable) pair, so the
+same parameters serve any number of variables.
 
 For the mvd decomposer the m and v heads map the per-row scalars of the
 input window to the predicted scalars of the output window and the r head
-maps the residual series. The combinator consumes v_hat * r_hat (mvd) or
-s_hat + r_hat (stl) through its own learner and predictor, then adds m_hat
-(resp. t_hat) to produce the forecast. Gradients from the forecast loss
-flow through the combinator back into the component heads.
+maps the residual series. The combinator, a head of its own, consumes
+v_hat * r_hat (mvd) or s_hat + r_hat (stl), then m_hat (resp. t_hat) is
+added to produce the forecast. Gradients from the forecast loss flow
+through the combinator back into the component heads.
 
-Merged mode fuses the three component heads into one wide head over the
-concatenated components. Embedding separate parameters block-diagonally
-into the merged layout reproduces separate-mode outputs and per-parameter
-gradients, which the test suite checks numerically.
+Separate and merged mode differ only in :func:`head_layout`. Separate mode
+gives each component a head of its own; merged mode gives one wide head
+whose input concatenates the components and whose output is split back
+into them. Initialisation, forward, backward and checkpoint loading are
+each one loop over that layout. Embedding separate parameters
+block-diagonally into the merged layout reproduces separate-mode outputs
+and per-parameter gradients, which the test suite checks numerically.
+
+The plain baseline (:class:`PlainParams`) is a single head on raw windows;
+:func:`train_step` and :func:`predict` are the only places that tell it
+apart from the decomposition model.
 
 All gradients here are derived and coded by hand; there is no autodiff.
 """
@@ -27,7 +34,7 @@ import copy
 import json
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,25 +49,19 @@ CHECKPOINT_MAGIC = b"PSLD1"
 
 
 @dataclass
-class LinearLayer:
-    weight: np.ndarray  # (out, in)
-    bias: np.ndarray    # (out,)
-
-
-@dataclass
-class MlpLearner:
-    layer1: LinearLayer
-    layer2: LinearLayer
-    dropout_rate: float
-
-
-@dataclass
 class Head:
+    """Learner (w1, b1, ReLU, dropout, w2, b2) and predictor (wp, bp).
+
+    Weights are (out, in); the widths are read off their shapes.
+    """
+
     name: str
-    learner: MlpLearner
-    predictor: LinearLayer
-    in_len: int
-    out_len: int
+    w1: np.ndarray  # (width, in_len)
+    b1: np.ndarray  # (width,)
+    w2: np.ndarray  # (width, width)
+    b2: np.ndarray  # (width,)
+    wp: np.ndarray  # (out_len, width)
+    bp: np.ndarray  # (out_len,)
 
 
 @dataclass
@@ -71,7 +72,7 @@ class PsldParams:
     l_out: int
     hidden: int
     dropout: float
-    heads: dict          # name -> Head, in plan order ("merged" alone in merged mode)
+    heads: dict          # name -> Head, in head_layout order
     combinator: Head
 
 
@@ -95,22 +96,42 @@ def head_plan(kind: str, l_in: int, l_out: int) -> tuple:
     raise ValueError(f"unknown decomposer kind {kind!r}")
 
 
-def _init_linear(out_dim: int, in_dim: int, rng: Rng) -> LinearLayer:
+def head_layout(kind: str, mode: str, l_in: int, l_out: int, hidden: int) -> tuple:
+    """(name, parts, in_len, out_len, width) for each component head.
+
+    ``parts`` names the components a head reads, concatenated along the
+    time axis, and predicts, split back in the same order. Separate mode
+    gives each component of ``head_plan`` its own head of width
+    ``hidden``; merged mode gives one head over all of them, as wide as
+    the separate heads together. No other code branches on the mode.
+    """
+    plan = head_plan(kind, l_in, l_out)
+    if mode == "separate":
+        return tuple((name, (name,), ilen, olen, hidden) for name, ilen, olen in plan)
+    if mode == "merged":
+        return (("merged", tuple(name for name, _, _ in plan),
+                 sum(ilen for _, ilen, _ in plan), sum(olen for _, _, olen in plan),
+                 len(plan) * hidden),)
+    raise ValueError(f"mode must be 'separate' or 'merged', got {mode!r}")
+
+
+def _layout(params: PsldParams) -> tuple:
+    return head_layout(params.kind, params.mode, params.l_in, params.l_out, params.hidden)
+
+
+def _init_linear(out_dim: int, in_dim: int, rng: Rng) -> tuple:
     if in_dim < 1 or out_dim < 1:
         raise ValueError(f"layer dims must be positive, got ({out_dim}, {in_dim})")
     bound = math.sqrt(1.0 / in_dim)
     weight = rng.gen.uniform(-bound, bound, size=(out_dim, in_dim))
-    return LinearLayer(weight, np.zeros(out_dim, dtype=np.float64))
+    return weight, np.zeros(out_dim, dtype=np.float64)
 
 
-def _init_head(name: str, in_len: int, out_len: int, hidden: int, dropout: float, rng: Rng) -> Head:
-    learner = MlpLearner(
-        layer1=_init_linear(hidden, in_len, rng.child("l1")),
-        layer2=_init_linear(hidden, hidden, rng.child("l2")),
-        dropout_rate=dropout,
-    )
-    predictor = _init_linear(out_len, hidden, rng.child("p"))
-    return Head(name, learner, predictor, in_len, out_len)
+def _init_head(name: str, in_len: int, out_len: int, width: int, rng: Rng) -> Head:
+    w1, b1 = _init_linear(width, in_len, rng.child("l1"))
+    w2, b2 = _init_linear(width, width, rng.child("l2"))
+    wp, bp = _init_linear(out_len, width, rng.child("p"))
+    return Head(name, w1, b1, w2, b2, wp, bp)
 
 
 def init_params(
@@ -124,25 +145,17 @@ def init_params(
 ) -> PsldParams:
     """Uniform(-sqrt(1/fan_in), sqrt(1/fan_in)) weights, zero biases.
 
-    Merged mode allocates one head whose widths are the concatenation of
-    the three separate head widths (inputs, hidden units, and outputs).
+    Component heads follow ``head_layout``, so merged mode allocates one
+    head whose widths are the concatenation of the three separate head
+    widths (inputs, hidden units, and outputs).
     """
     if not 0.0 <= dropout < 1.0:
         raise ValueError(f"dropout must be in [0, 1), got {dropout}")
-    plan = head_plan(kind, l_in, l_out)
-    heads = {}
-    if mode == "separate":
-        for name, ilen, olen in plan:
-            heads[name] = _init_head(name, ilen, olen, hidden, dropout, rng.child(name))
-    elif mode == "merged":
-        in_total = sum(ilen for _, ilen, _ in plan)
-        out_total = sum(olen for _, _, olen in plan)
-        heads["merged"] = _init_head(
-            "merged", in_total, out_total, len(plan) * hidden, dropout, rng.child("merged")
-        )
-    else:
-        raise ValueError(f"mode must be 'separate' or 'merged', got {mode!r}")
-    combinator = _init_head("cbn", l_out, l_out, hidden, dropout, rng.child("cbn"))
+    heads = {
+        name: _init_head(name, in_len, out_len, width, rng.child(name))
+        for name, _, in_len, out_len, width in head_layout(kind, mode, l_in, l_out, hidden)
+    }
+    combinator = _init_head("cbn", l_out, l_out, hidden, rng.child("cbn"))
     return PsldParams(kind, mode, l_in, l_out, hidden, dropout, heads, combinator)
 
 
@@ -150,7 +163,7 @@ def init_plain_params(l_in: int, l_out: int, hidden: int, dropout: float, rng: R
     if not 0.0 <= dropout < 1.0:
         raise ValueError(f"dropout must be in [0, 1), got {dropout}")
     return PlainParams(l_in, l_out, hidden, dropout,
-                       _init_head("main", l_in, l_out, hidden, dropout, rng.child("main")))
+                       _init_head("main", l_in, l_out, hidden, rng.child("main")))
 
 
 @dataclass
@@ -163,26 +176,42 @@ class HeadCache:
     out: np.ndarray
 
 
-def _head_forward(head: Head, z: np.ndarray, training: bool, rng: Rng | None):
-    if z.ndim != 2 or z.shape[1] != head.in_len:
-        raise ShapeError(
-            f"head '{head.name}': expected input (rows, {head.in_len}), got {z.shape}"
-        )
-    learner = head.learner
-    h1 = z @ learner.layer1.weight.T + learner.layer1.bias
-    a = relu(h1)
-    p = learner.dropout_rate
-    if training and p > 0.0:
-        if rng is None:
-            raise ValueError("training forward with dropout needs an rng")
+def _buffer(buffers: dict | None, key: str, shape: tuple) -> np.ndarray | None:
+    if buffers is None:
+        return None
+    buf = buffers.get(key)
+    if buf is None or buf.shape != shape:
+        buf = buffers[key] = np.empty(shape)
+    return buf
+
+
+def _head_forward(head: Head, z: np.ndarray, dropout: float, rng: Rng | None,
+                  buffers: dict | None = None):
+    """Output and backward cache of one head.
+
+    A dropout mask is drawn only when an rng is given, so evaluation
+    passes None and is deterministic. With ``buffers`` (see ``forward``)
+    the hidden and output arrays are written into arrays kept there.
+    """
+    name, in_len = head.name, head.w1.shape[1]
+    if z.ndim != 2 or z.shape[1] != in_len:
+        raise ShapeError(f"head '{name}': expected input (rows, {in_len}), got {z.shape}")
+    hidden = (z.shape[0], head.w1.shape[0])
+    h1 = np.matmul(z, head.w1.T, out=_buffer(buffers, f"{name}.h1", hidden))
+    h1 += head.b1
+    a = relu(h1, out=_buffer(buffers, f"{name}.a", hidden))
+    if rng is not None and dropout > 0.0:
         # inverted dropout: zero with probability p, scale survivors by 1/(1-p)
-        mask = (rng.gen.random(a.shape) >= p) / (1.0 - p)
+        mask = (rng.gen.random(a.shape) >= dropout) / (1.0 - dropout)
         ad = a * mask
     else:
         mask = None
         ad = a
-    h2 = ad @ learner.layer2.weight.T + learner.layer2.bias
-    out = h2 @ head.predictor.weight.T + head.predictor.bias
+    h2 = np.matmul(ad, head.w2.T, out=_buffer(buffers, f"{name}.h2", hidden))
+    h2 += head.b2
+    out_shape = (z.shape[0], head.wp.shape[0])
+    out = np.matmul(h2, head.wp.T, out=_buffer(buffers, f"{name}.out", out_shape))
+    out += head.bp
     return out, HeadCache(z, h1, mask, ad, h2, out)
 
 
@@ -195,39 +224,32 @@ def _head_backward(head: Head, cache: HeadCache, g_out: np.ndarray, grads: dict)
     the way down.
     """
     name = head.name
-    learner = head.learner
     grads[f"{name}.p.w"] = g_out.T @ cache.h2
     grads[f"{name}.p.b"] = g_out.sum(axis=0)
-    d_h2 = g_out @ head.predictor.weight
+    d_h2 = g_out @ head.wp
     grads[f"{name}.l2.w"] = d_h2.T @ cache.ad
     grads[f"{name}.l2.b"] = d_h2.sum(axis=0)
-    d_ad = d_h2 @ learner.layer2.weight
+    d_ad = d_h2 @ head.w2
     d_a = d_ad * cache.mask if cache.mask is not None else d_ad
     d_h1 = d_a * (cache.h1 > 0.0)
     grads[f"{name}.l1.w"] = d_h1.T @ cache.z
     grads[f"{name}.l1.b"] = d_h1.sum(axis=0)
-    return d_h1 @ learner.layer1.weight
+    return d_h1 @ head.w1
 
 
-def _merged_splits(params: PsldParams) -> list:
-    offs, acc = [], 0
-    for _, _, olen in head_plan(params.kind, params.l_in, params.l_out):
-        offs.append((acc, acc + olen))
-        acc += olen
-    return offs
+def _concat(columns: list) -> np.ndarray:
+    """Join per-component arrays along the time axis; one array is not copied."""
+    return columns[0] if len(columns) == 1 else np.concatenate(columns, axis=1)
 
 
 @dataclass
 class ForwardState:
     """Predicted components, forecast, and the caches backward needs."""
 
-    kind: str
-    mode: str
     comp_hat: dict
     y_hat: np.ndarray
     head_caches: dict
     cbn_cache: HeadCache
-    cbn_in: np.ndarray
 
 
 def forward(
@@ -235,29 +257,36 @@ def forward(
     x_bundle: dc.ComponentBundle,
     training: bool = False,
     rng: Rng | None = None,
+    buffers: dict | None = None,
 ) -> ForwardState:
     """Run component heads and the combinator on decomposed input windows.
 
     Dropout masks are drawn only when training is true; evaluation is
     deterministic. With every parameter zero all outputs are zero.
+
+    ``buffers`` is an optional dict the caller keeps across calls: each
+    head then writes its hidden and output arrays into arrays kept there,
+    so repeated calls on the same number of rows allocate them once. The
+    returned state's caches are then overwritten by the next such call.
     """
     if x_bundle.kind != params.kind:
         raise ValueError(f"bundle kind {x_bundle.kind!r} does not match model {params.kind!r}")
-    names = dc.part_names(params.kind)
-    comp_in = [np.asarray(x_bundle.parts[nm], dtype=np.float64) for nm in names]
+    if not training:
+        rng = None
+    elif params.dropout > 0.0 and rng is None:
+        raise ValueError("training forward with dropout needs an rng")
+    comp_in = {nm: np.asarray(x_bundle.parts[nm], dtype=np.float64)
+               for nm in dc.part_names(params.kind)}
+    out_lens = {nm: olen for nm, _, olen in head_plan(params.kind, params.l_in, params.l_out)}
 
     comp_hat, caches = {}, {}
-    if params.mode == "separate":
-        for nm, z in zip(names, comp_in):
-            out, cache = _head_forward(params.heads[nm], z, training, rng)
-            comp_hat[nm] = out
-            caches[nm] = cache
-    else:
-        z = np.concatenate(comp_in, axis=1)
-        out, cache = _head_forward(params.heads["merged"], z, training, rng)
-        caches["merged"] = cache
-        for nm, (lo, hi) in zip(names, _merged_splits(params)):
-            comp_hat[nm] = out[:, lo:hi]
+    for name, parts, *_ in _layout(params):
+        z = _concat([comp_in[nm] for nm in parts])
+        out, caches[name] = _head_forward(params.heads[name], z, params.dropout, rng, buffers)
+        lo = 0
+        for nm in parts:
+            comp_hat[nm] = out[:, lo:lo + out_lens[nm]]
+            lo += out_lens[nm]
 
     if params.kind == "mvd":
         cbn_in = comp_hat["v"] * comp_hat["r"]
@@ -265,19 +294,22 @@ def forward(
     else:
         cbn_in = comp_hat["s"] + comp_hat["r"]
         base = comp_hat["t"]
-    o_c, cbn_cache = _head_forward(params.combinator, cbn_in, training, rng)
-    y_hat = o_c + base
-    return ForwardState(params.kind, params.mode, comp_hat, y_hat, caches, cbn_cache, cbn_in)
+    o_c, cbn_cache = _head_forward(params.combinator, cbn_in, params.dropout, rng, buffers)
+    return ForwardState(comp_hat, o_c + base, caches, cbn_cache)
 
 
-def predict(params, x_rows: np.ndarray, dcfg=None) -> np.ndarray:
-    """Evaluation-mode forecast for stacked (rows, l_in) input windows."""
+def predict(params, x_rows: np.ndarray, dcfg=None, buffers: dict | None = None) -> np.ndarray:
+    """Evaluation-mode forecast for stacked (rows, l_in) input windows.
+
+    ``buffers`` is passed on as in ``forward``; the forecast may then be
+    one of them, valid until the next call with the same buffers.
+    """
     if isinstance(params, PlainParams):
-        out, _ = _head_forward(params.head, x_rows, False, None)
+        out, _ = _head_forward(params.head, x_rows, params.dropout, None, buffers)
         return out
     if dcfg is None:
         raise ValueError("predict on decomposition models needs a decomposer config")
-    return forward(params, dc.decompose(x_rows, dcfg), training=False).y_hat
+    return forward(params, dc.decompose(x_rows, dcfg), training=False, buffers=buffers).y_hat
 
 
 @dataclass(frozen=True)
@@ -292,6 +324,28 @@ def _mse(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.mean((a - b) ** 2))
 
 
+def train_step(params, x_rows: np.ndarray, y_rows: np.ndarray, dcfg, lam: float, rng: Rng):
+    """Training forward and backward pass on stacked rows: (LossParts, grads).
+
+    Decomposition models decompose inputs and targets with ``dcfg`` and
+    minimise cbn + lam * cpn; the plain model minimises the forecast MSE
+    alone. Dropout masks come from ``rng``. Nothing of the forward pass
+    outlives the call.
+    """
+    if isinstance(params, PlainParams):
+        out, cache = _head_forward(params.head, x_rows, params.dropout, rng)
+        if out.shape != y_rows.shape:
+            raise ShapeError(f"forecast {out.shape} vs target {y_rows.shape}")
+        loss = _mse(out, y_rows)
+        if not math.isfinite(loss):
+            raise NumericError("non-finite loss in head 'main'")
+        grads = {}
+        _head_backward(params.head, cache, (2.0 / y_rows.size) * (out - y_rows), grads)
+        return LossParts(loss, loss, 0.0, {}), grads
+    state = forward(params, dc.decompose(x_rows, dcfg), training=True, rng=rng)
+    return loss_and_backward(params, state, dc.decompose(y_rows, dcfg), y_rows, lam)
+
+
 def loss_and_backward(
     params: PsldParams,
     state: ForwardState,
@@ -302,8 +356,10 @@ def loss_and_backward(
     """Total loss cbn + lambda * cpn and gradients for every parameter.
 
     cpn is the sum of per-component mean squared errors against the label
-    components (the same sum in merged mode, computed on the output
-    splits, so both modes optimize the identical objective). cbn is the
+    components (in merged mode computed on the output splits, so both
+    modes optimize the identical objective). The forecast gradient is
+    routed into the predicted components, and each component head's
+    gradient is concatenated in the order of its ``head_layout`` parts. cbn is the
     mean squared error of the forecast. If predictions equal targets
     exactly, the loss and every gradient are zero.
     """
@@ -349,35 +405,19 @@ def loss_and_backward(
         hat, ref = state.comp_hat[nm], label_bundle.parts[nm]
         d_hat[nm] = routed[nm] + lam * (2.0 / hat.size) * (hat - ref)
 
-    if params.mode == "separate":
-        for nm in names:
-            _head_backward(params.heads[nm], state.head_caches[nm], d_hat[nm], grads)
-    else:
-        g_merged = np.concatenate([d_hat[nm] for nm in names], axis=1)
-        _head_backward(params.heads["merged"], state.head_caches["merged"], g_merged, grads)
+    for name, parts, *_ in _layout(params):
+        g_out = _concat([d_hat[nm] for nm in parts])
+        _head_backward(params.heads[name], state.head_caches[name], g_out, grads)
     return LossParts(total, l_cbn, l_cpn, comp_losses), grads
 
 
-def plain_loss_and_backward(params: PlainParams, cache: HeadCache, y: np.ndarray):
-    """Mean squared error and gradients for the plain single-head model."""
-    if cache.out.shape != y.shape:
-        raise ShapeError(f"forecast {cache.out.shape} vs target {y.shape}")
-    loss = _mse(cache.out, y)
-    if not math.isfinite(loss):
-        raise NumericError("non-finite loss in head 'main'")
-    grads = {}
-    g = (2.0 / y.size) * (cache.out - y)
-    _head_backward(params.head, cache, g, grads)
-    return LossParts(loss, loss, 0.0, {}), grads
-
-
 def _head_tensors(head: Head):
-    yield f"{head.name}.l1.w", head.learner.layer1.weight
-    yield f"{head.name}.l1.b", head.learner.layer1.bias
-    yield f"{head.name}.l2.w", head.learner.layer2.weight
-    yield f"{head.name}.l2.b", head.learner.layer2.bias
-    yield f"{head.name}.p.w", head.predictor.weight
-    yield f"{head.name}.p.b", head.predictor.bias
+    yield f"{head.name}.l1.w", head.w1
+    yield f"{head.name}.l1.b", head.b1
+    yield f"{head.name}.l2.w", head.w2
+    yield f"{head.name}.l2.b", head.b2
+    yield f"{head.name}.p.w", head.wp
+    yield f"{head.name}.p.b", head.bp
 
 
 def named_tensors(params) -> list:
@@ -434,9 +474,9 @@ def merge_params(sep: PsldParams) -> PsldParams:
     function as the separate heads on concatenated components. The
     combinator is copied unchanged.
     """
-    if sep.mode != "separate":
-        raise ValueError("merge_params expects separate-mode parameters")
     plan = head_plan(sep.kind, sep.l_in, sep.l_out)
+    if set(sep.heads) != {nm for nm, _, _ in plan}:
+        raise ValueError("merge_params expects separate-mode parameters")
     h = sep.hidden
     n_heads = len(plan)
     in_total = sum(ilen for _, ilen, _ in plan)
@@ -453,22 +493,16 @@ def merge_params(sep: PsldParams) -> PsldParams:
     for i, (nm, ilen, olen) in enumerate(plan):
         head = sep.heads[nm]
         rows = slice(i * h, (i + 1) * h)
-        w1[rows, in_off:in_off + ilen] = head.learner.layer1.weight
-        b1[rows] = head.learner.layer1.bias
-        w2[rows, rows] = head.learner.layer2.weight
-        b2[rows] = head.learner.layer2.bias
-        wp[out_off:out_off + olen, rows] = head.predictor.weight
-        bp[out_off:out_off + olen] = head.predictor.bias
+        w1[rows, in_off:in_off + ilen] = head.w1
+        b1[rows] = head.b1
+        w2[rows, rows] = head.w2
+        b2[rows] = head.b2
+        wp[out_off:out_off + olen, rows] = head.wp
+        bp[out_off:out_off + olen] = head.bp
         in_off += ilen
         out_off += olen
 
-    merged = Head(
-        "merged",
-        MlpLearner(LinearLayer(w1, b1), LinearLayer(w2, b2), sep.dropout),
-        LinearLayer(wp, bp),
-        in_total,
-        out_total,
-    )
+    merged = Head("merged", w1, b1, w2, b2, wp, bp)
     return PsldParams(sep.kind, "merged", sep.l_in, sep.l_out, sep.hidden, sep.dropout,
                       {"merged": merged}, copy.deepcopy(sep.combinator))
 
@@ -538,7 +572,7 @@ def _read_exact(f, n: int, what: str) -> bytes:
 
 
 def _head_from_tensors(tensors: dict, name: str, in_len: int, out_len: int,
-                       hidden: int, dropout: float) -> Head:
+                       width: int) -> Head:
     def take(suffix: str, shape: tuple) -> np.ndarray:
         key = f"{name}.{suffix}"
         if key not in tensors:
@@ -548,13 +582,10 @@ def _head_from_tensors(tensors: dict, name: str, in_len: int, out_len: int,
             raise CheckpointError(f"tensor {key!r} has shape {arr.shape}, expected {shape}")
         return arr
 
-    learner = MlpLearner(
-        LinearLayer(take("l1.w", (hidden, in_len)), take("l1.b", (hidden,))),
-        LinearLayer(take("l2.w", (hidden, hidden)), take("l2.b", (hidden,))),
-        dropout,
-    )
-    predictor = LinearLayer(take("p.w", (out_len, hidden)), take("p.b", (out_len,)))
-    return Head(name, learner, predictor, in_len, out_len)
+    return Head(name,
+                take("l1.w", (width, in_len)), take("l1.b", (width,)),
+                take("l2.w", (width, width)), take("l2.b", (width,)),
+                take("p.w", (out_len, width)), take("p.b", (out_len,)))
 
 
 def load_checkpoint(path):
@@ -586,18 +617,11 @@ def load_checkpoint(path):
     kind, mode = sidecar["kind"], sidecar["mode"]
     l_in, l_out = int(sidecar["l_in"]), int(sidecar["l_out"])
     hidden, dropout = int(sidecar["hidden"]), float(sidecar["dropout"])
-    plan = head_plan(kind, l_in, l_out)
-    heads = {}
-    if mode == "separate":
-        for nm, ilen, olen in plan:
-            heads[nm] = _head_from_tensors(tensors, nm, ilen, olen, hidden, dropout)
-    else:
-        in_total = sum(i for _, i, _ in plan)
-        out_total = sum(o for _, _, o in plan)
-        heads["merged"] = _head_from_tensors(
-            tensors, "merged", in_total, out_total, len(plan) * hidden, dropout
-        )
-    combinator = _head_from_tensors(tensors, "cbn", l_out, l_out, hidden, dropout)
+    heads = {
+        name: _head_from_tensors(tensors, name, in_len, out_len, width)
+        for name, _, in_len, out_len, width in head_layout(kind, mode, l_in, l_out, hidden)
+    }
+    combinator = _head_from_tensors(tensors, "cbn", l_out, l_out, hidden)
     params = PsldParams(kind, mode, l_in, l_out, hidden, dropout, heads, combinator)
     return params, sidecar
 

@@ -1,4 +1,4 @@
-"""Float64 matrix helpers and a splittable, seed-deterministic PRNG.
+"""ReLU on float64 matrices and a splittable, seed-deterministic PRNG.
 
 Matrices are plain 2-D ``numpy.ndarray`` values in row-major float64.
 Randomness flows from a single integer seed through ``Rng`` children that
@@ -13,34 +13,12 @@ import zlib
 
 import numpy as np
 
-from .exceptions import NumericError, ShapeError
-
 Matrix = np.ndarray
 
 
-def matmul(a: Matrix, b: Matrix) -> Matrix:
-    """Matrix product with full float64 accumulation.
-
-    Raises ShapeError naming both shapes when the inner dimensions differ.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul expects 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul shape mismatch: {a.shape} x {b.shape}")
-    return a @ b
-
-
-def relu(a: Matrix) -> Matrix:
-    """Elementwise max(x, 0). The input is not modified."""
-    return np.maximum(np.asarray(a, dtype=np.float64), 0.0)
-
-
-def check_finite(a: np.ndarray, what: str) -> None:
-    """Raise NumericError naming ``what`` if any entry is NaN or infinite."""
-    if not np.isfinite(a).all():
-        raise NumericError(f"non-finite values in {what}")
+def relu(a: Matrix, out: Matrix | None = None) -> Matrix:
+    """Elementwise max(x, 0), into ``out`` if given. The input is not modified."""
+    return np.maximum(np.asarray(a, dtype=np.float64), 0.0, out=out)
 
 
 def _key_to_int(key) -> int:

@@ -1,7 +1,9 @@
 """Training loop, evaluation, and the two reference baselines.
 
-Each epoch re-partitions the node set into random subgraphs, then takes
-one ADAM step per subgraph on the mean loss of a freshly sampled window
+One epoch loop serves both the PSLD model and the plain MLP baseline;
+``model.train_step`` is the only step that differs between them. Each
+epoch re-partitions the node set into random subgraphs, then takes one
+ADAM step per subgraph on the mean loss of a freshly sampled window
 minibatch. Validation after every epoch picks the returned parameters;
 there is no early stopping. Everything is a pure function of the config
 and seed: rerunning with identical inputs reproduces reports and
@@ -183,17 +185,23 @@ def _predict_split(params, store: SeriesStore, config: TrainConfig, split: tuple
     a few rows differently in the last bit from the same rows inside a
     larger product. So the last chunk is shifted back to end at the last
     row: every call sees the same row count, and no short remainder call
-    depends on where the split ends. With ``denorm_stats`` both arrays
-    are mapped back to the raw scale.
+    depends on where the split ends. All chunks write the heads' hidden
+    and output arrays into one set of buffers. Fresh ones per chunk (about
+    6 MiB at hidden 128) were handed back to the OS by glibc's heap
+    trimming whenever nothing live sat above them, and page-faulted in
+    again by the next chunk; whether that happened depended on where
+    earlier long-lived arrays had landed. With ``denorm_stats`` both
+    arrays are mapped back to the raw scale.
     """
     x_rows, y_rows, n_win = _stack_split(store, config.l_in, config.l_out, split)
     dcfg = config.decomposer_config()
     n_rows = x_rows.shape[0]
     pred = np.empty_like(y_rows)
+    buffers = {}
     for start in range(0, n_rows, EVAL_CHUNK_ROWS):
         lo = max(min(start, n_rows - EVAL_CHUNK_ROWS), 0)
         hi = lo + EVAL_CHUNK_ROWS
-        pred[lo:hi] = md.predict(params, x_rows[lo:hi], dcfg)
+        pred[lo:hi] = md.predict(params, x_rows[lo:hi], dcfg, buffers)
     if denorm_stats is not None:
         pred = _denorm_rows(pred, denorm_stats, n_win, config.sigma_floor)
         y_rows = _denorm_rows(y_rows, denorm_stats, n_win, config.sigma_floor)
@@ -224,19 +232,14 @@ def _sample_minibatch(batch, k: int, rng: Rng):
     return x.reshape(take * n_sub, -1), y.reshape(take * n_sub, -1)
 
 
-def train(store: SeriesStore, config: TrainConfig):
-    """Train on the store's train split, validating after each epoch.
+def _fit(params, normed: SeriesStore, ranges: dict, config: TrainConfig):
+    """The epoch loop of train() and the plain baseline, on a normalized store.
 
-    Returns (best_params, reports) where best_params minimizes validation
-    MSE over epochs (earliest epoch wins ties).
+    Trains ``params`` in place and returns (best_params, reports) as
+    train() does; ``md.train_step`` is the only model-specific call.
     """
-    normed, ranges, _ = prepare_store(store, config)
     train_store = restrict_time(normed, *ranges["train"])
     root = Rng(config.seed)
-    params = md.init_params(
-        config.decomposer, config.l_in, config.l_out, config.hidden,
-        config.dropout, config.mode, root.child("init"),
-    )
     adam = md.AdamState.for_params(params)
     dcfg = config.decomposer_config()
 
@@ -254,13 +257,9 @@ def train(store: SeriesStore, config: TrainConfig):
         for step, batch in enumerate(batches):
             x_rows, y_rows = _sample_minibatch(batch, config.minibatch,
                                                erng.child("minibatch", step))
-            x_bundle = dc.decompose(x_rows, dcfg)
-            y_bundle = dc.decompose(y_rows, dcfg)
-            state = md.forward(params, x_bundle, training=True,
-                               rng=erng.child("dropout", step))
             try:
-                losses, grads = md.loss_and_backward(params, state, y_bundle,
-                                                     y_rows, config.lam)
+                losses, grads = md.train_step(params, x_rows, y_rows, dcfg, config.lam,
+                                              erng.child("dropout", step))
             except NumericError as err:
                 raise NumericError(f"epoch {epoch}, subgraph {step}: {err}") from err
             md.adam_step(params, grads, adam, config.lr)
@@ -281,52 +280,30 @@ def train(store: SeriesStore, config: TrainConfig):
     return best_params, reports
 
 
+def _init_plain(config: TrainConfig):
+    return md.init_plain_params(config.l_in, config.l_out, config.hidden,
+                                config.dropout, Rng(config.seed).child("init"))
+
+
+def train(store: SeriesStore, config: TrainConfig):
+    """Train on the store's train split, validating after each epoch.
+
+    Returns (best_params, reports) where best_params minimizes validation
+    MSE over epochs (earliest epoch wins ties).
+    """
+    normed, ranges, _ = prepare_store(store, config)
+    params = md.init_params(
+        config.decomposer, config.l_in, config.l_out, config.hidden,
+        config.dropout, config.mode, Rng(config.seed).child("init"),
+    )
+    return _fit(params, normed, ranges, config)
+
+
 def train_plain_mlp(store: SeriesStore, config: TrainConfig):
     """Same budget and loop as train(), with one head on raw windows and
     no decomposition or component losses."""
     normed, ranges, _ = prepare_store(store, config)
-    train_store = restrict_time(normed, *ranges["train"])
-    root = Rng(config.seed)
-    params = md.init_plain_params(config.l_in, config.l_out, config.hidden,
-                                  config.dropout, root.child("init"))
-    adam = md.AdamState.for_params(params)
-
-    best_mse = np.inf
-    best_params = copy.deepcopy(params)
-    reports = []
-    for epoch in range(config.epochs):
-        started = time.perf_counter()
-        erng = root.child("epoch", epoch)
-        batches = rss_partition(
-            train_store, config.n_subgraphs, config.l_in, config.l_out,
-            training=True, rng=erng.child("partition"),
-        )
-        total = 0.0
-        for step, batch in enumerate(batches):
-            x_rows, y_rows = _sample_minibatch(batch, config.minibatch,
-                                               erng.child("minibatch", step))
-            out, cache = md._head_forward(params.head, x_rows, True,
-                                          erng.child("dropout", step))
-            try:
-                losses, grads = md.plain_loss_and_backward(params, cache, y_rows)
-            except NumericError as err:
-                raise NumericError(f"epoch {epoch}, subgraph {step}: {err}") from err
-            md.adam_step(params, grads, adam, config.lr)
-            total += losses.total
-        val = evaluate(params, normed, config, ranges["val"])
-        reports.append(EpochReport(
-            epoch=epoch,
-            train_total=total / len(batches),
-            train_cbn=total / len(batches),
-            train_cpn=0.0,
-            val_mse=val["mse"],
-            val_mae=val["mae"],
-            wall_time_s=time.perf_counter() - started,
-        ))
-        if val["mse"] < best_mse:
-            best_mse = val["mse"]
-            best_params = copy.deepcopy(params)
-    return best_params, reports
+    return _fit(_init_plain(config), normed, ranges, config)
 
 
 def baseline_last_value(store: SeriesStore, config: TrainConfig, split: tuple) -> dict:
@@ -338,6 +315,6 @@ def baseline_last_value(store: SeriesStore, config: TrainConfig, split: tuple) -
 
 def baseline_plain_mlp(store: SeriesStore, config: TrainConfig) -> dict:
     """Test metrics of the plain single-head model under the same budget."""
-    params, _ = train_plain_mlp(store, config)
     normed, ranges, _ = prepare_store(store, config)
+    params, _ = _fit(_init_plain(config), normed, ranges, config)
     return evaluate(params, normed, config, ranges["test"])

@@ -4,9 +4,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import psld
+from psld import training
 from psld.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 
 
@@ -99,6 +101,21 @@ class TestTrain:
         for row in metrics["epochs"]:
             assert abs(row["train_total"] - row["train_cbn"]) <= 1e-12
 
+    def test_normalizes_once_per_model(self, dataset, tmp_path, capsys, monkeypatch):
+        # train, the test metrics and the plain baseline each normalize once
+        calls = []
+        real = training.prepare_store
+
+        def counting(store, config):
+            calls.append(store.n_nodes)
+            return real(store, config)
+
+        monkeypatch.setattr(training, "prepare_store", counting)
+        monkeypatch.setattr("psld.cli.prepare_store", counting)
+        code, _, _ = run_cli(capsys, *train_args(dataset, tmp_path / "run", "--baseline-mlp"))
+        assert code == EXIT_OK
+        assert len(calls) == 3
+
     def test_too_many_subgraphs_is_usage_error(self, dataset, tmp_path, capsys):
         code, _, err = run_cli(capsys, "train", "--data",
                                str(dataset / "series.csv"),
@@ -149,16 +166,21 @@ class TestEval:
         out = tmp_path / "run"
         run_cli(capsys, *train_args(dataset, out))
         preds = tmp_path / "preds.csv"
-        code, _, _ = run_cli(capsys, "eval", "--checkpoint",
-                             str(out / "checkpoint.psld"),
-                             "--data", str(dataset / "series.csv"),
-                             "--dump-predictions", str(preds))
+        code, stdout, _ = run_cli(capsys, "eval", "--checkpoint",
+                                  str(out / "checkpoint.psld"),
+                                  "--data", str(dataset / "series.csv"),
+                                  "--dump-predictions", str(preds))
         assert code == EXIT_OK
         lines = preds.read_text().strip().splitlines()
         assert lines[0] == "t0,node,h,y,y_hat"
         # test split of a length-160 store is 32 steps; with l_in=12,
         # l_out=6 that is 15 windows over 10 nodes and 6 horizon steps
         assert len(lines) - 1 == 15 * 10 * 6
+        # y and y_hat are plain numbers that reproduce the printed mse;
+        # rows are (window, node) and columns horizon steps, as evaluated
+        values = np.array([[float(v) for v in line.split(",")[3:]] for line in lines[1:]])
+        y, y_hat = values[:, 0].reshape(-1, 6), values[:, 1].reshape(-1, 6)
+        assert float(np.mean((y_hat - y) ** 2)) == json.loads(stdout)["mse"]
 
     def test_corrupted_checkpoint_is_runtime_error(self, dataset, tmp_path,
                                                    capsys):

@@ -9,11 +9,9 @@ from psld.dataset import (
     SIGMA_FLOOR,
     SeriesStore,
     apply_norm,
-    denorm_values,
     fit_norm_stats,
     generate_synthetic,
     load_csv,
-    make_windows,
     restrict_time,
     save_adjacency_csv,
     save_csv,
@@ -21,6 +19,7 @@ from psld.dataset import (
 )
 from psld.exceptions import FormatError, ParseError, ShapeError
 from psld.numerics import Rng
+from psld.training import _stack_split
 
 
 class TestSeriesStore:
@@ -66,8 +65,8 @@ class TestNormalization:
     def test_round_trip(self, synth_store):
         stats = fit_norm_stats(synth_store, 120)
         normed = apply_norm(synth_store, stats, SIGMA_FLOOR)
-        back = denorm_values(normed.values, stats.mu[:, None],
-                             stats.sigma[:, None], SIGMA_FLOOR)
+        scale = np.maximum(stats.sigma, SIGMA_FLOOR)[:, None]
+        back = normed.values * scale + stats.mu[:, None]
         assert np.max(np.abs(back - synth_store.values)) <= 1e-10
 
     def test_train_len_too_small(self, tiny_store):
@@ -96,31 +95,35 @@ class TestSplitsAndWindows:
             assert r["val"][1] == r["test"][0]
             assert r["test"][1] == l_data
 
+    # windows as evaluation and the baselines stack them: one row per
+    # (window, node), window-major
     def test_window_count_exhaustive(self, tiny_store):
         # over every feasible (l_in, l_out) in a length-10 store
         for l_in in range(1, 9):
             for l_out in range(1, 10 - l_in):
-                wins = make_windows(tiny_store, l_in, l_out, (0, 10))
-                assert len(wins) == 10 - l_in - l_out + 1
+                x, y, n_win = _stack_split(tiny_store, l_in, l_out, (0, 10))
+                assert n_win == 10 - l_in - l_out + 1
+                assert x.shape == (n_win * 3, l_in)
+                assert y.shape == (n_win * 3, l_out)
 
     def test_window_contents_and_overlap(self, tiny_store):
-        wins = make_windows(tiny_store, 4, 2, (0, 10))
-        w0, w1 = wins[0], wins[1]
-        assert w0.x.shape == (4, 3)  # time major
-        assert w0.y.shape == (2, 3)
-        assert np.array_equal(w0.x[:, 0], np.arange(4.0))
-        assert np.array_equal(w0.y[:, 0], np.array([4.0, 5.0]))
+        x, y, _ = _stack_split(tiny_store, 4, 2, (0, 10))
+        v = tiny_store.values
+        assert np.array_equal(x[:3], v[:, 0:4])  # window 0, nodes 0..2
+        assert np.array_equal(y[:3], v[:, 4:6])
+        assert np.array_equal(x[3:6], v[:, 1:5])  # window 1
         # stride one: successive inputs share l_in - 1 steps
-        assert np.array_equal(w0.x[1:, :], w1.x[:-1, :])
+        assert np.array_equal(x[:3, 1:], x[3:6, :-1])
 
     def test_boundary_single_window(self, tiny_store):
-        wins = make_windows(tiny_store, 6, 4, (0, 10))
-        assert len(wins) == 1
-        assert wins[0].t0 == 0
+        x, y, n_win = _stack_split(tiny_store, 6, 4, (0, 10))
+        assert n_win == 1
+        assert np.array_equal(x, tiny_store.values[:, :6])
+        assert np.array_equal(y, tiny_store.values[:, 6:])
 
     def test_too_short_split_names_minimum(self, tiny_store):
         with pytest.raises(ValueError) as exc:
-            make_windows(tiny_store, 8, 4, (0, 10))
+            _stack_split(tiny_store, 8, 4, (0, 10))
         assert "12" in str(exc.value)
 
     def test_restrict_time(self, tiny_store):

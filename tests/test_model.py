@@ -54,16 +54,16 @@ class TestInit:
     def test_shapes_and_zero_biases(self):
         p = init_params("stl", 8, 4, 16, 0.05, "separate", Rng(5))
         h = p.heads["t"]
-        assert h.learner.layer1.weight.shape == (16, 8)
-        assert h.learner.layer2.weight.shape == (16, 16)
-        assert h.predictor.weight.shape == (4, 16)
-        assert np.all(h.learner.layer1.bias == 0.0)
-        assert np.all(h.predictor.bias == 0.0)
-        assert p.combinator.learner.layer1.weight.shape == (16, 4)
+        assert h.w1.shape == (16, 8)
+        assert h.w2.shape == (16, 16)
+        assert h.wp.shape == (4, 16)
+        assert np.all(h.b1 == 0.0)
+        assert np.all(h.bp == 0.0)
+        assert p.combinator.w1.shape == (16, 4)
 
     def test_uniform_bounds_scale_with_fan_in(self):
         p = init_params("mvd", 100, 4, 32, 0.0, "separate", Rng(1))
-        w = p.heads["r"].learner.layer1.weight
+        w = p.heads["r"].w1
         bound = np.sqrt(1.0 / 100)
         assert np.max(np.abs(w)) <= bound
         assert np.max(np.abs(w)) > 0.5 * bound  # actually fills the range
@@ -71,8 +71,8 @@ class TestInit:
     def test_merged_widths(self):
         p = init_params("mvd", 8, 4, 16, 0.05, "merged", Rng(5))
         head = p.heads["merged"]
-        assert head.learner.layer1.weight.shape == (48, 10)  # 3*16, 1+1+8
-        assert head.predictor.weight.shape == (6, 48)  # 1+1+4
+        assert head.w1.shape == (48, 10)  # 3*16, 1+1+8
+        assert head.wp.shape == (6, 48)  # 1+1+4
 
 
 class TestForward:
@@ -116,6 +116,24 @@ class TestForward:
         xb, yb, x, y, cfg = bundle_pair("mvd")
         p = init_params("mvd", 8, 4, 16, 0.05, "separate", Rng(1))
         assert np.array_equal(predict(p, x, cfg), forward(p, xb).y_hat)
+
+    @pytest.mark.parametrize("kind,mode", [("mvd", "separate"), ("mvd", "merged"),
+                                           ("stl", "separate"), ("stl", "merged"),
+                                           ("plain", "separate")])
+    def test_buffers_are_reused_without_changing_forecasts(self, kind, mode):
+        cfg = make_config("mvd" if kind == "plain" else kind, kappa_t=5, kappa_s=3)
+        if kind == "plain":
+            p = init_plain_params(8, 4, 16, 0.05, Rng(1))
+        else:
+            p = init_params(kind, 8, 4, 16, 0.05, mode, Rng(1))
+        x1, x2 = Rng(2).gen.standard_normal((2, 6, 8))
+        buffers = {}
+        first = predict(p, x1, cfg, buffers).copy()
+        held = {key: id(arr) for key, arr in buffers.items()}
+        second = predict(p, x2, cfg, buffers)
+        assert np.array_equal(first, predict(p, x1, cfg))
+        assert np.array_equal(second, predict(p, x2, cfg))
+        assert held and held == {key: id(arr) for key, arr in buffers.items()}
 
     def test_width_mismatch_names_head(self):
         xb, *_ = bundle_pair("mvd", l_in=8)
@@ -316,8 +334,7 @@ class TestPlainHead:
         losses = []
         st = AdamState.for_params(p)
         for _ in range(30):
-            pred, cache = md._head_forward(p.head, x, False, None)
-            loss, grads = md.plain_loss_and_backward(p, cache, y)
+            loss, grads = md.train_step(p, x, y, None, 1.0, Rng(5))
             losses.append(loss.total)
             adam_step(p, grads, st, lr=0.01)
         assert losses[-1] < losses[0]

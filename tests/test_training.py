@@ -1,4 +1,6 @@
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -123,7 +125,7 @@ class TestChunkedEvaluate:
         cfg, normed, split, stats, x_rows, y_rows, n_win = split_setup
         calls = []
 
-        def fake_predict(params, x, dcfg=None):
+        def fake_predict(params, x, dcfg=None, buffers=None):
             calls.append(x.shape[0])
             return x[:, :cfg.l_out] * 2.0 + 1.0
 
@@ -146,7 +148,7 @@ class TestChunkedEvaluate:
         cfg, normed, split, _, x_rows, _, _ = split_setup
         calls = []
 
-        def fake_predict(params, x, dcfg=None):
+        def fake_predict(params, x, dcfg=None, buffers=None):
             calls.append(x.shape[0])
             return x[:, :cfg.l_out]
 
@@ -253,6 +255,29 @@ class TestTrain:
                 params, reports = train(train_store, cfg)
                 assert len(reports) == 1
                 assert np.isfinite(reports[0].val_mse)
+
+    def test_no_step_state_alive_during_validation(self, train_store, monkeypatch):
+        # the forward caches of a training step are freed before the
+        # epoch's validation pass, not held over by the loop
+        states, alive = [], []
+        real_forward, real_evaluate = md.forward, tr.evaluate
+
+        def recording_forward(params, x_bundle, training=False, rng=None, buffers=None):
+            state = real_forward(params, x_bundle, training, rng, buffers)
+            if training:
+                states.append(weakref.ref(state))
+            return state
+
+        def checking_evaluate(*args, **kwargs):
+            gc.collect()
+            alive.append(sum(ref() is not None for ref in states))
+            return real_evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(md, "forward", recording_forward)
+        monkeypatch.setattr(tr, "evaluate", checking_evaluate)
+        train(train_store, small_config(epochs=2))
+        assert len(states) == 2 * 2  # two subgraphs per epoch
+        assert alive == [0, 0]
 
     def test_n_subgraphs_capped_by_nodes(self, train_store):
         cfg = small_config(n_subgraphs=7)  # store has 6 nodes
