@@ -78,5 +78,4 @@ from .training import (
     evaluate,
     prepare_store,
     train,
-    train_plain_mlp,
 )

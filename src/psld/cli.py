@@ -422,6 +422,8 @@ def main(argv=None) -> int:
         return int(code) if code else EXIT_OK
     except ValueError as err:
         return _usage_error(str(err))
+    except OSError as err:
+        return _usage_error(f"cannot read --config file: {err}")
     return args.func(args)
 
 

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress, repeat
+from operator import itemgetter
 
 import numpy as np
 
@@ -21,16 +23,22 @@ MIN_SYNTH_LENGTH = 64
 
 @dataclass(frozen=True)
 class SeriesStore:
-    """Node-major series values with node ids and an optional edge list.
+    """Node-major series values with node ids and an optional edge array.
 
-    ``values`` has shape (n_nodes, l_data). ``adjacency`` stores directed
-    entries (src, dst, weight); undirected inputs carry both directions.
-    Instances are treated as immutable after construction.
+    ``values`` has shape (n_nodes, l_data). ``adjacency`` is a read-only
+    (n_edges, 3) float64 array of directed ``[src, dst, weight]`` rows, or
+    None; undirected inputs carry both directions. It is built from a
+    tuple of triples or any array of that shape. A read-only float64 array
+    is kept as is, so stores derived by ``apply_norm`` and
+    ``restrict_time`` share their parent's edges; any other input is
+    copied once. Node indices must be integers in [0, n_nodes) without
+    self-loops; float64 holds them exactly below 2**53. Instances are
+    treated as immutable after construction.
     """
 
     values: np.ndarray
     node_ids: tuple
-    adjacency: tuple | None = None
+    adjacency: np.ndarray | None = None
 
     def __post_init__(self):
         v = np.ascontiguousarray(np.asarray(self.values, dtype=np.float64))
@@ -44,15 +52,7 @@ class SeriesStore:
             raise ShapeError(f"{len(ids)} node ids for {v.shape[0]} value rows")
         object.__setattr__(self, "node_ids", ids)
         if self.adjacency is not None:
-            edges = []
-            for src, dst, w in self.adjacency:
-                src, dst, w = int(src), int(dst), float(w)
-                if not (0 <= src < v.shape[0] and 0 <= dst < v.shape[0]):
-                    raise ValueError(f"edge ({src}, {dst}) out of range for {v.shape[0]} nodes")
-                if src == dst:
-                    raise ValueError(f"self-loop on node {src} is not supported")
-                edges.append((src, dst, w))
-            object.__setattr__(self, "adjacency", tuple(edges))
+            object.__setattr__(self, "adjacency", _edge_array(self.adjacency, v.shape[0]))
 
     @property
     def n_nodes(self) -> int:
@@ -61,6 +61,35 @@ class SeriesStore:
     @property
     def l_data(self) -> int:
         return self.values.shape[1]
+
+
+def _edge_array(edges, n_nodes: int) -> np.ndarray:
+    """Validated read-only (n_edges, 3) float64 array of ``edges``.
+
+    A read-only float64 array is returned as is; anything else is copied.
+    """
+    a = edges
+    if not (isinstance(a, np.ndarray) and a.dtype == np.float64 and not a.flags.writeable):
+        a = np.array(a, dtype=np.float64)
+        if a.shape == (0,):
+            a = a.reshape(0, 3)
+        a.flags.writeable = False
+    if a.ndim != 2 or a.shape[1] != 3:
+        raise ValueError(f"adjacency must be (n_edges, 3) [src, dst, weight] rows, got {a.shape}")
+    ends = a[:, :2]
+    integral = (np.isfinite(ends) & (ends == np.floor(ends))).all(axis=1)
+    in_range = ((ends >= 0) & (ends < n_nodes)).all(axis=1)
+    loop = ends[:, 0] == ends[:, 1]
+    bad = ~integral | ~in_range | loop
+    if bad.any():
+        row = int(np.argmax(bad))
+        src, dst = ends[row].tolist()
+        if not integral[row]:
+            raise ValueError(f"edge ({src!r}, {dst!r}) has a non-integer node index")
+        if not in_range[row]:
+            raise ValueError(f"edge ({int(src)}, {int(dst)}) out of range for {n_nodes} nodes")
+        raise ValueError(f"self-loop on node {int(src)} is not supported")
+    return a
 
 
 @dataclass(frozen=True)
@@ -131,15 +160,54 @@ def load_csv(path, adjacency_path=None) -> SeriesStore:
 
     adjacency = None
     if adjacency_path is not None:
-        adjacency = _load_adjacency(adjacency_path)
+        adjacency = _load_adjacency(adjacency_path, values.shape[0])
     return SeriesStore(values, tuple(ids), adjacency)
 
 
-def _load_adjacency(path) -> tuple:
-    """Read 'src,dst[,weight]' lines; each line contributes both directions."""
+def _load_adjacency(path, n_nodes: int) -> np.ndarray:
+    """Read 'src,dst[,weight]' lines; each line contributes both directions.
+
+    The columns are converted in bulk. Only when a line fails to convert,
+    has a non-finite weight, or names an edge that leaves [0, n_nodes) or
+    loops, are the lines walked again to name the first bad one.
+    """
     with open(path, "r", encoding="utf-8") as f:
         raw_lines = f.read().splitlines()
-    edges = []
+    rows = list(map(str.split, filter(str.strip, raw_lines), repeat(",")))
+    columns = _bulk_edge_columns(rows, n_nodes)
+    if columns is None:
+        _raise_first_bad_line(path, raw_lines, n_nodes)
+    edges = _both_directions(*columns)
+    edges.flags.writeable = False
+    return edges
+
+
+def _column(rows, k: int, convert) -> np.ndarray:
+    fields = map(str.strip, map(itemgetter(k), rows))
+    return np.fromiter(map(convert, fields), dtype=np.float64)
+
+
+def _bulk_edge_columns(rows, n_nodes: int):
+    """(src, dst, weight) float64 columns, or None if some line is bad."""
+    widths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
+    weighted = widths == 3
+    if not np.all(weighted | (widths == 2)):
+        return None
+    try:
+        src = _column(rows, 0, int)
+        dst = _column(rows, 1, int)
+        w = np.ones(len(rows))
+        w[weighted] = _column(compress(rows, weighted.tolist()), 2, float)
+    except (ValueError, OverflowError):
+        return None
+    in_range = (src >= 0) & (src < n_nodes) & (dst >= 0) & (dst < n_nodes)
+    if not np.all(in_range & (src != dst) & np.isfinite(w)):
+        return None
+    return src, dst, w
+
+
+def _raise_first_bad_line(path, raw_lines, n_nodes: int) -> None:
+    """Walk the lines with the bulk converters and raise for the first bad one."""
     for line_no, line in enumerate(raw_lines, 1):
         if not line.strip():
             continue
@@ -155,9 +223,17 @@ def _load_adjacency(path) -> tuple:
         w = _parse_float(fields[2], line_no, 3) if len(fields) == 3 else 1.0
         if not math.isfinite(w):
             raise _non_finite(line_no, 3, w)
-        edges.append((src, dst, w))
-        edges.append((dst, src, w))
-    return tuple(edges)
+        if not (0 <= src < n_nodes and 0 <= dst < n_nodes):
+            raise FormatError(
+                f"{path}: line {line_no}: edge ({src}, {dst}) out of range for {n_nodes} nodes"
+            )
+        if src == dst:
+            raise FormatError(f"{path}: line {line_no}: self-loop on node {src} is not supported")
+
+
+def _both_directions(src, dst, w) -> np.ndarray:
+    """Edge rows (src, dst, w), (dst, src, w) interleaved per input edge."""
+    return np.stack([src, dst, w, dst, src, w], axis=1).reshape(-1, 3)
 
 
 def save_csv(store: SeriesStore, path) -> None:
@@ -169,10 +245,12 @@ def save_csv(store: SeriesStore, path) -> None:
 
 def save_adjacency_csv(store: SeriesStore, path) -> None:
     """Write each undirected edge once as 'src,dst,weight'."""
+    edges = store.adjacency if store.adjacency is not None else np.empty((0, 3))
+    upper = edges[edges[:, 0] < edges[:, 1]]
+    ends = upper[:, :2].astype(np.int64)
     with open(path, "w", encoding="utf-8") as f:
-        for src, dst, w in store.adjacency or ():
-            if src < dst:
-                f.write(f"{src},{dst},{repr(float(w))}\n")
+        f.writelines(map("{},{},{!r}\n".format,
+                         ends[:, 0].tolist(), ends[:, 1].tolist(), upper[:, 2].tolist()))
 
 
 def generate_synthetic(
@@ -214,14 +292,15 @@ def generate_synthetic(
         values[i] = s
 
     pos = rng.child("positions").gen.random((n_nodes, 2))
-    edges = []
+    # one row of the upper triangle at a time keeps memory O(n_nodes)
+    near = []
     for i in range(n_nodes):
-        for j in range(i + 1, n_nodes):
-            if np.hypot(*(pos[i] - pos[j])) <= radius:
-                edges.append((i, j, 1.0))
-                edges.append((j, i, 1.0))
+        diff = pos[i] - pos[i + 1:]
+        near.append(i + 1 + np.flatnonzero(np.hypot(diff[:, 0], diff[:, 1]) <= radius))
+    src = np.repeat(np.arange(n_nodes), [len(js) for js in near])
+    dst = np.concatenate(near)
     ids = tuple(f"n{i:03d}" for i in range(n_nodes))
-    return SeriesStore(values, ids, tuple(edges))
+    return SeriesStore(values, ids, _both_directions(src, dst, np.ones(len(src))))
 
 
 def fit_norm_stats(store: SeriesStore, train_len: int) -> NormStats:

@@ -26,26 +26,19 @@ class SubgraphBatch:
     """One node chunk with its windows and double-sliced adjacency.
 
     ``x`` is (n_windows, l_in, n_sub), ``y`` is (n_windows, l_out, n_sub),
-    ``adjacency`` is the dense (n_sub, n_sub) weight block for the chunk.
-    ``x`` and ``y`` are read-only strided views over one (n_sub, l_data)
-    copy of the chunk's series, so a batch holds O(n_sub * l_data) values
-    however many windows it exposes; indexing a subset of windows copies
-    only that subset.
+    ``adjacency`` is the dense (n_sub, n_sub) weight block for the chunk:
+    ``adjacency[i, j]`` is the weight of the edge from ``node_index[i]``
+    to ``node_index[j]`` (the last one where the edge array repeats it),
+    else 0. ``x`` and ``y`` are read-only strided views over one
+    (n_sub, l_data) copy of the chunk's series, so a batch holds
+    O(n_sub * l_data) values however many windows it exposes; indexing a
+    subset of windows copies only that subset.
     """
 
     node_index: np.ndarray
     x: np.ndarray
     y: np.ndarray
     adjacency: np.ndarray
-
-
-def dense_adjacency(store: SeriesStore) -> np.ndarray:
-    """Edge list to a dense (n_nodes, n_nodes) weight matrix."""
-    n = store.n_nodes
-    mat = np.zeros((n, n), dtype=np.float64)
-    for src, dst, w in store.adjacency or ():
-        mat[src, dst] = w
-    return mat
 
 
 def rss_partition(
@@ -61,7 +54,10 @@ def rss_partition(
     In training mode the node order is a seeded shuffle, otherwise the
     identity. Chunks are contiguous runs of size n_nodes // n_subgraphs;
     the remainder goes to the last chunk. The union of chunks is the full
-    node set and chunks are pairwise disjoint.
+    node set and chunks are pairwise disjoint. The adjacency blocks are
+    filled from the store's edge array, keeping only edges inside a
+    chunk, so a call costs O(n_edges + sum of n_sub**2) and never builds
+    an (n_nodes, n_nodes) matrix.
     """
     n = store.n_nodes
     if not 1 <= n_subgraphs <= n:
@@ -73,20 +69,48 @@ def rss_partition(
             f"needs at least {l_in + l_out}"
         )
     order = shuffle_indices(n, rng) if training else np.arange(n)
-    view = np.lib.stride_tricks.sliding_window_view
-    adj = dense_adjacency(store)
     size = n // n_subgraphs
+    bounds = [k * size for k in range(n_subgraphs)] + [n]
+    blocks = _adjacency_blocks(store.adjacency, order, bounds)
+    view = np.lib.stride_tricks.sliding_window_view
     batches = []
-    for k in range(n_subgraphs):
-        if k < n_subgraphs - 1:
-            idx = order[k * size:(k + 1) * size]
-        else:
-            idx = order[k * size:]
+    for k, block in enumerate(blocks):
+        idx = order[bounds[k]:bounds[k + 1]]
         sliced = store.values[idx]
         x = view(sliced, l_in, axis=1)[:, :l_time].transpose(1, 2, 0)
         y = view(sliced[:, l_in:], l_out, axis=1).transpose(1, 2, 0)
-        batches.append(SubgraphBatch(idx.copy(), x, y, adj[np.ix_(idx, idx)]))
+        batches.append(SubgraphBatch(idx.copy(), x, y, block))
     return batches
+
+
+def _adjacency_blocks(edges, order: np.ndarray, bounds: list) -> list:
+    """Per-chunk dense weight blocks, chunk k holding order[bounds[k]:bounds[k+1]].
+
+    Each node is mapped once to its chunk and its position there; edges
+    whose ends share a chunk are scattered into one flat buffer that the
+    blocks view. Where (src, dst) repeats, the last row's weight wins.
+    """
+    n = len(order)
+    sizes = np.diff(bounds)
+    offsets = np.concatenate(([0], np.cumsum(sizes * sizes)))
+    chunk = np.empty(n, dtype=np.intp)
+    chunk[order] = np.repeat(np.arange(len(sizes)), sizes)
+    local = np.empty(n, dtype=np.intp)
+    local[order] = np.arange(n) - np.repeat(bounds[:-1], sizes)
+    flat = np.zeros(offsets[-1])
+    if edges is not None and len(edges):
+        src = edges[:, 0].astype(np.intp)
+        dst = edges[:, 1].astype(np.intp)
+        inside = np.flatnonzero(chunk[src] == chunk[dst])
+        src, dst, k = src[inside], dst[inside], chunk[src[inside]]
+        cell = offsets[k] + local[src] * sizes[k] + local[dst]
+        # numpy leaves the winner of repeated fancy-index writes unspecified,
+        # so pick the last row per cell explicitly
+        last = np.full(len(flat), -1, dtype=np.intp)
+        np.maximum.at(last, cell, np.arange(len(cell)))
+        hit = np.flatnonzero(last >= 0)
+        flat[hit] = edges[inside[last[hit]], 2]
+    return [flat[offsets[k]:offsets[k + 1]].reshape(m, m) for k, m in enumerate(sizes)]
 
 
 @dataclass(frozen=True)

@@ -280,11 +280,6 @@ def _fit(params, normed: SeriesStore, ranges: dict, config: TrainConfig):
     return best_params, reports
 
 
-def _init_plain(config: TrainConfig):
-    return md.init_plain_params(config.l_in, config.l_out, config.hidden,
-                                config.dropout, Rng(config.seed).child("init"))
-
-
 def train(store: SeriesStore, config: TrainConfig):
     """Train on the store's train split, validating after each epoch.
 
@@ -299,13 +294,6 @@ def train(store: SeriesStore, config: TrainConfig):
     return _fit(params, normed, ranges, config)
 
 
-def train_plain_mlp(store: SeriesStore, config: TrainConfig):
-    """Same budget and loop as train(), with one head on raw windows and
-    no decomposition or component losses."""
-    normed, ranges, _ = prepare_store(store, config)
-    return _fit(_init_plain(config), normed, ranges, config)
-
-
 def baseline_last_value(store: SeriesStore, config: TrainConfig, split: tuple) -> dict:
     """Repeat the last observed input value across the whole horizon."""
     x_rows, y_rows, _ = _stack_split(store, config.l_in, config.l_out, split)
@@ -316,5 +304,7 @@ def baseline_last_value(store: SeriesStore, config: TrainConfig, split: tuple) -
 def baseline_plain_mlp(store: SeriesStore, config: TrainConfig) -> dict:
     """Test metrics of the plain single-head model under the same budget."""
     normed, ranges, _ = prepare_store(store, config)
-    params, _ = _fit(_init_plain(config), normed, ranges, config)
+    params = md.init_plain_params(config.l_in, config.l_out, config.hidden,
+                                  config.dropout, Rng(config.seed).child("init"))
+    params, _ = _fit(params, normed, ranges, config)
     return evaluate(params, normed, config, ranges["test"])

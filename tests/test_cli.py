@@ -27,6 +27,16 @@ def dataset(tmp_path, capsys):
     return out
 
 
+def run_module(*argv):
+    """Run ``python -m psld`` in a child that imports the package under test."""
+    package_root = str(Path(psld.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (package_root, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-m", "psld", *argv],
+                          capture_output=True, text=True, env=env)
+
+
 def train_args(dataset, out, *extra):
     return ("train", "--data", str(dataset / "series.csv"),
             "--adjacency", str(dataset / "adjacency.csv"),
@@ -130,6 +140,28 @@ class TestTrain:
                                "--out", str(tmp_path / "r"))
         assert code == EXIT_RUNTIME
         assert "error" in json.loads(err.strip().splitlines()[-1])
+
+    @pytest.mark.parametrize("edge", ["0,5", "0,0"])
+    def test_bad_adjacency_edge_is_runtime_error(self, tmp_path, edge):
+        series = tmp_path / "series.csv"
+        series.write_text("a,1,2,3,4\nb,5,6,7,8\n")
+        adjacency = tmp_path / "adjacency.csv"
+        adjacency.write_text(f"0,1\n{edge}\n")
+        proc = run_module("train", "--data", str(series), "--adjacency", str(adjacency),
+                          "--out", str(tmp_path / "r"))
+        assert proc.returncode == EXIT_RUNTIME
+        assert "Traceback" not in proc.stderr
+        error = json.loads(proc.stderr.strip().splitlines()[-1])["error"]
+        assert str(adjacency) in error
+        assert "line 2" in error
+
+    def test_missing_config_file_is_usage_error(self, tmp_path):
+        missing = tmp_path / "missing.cfg"
+        proc = run_module("train", "--data", str(tmp_path / "series.csv"),
+                          "--out", str(tmp_path / "r"), "--config", str(missing))
+        assert proc.returncode == EXIT_USAGE
+        assert "Traceback" not in proc.stderr
+        assert str(missing) in proc.stderr
 
     def test_config_file_merges_beneath_flags(self, dataset, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -253,16 +285,8 @@ class TestTopLevel:
         assert run_cli(capsys, "frobnicate")[0] == EXIT_USAGE
 
     def test_module_entry_point(self, tmp_path):
-        # the child imports the same package as this process, installed or not
         out = tmp_path / "d"
-        package_root = str(Path(psld.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (package_root, env.get("PYTHONPATH")) if p)
-        proc = subprocess.run(
-            [sys.executable, "-m", "psld", "synth", "--nodes", "4",
-             "--length", "70", "--out", str(out)],
-            capture_output=True, text=True, env=env)
+        proc = run_module("synth", "--nodes", "4", "--length", "70", "--out", str(out))
         assert proc.returncode == 0
         assert (out / "series.csv").exists()
 

@@ -22,6 +22,14 @@ from psld.numerics import Rng
 from psld.training import _stack_split
 
 
+def sorted_rows(edges):
+    return edges[np.lexsort(edges.T[::-1])]
+
+
+def has_row(edges, row):
+    return bool(np.any(np.all(edges == np.asarray(row, dtype=float), axis=1)))
+
+
 class TestSeriesStore:
     def test_shape_and_ids(self, tiny_store):
         assert tiny_store.n_nodes == 3
@@ -41,6 +49,59 @@ class TestSeriesStore:
         with pytest.raises(ValueError):
             SeriesStore(values=np.zeros((2, 5)), node_ids=("a", "b"),
                         adjacency=((0, 5, 1.0),))
+
+    @pytest.mark.parametrize("edges,message", [
+        (((0, 1, 1.0), (1, 5, 1.0)), "edge (1, 5) out of range for 2 nodes"),
+        (((0, 1, 1.0), (-1, 0, 1.0)), "edge (-1, 0) out of range for 2 nodes"),
+        (((0, 1, 1.0), (1, 1, 1.0)), "self-loop on node 1 is not supported"),
+        (((3, 3, 1.0),), "edge (3, 3) out of range for 2 nodes"),
+        (((0, 1.5, 1.0),), "non-integer node index"),
+        (((0, float("nan"), 1.0),), "non-integer node index"),
+        (((float("inf"), 1, 1.0),), "non-integer node index"),
+    ])
+    def test_edge_errors_name_the_first_bad_edge(self, edges, message):
+        for adjacency in (edges, np.array(edges)):
+            with pytest.raises(ValueError) as exc:
+                SeriesStore(values=np.zeros((2, 5)), node_ids=("a", "b"),
+                            adjacency=adjacency)
+            assert message in str(exc.value)
+
+    def test_rejects_edges_that_are_not_triples(self):
+        with pytest.raises(ValueError):
+            SeriesStore(values=np.zeros((2, 5)), node_ids=("a", "b"),
+                        adjacency=np.zeros((1, 4)))
+
+    @pytest.mark.parametrize("adjacency", [(), np.empty((0, 3))])
+    def test_no_edges_is_an_empty_array(self, adjacency):
+        store = SeriesStore(values=np.zeros((2, 5)), node_ids=("a", "b"),
+                            adjacency=adjacency)
+        assert store.adjacency.shape == (0, 3)
+
+    def test_adjacency_is_read_only_edge_array(self, tiny_store):
+        edges = tiny_store.adjacency
+        assert edges.dtype == np.float64
+        assert edges.shape == (2, 3)
+        assert not edges.flags.writeable
+        assert [tuple(row) for row in edges.tolist()] == [(0, 1, 1.0), (1, 2, 1.0)]
+        with pytest.raises(ValueError):
+            edges[0, 2] = 5.0
+
+    def test_writeable_input_is_copied_once(self):
+        given = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 2.0]])
+        store = SeriesStore(values=np.zeros((2, 5)), node_ids=("a", "b"),
+                            adjacency=given)
+        assert given.flags.writeable
+        assert not np.shares_memory(store.adjacency, given)
+        given[0, 2] = 9.0
+        assert store.adjacency[0, 2] == 2.0
+
+    def test_read_only_edges_are_shared(self, synth_store):
+        edges = synth_store.adjacency
+        again = SeriesStore(synth_store.values, synth_store.node_ids, edges)
+        assert again.adjacency is edges
+        stats = fit_norm_stats(synth_store, 120)
+        assert apply_norm(synth_store, stats).adjacency is edges
+        assert restrict_time(synth_store, 10, 50).adjacency is edges
 
 
 class TestNormalization:
@@ -141,7 +202,8 @@ class TestCsv:
         back = load_csv(p, a)
         assert back.node_ids == synth_store.node_ids
         assert np.array_equal(back.values, synth_store.values)
-        assert set(back.adjacency) == set(synth_store.adjacency)
+        assert np.array_equal(sorted_rows(back.adjacency),
+                              sorted_rows(synth_store.adjacency))
 
     def test_empty_file(self, tmp_path):
         p = tmp_path / "empty.csv"
@@ -207,8 +269,8 @@ class TestCsv:
         p.write_text("a,1,2\nb,3,4\n")
         a.write_text("0,1,2.5\n")
         store = load_csv(p, a)
-        assert (0, 1, 2.5) in store.adjacency
-        assert (1, 0, 2.5) in store.adjacency
+        assert has_row(store.adjacency, (0, 1, 2.5))
+        assert has_row(store.adjacency, (1, 0, 2.5))
 
     def test_adjacency_default_weight_is_one(self, tmp_path):
         p = tmp_path / "s.csv"
@@ -216,7 +278,7 @@ class TestCsv:
         p.write_text("a,1,2\nb,3,4\n")
         a.write_text("0,1\n")
         store = load_csv(p, a)
-        assert (0, 1, 1.0) in store.adjacency
+        assert has_row(store.adjacency, (0, 1, 1.0))
 
     def test_adjacency_bad_field_count(self, tmp_path):
         p = tmp_path / "s.csv"
@@ -234,13 +296,69 @@ class TestCsv:
         with pytest.raises(ParseError):
             load_csv(p, a)
 
+    @pytest.mark.parametrize("line,message", [
+        ("0,5", "edge (0, 5) out of range for 3 nodes"),
+        ("-1,2,1.0", "edge (-1, 2) out of range for 3 nodes"),
+        pytest.param("1" + "0" * 400 + ",0", "out of range for 3 nodes", id="huge-index"),
+        ("2,2", "self-loop on node 2 is not supported"),
+    ])
+    def test_adjacency_bad_edge_names_file_and_line(self, tmp_path, line, message):
+        p = tmp_path / "s.csv"
+        a = tmp_path / "adj.csv"
+        p.write_text("a,1,2\nb,3,4\nc,5,6\n")
+        a.write_text(f"0,1\n\n{line}\n1,2,oops\n")
+        with pytest.raises(FormatError) as exc:
+            load_csv(p, a)
+        assert str(exc.value).startswith(f"{a}: line 3: ")
+        assert message in str(exc.value)
+
+    @pytest.mark.parametrize("lines,error,where", [
+        ("0,1\n0,1,2,3\n1,2,nan\n", FormatError, "line 2"),
+        ("0,1\n0,x\n0,1,2,3\n", ParseError, "line 2"),
+        ("0,1\n0,2,x\n0,x\n", ParseError, "line 2, field 3"),
+        ("0,1\n0,2,inf\n0,9\n", ParseError, "line 2, field 3"),
+        ("0,1\n0,9\n0,2,inf\n", FormatError, "line 2"),
+    ])
+    def test_adjacency_first_bad_line_wins(self, tmp_path, lines, error, where):
+        p = tmp_path / "s.csv"
+        a = tmp_path / "adj.csv"
+        p.write_text("a,1,2\nb,3,4\nc,5,6\n")
+        a.write_text(lines)
+        with pytest.raises(error) as exc:
+            load_csv(p, a)
+        assert where in str(exc.value)
+
+    def test_adjacency_mixed_widths_and_spacing(self, tmp_path):
+        p = tmp_path / "s.csv"
+        a = tmp_path / "adj.csv"
+        p.write_text("a,1,2\nb,3,4\nc,5,6\n")
+        # "\x1f" is whitespace to str.strip but not to int(); fields are stripped first
+        a.write_text(" 0 , 1 \n\n1,2, 0.5\n\x1f2\x1f,0\n")
+        store = load_csv(p, a)
+        want = [(0, 1, 1.0), (1, 0, 1.0), (1, 2, 0.5), (2, 1, 0.5), (2, 0, 1.0), (0, 2, 1.0)]
+        assert store.adjacency.tolist() == [list(map(float, row)) for row in want]
+        assert not store.adjacency.flags.writeable
+
 
 class TestSynthetic:
     def test_deterministic(self):
         s1 = generate_synthetic(5, 100, Rng(3))
         s2 = generate_synthetic(5, 100, Rng(3))
         assert np.array_equal(s1.values, s2.values)
-        assert s1.adjacency == s2.adjacency
+        assert np.array_equal(sorted_rows(s1.adjacency), sorted_rows(s2.adjacency))
+
+    @pytest.mark.parametrize("n_nodes,radius", [(1, 0.2), (5, 0.0), (40, 0.2), (60, 0.5)])
+    def test_edges_match_pair_loop(self, n_nodes, radius):
+        # reference: the pair loop the per-row hypot replaces, same draw order
+        s = generate_synthetic(n_nodes, 64, Rng(8), radius=radius)
+        pos = Rng(8).child("positions").gen.random((n_nodes, 2))
+        edges = []
+        for i in range(n_nodes):
+            for j in range(i + 1, n_nodes):
+                if np.hypot(*(pos[i] - pos[j])) <= radius:
+                    edges.append((i, j, 1.0))
+                    edges.append((j, i, 1.0))
+        assert s.adjacency.tolist() == [list(map(float, e)) for e in edges]
 
     def test_shapes_and_ids(self):
         s = generate_synthetic(4, 80, Rng(0))

@@ -11,7 +11,6 @@ from psld.sampler import (
     SampleDesign,
     aggregate_sampled,
     aggregate_true,
-    dense_adjacency,
     random_graph,
     rss_partition,
     unbiasedness_mc_check,
@@ -72,7 +71,6 @@ class TestPartition:
 
     def test_subgraph_adjacency_matches_edge_oracle(self):
         store = six_node_store()
-        dense = dense_adjacency(store)
         edge_set = {(a, b): w for a, b, w in store.adjacency}
         for seed in range(5):
             for batch in rss_partition(store, 2, 3, 2, training=True,
@@ -82,7 +80,61 @@ class TestPartition:
                     for j, v in enumerate(idx):
                         want = edge_set.get((int(u), int(v)), 0.0)
                         assert batch.adjacency[i, j] == want
-                        assert dense[u, v] == want
+
+    def test_repeated_edge_takes_last_weight(self):
+        edges = [(0, 1, 1.0), (2, 3, 4.0), (0, 1, 2.0), (3, 2, 5.0), (0, 1, 3.0),
+                 (1, 0, 6.0), (2, 3, 7.0)]
+        store = SeriesStore(values=np.zeros((4, 6)), node_ids=tuple("abcd"),
+                            adjacency=tuple(edges))
+        for k in (1, 2):
+            want = np.zeros((4, 4))
+            want[0, 1], want[1, 0], want[2, 3], want[3, 2] = 3.0, 6.0, 7.0, 5.0
+            batches = rss_partition(store, k, 2, 2, training=False, rng=Rng(0))
+            for b in batches:
+                assert np.array_equal(b.adjacency, want[np.ix_(b.node_index, b.node_index)])
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_blocks_equal_dense_loop_oracle(self, seed):
+        # reference: the dense matrix filled edge by edge, later rows overwriting
+        # earlier ones, then double-sliced per chunk
+        g = np.random.default_rng(seed)
+        n = int(g.integers(1, 40))
+        n_edges = int(g.integers(0, 4 * n))
+        src = g.integers(0, n, n_edges)
+        dst = g.integers(0, n, n_edges)
+        keep = src != dst
+        edges = np.column_stack((src[keep], dst[keep], g.standard_normal(keep.sum())))
+        store = SeriesStore(values=np.zeros((n, 6)), node_ids=tuple(map(str, range(n))),
+                            adjacency=edges)
+        dense = np.zeros((n, n))
+        for a, b, w in edges.tolist():
+            dense[int(a), int(b)] = w
+        for k in sorted({1, max(1, n // 3), n}):
+            for training in (False, True):
+                batches = rss_partition(store, k, 2, 2, training=training, rng=Rng(seed))
+                for b in batches:
+                    idx = b.node_index
+                    assert b.adjacency.shape == (len(idx), len(idx))
+                    assert np.array_equal(b.adjacency, dense[np.ix_(idx, idx)])
+
+    def test_no_dense_matrix_at_scale(self):
+        # the partition keeps edges inside a chunk and never builds the
+        # (n, n) matrix, so its peak stays below n**2 float64 beyond what it returns
+        n = 2048
+        g = np.random.default_rng(0)
+        src = g.integers(0, n, 20000)
+        dst = (src + g.integers(1, n, src.size)) % n
+        store = SeriesStore(values=np.zeros((n, 8)), node_ids=tuple(map(str, range(n))),
+                            adjacency=np.column_stack((src, dst, g.random(src.size))))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            batches = rss_partition(store, 16, 2, 2, training=True, rng=Rng(1))
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        blocks = sum(b.adjacency.nbytes for b in batches)
+        assert peak < store.values.nbytes + blocks + n * n * 8
 
     @pytest.mark.parametrize("training,seed", [(False, 0), (True, 0), (True, 5)])
     def test_windows_equal_stacked_copies(self, training, seed):
