@@ -271,17 +271,15 @@ def cmd_eval(args) -> int:
 
 
 def _dump_predictions(path, params, store, config, split, denorm_stats) -> None:
-    pred, y_rows, n_win = tr._predict_split(params, store, config, split, denorm_stats)
-    n_nodes = store.n_nodes
+    ids, l_out = store.node_ids, config.l_out
     with open(path, "w", encoding="utf-8") as f:
         f.write("t0,node,h,y,y_hat\n")
-        for w in range(n_win):
-            t0 = split[0] + w
-            for d in range(n_nodes):
-                row = w * n_nodes + d
-                for h in range(config.l_out):
-                    f.write(f"{t0},{store.node_ids[d]},{h + 1},"
-                            f"{float(y_rows[row, h])!r},{float(pred[row, h])!r}\n")
+        for lo, pred, y in tr._forecast_chunks(params, store, config, split, denorm_stats):
+            for row, y_row, p_row in zip(range(lo, lo + len(y)), y.tolist(), pred.tolist()):
+                w, d = divmod(row, store.n_nodes)
+                prefix = f"{split[0] + w},{ids[d]},"
+                for h in range(l_out):
+                    f.write(f"{prefix}{h + 1},{y_row[h]!r},{p_row[h]!r}\n")
 
 
 def cmd_rss_check(args) -> int:

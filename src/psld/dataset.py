@@ -7,8 +7,9 @@ plus an optional undirected weighted adjacency.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
-from itertools import compress, repeat
+from itertools import compress, islice, repeat
 from operator import itemgetter
 
 import numpy as np
@@ -32,8 +33,8 @@ class SeriesStore:
     is kept as is, so stores derived by ``apply_norm`` and
     ``restrict_time`` share their parent's edges; any other input is
     copied once. Node indices must be integers in [0, n_nodes) without
-    self-loops; float64 holds them exactly below 2**53. Instances are
-    treated as immutable after construction.
+    self-loops, and weights finite; float64 holds indices exactly below
+    2**53. Instances are treated as immutable after construction.
     """
 
     values: np.ndarray
@@ -80,15 +81,18 @@ def _edge_array(edges, n_nodes: int) -> np.ndarray:
     integral = (np.isfinite(ends) & (ends == np.floor(ends))).all(axis=1)
     in_range = ((ends >= 0) & (ends < n_nodes)).all(axis=1)
     loop = ends[:, 0] == ends[:, 1]
-    bad = ~integral | ~in_range | loop
+    finite = np.isfinite(a[:, 2])
+    bad = ~integral | ~in_range | loop | ~finite
     if bad.any():
         row = int(np.argmax(bad))
-        src, dst = ends[row].tolist()
+        src, dst, weight = a[row].tolist()
         if not integral[row]:
             raise ValueError(f"edge ({src!r}, {dst!r}) has a non-integer node index")
         if not in_range[row]:
             raise ValueError(f"edge ({int(src)}, {int(dst)}) out of range for {n_nodes} nodes")
-        raise ValueError(f"self-loop on node {int(src)} is not supported")
+        if loop[row]:
+            raise ValueError(f"self-loop on node {int(src)} is not supported")
+        raise ValueError(f"edge ({int(src)}, {int(dst)}) has non-finite weight {weight!r}")
     return a
 
 
@@ -122,46 +126,66 @@ def load_csv(path, adjacency_path=None) -> SeriesStore:
 
     A leading id column is auto-detected: if the first field of the first
     data row is not numeric, every row is expected to start with an id.
+    Lines are split as ``str.splitlines`` splits them, and blank lines are
+    skipped but counted. The file is read line by line and each line's
+    fields go through ``float`` straight into one float64 buffer, so no
+    per-value Python object outlives its line.
     """
+    data = array("d")
+    ids, line_nos = [], []
+    has_ids = width = None
     with open(path, "r", encoding="utf-8") as f:
-        raw_lines = f.read().splitlines()
-    rows = [(no, line) for no, line in enumerate(raw_lines, 1) if line.strip()]
-    if not rows:
+        line_no = 0
+        for raw in f:
+            for line in raw.splitlines():
+                line_no += 1
+                if not line.strip():
+                    continue
+                fields = line.split(",")
+                if has_ids is None:
+                    has_ids = not _is_number(fields[0])
+                    width = len(fields) - has_ids
+                if len(fields) - has_ids != width:
+                    raise FormatError(
+                        f"line {line_no}: expected {width} values, got {len(fields) - has_ids}"
+                    )
+                if has_ids:
+                    ids.append(fields[0].strip())
+                filled = len(data)
+                try:
+                    data.extend(map(float, islice(fields, has_ids, None)))
+                except ValueError:
+                    # float() ignores only part of what str.strip() removes
+                    # (not "\x1f"), so redo the line on stripped fields,
+                    # which also names the first bad one
+                    del data[filled:]
+                    data.extend([_parse_float(tok.strip(), line_no, i + 1)
+                                 for i, tok in enumerate(fields[has_ids:])])
+                line_nos.append(line_no)
+    if not line_nos:
         raise FormatError(f"{path}: empty series file")
-
-    first_fields = rows[0][1].split(",")
-    try:
-        float(first_fields[0])
-        has_ids = False
-    except ValueError:
-        has_ids = True
-
-    ids, values = [], []
-    width = None
-    for line_no, line in rows:
-        fields = [f.strip() for f in line.split(",")]
-        if has_ids:
-            ids.append(fields[0])
-            fields = fields[1:]
-        if width is None:
-            width = len(fields)
-        elif len(fields) != width:
-            raise FormatError(f"line {line_no}: expected {width} values, got {len(fields)}")
-        values.append([_parse_float(tok, line_no, i + 1) for i, tok in enumerate(fields)])
     if not has_ids:
-        ids = [str(i) for i in range(len(values))]
-    values = np.array(values, dtype=np.float64)
+        ids = [str(i) for i in range(len(line_nos))]
+    values = np.frombuffer(data, dtype=np.float64).reshape(len(line_nos), width)
     # checked on the array, not per token, so parsing cost stays flat;
     # argwhere yields the first bad cell in file order
     bad = np.argwhere(~np.isfinite(values))
     if bad.size:
         row, col = bad[0]
-        raise _non_finite(rows[row][0], col + 1, float(values[row, col]))
+        raise _non_finite(line_nos[row], col + 1, float(values[row, col]))
 
     adjacency = None
     if adjacency_path is not None:
         adjacency = _load_adjacency(adjacency_path, values.shape[0])
     return SeriesStore(values, tuple(ids), adjacency)
+
+
+def _is_number(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
 
 
 def _load_adjacency(path, n_nodes: int) -> np.ndarray:

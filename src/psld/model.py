@@ -185,6 +185,22 @@ def _buffer(buffers: dict | None, key: str, shape: tuple) -> np.ndarray | None:
     return buf
 
 
+def _first_layer(z: np.ndarray, w1: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+    """``z @ w1.T``, into ``out`` if given.
+
+    With one input column (the mvd m and v heads) the product is not
+    BLAS-able and numpy runs its naive matmul loop, about 2x slower than
+    the broadcast multiply. That loop sums from +0.0, which turns a -0.0
+    product into +0.0; adding 0.0 does the same, so the two agree bit for
+    bit.
+    """
+    if w1.shape[1] != 1:
+        return np.matmul(z, w1.T, out=out)
+    out = np.multiply(z, w1.T, out=out)
+    out += 0.0
+    return out
+
+
 def _head_forward(head: Head, z: np.ndarray, dropout: float, rng: Rng | None,
                   buffers: dict | None = None):
     """Output and backward cache of one head.
@@ -197,7 +213,7 @@ def _head_forward(head: Head, z: np.ndarray, dropout: float, rng: Rng | None,
     if z.ndim != 2 or z.shape[1] != in_len:
         raise ShapeError(f"head '{name}': expected input (rows, {in_len}), got {z.shape}")
     hidden = (z.shape[0], head.w1.shape[0])
-    h1 = np.matmul(z, head.w1.T, out=_buffer(buffers, f"{name}.h1", hidden))
+    h1 = _first_layer(z, head.w1, _buffer(buffers, f"{name}.h1", hidden))
     h1 += head.b1
     a = relu(h1, out=_buffer(buffers, f"{name}.a", hidden))
     if rng is not None and dropout > 0.0:

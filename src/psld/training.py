@@ -140,85 +140,110 @@ def prepare_store(store: SeriesStore, config: TrainConfig):
     return normed, ranges, stats
 
 
-def _stack_split(store: SeriesStore, l_in: int, l_out: int, split: tuple):
-    """Stack every window of the split into (n_win * n_nodes, length) rows.
-
-    Rows are ordered window-major, node within window, matching the layout
-    the heads consume.
-    """
+def _n_rows(store: SeriesStore, l_in: int, l_out: int, split: tuple) -> int:
+    """Rows of the split: one per (window, node)."""
     t0, t1 = split
     n_win = (t1 - t0) - l_in - l_out + 1
     if n_win < 1:
         raise ValueError(
             f"split of length {t1 - t0} too short for windows; needs at least {l_in + l_out}"
         )
-    v = store.values
-    xs, ys = [], []
-    for k in range(n_win):
-        s = t0 + k
-        xs.append(v[:, s:s + l_in])
-        ys.append(v[:, s + l_in:s + l_in + l_out])
-    return np.concatenate(xs, axis=0), np.concatenate(ys, axis=0), n_win
+    return n_win * store.n_nodes
 
 
-def _metrics(pred: np.ndarray, truth: np.ndarray) -> dict:
-    return {
-        "mse": float(np.mean((pred - truth) ** 2)),
-        "mae": float(np.mean(np.abs(pred - truth))),
-    }
+def _split_chunks(store: SeriesStore, l_in: int, l_out: int, split: tuple):
+    """Yield (lo, x, y): the input and target rows [lo, lo + len(x)) of the split.
 
-
-def _denorm_rows(rows: np.ndarray, stats: NormStats, n_win: int, sigma_floor: float) -> np.ndarray:
-    mu = np.tile(stats.mu, n_win)[:, None]
-    sigma = np.tile(np.maximum(stats.sigma, sigma_floor), n_win)[:, None]
-    return rows * sigma + mu
-
-
-def _predict_split(params, store: SeriesStore, config: TrainConfig, split: tuple,
-                   denorm_stats: NormStats | None = None):
-    """Forecast every window of the split; returns (pred, truth, n_win).
-
-    Rows follow ``_stack_split``. The forward pass runs on
-    ``EVAL_CHUNK_ROWS`` rows at a time into one preallocated output, so
-    its intermediates keep a fixed size however many nodes and windows
-    the split has. Rows are independent, but BLAS may round a product of
-    a few rows differently in the last bit from the same rows inside a
-    larger product. So the last chunk is shifted back to end at the last
-    row: every call sees the same row count, and no short remainder call
-    depends on where the split ends. All chunks write the heads' hidden
-    and output arrays into one set of buffers. Fresh ones per chunk (about
-    6 MiB at hidden 128) were handed back to the OS by glibc's heap
-    trimming whenever nothing live sat above them, and page-faulted in
-    again by the next chunk; whether that happened depended on where
-    earlier long-lived arrays had landed. With ``denorm_stats`` both
-    arrays are mapped back to the raw scale.
+    The split has one row per (window, node), window-major: row
+    ``w * n_nodes + d`` is node d's window starting at step ``split[0] + w``.
+    Each chunk is gathered from sliding-window views of the split, so
+    nothing the size of the split is allocated. Every chunk has
+    ``EVAL_CHUNK_ROWS`` rows, or all rows if the split has fewer: the last
+    one is shifted back to end at the last row and so repeats rows of the
+    chunk before it.
     """
-    x_rows, y_rows, n_win = _stack_split(store, config.l_in, config.l_out, split)
+    n_nodes = store.n_nodes
+    n_rows = _n_rows(store, l_in, l_out, split)
+    t0, t1 = split
+    view = np.lib.stride_tricks.sliding_window_view
+    xv = view(store.values[:, t0:t1 - l_out], l_in, axis=1)
+    yv = view(store.values[:, t0 + l_in:t1], l_out, axis=1)
+    size = min(EVAL_CHUNK_ROWS, n_rows)
+    for start in range(0, n_rows, size):
+        lo = min(start, n_rows - size)
+        win, node = np.divmod(np.arange(lo, lo + size), n_nodes)
+        yield lo, xv[node, win], yv[node, win]
+
+
+def _forecast_chunks(params, store: SeriesStore, config: TrainConfig, split: tuple,
+                     denorm_stats: NormStats | None = None):
+    """Yield (lo, pred, y): forecast and truth of the split rows [lo, lo + len(pred)).
+
+    Rows follow ``_split_chunks`` and are yielded once each, in order.
+    Every forward call sees a whole chunk, so its intermediates keep a
+    fixed size however many nodes and windows the split has. Rows are
+    independent, but BLAS may round a product of a few rows differently in
+    the last bit from the same rows inside a larger product; with every
+    call the same size, no short remainder call depends on where the split
+    ends. Of the rows the shifted last chunk repeats, its forecasts are the
+    ones yielded. All chunks write the heads' hidden and output arrays
+    into one set of buffers: fresh ones per chunk (about 6 MiB at hidden
+    128) are handed back to the OS by glibc's heap trimming whenever
+    nothing live sits above them, and page-faulted in again by the next
+    chunk. ``pred`` may be one of those buffers, so it is valid only until
+    the next chunk. With ``denorm_stats`` forecast and truth are mapped
+    back to the raw scale.
+    """
+    n_nodes = store.n_nodes
+    n_rows = _n_rows(store, config.l_in, config.l_out, split)
     dcfg = config.decomposer_config()
-    n_rows = x_rows.shape[0]
-    pred = np.empty_like(y_rows)
     buffers = {}
-    for start in range(0, n_rows, EVAL_CHUNK_ROWS):
-        lo = max(min(start, n_rows - EVAL_CHUNK_ROWS), 0)
-        hi = lo + EVAL_CHUNK_ROWS
-        pred[lo:hi] = md.predict(params, x_rows[lo:hi], dcfg, buffers)
     if denorm_stats is not None:
-        pred = _denorm_rows(pred, denorm_stats, n_win, config.sigma_floor)
-        y_rows = _denorm_rows(y_rows, denorm_stats, n_win, config.sigma_floor)
-    return pred, y_rows, n_win
+        mu = denorm_stats.mu[:, None]
+        sigma = np.maximum(denorm_stats.sigma, config.sigma_floor)[:, None]
+    for lo, x, y in _split_chunks(store, config.l_in, config.l_out, split):
+        pred = md.predict(params, x, dcfg, buffers)
+        last = n_rows - len(x)  # where the last chunk starts
+        stop = n_rows if lo == last else min(lo + len(x), last)
+        pred, y = pred[:stop - lo], y[:stop - lo]
+        if denorm_stats is not None:
+            node = np.arange(lo, stop) % n_nodes
+            pred = pred * sigma[node] + mu[node]
+            y = y * sigma[node] + mu[node]
+        yield lo, pred, y
+
+
+def _metrics(chunks, shape: tuple) -> dict:
+    """MSE and MAE of (lo, pred, y) chunks that together cover ``shape``.
+
+    ``|pred - y|`` is written chunk by chunk into one array of ``shape``
+    (a row written twice keeps its later value). Its mean is the MAE;
+    squared in place, its mean is the MSE. These are the same values in
+    the same contiguous layout as full-split ``pred - y`` temporaries, so
+    numpy sums them in the same order and the metrics match to the bit.
+    """
+    err = np.empty(shape)
+    for lo, pred, y in chunks:
+        rows = err[lo:lo + len(y)]
+        np.subtract(pred, y, out=rows)
+        np.abs(rows, out=rows)
+    mae = float(np.mean(err))
+    np.square(err, out=err)
+    return {"mse": float(np.mean(err)), "mae": mae}
 
 
 def evaluate(params, store: SeriesStore, config: TrainConfig, split: tuple,
              denorm_stats: NormStats | None = None) -> dict:
     """MSE and MAE over all windows, horizon steps, and nodes of the split.
 
-    The forecast is computed in fixed chunks of ``EVAL_CHUNK_ROWS`` rows;
-    the metrics are then taken over the full split at once. With
-    ``denorm_stats`` both forecast and truth are mapped back to the raw
-    scale before the metrics.
+    The forecast is made in chunks of ``EVAL_CHUNK_ROWS`` rows (see
+    ``_forecast_chunks``), and only its absolute error is kept for the
+    whole split: beyond that one (rows, l_out) array, memory does not grow
+    with the split. With ``denorm_stats`` both forecast and truth are
+    mapped back to the raw scale before the metrics.
     """
-    pred, y_rows, _ = _predict_split(params, store, config, split, denorm_stats)
-    return _metrics(pred, y_rows)
+    shape = (_n_rows(store, config.l_in, config.l_out, split), config.l_out)
+    return _metrics(_forecast_chunks(params, store, config, split, denorm_stats), shape)
 
 
 def _sample_minibatch(batch, k: int, rng: Rng):
@@ -296,9 +321,9 @@ def train(store: SeriesStore, config: TrainConfig):
 
 def baseline_last_value(store: SeriesStore, config: TrainConfig, split: tuple) -> dict:
     """Repeat the last observed input value across the whole horizon."""
-    x_rows, y_rows, _ = _stack_split(store, config.l_in, config.l_out, split)
-    pred = np.repeat(x_rows[:, -1:], config.l_out, axis=1)
-    return _metrics(pred, y_rows)
+    shape = (_n_rows(store, config.l_in, config.l_out, split), config.l_out)
+    chunks = _split_chunks(store, config.l_in, config.l_out, split)
+    return _metrics(((lo, x[:, -1:], y) for lo, x, y in chunks), shape)
 
 
 def baseline_plain_mlp(store: SeriesStore, config: TrainConfig) -> dict:

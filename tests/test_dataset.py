@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from psld import training as tr
 from psld.dataset import (
     SIGMA_FLOOR,
     SeriesStore,
@@ -19,7 +21,6 @@ from psld.dataset import (
 )
 from psld.exceptions import FormatError, ParseError, ShapeError
 from psld.numerics import Rng
-from psld.training import _stack_split
 
 
 def sorted_rows(edges):
@@ -28,6 +29,24 @@ def sorted_rows(edges):
 
 def has_row(edges, row):
     return bool(np.any(np.all(edges == np.asarray(row, dtype=float), axis=1)))
+
+
+def split_rows(store, l_in, l_out, split):
+    """The (lo, x, y) chunks of the split and the rows they assemble.
+
+    Checks that the chunks start at row 0, leave no gap, and end at the
+    last row.
+    """
+    chunks = list(tr._split_chunks(store, l_in, l_out, split))
+    end = chunks[-1][0] + len(chunks[-1][1])
+    x, y = np.empty((end, l_in)), np.empty((end, l_out))
+    covered = 0
+    for lo, cx, cy in chunks:
+        assert lo <= covered < lo + len(cx)
+        x[lo:lo + len(cx)], y[lo:lo + len(cy)] = cx, cy
+        covered = lo + len(cx)
+    assert chunks[0][0] == 0 and covered == end
+    return chunks, x, y
 
 
 class TestSeriesStore:
@@ -65,6 +84,21 @@ class TestSeriesStore:
                 SeriesStore(values=np.zeros((2, 5)), node_ids=("a", "b"),
                             adjacency=adjacency)
             assert message in str(exc.value)
+
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite_weight(self, weight):
+        edges = ((0, 1, 1.0), (1, 0, weight), (0, 1, float("nan")))
+        for adjacency in (edges, np.array(edges)):
+            with pytest.raises(ValueError) as exc:
+                SeriesStore(values=np.zeros((2, 5)), node_ids=("a", "b"),
+                            adjacency=adjacency)
+            assert str(exc.value) == f"edge (1, 0) has non-finite weight {weight!r}"
+
+    def test_bad_index_is_named_before_bad_weight_of_the_same_edge(self):
+        with pytest.raises(ValueError) as exc:
+            SeriesStore(values=np.zeros((2, 5)), node_ids=("a", "b"),
+                        adjacency=((0, 7, float("nan")),))
+        assert str(exc.value) == "edge (0, 7) out of range for 2 nodes"
 
     def test_rejects_edges_that_are_not_triples(self):
         with pytest.raises(ValueError):
@@ -156,19 +190,29 @@ class TestSplitsAndWindows:
             assert r["val"][1] == r["test"][0]
             assert r["test"][1] == l_data
 
-    # windows as evaluation and the baselines stack them: one row per
-    # (window, node), window-major
-    def test_window_count_exhaustive(self, tiny_store):
-        # over every feasible (l_in, l_out) in a length-10 store
-        for l_in in range(1, 9):
-            for l_out in range(1, 10 - l_in):
-                x, y, n_win = _stack_split(tiny_store, l_in, l_out, (0, 10))
-                assert n_win == 10 - l_in - l_out + 1
-                assert x.shape == (n_win * 3, l_in)
-                assert y.shape == (n_win * 3, l_out)
+    # windows as evaluation and the baselines read them: one row per
+    # (window, node), window-major, gathered in chunks
+    def test_window_count_exhaustive(self, tiny_store, monkeypatch):
+        # over every feasible (l_in, l_out) in a length-10 store, in one
+        # chunk and in chunks of 4 rows
+        v = tiny_store.values
+        for chunk_rows in (4, 512):
+            monkeypatch.setattr(tr, "EVAL_CHUNK_ROWS", chunk_rows)
+            for l_in in range(1, 9):
+                for l_out in range(1, 10 - l_in):
+                    n_win = 10 - l_in - l_out + 1
+                    chunks, x, y = split_rows(tiny_store, l_in, l_out, (0, 10))
+                    assert x.shape == (n_win * 3, l_in)
+                    assert y.shape == (n_win * 3, l_out)
+                    size = min(chunk_rows, n_win * 3)
+                    assert all(len(cx) == len(cy) == size for _, cx, cy in chunks)
+                    for row in range(n_win * 3):
+                        w, d = divmod(row, 3)
+                        assert np.array_equal(x[row], v[d, w:w + l_in])
+                        assert np.array_equal(y[row], v[d, w + l_in:w + l_in + l_out])
 
     def test_window_contents_and_overlap(self, tiny_store):
-        x, y, _ = _stack_split(tiny_store, 4, 2, (0, 10))
+        _, x, y = split_rows(tiny_store, 4, 2, (0, 10))
         v = tiny_store.values
         assert np.array_equal(x[:3], v[:, 0:4])  # window 0, nodes 0..2
         assert np.array_equal(y[:3], v[:, 4:6])
@@ -177,14 +221,28 @@ class TestSplitsAndWindows:
         assert np.array_equal(x[:3, 1:], x[3:6, :-1])
 
     def test_boundary_single_window(self, tiny_store):
-        x, y, n_win = _stack_split(tiny_store, 6, 4, (0, 10))
-        assert n_win == 1
+        chunks, x, y = split_rows(tiny_store, 6, 4, (0, 10))
+        assert len(chunks) == 1
         assert np.array_equal(x, tiny_store.values[:, :6])
         assert np.array_equal(y, tiny_store.values[:, 6:])
 
+    def test_last_chunk_is_shifted_back_to_the_end(self, tiny_store, monkeypatch):
+        # 7 windows of 3 nodes in chunks of 5: starts 0, 5, 10, 15, then 16
+        monkeypatch.setattr(tr, "EVAL_CHUNK_ROWS", 5)
+        chunks, x, _ = split_rows(tiny_store, 2, 2, (0, 10))
+        assert [lo for lo, _, _ in chunks] == [0, 5, 10, 15, 16]
+        for lo, cx, _ in chunks:
+            assert np.array_equal(cx, x[lo:lo + 5])
+
+    def test_chunks_are_contiguous_copies(self, tiny_store, monkeypatch):
+        monkeypatch.setattr(tr, "EVAL_CHUNK_ROWS", 4)
+        for _, cx, cy in tr._split_chunks(tiny_store, 3, 2, (1, 10)):
+            assert cx.flags.c_contiguous and cy.flags.c_contiguous
+            assert not np.shares_memory(cx, tiny_store.values)
+
     def test_too_short_split_names_minimum(self, tiny_store):
         with pytest.raises(ValueError) as exc:
-            _stack_split(tiny_store, 8, 4, (0, 10))
+            next(tr._split_chunks(tiny_store, 8, 4, (0, 10)))
         assert "12" in str(exc.value)
 
     def test_restrict_time(self, tiny_store):
@@ -338,6 +396,113 @@ class TestCsv:
         want = [(0, 1, 1.0), (1, 0, 1.0), (1, 2, 0.5), (2, 1, 0.5), (2, 0, 1.0), (0, 2, 1.0)]
         assert store.adjacency.tolist() == [list(map(float, row)) for row in want]
         assert not store.adjacency.flags.writeable
+
+
+def reference_load_csv(path):
+    """The whole-file parser that load_csv replaced, kept as its oracle."""
+    with open(path, "r", encoding="utf-8") as f:
+        raw_lines = f.read().splitlines()
+    rows = [(no, line) for no, line in enumerate(raw_lines, 1) if line.strip()]
+    if not rows:
+        raise FormatError(f"{path}: empty series file")
+    try:
+        float(rows[0][1].split(",")[0])
+        has_ids = False
+    except ValueError:
+        has_ids = True
+    ids, values, width = [], [], None
+    for line_no, line in rows:
+        fields = [f.strip() for f in line.split(",")]
+        if has_ids:
+            ids.append(fields[0])
+            fields = fields[1:]
+        if width is None:
+            width = len(fields)
+        elif len(fields) != width:
+            raise FormatError(f"line {line_no}: expected {width} values, got {len(fields)}")
+        row = []
+        for i, tok in enumerate(fields):
+            try:
+                row.append(float(tok))
+            except ValueError:
+                raise ParseError(
+                    f"line {line_no}, field {i + 1}: cannot parse {tok!r} as a number"
+                ) from None
+        values.append(row)
+    if not has_ids:
+        ids = [str(i) for i in range(len(values))]
+    values = np.array(values, dtype=np.float64)
+    bad = np.argwhere(~np.isfinite(values))
+    if bad.size:
+        row, col = bad[0]
+        raise ParseError(f"line {rows[row][0]}, field {col + 1}: "
+                         f"non-finite value {float(values[row, col])!r}")
+    return SeriesStore(values, tuple(ids))
+
+
+def outcome(load, path):
+    try:
+        store = load(path)
+    except Exception as err:  # noqa: BLE001 - the error is the outcome compared
+        return type(err), str(err)
+    return store.values.shape, store.values.tobytes(), store.node_ids
+
+
+class TestCsvParsing:
+    """load_csv reads line by line and must parse exactly as the whole-file oracle."""
+
+    @pytest.mark.parametrize("text", [
+        pytest.param("a,1,2\r\nb,3,4\r\n", id="crlf"),
+        pytest.param("a,1,2\rb,3,4\r", id="cr"),
+        pytest.param("a,1,2\x0cb,3,4\n", id="form-feed"),
+        pytest.param("a,1,2\u2028b,3,4\nc,5,6", id="line-separator"),
+        pytest.param("a,1,2\x0b\x1cb,3,4\x85c,5,6\n", id="other-splitlines-breaks"),
+        pytest.param("a,1,2\n\n  \t\nb,3,x\n", id="blank-and-whitespace-lines"),
+        pytest.param("\n \n1,2\n\r\n3,4\n", id="leading-blank-lines"),
+        pytest.param("1_0,2\n3,4_5\n", id="underscores"),
+        pytest.param("\u0661,\u0662\n\u0969,4\n", id="unicode-digits"),
+        pytest.param(" a , 1 ,\t2 \n b,3\u3000,4\x1f\n", id="padded-fields"),
+        pytest.param("1,2,3\n4,5,6\n", id="no-ids"),
+        pytest.param("n0,1,2\nn1,3,4\n", id="ids"),
+        pytest.param("1,2\nx,3\n", id="id-only-checked-on-first-row"),
+        pytest.param("x,1,2\n5,3,4\n", id="numeric-id-after-first-row"),
+        pytest.param("a\nb\n", id="ids-without-values"),
+        pytest.param("a,1,2\nb,3\n", id="width-mismatch"),
+        pytest.param("1,2\n3,4,5\n6,x\n", id="width-mismatch-before-bad-token"),
+        pytest.param("a,1,2\nb,3,oops\n", id="bad-token"),
+        pytest.param("a,1,2\nb,,4\n", id="empty-field"),
+        pytest.param("a,1,2\nb, 4x ,4\n", id="padded-bad-token"),
+        pytest.param("a,1,nan\nb,3,4\n", id="nan"),
+        pytest.param("a,1,2\nb,1e999,4\n", id="overflow"),
+        pytest.param("a,1,-inf\nb,3,x\n", id="bad-token-before-non-finite-check"),
+        pytest.param("", id="empty"),
+        pytest.param(" \n\t\n", id="only-blank-lines"),
+        pytest.param("a,1,2", id="no-final-newline"),
+    ])
+    def test_parses_as_the_whole_file_oracle(self, tmp_path, text):
+        p = tmp_path / "series.csv"
+        p.write_bytes(text.encode("utf-8"))
+        assert outcome(load_csv, p) == outcome(reference_load_csv, p)
+
+    def test_long_lines_parse_as_the_oracle(self, synth_store, tmp_path):
+        p = tmp_path / "series.csv"
+        save_csv(synth_store, p)
+        assert outcome(load_csv, p) == outcome(reference_load_csv, p)
+
+    def test_peak_memory_is_a_small_multiple_of_the_values(self, tmp_path):
+        # the values and one line's tokens, not a Python object per value
+        store = generate_synthetic(256, 400, Rng(2))
+        p = tmp_path / "series.csv"
+        save_csv(store, p)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            values = load_csv(p).values
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(values, store.values)
+        assert peak <= 2 * values.nbytes
 
 
 class TestSynthetic:

@@ -66,6 +66,44 @@ class TestTrainConfig:
         assert cfg.lam == 1.0
 
 
+def stacked_windows(store, l_in, l_out, split):
+    """Every window of the split as (n_win * n_nodes, length) rows, window-major.
+
+    The one-shot construction the chunked evaluation replaced, kept as
+    its oracle.
+    """
+    t0, t1 = split
+    n_win = (t1 - t0) - l_in - l_out + 1
+    v = store.values
+    xs = [v[:, t0 + k:t0 + k + l_in] for k in range(n_win)]
+    ys = [v[:, t0 + k + l_in:t0 + k + l_in + l_out] for k in range(n_win)]
+    return np.concatenate(xs, axis=0), np.concatenate(ys, axis=0), n_win
+
+
+def denorm_rows(rows, stats, n_win, sigma_floor):
+    mu = np.tile(stats.mu, n_win)[:, None]
+    sigma = np.tile(np.maximum(stats.sigma, sigma_floor), n_win)[:, None]
+    return rows * sigma + mu
+
+
+def one_shot_metrics(pred, truth):
+    return {
+        "mse": float(np.mean((pred - truth) ** 2)),
+        "mae": float(np.mean(np.abs(pred - truth))),
+    }
+
+
+def assembled_forecast(params, store, cfg, split, denorm_stats=None):
+    """Forecast and truth rows from _forecast_chunks; each row once, in order."""
+    preds, truths, covered = [], [], 0
+    for lo, pred, y in tr._forecast_chunks(params, store, cfg, split, denorm_stats):
+        assert lo == covered
+        preds.append(pred.copy())
+        truths.append(y.copy())
+        covered += len(pred)
+    return np.concatenate(preds), np.concatenate(truths)
+
+
 class TestEvaluate:
     def test_metrics_match_double_loop_oracle(self, train_store):
         cfg = small_config(epochs=1)
@@ -73,12 +111,8 @@ class TestEvaluate:
         normed, ranges, _ = prepare_store(train_store, cfg)
         got = evaluate(params, normed, cfg, ranges["test"])
 
-        from psld.model import predict
-        from psld.training import _stack_split
-
-        x_rows, y_rows, _ = _stack_split(normed, cfg.l_in, cfg.l_out,
-                                         ranges["test"])
-        pred = predict(params, x_rows, cfg.decomposer_config())
+        x_rows, y_rows, _ = stacked_windows(normed, cfg.l_in, cfg.l_out, ranges["test"])
+        pred = md.predict(params, x_rows, cfg.decomposer_config())
         se = ae = 0.0
         for i in range(pred.shape[0]):
             for j in range(pred.shape[1]):
@@ -90,13 +124,21 @@ class TestEvaluate:
 
     def test_constant_offset_metrics(self):
         # forecasting y + c with truth y gives mse c^2 and mae |c|
-        from psld.training import _metrics
-
         y = Rng(0).gen.standard_normal((7, 5))
         c = 0.75
-        m = _metrics(y + c, y)
+        m = tr._metrics([(0, y + c, y)], y.shape)
         assert m["mse"] == pytest.approx(c * c, rel=1e-12)
         assert m["mae"] == pytest.approx(c, rel=1e-12)
+
+    def test_chunked_metrics_equal_one_shot_bits(self):
+        # the error array has the full-split shape and layout, so the means
+        # sum in the same order as over full-split temporaries
+        g = Rng(3).gen
+        pred, truth = g.standard_normal((50176, 36)), g.standard_normal((50176, 36))
+        pred[::97] = truth[::97]
+        chunks = ((lo, pred[lo:lo + 512], truth[lo:lo + 512])
+                  for lo in range(0, len(pred), 512))
+        assert tr._metrics(chunks, pred.shape) == one_shot_metrics(pred, truth)
 
 
 def _eval_params(kind, cfg):
@@ -106,6 +148,17 @@ def _eval_params(kind, cfg):
                        cfg.mode, Rng(9))
 
 
+def _traced_peak(fn):
+    """Traced bytes allocated at the peak of fn(), above what was live before."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
 class TestChunkedEvaluate:
     """evaluate runs the forward pass in EVAL_CHUNK_ROWS-row chunks."""
 
@@ -113,7 +166,7 @@ class TestChunkedEvaluate:
     def split_setup(self, train_store):
         cfg = small_config()
         normed, ranges, stats = prepare_store(train_store, cfg)
-        x_rows, y_rows, n_win = tr._stack_split(normed, cfg.l_in, cfg.l_out,
+        x_rows, y_rows, n_win = stacked_windows(normed, cfg.l_in, cfg.l_out,
                                                 ranges["test"])
         assert x_rows.shape[0] % 7 != 0 and x_rows.shape[0] > 7
         return cfg, normed, ranges["test"], stats, x_rows, y_rows, n_win
@@ -132,17 +185,16 @@ class TestChunkedEvaluate:
         monkeypatch.setattr(tr, "EVAL_CHUNK_ROWS", 7)
         monkeypatch.setattr(md, "predict", fake_predict)
         stats_arg = stats if denorm else None
-        pred, truth, got_n_win = tr._predict_split(None, normed, cfg, split, stats_arg)
+        pred, truth = assembled_forecast(None, normed, cfg, split, stats_arg)
         want_pred, want_truth = x_rows[:, :cfg.l_out] * 2.0 + 1.0, y_rows
         if denorm:
-            want_pred = tr._denorm_rows(want_pred, stats, n_win, cfg.sigma_floor)
-            want_truth = tr._denorm_rows(y_rows, stats, n_win, cfg.sigma_floor)
-        assert got_n_win == n_win
+            want_pred = denorm_rows(want_pred, stats, n_win, cfg.sigma_floor)
+            want_truth = denorm_rows(y_rows, stats, n_win, cfg.sigma_floor)
         assert np.array_equal(pred, want_pred)
         assert np.array_equal(truth, want_truth)
         assert calls == [7] * -(-x_rows.shape[0] // 7)
         got = evaluate(None, normed, cfg, split, denorm_stats=stats_arg)
-        assert got == tr._metrics(want_pred, want_truth)
+        assert got == one_shot_metrics(want_pred, want_truth)
 
     def test_split_smaller_than_a_chunk_is_one_call(self, split_setup, monkeypatch):
         cfg, normed, split, _, x_rows, _, _ = split_setup
@@ -154,8 +206,26 @@ class TestChunkedEvaluate:
 
         monkeypatch.setattr(md, "predict", fake_predict)
         assert x_rows.shape[0] < tr.EVAL_CHUNK_ROWS
-        tr._predict_split(None, normed, cfg, split)
+        list(tr._forecast_chunks(None, normed, cfg, split))
         assert calls == [x_rows.shape[0]]
+
+    def test_shifted_chunk_supersedes_the_rows_it_repeats(self, split_setup, monkeypatch):
+        # a stand-in whose forecast depends on the chunk shows which
+        # chunk's forecast of a repeated row is yielded: the last one's
+        cfg, normed, split, _, x_rows, _, _ = split_setup
+        calls = []
+
+        def fake_predict(params, x, dcfg=None, buffers=None):
+            calls.append(x.shape[0])
+            return np.full((x.shape[0], cfg.l_out), float(len(calls)))
+
+        monkeypatch.setattr(tr, "EVAL_CHUNK_ROWS", 7)
+        monkeypatch.setattr(md, "predict", fake_predict)
+        pred, _ = assembled_forecast(None, normed, cfg, split)
+        n_rows = x_rows.shape[0]
+        want = np.repeat(np.arange(1.0, len(calls) + 1), 7)[:n_rows - 7]
+        want = np.concatenate([want, np.full(7, float(len(calls)))])
+        assert np.array_equal(pred[:, 0], want)
 
     @pytest.mark.parametrize("kind,mode", [("mvd", "separate"), ("mvd", "merged"),
                                            ("stl", "separate"), ("stl", "merged"),
@@ -171,42 +241,48 @@ class TestChunkedEvaluate:
         truth = y_rows
         stats_arg = stats if denorm else None
         if denorm:
-            pred = tr._denorm_rows(pred, stats, n_win, cfg.sigma_floor)
-            truth = tr._denorm_rows(y_rows, stats, n_win, cfg.sigma_floor)
-        want = tr._metrics(pred, truth)
+            pred = denorm_rows(pred, stats, n_win, cfg.sigma_floor)
+            truth = denorm_rows(y_rows, stats, n_win, cfg.sigma_floor)
+        want = one_shot_metrics(pred, truth)
         monkeypatch.setattr(tr, "EVAL_CHUNK_ROWS", 7)
-        got_pred, _, _ = tr._predict_split(params, normed, cfg, split, stats_arg)
+        got_pred, got_truth = assembled_forecast(params, normed, cfg, split, stats_arg)
         got = evaluate(params, normed, cfg, split, denorm_stats=stats_arg)
         np.testing.assert_allclose(got_pred, pred, rtol=1e-12, atol=1e-12)
+        assert np.array_equal(got_truth, truth)
         assert got["mse"] == pytest.approx(want["mse"], rel=1e-12)
         assert got["mae"] == pytest.approx(want["mae"], rel=1e-12)
 
+    # At hidden 16 the forward pass of one 512-row chunk traces about
+    # 1.4 MiB and the baseline's chunk about 0.2 MiB, whatever the split.
+    EVAL_ALLOWANCE = 2 * 2**20
+    BASELINE_ALLOWANCE = 2**19
+
+    @staticmethod
+    def _split_at(n_nodes, cfg):
+        store = generate_synthetic(n_nodes, 300, Rng(5))
+        normed, ranges, stats = prepare_store(store, cfg)
+        t0, t1 = ranges["test"]
+        n_rows = (t1 - t0 - cfg.l_in - cfg.l_out + 1) * n_nodes
+        assert n_rows > tr.EVAL_CHUNK_ROWS
+        return normed, ranges["test"], stats, n_rows * cfg.l_out * 8
+
     def test_peak_memory_does_not_grow_with_nodes(self):
-        # Beyond the full-split arrays (stacked inputs and targets, the
-        # forecast, and the two full-size temporaries of the metrics), the
-        # traced peak must stay flat when the split has 4x the rows.
-        cfg = small_config(l_in=12, l_out=12, hidden=128)
+        # beyond the one (rows, l_out) error array, the traced peak stays
+        # within a fixed allowance at 64 and at 512 nodes
+        cfg = small_config(l_in=12, l_out=12, hidden=16)
         params = _eval_params("mvd", cfg)
+        for n_nodes in (64, 512):
+            normed, split, stats, error_bytes = self._split_at(n_nodes, cfg)
+            for denorm in (None, stats):
+                peak = _traced_peak(lambda: evaluate(params, normed, cfg, split, denorm))
+                assert peak <= error_bytes + self.EVAL_ALLOWANCE
 
-        def excess(n_nodes):
-            store = generate_synthetic(n_nodes, 300, Rng(5))
-            normed, ranges, _ = prepare_store(store, cfg)
-            x_rows, y_rows, _ = tr._stack_split(normed, cfg.l_in, cfg.l_out,
-                                                ranges["test"])
-            assert x_rows.shape[0] > tr.EVAL_CHUNK_ROWS
-            split_bytes = x_rows.nbytes + 4 * y_rows.nbytes
-            del x_rows, y_rows
-            tracemalloc.start()
-            try:
-                base = tracemalloc.get_traced_memory()[0]
-                evaluate(params, normed, cfg, ranges["test"])
-                peak = tracemalloc.get_traced_memory()[1] - base
-            finally:
-                tracemalloc.stop()
-            return peak - split_bytes
-
-        small, large = excess(32), excess(128)
-        assert large <= small + 256 * 1024
+    def test_baseline_peak_memory_is_one_split_array(self):
+        cfg = small_config(l_in=12, l_out=12)
+        for n_nodes in (64, 512):
+            normed, split, _, error_bytes = self._split_at(n_nodes, cfg)
+            peak = _traced_peak(lambda: baseline_last_value(normed, cfg, split))
+            assert peak <= error_bytes + self.BASELINE_ALLOWANCE
 
 
 class TestTrain:
