@@ -31,13 +31,13 @@ from .numerics import Rng
 from .sampler import NORM_MODES, SampleDesign, random_graph, unbiasedness_mc_check
 from .training import (
     TrainConfig,
+    _n_rows,
     baseline_last_value,
     baseline_plain_mlp,
     evaluate,
     prepare_store,
     train,
 )
-from . import training as tr
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -255,31 +255,38 @@ def cmd_eval(args) -> int:
         store = load_csv(args.data, args.adjacency)
         normed, ranges, stats = prepare_store(store, config)
         split = ranges[args.split]
-        denorm = stats if args.denormalize else None
-        metrics = evaluate(params, normed, config, split, denorm_stats=denorm)
+        _n_rows(normed, config.l_in, config.l_out, split)  # before a dump file is created
     except (PsldError, OSError, KeyError, ValueError) as err:
         return _runtime_error(str(err))
-
-    if args.dump_predictions:
-        try:
-            _dump_predictions(args.dump_predictions, params, normed, config,
-                              split, stats if args.denormalize else None)
-        except OSError as err:
-            return _runtime_error(f"cannot write predictions: {err}")
+    denorm = stats if args.denormalize else None
+    try:
+        if args.dump_predictions:
+            with open(args.dump_predictions, "w", encoding="utf-8") as f:
+                metrics = evaluate(params, normed, config, split, denorm,
+                                   sink=_prediction_writer(f, normed, config, split))
+        else:
+            metrics = evaluate(params, normed, config, split, denorm)
+    except (PsldError, ValueError) as err:
+        return _runtime_error(str(err))
+    except OSError as err:
+        return _runtime_error(f"cannot write predictions: {err}")
     _dump_json({"split": args.split, "mse": metrics["mse"], "mae": metrics["mae"]})
     return EXIT_OK
 
 
-def _dump_predictions(path, params, store, config, split, denorm_stats) -> None:
+def _prediction_writer(f, store, config, split):
+    """Write the CSV header to f, return an ``evaluate`` sink writing each chunk's rows."""
     ids, l_out = store.node_ids, config.l_out
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("t0,node,h,y,y_hat\n")
-        for lo, pred, y in tr._forecast_chunks(params, store, config, split, denorm_stats):
-            for row, y_row, p_row in zip(range(lo, lo + len(y)), y.tolist(), pred.tolist()):
-                w, d = divmod(row, store.n_nodes)
-                prefix = f"{split[0] + w},{ids[d]},"
-                for h in range(l_out):
-                    f.write(f"{prefix}{h + 1},{y_row[h]!r},{p_row[h]!r}\n")
+    f.write("t0,node,h,y,y_hat\n")
+
+    def write(lo, pred, y):
+        for row, y_row, p_row in zip(range(lo, lo + len(y)), y.tolist(), pred.tolist()):
+            w, d = divmod(row, store.n_nodes)
+            prefix = f"{split[0] + w},{ids[d]},"
+            for h in range(l_out):
+                f.write(f"{prefix}{h + 1},{y_row[h]!r},{p_row[h]!r}\n")
+
+    return write
 
 
 def cmd_rss_check(args) -> int:

@@ -16,10 +16,15 @@ through the combinator back into the component heads.
 Separate and merged mode differ only in :func:`head_layout`. Separate mode
 gives each component a head of its own; merged mode gives one wide head
 whose input concatenates the components and whose output is split back
-into them. Initialisation, forward, backward and checkpoint loading are
-each one loop over that layout. Embedding separate parameters
-block-diagonally into the merged layout reproduces separate-mode outputs
-and per-parameter gradients, which the test suite checks numerically.
+into them. Forward and backward are each one loop over that layout.
+Embedding separate parameters block-diagonally into the merged layout
+reproduces separate-mode outputs and per-parameter gradients, which the
+test suite checks numerically.
+
+Each model keeps all its parameters in one float64 vector, laid out by
+``_slots`` in ``named_tensors`` order, which is also the checkpoint order.
+The heads' arrays, the gradients and the ADAM moments are views into, or
+vectors laid out like, that one vector.
 
 The plain baseline (:class:`PlainParams`) is a single head on raw windows;
 :func:`train_step` and :func:`predict` are the only places that tell it
@@ -30,11 +35,13 @@ All gradients here are derived and coded by hand; there is no autodiff.
 
 from __future__ import annotations
 
-import copy
+import dataclasses
 import json
 import math
+import os
 import struct
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -46,13 +53,19 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 CHECKPOINT_MAGIC = b"PSLD1"
+# Elements per pass of adam_step: its two scratch arrays have this length
+# however large the model is.
+_ADAM_BLOCK = 16384
+# A head's tensors in layout order: learner layers 1 and 2, then the predictor.
+_SUFFIXES = ("l1.w", "l1.b", "l2.w", "l2.b", "p.w", "p.b")
 
 
 @dataclass
 class Head:
     """Learner (w1, b1, ReLU, dropout, w2, b2) and predictor (wp, bp).
 
-    Weights are (out, in); the widths are read off their shapes.
+    Weights are (out, in); the widths are read off their shapes. The
+    arrays are views into their model's parameter vector.
     """
 
     name: str
@@ -64,27 +77,89 @@ class Head:
     bp: np.ndarray  # (out_len,)
 
 
-@dataclass
-class PsldParams:
+def _slots(heads: list) -> tuple:
+    """The flat layout of heads given as ``head_layout`` entries.
+
+    One (tensor name, shape, start, stop) per tensor, head by head in
+    ``_SUFFIXES`` order: the order of ``named_tensors`` and of the
+    checkpoint payload.
+    """
+    slots, start = [], 0
+    for name, _, in_len, out_len, width in heads:
+        shapes = ((width, in_len), (width,), (width, width), (width,), (out_len, width),
+                  (out_len,))
+        for suffix, shape in zip(_SUFFIXES, shapes):
+            stop = start + math.prod(shape)
+            slots.append((f"{name}.{suffix}", shape, start, stop))
+            start = stop
+    return tuple(slots)
+
+
+class Tensors(dict):
+    """Tensor name -> view into the float64 vector ``flat``, in layout order."""
+
+    def __init__(self, flat: np.ndarray, slots: tuple):
+        super().__init__((name, flat[start:stop].reshape(shape))
+                         for name, shape, start, stop in slots)
+        self.flat = flat
+
+
+class _Flat:
+    """Every parameter of a model in one float64 vector, ``flat``.
+
+    ``slots`` is its layout (see ``_slots``), ``tensors`` its views and
+    ``grads`` the views of the gradient vector that the backward pass
+    overwrites; the heads' arrays are the ``tensors`` views. A deep copy
+    binds fresh views to a copy of the vector.
+    """
+
+    def _bind(self, heads: list) -> list:
+        self.slots = _slots(heads)
+        size = self.slots[-1][3]
+        if self.flat is None:
+            self.flat = np.zeros(size)
+        self.tensors = Tensors(self.flat, self.slots)
+        self.grads = Tensors(np.zeros(size), self.slots)
+        return [Head(name, *(self.tensors[f"{name}.{s}"] for s in _SUFFIXES))
+                for name, *_ in heads]
+
+    def __deepcopy__(self, memo):
+        return dataclasses.replace(self, flat=self.flat.copy())
+
+
+@dataclass(eq=False)
+class PsldParams(_Flat):
+    """Component heads in ``head_layout`` order, then the combinator."""
+
     kind: str            # "mvd" | "stl"
     mode: str            # "separate" | "merged"
     l_in: int
     l_out: int
     hidden: int
     dropout: float
-    heads: dict          # name -> Head, in head_layout order
-    combinator: Head
+    flat: np.ndarray | None = None  # all zeros if None
+    heads: dict = field(init=False, repr=False)         # name -> Head
+    combinator: Head = field(init=False, repr=False)
+
+    def __post_init__(self):
+        *heads, self.combinator = self._bind(
+            _psld_heads(self.kind, self.mode, self.l_in, self.l_out, self.hidden))
+        self.heads = {head.name: head for head in heads}
 
 
-@dataclass
-class PlainParams:
+@dataclass(eq=False)
+class PlainParams(_Flat):
     """Single head mapping raw input windows to forecasts, no decomposition."""
 
     l_in: int
     l_out: int
     hidden: int
     dropout: float
-    head: Head
+    flat: np.ndarray | None = None
+    head: Head = field(init=False, repr=False)
+
+    def __post_init__(self):
+        (self.head,) = self._bind([("main", (), self.l_in, self.l_out, self.hidden)])
 
 
 def head_plan(kind: str, l_in: int, l_out: int) -> tuple:
@@ -115,23 +190,27 @@ def head_layout(kind: str, mode: str, l_in: int, l_out: int, hidden: int) -> tup
     raise ValueError(f"mode must be 'separate' or 'merged', got {mode!r}")
 
 
+def _psld_heads(kind: str, mode: str, l_in: int, l_out: int, hidden: int) -> tuple:
+    return head_layout(kind, mode, l_in, l_out, hidden) + (("cbn", (), l_out, l_out, hidden),)
+
+
 def _layout(params: PsldParams) -> tuple:
     return head_layout(params.kind, params.mode, params.l_in, params.l_out, params.hidden)
 
 
-def _init_linear(out_dim: int, in_dim: int, rng: Rng) -> tuple:
-    if in_dim < 1 or out_dim < 1:
-        raise ValueError(f"layer dims must be positive, got ({out_dim}, {in_dim})")
-    bound = math.sqrt(1.0 / in_dim)
-    weight = rng.gen.uniform(-bound, bound, size=(out_dim, in_dim))
-    return weight, np.zeros(out_dim, dtype=np.float64)
-
-
-def _init_head(name: str, in_len: int, out_len: int, width: int, rng: Rng) -> Head:
-    w1, b1 = _init_linear(width, in_len, rng.child("l1"))
-    w2, b2 = _init_linear(width, width, rng.child("l2"))
-    wp, bp = _init_linear(out_len, width, rng.child("p"))
-    return Head(name, w1, b1, w2, b2, wp, bp)
+def _init_weights(params, rng: Rng):
+    """Uniform(-sqrt(1/fan_in), sqrt(1/fan_in)) weights, zero biases."""
+    if not 0.0 <= params.dropout < 1.0:
+        raise ValueError(f"dropout must be in [0, 1), got {params.dropout}")
+    for name, shape, *_ in params.slots:
+        if len(shape) == 2:
+            if min(shape) < 1:
+                raise ValueError(f"layer dims must be positive, got {shape}")
+            head, layer, _ = name.split(".")
+            bound = math.sqrt(1.0 / shape[1])
+            params.tensors[name][...] = rng.child(head).child(layer).gen.uniform(
+                -bound, bound, size=shape)
+    return params
 
 
 def init_params(
@@ -149,21 +228,11 @@ def init_params(
     head whose widths are the concatenation of the three separate head
     widths (inputs, hidden units, and outputs).
     """
-    if not 0.0 <= dropout < 1.0:
-        raise ValueError(f"dropout must be in [0, 1), got {dropout}")
-    heads = {
-        name: _init_head(name, in_len, out_len, width, rng.child(name))
-        for name, _, in_len, out_len, width in head_layout(kind, mode, l_in, l_out, hidden)
-    }
-    combinator = _init_head("cbn", l_out, l_out, hidden, rng.child("cbn"))
-    return PsldParams(kind, mode, l_in, l_out, hidden, dropout, heads, combinator)
+    return _init_weights(PsldParams(kind, mode, l_in, l_out, hidden, dropout), rng)
 
 
 def init_plain_params(l_in: int, l_out: int, hidden: int, dropout: float, rng: Rng) -> PlainParams:
-    if not 0.0 <= dropout < 1.0:
-        raise ValueError(f"dropout must be in [0, 1), got {dropout}")
-    return PlainParams(l_in, l_out, hidden, dropout,
-                       _init_head("main", l_in, l_out, hidden, rng.child("main")))
+    return _init_weights(PlainParams(l_in, l_out, hidden, dropout), rng)
 
 
 @dataclass
@@ -216,23 +285,22 @@ def _head_forward(head: Head, z: np.ndarray, dropout: float, rng: Rng | None,
     h1 = _first_layer(z, head.w1, _buffer(buffers, f"{name}.h1", hidden))
     h1 += head.b1
     a = relu(h1, out=_buffer(buffers, f"{name}.a", hidden))
+    mask = None
     if rng is not None and dropout > 0.0:
-        # inverted dropout: zero with probability p, scale survivors by 1/(1-p)
+        # inverted dropout: zero with probability p, scale survivors by 1/(1-p);
+        # applied in place, as only the dropped-out activations are kept
         mask = (rng.gen.random(a.shape) >= dropout) / (1.0 - dropout)
-        ad = a * mask
-    else:
-        mask = None
-        ad = a
-    h2 = np.matmul(ad, head.w2.T, out=_buffer(buffers, f"{name}.h2", hidden))
+        a *= mask
+    h2 = np.matmul(a, head.w2.T, out=_buffer(buffers, f"{name}.h2", hidden))
     h2 += head.b2
     out_shape = (z.shape[0], head.wp.shape[0])
     out = np.matmul(h2, head.wp.T, out=_buffer(buffers, f"{name}.out", out_shape))
     out += head.bp
-    return out, HeadCache(z, h1, mask, ad, h2, out)
+    return out, HeadCache(z, h1, mask, a, h2, out)
 
 
-def _head_backward(head: Head, cache: HeadCache, g_out: np.ndarray, grads: dict) -> np.ndarray:
-    """Accumulate this head's gradients from d(loss)/d(out), return d(loss)/d(z).
+def _head_backward(head: Head, cache: HeadCache, g_out: np.ndarray, grads: Tensors) -> np.ndarray:
+    """Write this head's gradients from d(loss)/d(out) into ``grads``, return d(loss)/d(z).
 
     With out = h2 @ Wp.T + bp the weight gradient is g_out.T @ h2 and the
     bias gradient the column sums of g_out; the two learner layers follow
@@ -240,16 +308,16 @@ def _head_backward(head: Head, cache: HeadCache, g_out: np.ndarray, grads: dict)
     the way down.
     """
     name = head.name
-    grads[f"{name}.p.w"] = g_out.T @ cache.h2
-    grads[f"{name}.p.b"] = g_out.sum(axis=0)
+    np.matmul(g_out.T, cache.h2, out=grads[f"{name}.p.w"])
+    np.sum(g_out, axis=0, out=grads[f"{name}.p.b"])
     d_h2 = g_out @ head.wp
-    grads[f"{name}.l2.w"] = d_h2.T @ cache.ad
-    grads[f"{name}.l2.b"] = d_h2.sum(axis=0)
+    np.matmul(d_h2.T, cache.ad, out=grads[f"{name}.l2.w"])
+    np.sum(d_h2, axis=0, out=grads[f"{name}.l2.b"])
     d_ad = d_h2 @ head.w2
     d_a = d_ad * cache.mask if cache.mask is not None else d_ad
     d_h1 = d_a * (cache.h1 > 0.0)
-    grads[f"{name}.l1.w"] = d_h1.T @ cache.z
-    grads[f"{name}.l1.b"] = d_h1.sum(axis=0)
+    np.matmul(d_h1.T, cache.z, out=grads[f"{name}.l1.w"])
+    np.sum(d_h1, axis=0, out=grads[f"{name}.l1.b"])
     return d_h1 @ head.w1
 
 
@@ -340,25 +408,27 @@ def _mse(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.mean((a - b) ** 2))
 
 
-def train_step(params, x_rows: np.ndarray, y_rows: np.ndarray, dcfg, lam: float, rng: Rng):
+def train_step(params, x_rows: np.ndarray, y_rows: np.ndarray, dcfg, lam: float, rng: Rng,
+               buffers: dict | None = None):
     """Training forward and backward pass on stacked rows: (LossParts, grads).
 
     Decomposition models decompose inputs and targets with ``dcfg`` and
     minimise cbn + lam * cpn; the plain model minimises the forecast MSE
-    alone. Dropout masks come from ``rng``. Nothing of the forward pass
-    outlives the call.
+    alone. Dropout masks come from ``rng``, and ``buffers`` is passed on
+    to the forward pass as in ``forward``. No state of the forward pass
+    outlives the call; the gradients are ``params.grads``, valid until
+    the next backward pass on ``params``.
     """
     if isinstance(params, PlainParams):
-        out, cache = _head_forward(params.head, x_rows, params.dropout, rng)
+        out, cache = _head_forward(params.head, x_rows, params.dropout, rng, buffers)
         if out.shape != y_rows.shape:
             raise ShapeError(f"forecast {out.shape} vs target {y_rows.shape}")
         loss = _mse(out, y_rows)
         if not math.isfinite(loss):
             raise NumericError("non-finite loss in head 'main'")
-        grads = {}
-        _head_backward(params.head, cache, (2.0 / y_rows.size) * (out - y_rows), grads)
-        return LossParts(loss, loss, 0.0, {}), grads
-    state = forward(params, dc.decompose(x_rows, dcfg), training=True, rng=rng)
+        _head_backward(params.head, cache, (2.0 / y_rows.size) * (out - y_rows), params.grads)
+        return LossParts(loss, loss, 0.0, {}), params.grads
+    state = forward(params, dc.decompose(x_rows, dcfg), training=True, rng=rng, buffers=buffers)
     return loss_and_backward(params, state, dc.decompose(y_rows, dcfg), y_rows, lam)
 
 
@@ -377,7 +447,9 @@ def loss_and_backward(
     routed into the predicted components, and each component head's
     gradient is concatenated in the order of its ``head_layout`` parts. cbn is the
     mean squared error of the forecast. If predictions equal targets
-    exactly, the loss and every gradient are zero.
+    exactly, the loss and every gradient are zero. The gradients are
+    written into ``params.grads`` and stay valid until the next backward
+    pass on ``params``.
     """
     if label_bundle.kind != params.kind:
         raise ValueError(
@@ -402,7 +474,7 @@ def loss_and_backward(
         raise NumericError("non-finite loss in combinator head 'cbn'")
     total = l_cbn + lam * l_cpn
 
-    grads = {}
+    grads = params.grads
     g_y = (2.0 / y.size) * (state.y_hat - y)
     g_cbn_in = _head_backward(params.combinator, state.cbn_cache, g_y, grads)
 
@@ -427,60 +499,73 @@ def loss_and_backward(
     return LossParts(total, l_cbn, l_cpn, comp_losses), grads
 
 
-def _head_tensors(head: Head):
-    yield f"{head.name}.l1.w", head.w1
-    yield f"{head.name}.l1.b", head.b1
-    yield f"{head.name}.l2.w", head.w2
-    yield f"{head.name}.l2.b", head.b2
-    yield f"{head.name}.p.w", head.wp
-    yield f"{head.name}.p.b", head.bp
-
-
 def named_tensors(params) -> list:
-    """Ordered (name, array) pairs; arrays are the live parameter buffers."""
-    out = []
-    if isinstance(params, PlainParams):
-        out.extend(_head_tensors(params.head))
-        return out
-    for head in params.heads.values():
-        out.extend(_head_tensors(head))
-    out.extend(_head_tensors(params.combinator))
-    return out
+    """Ordered (name, array) pairs: views into the parameter vector, in checkpoint order."""
+    return list(params.tensors.items())
 
 
 @dataclass
 class AdamState:
-    m: dict
-    v: dict
+    m: np.ndarray  # first and second moments, laid out like the parameter vector
+    v: np.ndarray
     t: int = 0
 
     @classmethod
     def for_params(cls, params) -> "AdamState":
-        m = {name: np.zeros_like(arr) for name, arr in named_tensors(params)}
-        v = {name: np.zeros_like(arr) for name, arr in named_tensors(params)}
-        return cls(m, v, 0)
+        return cls(np.zeros_like(params.flat), np.zeros_like(params.flat), 0)
 
 
-def adam_step(params, grads: dict, state: AdamState, lr: float):
+def adam_step(params, grads: Tensors, state: AdamState, lr: float):
     """One bias-corrected ADAM update, applied in place.
 
     m_hat = m / (1 - beta1^t), v_hat = v / (1 - beta2^t),
     p <- p - lr * m_hat / (sqrt(v_hat) + eps). Zero gradients leave the
-    parameters unchanged while still advancing t.
+    parameters unchanged while still advancing t. ``grads`` is laid out
+    like ``params`` (``params.grads`` after a backward pass). The update
+    is a fixed sequence of elementwise in-place passes over blocks of
+    ``_ADAM_BLOCK`` entries of the parameter, gradient and moment vectors.
     """
+    p, g, m, v = params.flat, grads.flat, state.m, state.v
+    if not p.shape == g.shape == m.shape == v.shape:
+        raise ShapeError(f"adam_step: vectors {p.shape} {g.shape} {m.shape} {v.shape} differ")
     state.t += 1
     b1c = 1.0 - ADAM_BETA1 ** state.t
     b2c = 1.0 - ADAM_BETA2 ** state.t
-    for name, tensor in named_tensors(params):
-        g = grads[name]
-        m = state.m[name]
-        v = state.v[name]
-        m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
-        v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * (g * g)
-        tensor -= lr * (m / b1c) / (np.sqrt(v / b2c) + ADAM_EPS)
+    step, denom = np.empty((2, min(_ADAM_BLOCK, p.size)))
+    for lo in range(0, p.size, _ADAM_BLOCK):
+        pb, gb, mb, vb = (a[lo:lo + _ADAM_BLOCK] for a in (p, g, m, v))
+        sb, db = step[:len(pb)], denom[:len(pb)]
+        mb *= ADAM_BETA1
+        mb += np.multiply(gb, 1.0 - ADAM_BETA1, out=sb)
+        vb *= ADAM_BETA2
+        np.multiply(gb, gb, out=sb)
+        vb += np.multiply(sb, 1.0 - ADAM_BETA2, out=sb)
+        np.sqrt(np.divide(vb, b2c, out=db), out=db)
+        db += ADAM_EPS
+        np.divide(mb, b1c, out=sb)
+        sb *= lr
+        pb -= np.divide(sb, db, out=sb)
     return params, state
+
+
+def _merged_blocks(kind: str, l_in: int, l_out: int, hidden: int) -> tuple:
+    """Where each separate-mode tensor sits in the merged-mode layout.
+
+    One (separate name, merged name, index) per separate tensor. The
+    separate heads of ``head_layout`` occupy the merged head's hidden
+    units, inputs and outputs in turn, so each embeds as a diagonal
+    block; the combinator maps onto itself whole.
+    """
+    blocks = []
+    units = ins = outs = 0
+    for name, _, in_len, out_len, width in head_layout(kind, "separate", l_in, l_out, hidden):
+        u, i, o = (slice(units, units + width), slice(ins, ins + in_len),
+                   slice(outs, outs + out_len))
+        for suffix, index in zip(_SUFFIXES, ((u, i), u, (u, u), u, (o, u), o)):
+            blocks.append((f"{name}.{suffix}", f"merged.{suffix}", index))
+        units, ins, outs = units + width, ins + in_len, outs + out_len
+    blocks.extend((f"cbn.{suffix}", f"cbn.{suffix}", ...) for suffix in _SUFFIXES)
+    return tuple(blocks)
 
 
 def merge_params(sep: PsldParams) -> PsldParams:
@@ -490,37 +575,13 @@ def merge_params(sep: PsldParams) -> PsldParams:
     function as the separate heads on concatenated components. The
     combinator is copied unchanged.
     """
-    plan = head_plan(sep.kind, sep.l_in, sep.l_out)
-    if set(sep.heads) != {nm for nm, _, _ in plan}:
+    if set(sep.heads) != {nm for nm, _, _ in head_plan(sep.kind, sep.l_in, sep.l_out)}:
         raise ValueError("merge_params expects separate-mode parameters")
-    h = sep.hidden
-    n_heads = len(plan)
-    in_total = sum(ilen for _, ilen, _ in plan)
-    out_total = sum(olen for _, _, olen in plan)
-
-    w1 = np.zeros((n_heads * h, in_total))
-    b1 = np.zeros(n_heads * h)
-    w2 = np.zeros((n_heads * h, n_heads * h))
-    b2 = np.zeros(n_heads * h)
-    wp = np.zeros((out_total, n_heads * h))
-    bp = np.zeros(out_total)
-
-    in_off = out_off = 0
-    for i, (nm, ilen, olen) in enumerate(plan):
-        head = sep.heads[nm]
-        rows = slice(i * h, (i + 1) * h)
-        w1[rows, in_off:in_off + ilen] = head.w1
-        b1[rows] = head.b1
-        w2[rows, rows] = head.w2
-        b2[rows] = head.b2
-        wp[out_off:out_off + olen, rows] = head.wp
-        bp[out_off:out_off + olen] = head.bp
-        in_off += ilen
-        out_off += olen
-
-    merged = Head("merged", w1, b1, w2, b2, wp, bp)
-    return PsldParams(sep.kind, "merged", sep.l_in, sep.l_out, sep.hidden, sep.dropout,
-                      {"merged": merged}, copy.deepcopy(sep.combinator))
+    merged = PsldParams(sep.kind, "merged", sep.l_in, sep.l_out, sep.hidden, sep.dropout)
+    for sep_name, merged_name, index in _merged_blocks(sep.kind, sep.l_in, sep.l_out,
+                                                        sep.hidden):
+        merged.tensors[merged_name][index] = sep.tensors[sep_name]
+    return merged
 
 
 def extract_merged_grad_blocks(grads: dict, sep: PsldParams) -> dict:
@@ -530,23 +591,8 @@ def extract_merged_grad_blocks(grads: dict, sep: PsldParams) -> dict:
     separate parameter was embedded at. Off-block merged gradients have no
     separate counterpart and are ignored.
     """
-    plan = head_plan(sep.kind, sep.l_in, sep.l_out)
-    h = sep.hidden
-    out = {}
-    in_off = out_off = 0
-    for i, (nm, ilen, olen) in enumerate(plan):
-        rows = slice(i * h, (i + 1) * h)
-        out[f"{nm}.l1.w"] = grads["merged.l1.w"][rows, in_off:in_off + ilen]
-        out[f"{nm}.l1.b"] = grads["merged.l1.b"][rows]
-        out[f"{nm}.l2.w"] = grads["merged.l2.w"][rows, rows]
-        out[f"{nm}.l2.b"] = grads["merged.l2.b"][rows]
-        out[f"{nm}.p.w"] = grads["merged.p.w"][out_off:out_off + olen, rows]
-        out[f"{nm}.p.b"] = grads["merged.p.b"][out_off:out_off + olen]
-        in_off += ilen
-        out_off += olen
-    for suffix in ("l1.w", "l1.b", "l2.w", "l2.b", "p.w", "p.b"):
-        out[f"cbn.{suffix}"] = grads[f"cbn.{suffix}"]
-    return out
+    return {sep_name: grads[merged_name][index] for sep_name, merged_name, index
+            in _merged_blocks(sep.kind, sep.l_in, sep.l_out, sep.hidden)}
 
 
 def save_checkpoint(path, params: PsldParams, config: dict) -> None:
@@ -554,17 +600,16 @@ def save_checkpoint(path, params: PsldParams, config: dict) -> None:
 
     Layout: the magic bytes, then for each tensor a little-endian u32 name
     length, the UTF-8 name, a u32 rank, u64 dims, and the float64 payload.
-    Identical parameters serialize to identical bytes.
+    The payloads, in order, are the parameter vector. Identical parameters
+    serialize to identical bytes.
     """
     with open(path, "wb") as f:
         f.write(CHECKPOINT_MAGIC)
-        for name, arr in named_tensors(params):
+        for name, shape, start, stop in params.slots:
             encoded = name.encode("utf-8")
-            f.write(struct.pack("<I", len(encoded)))
-            f.write(encoded)
-            f.write(struct.pack("<I", arr.ndim))
-            f.write(struct.pack(f"<{arr.ndim}Q", *arr.shape))
-            f.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+            f.write(struct.pack(f"<I{len(encoded)}sI{len(shape)}Q",
+                                len(encoded), encoded, len(shape), *shape))
+            f.write(params.flat[start:stop].astype("<f8", copy=False))
     sidecar = {
         "format": CHECKPOINT_MAGIC.decode("ascii"),
         "kind": params.kind,
@@ -587,58 +632,69 @@ def _read_exact(f, n: int, what: str) -> bytes:
     return data
 
 
-def _head_from_tensors(tensors: dict, name: str, in_len: int, out_len: int,
-                       width: int) -> Head:
-    def take(suffix: str, shape: tuple) -> np.ndarray:
-        key = f"{name}.{suffix}"
-        if key not in tensors:
-            raise CheckpointError(f"checkpoint is missing tensor {key!r}")
-        arr = tensors[key]
-        if arr.shape != shape:
-            raise CheckpointError(f"tensor {key!r} has shape {arr.shape}, expected {shape}")
-        return arr
-
-    return Head(name,
-                take("l1.w", (width, in_len)), take("l1.b", (width,)),
-                take("l2.w", (width, width)), take("l2.b", (width,)),
-                take("p.w", (out_len, width)), take("p.b", (out_len,)))
+def _read_name(f, longest: int) -> str | None:
+    """The next record's tensor name, or None at the end of the file."""
+    head = f.read(4)
+    if not head:
+        return None
+    if len(head) != 4:
+        raise CheckpointError("truncated checkpoint while reading a name length")
+    (name_len,) = struct.unpack("<I", head)
+    if name_len > longest:
+        raise CheckpointError(f"tensor name of {name_len} bytes, longer than any in the layout")
+    raw = _read_exact(f, name_len, "a tensor name")
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError:
+        raise CheckpointError(f"tensor name {raw!r} is not UTF-8") from None
 
 
 def load_checkpoint(path):
-    """Read a checkpoint back into PsldParams plus its sidecar dict."""
+    """Read a checkpoint back into PsldParams plus its sidecar dict.
+
+    The sidecar fixes the layout, and the records must follow it. Each
+    record is checked against its slot before its payload is read
+    straight into the parameter vector: a missing, unknown, duplicate or
+    misshaped tensor raises ``CheckpointError`` naming it.
+    """
     with open(path, "rb") as f:
         magic = f.read(len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
             raise CheckpointError(f"bad magic in checkpoint {path}: {magic!r}")
-        tensors = {}
-        while True:
-            head = f.read(4)
-            if not head:
-                break
-            if len(head) != 4:
-                raise CheckpointError("truncated checkpoint while reading a name length")
-            (name_len,) = struct.unpack("<I", head)
-            name = _read_exact(f, name_len, "a tensor name").decode("utf-8")
+        try:
+            with open(str(path) + ".json", "r", encoding="utf-8") as side:
+                sidecar = json.load(side)
+        except FileNotFoundError:
+            raise CheckpointError(f"missing checkpoint sidecar {path}.json") from None
+        kind, mode = sidecar["kind"], sidecar["mode"]
+        l_in, l_out = int(sidecar["l_in"]), int(sidecar["l_out"])
+        hidden, dropout = int(sidecar["hidden"]), float(sidecar["dropout"])
+        slots = _slots(_psld_heads(kind, mode, l_in, l_out, hidden))
+        if 8 * slots[-1][3] > os.fstat(f.fileno()).st_size:
+            raise CheckpointError(f"checkpoint {path} is too small for the "
+                                  f"{slots[-1][3]} parameters its sidecar describes")
+        params = PsldParams(kind, mode, l_in, l_out, hidden, dropout)
+        longest = max(len(name) for name, *_ in slots)
+        for name, shape, start, stop in slots:
+            found = _read_name(f, longest)
+            if found is None:
+                raise CheckpointError(f"checkpoint is missing tensor {name!r}")
+            if found != name:
+                raise CheckpointError(f"unexpected tensor {found!r} where {name!r} belongs")
             (rank,) = struct.unpack("<I", _read_exact(f, 4, f"rank of {name!r}"))
+            if rank != len(shape):
+                raise CheckpointError(f"tensor {name!r} has rank {rank}, expected {len(shape)}")
             dims = struct.unpack(f"<{rank}Q", _read_exact(f, 8 * rank, f"dims of {name!r}"))
-            count = int(np.prod(dims)) if rank else 1
-            payload = _read_exact(f, 8 * count, f"payload of {name!r}")
-            tensors[name] = np.frombuffer(payload, dtype="<f8").reshape(dims).copy()
-    try:
-        with open(str(path) + ".json", "r", encoding="utf-8") as f:
-            sidecar = json.load(f)
-    except FileNotFoundError:
-        raise CheckpointError(f"missing checkpoint sidecar {path}.json") from None
-
-    kind, mode = sidecar["kind"], sidecar["mode"]
-    l_in, l_out = int(sidecar["l_in"]), int(sidecar["l_out"])
-    hidden, dropout = int(sidecar["hidden"]), float(sidecar["dropout"])
-    heads = {
-        name: _head_from_tensors(tensors, name, in_len, out_len, width)
-        for name, _, in_len, out_len, width in head_layout(kind, mode, l_in, l_out, hidden)
-    }
-    combinator = _head_from_tensors(tensors, "cbn", l_out, l_out, hidden)
-    params = PsldParams(kind, mode, l_in, l_out, hidden, dropout, heads, combinator)
+            if dims != shape:
+                raise CheckpointError(f"tensor {name!r} has shape {dims}, expected {shape}")
+            payload = params.flat[start:stop]
+            if f.readinto(payload) != payload.nbytes:
+                raise CheckpointError(f"truncated checkpoint while reading payload of {name!r}")
+            if sys.byteorder == "big":
+                payload.byteswap(inplace=True)
+        extra = _read_name(f, longest)
+        if extra is not None:
+            raise CheckpointError(f"unexpected tensor {extra!r} after the last one")
     return params, sidecar
 
 
@@ -685,15 +741,15 @@ def finite_difference_check(
         losses, grads = loss_and_backward(params, state, yb, y, lam)
         return losses.total, grads, _relu_signature(state)
 
-    _, analytic, _ = run()
+    # every later run() overwrites the gradient vector
+    analytic = run()[1].flat.copy()
+    flat = params.flat
     per_group = {}
     kinks = 0
-    for name, tensor in named_tensors(params):
-        flat = tensor.reshape(-1)
-        g_flat = analytic[name].reshape(-1)
+    for name, _, start, stop in params.slots:
         group = name.split(".")[0]
         worst = per_group.get(group, 0.0)
-        for i in range(flat.size):
+        for i in range(start, stop):
             orig = flat[i]
             flat[i] = orig + step
             loss_plus, _, sig_plus = run()
@@ -704,7 +760,7 @@ def finite_difference_check(
                 kinks += 1
                 continue
             fd = (loss_plus - loss_minus) / (2.0 * step)
-            rel = abs(g_flat[i] - fd) / max(abs(g_flat[i]) + abs(fd), 1e-6)
+            rel = abs(analytic[i] - fd) / max(abs(analytic[i]) + abs(fd), 1e-6)
             worst = max(worst, float(rel))
         per_group[group] = worst
     return {

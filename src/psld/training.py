@@ -15,7 +15,7 @@ computed on whatever scale the given store carries.
 
 from __future__ import annotations
 
-import copy
+import dataclasses
 import time
 from dataclasses import dataclass, field, fields
 
@@ -213,7 +213,7 @@ def _forecast_chunks(params, store: SeriesStore, config: TrainConfig, split: tup
         yield lo, pred, y
 
 
-def _metrics(chunks, shape: tuple) -> dict:
+def _metrics(chunks, shape: tuple, sink=None) -> dict:
     """MSE and MAE of (lo, pred, y) chunks that together cover ``shape``.
 
     ``|pred - y|`` is written chunk by chunk into one array of ``shape``
@@ -221,9 +221,12 @@ def _metrics(chunks, shape: tuple) -> dict:
     squared in place, its mean is the MSE. These are the same values in
     the same contiguous layout as full-split ``pred - y`` temporaries, so
     numpy sums them in the same order and the metrics match to the bit.
+    ``sink``, if given, is called with each chunk before it is scored.
     """
     err = np.empty(shape)
     for lo, pred, y in chunks:
+        if sink is not None:
+            sink(lo, pred, y)
         rows = err[lo:lo + len(y)]
         np.subtract(pred, y, out=rows)
         np.abs(rows, out=rows)
@@ -233,17 +236,19 @@ def _metrics(chunks, shape: tuple) -> dict:
 
 
 def evaluate(params, store: SeriesStore, config: TrainConfig, split: tuple,
-             denorm_stats: NormStats | None = None) -> dict:
+             denorm_stats: NormStats | None = None, sink=None) -> dict:
     """MSE and MAE over all windows, horizon steps, and nodes of the split.
 
     The forecast is made in chunks of ``EVAL_CHUNK_ROWS`` rows (see
     ``_forecast_chunks``), and only its absolute error is kept for the
     whole split: beyond that one (rows, l_out) array, memory does not grow
     with the split. With ``denorm_stats`` both forecast and truth are
-    mapped back to the raw scale before the metrics.
+    mapped back to the raw scale before the metrics. ``sink(lo, pred, y)``,
+    if given, sees every chunk ``_forecast_chunks`` yields, so one pass
+    can both score and write the forecast.
     """
     shape = (_n_rows(store, config.l_in, config.l_out, split), config.l_out)
-    return _metrics(_forecast_chunks(params, store, config, split, denorm_stats), shape)
+    return _metrics(_forecast_chunks(params, store, config, split, denorm_stats), shape, sink)
 
 
 def _sample_minibatch(batch, k: int, rng: Rng):
@@ -261,7 +266,16 @@ def _fit(params, normed: SeriesStore, ranges: dict, config: TrainConfig):
     """The epoch loop of train() and the plain baseline, on a normalized store.
 
     Trains ``params`` in place and returns (best_params, reports) as
-    train() does; ``md.train_step`` is the only model-specific call.
+    train() does; ``md.train_step`` is the only model-specific call. The
+    best parameters are kept in one preallocated vector, refilled with
+    ``np.copyto`` whenever validation improves, and returned as a model
+    bound to that vector. An epoch's training forward passes write their
+    hidden and output arrays into one buffer dict, as evaluation does:
+    nothing else of a step outlives it, so glibc would otherwise hand the
+    step's freed arrays back to the OS and the next step would page-fault
+    them in again (about 12k minor faults per 1344-row step). The buffers
+    are freed before validation, which would otherwise hold them at its
+    peak.
     """
     train_store = restrict_time(normed, *ranges["train"])
     root = Rng(config.seed)
@@ -269,7 +283,8 @@ def _fit(params, normed: SeriesStore, ranges: dict, config: TrainConfig):
     dcfg = config.decomposer_config()
 
     best_mse = np.inf
-    best_params = copy.deepcopy(params)
+    best = params.flat.copy()
+    step_buffers = {}
     reports = []
     for epoch in range(config.epochs):
         started = time.perf_counter()
@@ -284,11 +299,12 @@ def _fit(params, normed: SeriesStore, ranges: dict, config: TrainConfig):
                                                erng.child("minibatch", step))
             try:
                 losses, grads = md.train_step(params, x_rows, y_rows, dcfg, config.lam,
-                                              erng.child("dropout", step))
+                                              erng.child("dropout", step), step_buffers)
             except NumericError as err:
                 raise NumericError(f"epoch {epoch}, subgraph {step}: {err}") from err
             md.adam_step(params, grads, adam, config.lr)
             sums += (losses.total, losses.cbn, losses.cpn)
+        step_buffers.clear()
         val = evaluate(params, normed, config, ranges["val"])
         reports.append(EpochReport(
             epoch=epoch,
@@ -301,8 +317,8 @@ def _fit(params, normed: SeriesStore, ranges: dict, config: TrainConfig):
         ))
         if val["mse"] < best_mse:
             best_mse = val["mse"]
-            best_params = copy.deepcopy(params)
-    return best_params, reports
+            np.copyto(best, params.flat)
+    return dataclasses.replace(params, flat=best), reports
 
 
 def train(store: SeriesStore, config: TrainConfig):

@@ -10,6 +10,7 @@ import pytest
 import psld
 from psld import training
 from psld.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
+from test_model import MALFORMED, malformed_checkpoint
 
 
 def run_cli(capsys, *argv):
@@ -226,6 +227,55 @@ class TestEval:
                                "--data", str(dataset / "series.csv"))
         assert code == EXIT_RUNTIME
         assert "bad magic" in err
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_checkpoint_is_json_runtime_error(self, tmp_path, capsys, case):
+        ckpt = tmp_path / "model.psld"
+        message = malformed_checkpoint(ckpt, case)
+        code, out, err = run_cli(capsys, "eval", "--checkpoint", str(ckpt),
+                                 "--data", str(tmp_path / "unread.csv"))
+        assert code == EXIT_RUNTIME
+        assert out == ""
+        assert message in json.loads(err)["error"]
+        assert "Traceback" not in err
+
+    def test_split_too_short_creates_no_dump(self, dataset, tmp_path, capsys):
+        out = tmp_path / "run"
+        run_cli(capsys, *train_args(dataset, out))
+        rows = (dataset / "series.csv").read_text().splitlines()
+        short = tmp_path / "short.csv"
+        short.write_text("".join(",".join(r.split(",")[:51]) + "\n" for r in rows))
+        preds = tmp_path / "preds.csv"
+        code, _, err = run_cli(capsys, "eval", "--checkpoint", str(out / "checkpoint.psld"),
+                               "--data", str(short), "--dump-predictions", str(preds))
+        assert code == EXIT_RUNTIME
+        assert "too short" in json.loads(err)["error"]
+        assert not preds.exists()
+
+    @pytest.mark.parametrize("denormalize", [False, True])
+    def test_dump_predictions_forecasts_once(self, dataset, tmp_path, capsys,
+                                             monkeypatch, denormalize):
+        out = tmp_path / "run"
+        run_cli(capsys, *train_args(dataset, out))
+        argv = ["eval", "--checkpoint", str(out / "checkpoint.psld"),
+                "--data", str(dataset / "series.csv"), "--split", "val"]
+        argv += ["--denormalize"] if denormalize else []
+        _, plain, _ = run_cli(capsys, *argv)
+        passes = []
+        real = training._forecast_chunks
+
+        def counted(*args, **kwargs):
+            passes.append(None)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(training, "_forecast_chunks", counted)
+        preds = tmp_path / "preds.csv"
+        code, dumped, _ = run_cli(capsys, *argv, "--dump-predictions", str(preds))
+        assert code == EXIT_OK
+        assert len(passes) == 1
+        assert dumped == plain
+        # test split: 15 windows over 10 nodes and 6 horizon steps, plus a header
+        assert len(preds.read_text().splitlines()) == 15 * 10 * 6 + 1
 
 
 class TestRssCheck:

@@ -1,4 +1,6 @@
 import copy
+import json
+import struct
 
 import numpy as np
 import pytest
@@ -32,6 +34,60 @@ def bundle_pair(kind, seed=0, n=6, l_in=8, l_out=4):
     y = g.standard_normal((n, l_out))
     cfg = make_config(kind, kappa_t=5, kappa_s=3)
     return decompose(x, cfg), decompose(y, cfg), x, y, cfg
+
+
+def reference_head_backward(head, cache, g_out, grads):
+    """The per-tensor backward pass: fresh gradient arrays stored by name."""
+    name = head.name
+    grads[f"{name}.p.w"] = g_out.T @ cache.h2
+    grads[f"{name}.p.b"] = g_out.sum(axis=0)
+    d_h2 = g_out @ head.wp
+    grads[f"{name}.l2.w"] = d_h2.T @ cache.ad
+    grads[f"{name}.l2.b"] = d_h2.sum(axis=0)
+    d_ad = d_h2 @ head.w2
+    d_a = d_ad * cache.mask if cache.mask is not None else d_ad
+    d_h1 = d_a * (cache.h1 > 0.0)
+    grads[f"{name}.l1.w"] = d_h1.T @ cache.z
+    grads[f"{name}.l1.b"] = d_h1.sum(axis=0)
+    return d_h1 @ head.w1
+
+
+def reference_head_forward(head, z, dropout, rng):
+    """The forward pass with fresh arrays and an out-of-place dropout product."""
+    h1 = z @ head.w1.T + head.b1
+    a = np.maximum(h1, 0.0)
+    mask = (rng.gen.random(a.shape) >= dropout) / (1.0 - dropout)
+    ad = a * mask
+    h2 = ad @ head.w2.T + head.b2
+    return h2 @ head.wp.T + head.bp, ad
+
+
+def reference_adam_step(params, grads, m, v, t, lr):
+    """The per-tensor ADAM update over dicts of moments, step number t."""
+    b1c = 1.0 - md.ADAM_BETA1 ** t
+    b2c = 1.0 - md.ADAM_BETA2 ** t
+    for name, tensor in named_tensors(params):
+        g = grads[name]
+        m[name] *= md.ADAM_BETA1
+        m[name] += (1.0 - md.ADAM_BETA1) * g
+        v[name] *= md.ADAM_BETA2
+        v[name] += (1.0 - md.ADAM_BETA2) * (g * g)
+        tensor -= lr * (m[name] / b1c) / (np.sqrt(v[name] / b2c) + md.ADAM_EPS)
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+MODEL_VARIANTS = [("mvd", "separate"), ("mvd", "merged"), ("stl", "separate"),
+                  ("stl", "merged"), ("plain", None)]
+
+
+def variant_model(kind, mode, hidden=16):
+    if kind == "plain":
+        return init_plain_params(8, 4, hidden, 0.1, Rng(1)), None
+    return (init_params(kind, 8, 4, hidden, 0.1, mode, Rng(1)),
+            make_config(kind, kappa_t=5, kappa_s=3))
 
 
 class TestHeadPlan:
@@ -248,9 +304,9 @@ class TestAdam:
         # -lr * 1 / (1 + eps)
         p = init_params("mvd", 4, 2, 4, 0.0, "separate", Rng(0))
         before = {n: t.copy() for n, t in named_tensors(p)}
-        grads = {n: np.ones_like(t) for n, t in named_tensors(p)}
+        p.grads.flat[:] = 1.0
         st = AdamState.for_params(p)
-        adam_step(p, grads, st, lr=0.01)
+        adam_step(p, p.grads, st, lr=0.01)
         want_delta = -0.01 / (1.0 + 1e-8)
         for n, t in named_tensors(p):
             assert np.max(np.abs((t - before[n]) - want_delta)) <= 1e-15
@@ -258,9 +314,9 @@ class TestAdam:
     def test_zero_grad_leaves_params_but_advances_t(self):
         p = init_params("mvd", 4, 2, 4, 0.0, "separate", Rng(0))
         before = {n: t.copy() for n, t in named_tensors(p)}
-        grads = {n: np.zeros_like(t) for n, t in named_tensors(p)}
+        p.grads.flat[:] = 0.0
         st = AdamState.for_params(p)
-        adam_step(p, grads, st, lr=0.01)
+        adam_step(p, p.grads, st, lr=0.01)
         assert st.t == 1
         for n, t in named_tensors(p):
             assert np.array_equal(t, before[n])
@@ -268,7 +324,8 @@ class TestAdam:
     def test_steps_are_deterministic(self):
         p1 = init_params("mvd", 4, 2, 4, 0.0, "separate", Rng(0))
         p2 = copy.deepcopy(p1)
-        grads = {n: np.full_like(t, 0.5) for n, t in named_tensors(p1)}
+        grads = p1.grads
+        grads.flat[:] = 0.5
         s1 = AdamState.for_params(p1)
         s2 = AdamState.for_params(p2)
         for _ in range(3):
@@ -357,3 +414,242 @@ class TestPlainHead:
             losses.append(loss.total)
             adam_step(p, grads, st, lr=0.01)
         assert losses[-1] < losses[0]
+
+
+class TestFlatBuffers:
+    @pytest.mark.parametrize("kind,mode", MODEL_VARIANTS)
+    def test_steps_match_per_tensor_reference_bits(self, kind, mode, monkeypatch):
+        # 200 training steps through the flat gradient vector and blocked
+        # ADAM against fresh per-tensor gradients and per-tensor ADAM
+        new, cfg = variant_model(kind, mode)
+        ref = copy.deepcopy(new)
+        m = {n: np.zeros_like(t) for n, t in named_tensors(ref)}
+        v = {n: np.zeros_like(t) for n, t in named_tensors(ref)}
+        state = AdamState.for_params(new)
+        for step in range(200):
+            g = Rng(9).child(step).gen
+            x, y = g.standard_normal((6, 8)), g.standard_normal((6, 4))
+            _, grads = md.train_step(new, x, y, cfg, 0.5, Rng(5).child(step))
+            with monkeypatch.context() as patched:
+                patched.setattr(md, "_head_backward", reference_head_backward)
+                _, ref_grads = md.train_step(ref, x, y, cfg, 0.5, Rng(5).child(step))
+            assert list(grads) == list(ref_grads)
+            for name in grads:
+                assert np.array_equal(bits(grads[name]), bits(ref_grads[name])), name
+            adam_step(new, grads, state, lr=0.01)
+            reference_adam_step(ref, ref_grads, m, v, step + 1, lr=0.01)
+        assert np.array_equal(bits(new.flat), bits(ref.flat))
+        assert np.array_equal(bits(state.m), bits(np.concatenate([a.ravel() for a in m.values()])))
+        assert np.array_equal(bits(state.v), bits(np.concatenate([a.ravel() for a in v.values()])))
+
+    @pytest.mark.parametrize("kind,mode", MODEL_VARIANTS)
+    def test_step_buffers_keep_the_bits(self, kind, mode):
+        p, cfg = variant_model(kind, mode)
+        buffers = {}
+        for step, rows in enumerate((6, 6, 9, 6)):
+            g = Rng(9).child(step).gen
+            x, y = g.standard_normal((rows, 8)), g.standard_normal((rows, 4))
+            loss, grads = md.train_step(p, x, y, cfg, 0.5, Rng(5).child(step))
+            want = {n: a.copy() for n, a in grads.items()}
+            got_loss, got = md.train_step(p, x, y, cfg, 0.5, Rng(5).child(step), buffers)
+            assert got_loss == loss
+            for name in want:
+                assert np.array_equal(bits(got[name]), bits(want[name])), name
+        assert buffers and all(b.shape[0] == 6 for b in buffers.values())
+
+    def test_in_place_dropout_matches_product(self):
+        head = init_params("stl", 8, 4, 16, 0.3, "separate", Rng(1)).heads["t"]
+        z = Rng(2).gen.standard_normal((7, 8))
+        out, cache = md._head_forward(head, z, 0.3, Rng(3))
+        want_out, want_ad = reference_head_forward(head, z, 0.3, Rng(3))
+        assert np.array_equal(bits(cache.ad), bits(want_ad))
+        assert np.array_equal(bits(out), bits(want_out))
+
+    def test_adam_blocks_cover_a_vector_longer_than_one_block(self):
+        p, _ = variant_model("stl", "merged", hidden=64)
+        assert p.flat.size > 2 * md._ADAM_BLOCK
+        ref = copy.deepcopy(p)
+        p.grads.flat[:] = Rng(3).gen.standard_normal(p.flat.size)
+        grads = {n: g.copy() for n, g in p.grads.items()}
+        m = {n: np.zeros_like(t) for n, t in named_tensors(ref)}
+        v = {n: np.zeros_like(t) for n, t in named_tensors(ref)}
+        state = AdamState.for_params(p)
+        for t in (1, 2, 3):
+            adam_step(p, p.grads, state, lr=0.01)
+            reference_adam_step(ref, grads, m, v, t, lr=0.01)
+        assert np.array_equal(bits(p.flat), bits(ref.flat))
+
+    @pytest.mark.parametrize("kind,mode", MODEL_VARIANTS)
+    def test_views_follow_the_vector(self, kind, mode):
+        p, _ = variant_model(kind, mode)
+        names = [n for n, _ in named_tensors(p)]
+        assert names == list(p.grads)
+        for (name, t), (_, g) in zip(named_tensors(p), p.grads.items()):
+            assert np.shares_memory(t, p.flat) and np.shares_memory(g, p.grads.flat), name
+        heads = [p.head] if kind == "plain" else [*p.heads.values(), p.combinator]
+        for head in heads:
+            assert head.w2 is p.tensors[f"{head.name}.l2.w"]
+        assert np.array_equal(p.flat, np.concatenate([t.ravel() for _, t in named_tensors(p)]))
+
+    @pytest.mark.parametrize("kind,mode", MODEL_VARIANTS)
+    def test_deep_copy_does_not_share_memory(self, kind, mode):
+        p, _ = variant_model(kind, mode)
+        before = p.flat.copy()
+        q = copy.deepcopy(p)
+        assert not np.shares_memory(p.flat, q.flat)
+        assert not np.shares_memory(p.grads.flat, q.grads.flat)
+        for _, t in named_tensors(q):
+            t[...] = 7.0
+        assert np.all(q.flat == 7.0)
+        assert np.array_equal(p.flat, before)
+        p.flat[:] = -1.0
+        assert np.all(q.flat == 7.0)
+
+    def test_merged_combinator_does_not_share_memory(self):
+        sep = init_params("mvd", 8, 4, 16, 0.0, "separate", Rng(7))
+        before = sep.flat.copy()
+        mer = merge_params(sep)
+        assert not np.shares_memory(mer.flat, sep.flat)
+        assert np.array_equal(mer.combinator.w1, sep.combinator.w1)
+        mer.combinator.w1[...] = 3.0
+        mer.heads["merged"].w2[...] = 3.0
+        assert np.array_equal(sep.flat, before)
+
+    @pytest.mark.parametrize("kind,mode", MODEL_VARIANTS[:4])
+    def test_merged_blocks_are_disjoint_and_cover_separate_tensors(self, kind, mode):
+        # every separate tensor lands on its own entries of the merged layout
+        sep = init_params(kind, 8, 4, 16, 0.0, "separate", Rng(7))
+        sep.flat[:] = np.arange(1, sep.flat.size + 1)
+        mer = merge_params(sep)
+        assert np.array_equal(np.sort(mer.flat[mer.flat != 0.0]), sep.flat)
+
+    def test_gradients_are_overwritten_by_the_next_backward_pass(self):
+        xb, yb, x, y, cfg = bundle_pair("mvd", seed=4)
+        p = init_params("mvd", 8, 4, 16, 0.0, "separate", Rng(3))
+        _, first = loss_and_backward(p, forward(p, xb), yb, y, 1.0)
+        kept = first.flat.copy()
+        _, second = loss_and_backward(p, forward(p, xb), yb, 2.0 * y, 1.0)
+        assert second is first
+        assert not np.array_equal(second.flat, kept)
+
+
+class TestGradcheckCopiesAnalytic:
+    def test_report_ignores_gradients_of_later_passes(self, monkeypatch):
+        want = finite_difference_check("stl", "merged", seed=2)
+        real = md.loss_and_backward
+        calls = []
+
+        def spoiling(*args, **kwargs):
+            # every pass after the analytic one scribbles over its gradients
+            losses, grads = real(*args, **kwargs)
+            calls.append(None)
+            if len(calls) > 1:
+                grads.flat[:] = 1e3
+            return losses, grads
+
+        monkeypatch.setattr(md, "loss_and_backward", spoiling)
+        assert finite_difference_check("stl", "merged", seed=2) == want
+        assert len(calls) > 1
+
+
+def checkpoint_records(params):
+    return [(n.encode(), t.ndim, t.shape, t.astype("<f8").tobytes())
+            for n, t in named_tensors(params)]
+
+
+def write_records(path, records):
+    with open(path, "wb") as f:
+        f.write(md.CHECKPOINT_MAGIC)
+        for name, rank, dims, payload in records:
+            f.write(struct.pack("<I", len(name)) + name + struct.pack("<I", rank)
+                    + struct.pack(f"<{len(dims)}Q", *dims) + payload)
+
+
+def _extra(r):
+    return r + [(b"zz.extra", 1, (2,), bytes(16))]
+
+
+def _duplicate(r):
+    return r + [r[1]]
+
+
+def _duplicate_in_place(r):
+    return r[:2] + [r[1]] + r[2:]
+
+
+def _bad_utf8(r):
+    return r + [(b"\xff\xfe", 1, (1,), bytes(8))]
+
+
+def _huge_rank(r):
+    return r[:1] + [(b"m.l1.b", 2 ** 31, (), b"")] + r[2:]
+
+
+def _huge_dims(r):
+    return [(b"m.l1.w", 2, (2 ** 40, 2 ** 40), r[0][3])] + r[1:]
+
+
+def _huge_name_length(r):
+    return r[:1] + [(b"m.l1.b" + bytes(2 ** 20), 1, (4,), bytes(32))] + r[2:]
+
+
+# (mutation of the records, text the error must contain)
+MALFORMED = {
+    "extra": (_extra, "unexpected tensor 'zz.extra' after the last one"),
+    "duplicate": (_duplicate, "unexpected tensor 'm.l1.b' after the last one"),
+    "duplicate-in-place": (_duplicate_in_place, "unexpected tensor 'm.l1.b' where 'm.l2.w' belongs"),
+    "bad-utf8": (_bad_utf8, "tensor name b'\\xff\\xfe' is not UTF-8"),
+    "huge-rank": (_huge_rank, "tensor 'm.l1.b' has rank 2147483648, expected 1"),
+    "huge-dims": (_huge_dims, "tensor 'm.l1.w' has shape (1099511627776, 1099511627776), "
+                              "expected (4, 1)"),
+    "huge-name-length": (_huge_name_length, "tensor name of 1048582 bytes"),
+    "out-of-order": (lambda r: [r[1], r[0]] + r[2:], "unexpected tensor 'm.l1.b' where 'm.l1.w' belongs"),
+}
+
+
+def malformed_checkpoint(path, case):
+    p = init_params("mvd", 4, 2, 4, 0.0, "separate", Rng(0))
+    save_checkpoint(path, p, {})
+    records = checkpoint_records(p)
+    write_records(path, records)
+    assert load_checkpoint(path)[0].flat.tolist() == p.flat.tolist()
+    mutate, message = MALFORMED[case]
+    write_records(path, mutate(records))
+    return message
+
+
+class TestCheckpointLayout:
+    def test_record_writer_reproduces_save_checkpoint(self, tmp_path):
+        p = init_params("stl", 8, 4, 16, 0.05, "merged", Rng(3))
+        save_checkpoint(tmp_path / "a.psld", p, {})
+        write_records(tmp_path / "b.psld", checkpoint_records(p))
+        assert (tmp_path / "a.psld").read_bytes() == (tmp_path / "b.psld").read_bytes()
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_record_names_tensor(self, tmp_path, case):
+        path = tmp_path / "model.psld"
+        message = malformed_checkpoint(path, case)
+        with pytest.raises(CheckpointError) as exc:
+            load_checkpoint(path)
+        assert message in str(exc.value)
+
+    def test_missing_tensor_is_named(self, tmp_path):
+        p = init_params("mvd", 4, 2, 4, 0.0, "separate", Rng(0))
+        path = tmp_path / "model.psld"
+        save_checkpoint(path, p, {})
+        write_records(path, checkpoint_records(p)[:-1])
+        with pytest.raises(CheckpointError) as exc:
+            load_checkpoint(path)
+        assert "missing tensor 'cbn.p.b'" in str(exc.value)
+
+    def test_sidecar_layout_larger_than_file(self, tmp_path):
+        # a sidecar asking for a huge model is refused before any allocation
+        p = init_params("mvd", 4, 2, 4, 0.0, "separate", Rng(0))
+        path = tmp_path / "model.psld"
+        save_checkpoint(path, p, {})
+        sidecar = json.loads((tmp_path / "model.psld.json").read_text())
+        sidecar["hidden"] = 10 ** 9
+        (tmp_path / "model.psld.json").write_text(json.dumps(sidecar))
+        with pytest.raises(CheckpointError) as exc:
+            load_checkpoint(path)
+        assert "too small" in str(exc.value)

@@ -319,6 +319,19 @@ class TestTrain:
         got = evaluate(params, normed, cfg, ranges["val"])
         assert got["mse"] == pytest.approx(best, rel=1e-12)
 
+    def test_best_params_are_a_separate_vector(self, train_store):
+        cfg = small_config(epochs=3)
+        normed, ranges, _ = prepare_store(train_store, cfg)
+        params = init_params(cfg.decomposer, cfg.l_in, cfg.l_out, cfg.hidden,
+                             cfg.dropout, cfg.mode, Rng(cfg.seed).child("init"))
+        best, _ = tr._fit(params, normed, ranges, cfg)
+        assert not np.shares_memory(best.flat, params.flat)
+        kept = best.flat.copy()
+        params.flat[:] = 0.0
+        assert np.array_equal(best.flat, kept)
+        for name, t in named_tensors(best):
+            assert np.shares_memory(t, best.flat), name
+
     def test_report_epochs_sequential(self, train_store):
         cfg = small_config(epochs=3)
         _, reports = train(train_store, cfg)
