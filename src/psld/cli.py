@@ -25,7 +25,7 @@ from .dataset import (
     save_csv,
     split_ranges,
 )
-from .exceptions import NumericError, PsldError
+from .exceptions import CheckpointError, NumericError, PsldError
 from .model import finite_difference_check, load_checkpoint, save_checkpoint
 from .numerics import Rng
 from .sampler import NORM_MODES, SampleDesign, random_graph, unbiasedness_mc_check
@@ -251,7 +251,10 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     try:
         params, sidecar = load_checkpoint(args.checkpoint)
-        config = TrainConfig.from_dict(sidecar["config"])
+        try:
+            config = TrainConfig.from_dict(sidecar["config"])
+        except ValueError as err:
+            raise CheckpointError(f"checkpoint sidecar {args.checkpoint}.json: {err}") from None
         store = load_csv(args.data, args.adjacency)
         normed, ranges, stats = prepare_store(store, config)
         split = ranges[args.split]

@@ -625,6 +625,42 @@ def save_checkpoint(path, params: PsldParams, config: dict) -> None:
         f.write("\n")
 
 
+def _is_count(value) -> bool:
+    return type(value) is int and value >= 1
+
+
+# (field, check, what the check wants) for every model field a sidecar carries
+_SIDECAR_SCHEMA = (
+    ("kind", lambda v: v in ("mvd", "stl"), "'mvd' or 'stl'"),
+    ("mode", lambda v: v in ("separate", "merged"), "'separate' or 'merged'"),
+    ("l_in", _is_count, "an integer >= 1"),
+    ("l_out", _is_count, "an integer >= 1"),
+    ("hidden", _is_count, "an integer >= 1"),
+    ("dropout", lambda v: type(v) in (int, float) and 0.0 <= v < 1.0, "a number in [0, 1)"),
+    ("config", lambda v: isinstance(v, dict), "a JSON object"),
+)
+
+
+def _read_sidecar(path) -> dict:
+    """The JSON sidecar of the checkpoint at path, its model fields checked."""
+    where = f"checkpoint sidecar {path}.json"
+    try:
+        with open(str(path) + ".json", "r", encoding="utf-8") as side:
+            sidecar = json.load(side)
+    except FileNotFoundError:
+        raise CheckpointError(f"missing {where}") from None
+    except ValueError as err:
+        raise CheckpointError(f"{where} is not valid JSON: {err}") from None
+    if not isinstance(sidecar, dict):
+        raise CheckpointError(f"{where} is not a JSON object")
+    for key, check, want in _SIDECAR_SCHEMA:
+        if key not in sidecar:
+            raise CheckpointError(f"{where} has no field {key!r}")
+        if not check(sidecar[key]):
+            raise CheckpointError(f"{where}: field {key!r} must be {want}, got {sidecar[key]!r}")
+    return sidecar
+
+
 def _read_exact(f, n: int, what: str) -> bytes:
     data = f.read(n)
     if len(data) != n:
@@ -661,14 +697,10 @@ def load_checkpoint(path):
         magic = f.read(len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
             raise CheckpointError(f"bad magic in checkpoint {path}: {magic!r}")
-        try:
-            with open(str(path) + ".json", "r", encoding="utf-8") as side:
-                sidecar = json.load(side)
-        except FileNotFoundError:
-            raise CheckpointError(f"missing checkpoint sidecar {path}.json") from None
+        sidecar = _read_sidecar(path)
         kind, mode = sidecar["kind"], sidecar["mode"]
-        l_in, l_out = int(sidecar["l_in"]), int(sidecar["l_out"])
-        hidden, dropout = int(sidecar["hidden"]), float(sidecar["dropout"])
+        l_in, l_out, hidden = sidecar["l_in"], sidecar["l_out"], sidecar["hidden"]
+        dropout = float(sidecar["dropout"])
         slots = _slots(_psld_heads(kind, mode, l_in, l_out, hidden))
         if 8 * slots[-1][3] > os.fstat(f.fileno()).st_size:
             raise CheckpointError(f"checkpoint {path} is too small for the "

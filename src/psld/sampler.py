@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import SeriesStore
+from .dataset import SeriesStore, _both_directions, _edge_array
 from .numerics import Rng, shuffle_indices
 
 NORM_MODES = ("target_degree", "symmetric_sqrt", "unit")
@@ -115,47 +115,61 @@ def _adjacency_blocks(edges, order: np.ndarray, bounds: list) -> list:
 
 @dataclass(frozen=True)
 class GraphSpec:
-    """Static graph with node features and a shared projection.
+    """Static directed graph with node features and a shared projection.
 
-    ``neighbors[v]`` is a sorted tuple of v's neighbor indices,
-    ``features`` is (n_nodes, d_in), ``weight`` is (d_in, d_out) and is
-    applied as features @ weight. ``norm_mode`` picks the edge constant:
-    the aggregating node's degree, the symmetric square root of both
-    degrees, or 1.
+    ``edges`` are ``SeriesStore.adjacency`` rows, validated the same way:
+    ``[src, dst, weight]`` makes dst a neighbor of src, and the weight is
+    not read. ``features`` is (n_nodes, d_in), ``weight`` is (d_in, d_out),
+    applied as features @ weight. The sorted distinct pairs are ``src`` and
+    ``dst``, with ``inv_norm`` = 1 / C_vu for each; ``degree`` counts
+    neighbors. ``norm_mode`` picks C_vu: v's degree, the square root of
+    both degrees, or 1.
     """
 
-    neighbors: tuple
+    edges: np.ndarray
     features: np.ndarray
     weight: np.ndarray
     norm_mode: str = "target_degree"
 
     def __post_init__(self):
-        nbs = tuple(tuple(sorted(set(int(u) for u in row))) for row in self.neighbors)
-        n = len(nbs)
-        for v, row in enumerate(nbs):
-            for u in row:
-                if not 0 <= u < n:
-                    raise ValueError(f"neighbor {u} of node {v} out of range")
-                if u == v:
-                    raise ValueError(f"self-loop on node {v} is not supported")
-        object.__setattr__(self, "neighbors", nbs)
         f = np.asarray(self.features, dtype=np.float64)
         w = np.asarray(self.weight, dtype=np.float64)
-        if f.ndim != 2 or f.shape[0] != n:
-            raise ValueError(f"features must be ({n}, d_in), got {f.shape}")
-        if w.ndim != 2 or w.shape[0] != f.shape[1]:
-            raise ValueError(f"weight must be ({f.shape[1]}, d_out), got {w.shape}")
-        if self.norm_mode not in NORM_MODES:
-            raise ValueError(f"norm_mode must be one of {NORM_MODES}, got {self.norm_mode!r}")
-        object.__setattr__(self, "features", f)
-        object.__setattr__(self, "weight", w)
+        if f.ndim != 2 or w.ndim != 2 or w.shape[0] != f.shape[1]:
+            raise ValueError(f"need features (n_nodes, d_in) and weight (d_in, d_out), "
+                             f"got {f.shape} and {w.shape}")
+        n = f.shape[0]
+        edges = _edge_array(self.edges, n)
+        key = np.sort(edges[:, 0].astype(np.intp) * n + edges[:, 1].astype(np.intp))
+        src, dst = np.divmod(key[np.diff(key, prepend=-1) != 0], n)
+        degree = np.bincount(src, minlength=n)
+        for name, value in (("edges", edges), ("features", f), ("weight", w),
+                            ("src", src), ("dst", dst), ("degree", degree),
+                            ("inv_norm", _inv_norm(self.norm_mode, src, dst, degree))):
+            object.__setattr__(self, name, value)
 
     @property
     def n_nodes(self) -> int:
-        return len(self.neighbors)
+        return self.features.shape[0]
 
-    def degree(self, v: int) -> int:
-        return len(self.neighbors[v])
+    def pairs(self, v: int) -> slice:
+        """The slice of ``src``, ``dst`` and ``inv_norm`` whose source is v."""
+        if not 0 <= v < self.n_nodes:
+            raise IndexError(f"node {v} out of range for {self.n_nodes} nodes")
+        return slice(*np.searchsorted(self.src, (v, v + 1)).tolist())
+
+
+def _inv_norm(norm_mode: str, src: np.ndarray, dst: np.ndarray, degree: np.ndarray) -> np.ndarray:
+    """1 / C_vu for every pair (v, u) = (src, dst); the only reader of a norm mode."""
+    if norm_mode == "target_degree":
+        return 1.0 / degree[src]
+    if norm_mode == "symmetric_sqrt":
+        sinks = dst[degree[dst] == 0]
+        if sinks.size:
+            raise ValueError(f"symmetric_sqrt: node {sinks[0]} is a neighbor but has none itself")
+        return 1.0 / np.sqrt(degree[src] * degree[dst])
+    if norm_mode == "unit":
+        return np.ones(len(src))
+    raise ValueError(f"norm_mode must be one of {NORM_MODES}, got {norm_mode!r}")
 
 
 @dataclass(frozen=True)
@@ -168,7 +182,7 @@ class SampleDesign:
         p = np.asarray(self.inclusion_prob, dtype=np.float64)
         if p.ndim != 1 or p.size < 1:
             raise ValueError(f"inclusion_prob must be a 1-D vector, got shape {p.shape}")
-        if np.any(p <= 0.0) or np.any(p > 1.0):
+        if not np.all((p > 0.0) & (p <= 1.0)):
             raise ValueError("inclusion probabilities must lie in (0, 1]")
         object.__setattr__(self, "inclusion_prob", p)
 
@@ -177,20 +191,10 @@ class SampleDesign:
         return cls(np.full(n_nodes, float(p)))
 
 
-def _norm_constant(g: GraphSpec, v: int, u: int) -> float:
-    if g.norm_mode == "target_degree":
-        return float(g.degree(v))
-    if g.norm_mode == "symmetric_sqrt":
-        return math.sqrt(g.degree(v) * g.degree(u))
-    return 1.0
-
-
 def _inv_norm_matrix(g: GraphSpec) -> np.ndarray:
     """Matrix with [v, u] = 1 / C_vu on edges and 0 elsewhere."""
     mat = np.zeros((g.n_nodes, g.n_nodes), dtype=np.float64)
-    for v, row in enumerate(g.neighbors):
-        for u in row:
-            mat[v, u] = 1.0 / _norm_constant(g, v, u)
+    mat[g.src, g.dst] = g.inv_norm
     return mat
 
 
@@ -199,10 +203,8 @@ def aggregate_true(g: GraphSpec, v: int) -> np.ndarray:
 
     Isolated nodes aggregate to the zero vector.
     """
-    acc = np.zeros(g.weight.shape[1], dtype=np.float64)
-    for u in g.neighbors[v]:
-        acc = acc + (g.features[u] @ g.weight) / _norm_constant(g, v, u)
-    return acc
+    s = g.pairs(v)
+    return g.inv_norm[s] @ (g.features[g.dst[s]] @ g.weight)
 
 
 def aggregate_sampled(g: GraphSpec, v: int, sampled, design: SampleDesign) -> np.ndarray:
@@ -212,15 +214,10 @@ def aggregate_sampled(g: GraphSpec, v: int, sampled, design: SampleDesign) -> np
     makes the estimator unbiased for aggregate_true under independent
     inclusion with probabilities P.
     """
-    included = frozenset(int(u) for u in sampled)
-    acc = np.zeros(g.weight.shape[1], dtype=np.float64)
-    for u in g.neighbors[v]:
-        if u in included:
-            p = float(design.inclusion_prob[u])
-            if p <= 0.0:
-                raise ValueError(f"sampled node {u} has inclusion probability {p}")
-            acc = acc + (g.features[u] @ g.weight) / (_norm_constant(g, v, u) * p)
-    return acc
+    s = g.pairs(v)
+    hit = np.isin(g.dst[s], np.fromiter(sampled, dtype=np.intp))
+    u = g.dst[s][hit]
+    return (g.inv_norm[s][hit] / design.inclusion_prob[u]) @ (g.features[u] @ g.weight)
 
 
 @dataclass(frozen=True)
@@ -313,22 +310,24 @@ def random_graph(
     edge_prob: float = 0.2,
     norm_mode: str = "target_degree",
 ) -> GraphSpec:
-    """Seeded undirected random graph with no isolated nodes."""
+    """Seeded undirected random graph with no isolated nodes.
+
+    Pair i < j is linked when its entry of one uniform (n, n) draw is below
+    edge_prob; then each node still isolated, in index order, is linked to
+    the next node (mod n).
+    """
     if n_nodes < 2:
         raise ValueError(f"need at least two nodes, got {n_nodes}")
     g = rng.gen
-    draw = g.random((n_nodes, n_nodes))
-    nbs = [set() for _ in range(n_nodes)]
-    for i in range(n_nodes):
-        for j in range(i + 1, n_nodes):
-            if draw[i, j] < edge_prob:
-                nbs[i].add(j)
-                nbs[j].add(i)
-    for i in range(n_nodes):
-        if not nbs[i]:
-            j = (i + 1) % n_nodes
-            nbs[i].add(j)
-            nbs[j].add(i)
-    features = g.standard_normal((n_nodes, d_in))
-    weight = g.standard_normal((d_in, d_out))
-    return GraphSpec(tuple(tuple(sorted(s)) for s in nbs), features, weight, norm_mode)
+    src, dst = np.nonzero(np.triu(g.random((n_nodes, n_nodes)) < edge_prob, k=1))
+    linked = np.bincount(np.append(src, dst), minlength=n_nodes) > 0
+    lonely = []
+    for i in np.flatnonzero(~linked).tolist():
+        if not linked[i]:
+            lonely.append(i)
+            linked[[i, (i + 1) % n_nodes]] = True
+    lonely = np.array(lonely, dtype=np.intp)
+    src, dst = np.append(src, lonely), np.append(dst, (lonely + 1) % n_nodes)
+    edges = _both_directions(src, dst, np.ones(len(src)))
+    return GraphSpec(edges, g.standard_normal((n_nodes, d_in)),
+                     g.standard_normal((d_in, d_out)), norm_mode)

@@ -96,13 +96,31 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TrainConfig":
+        """The config ``to_dict`` wrote; a mistyped field raises ValueError naming it."""
         kwargs = {}
         for f in fields(cls):
             key = "lambda" if f.name == "lam" else f.name
             if key in data:
                 value = data[key]
+                check, want = _FIELD_TYPES[f.type]
+                if not check(value):
+                    raise ValueError(f"config field {key!r} must be {want}, got {value!r}")
                 kwargs[f.name] = tuple(value) if f.name == "split" else value
         return cls(**kwargs)
+
+
+def _is_number(value) -> bool:
+    return type(value) in (int, float)
+
+
+# check and description per annotated TrainConfig field type; bools are refused
+_FIELD_TYPES = {
+    "int": (lambda v: type(v) is int, "an integer"),
+    "float": (_is_number, "a number"),
+    "str": (lambda v: type(v) is str, "a string"),
+    "tuple": (lambda v: type(v) in (list, tuple) and all(map(_is_number, v)),
+              "a list of numbers"),
+}
 
 
 @dataclass(frozen=True)

@@ -31,17 +31,10 @@ def synth_store():
 
 def line_graph(n: int, rng: Rng, d_in: int = 3, d_out: int = 2) -> GraphSpec:
     """n nodes in a path, random features and weight."""
-    neighbors = []
-    for v in range(n):
-        nbrs = []
-        if v > 0:
-            nbrs.append(v - 1)
-        if v < n - 1:
-            nbrs.append(v + 1)
-        neighbors.append(tuple(nbrs))
+    edges = [(v, v + 1, 1.0) for v in range(n - 1)] + [(v + 1, v, 1.0) for v in range(n - 1)]
     g = rng.gen
     return GraphSpec(
-        neighbors=tuple(neighbors),
+        edges=edges,
         features=g.standard_normal((n, d_in)),
         weight=g.standard_normal((d_in, d_out)),
         norm_mode="target_degree",

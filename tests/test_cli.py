@@ -10,7 +10,9 @@ import pytest
 import psld
 from psld import training
 from psld.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
-from test_model import MALFORMED, malformed_checkpoint
+from psld.model import init_params, save_checkpoint
+from psld.numerics import Rng
+from test_model import BAD_SIDECARS, MALFORMED, bad_sidecar_checkpoint, malformed_checkpoint
 
 
 def run_cli(capsys, *argv):
@@ -238,6 +240,31 @@ class TestEval:
         assert out == ""
         assert message in json.loads(err)["error"]
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("case", sorted(BAD_SIDECARS))
+    def test_bad_sidecar_is_json_runtime_error(self, tmp_path, capsys, case):
+        ckpt = tmp_path / "model.psld"
+        message = bad_sidecar_checkpoint(ckpt, case)
+        code, out, err = run_cli(capsys, "eval", "--checkpoint", str(ckpt),
+                                 "--data", str(tmp_path / "unread.csv"))
+        assert code == EXIT_RUNTIME
+        assert out == ""
+        assert message in json.loads(err)["error"]
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("key,value,want", [
+        ("l_in", "abc", "config field 'l_in' must be an integer, got 'abc'"),
+        ("epochs", None, "config field 'epochs' must be an integer, got None"),
+        ("epochs", 0, "epochs must be >= 1, got 0"),
+    ])
+    def test_mistyped_sidecar_config_is_json_runtime_error(self, tmp_path, key, value, want):
+        # run as a process, so any traceback would reach stderr
+        ckpt = tmp_path / "model.psld"
+        save_checkpoint(ckpt, init_params("mvd", 4, 2, 4, 0.0, "separate", Rng(0)), {key: value})
+        proc = run_module("eval", "--checkpoint", str(ckpt), "--data", str(tmp_path / "unread.csv"))
+        assert proc.returncode == EXIT_RUNTIME
+        assert proc.stdout == ""
+        assert json.loads(proc.stderr)["error"] == f"checkpoint sidecar {ckpt}.json: {want}"
 
     def test_split_too_short_creates_no_dump(self, dataset, tmp_path, capsys):
         out = tmp_path / "run"

@@ -653,3 +653,72 @@ class TestCheckpointLayout:
         with pytest.raises(CheckpointError) as exc:
             load_checkpoint(path)
         assert "too small" in str(exc.value)
+
+
+def _sidecar_field(key, value):
+    def mutate(sidecar):
+        sidecar[key] = value
+        return json.dumps(sidecar)
+    return mutate
+
+
+def _without(key):
+    def mutate(sidecar):
+        del sidecar[key]
+        return json.dumps(sidecar)
+    return mutate
+
+
+# (new sidecar text from the saved sidecar dict, text the error must contain)
+BAD_SIDECARS = {
+    "dropout-too-large": (_sidecar_field("dropout", 7.0),
+                          "field 'dropout' must be a number in [0, 1), got 7.0"),
+    "dropout-nan": (_sidecar_field("dropout", float("nan")), "field 'dropout'"),
+    "dropout-string": (_sidecar_field("dropout", "0.1"), "field 'dropout'"),
+    "negative-hidden": (_sidecar_field("hidden", -3),
+                        "field 'hidden' must be an integer >= 1, got -3"),
+    "bool-l-in": (_sidecar_field("l_in", True), "field 'l_in' must be an integer >= 1, got True"),
+    "float-l-out": (_sidecar_field("l_out", 2.0), "field 'l_out' must be an integer >= 1, got 2.0"),
+    "unknown-kind": (_sidecar_field("kind", "fft"), "field 'kind' must be 'mvd' or 'stl'"),
+    "unknown-mode": (_sidecar_field("mode", ["separate"]), "field 'mode'"),
+    "missing-kind": (_without("kind"), "has no field 'kind'"),
+    "missing-config": (_without("config"), "has no field 'config'"),
+    "config-not-object": (_sidecar_field("config", [1, 2]),
+                          "field 'config' must be a JSON object, got [1, 2]"),
+    "not-json": (lambda sidecar: "{kind: mvd", "is not valid JSON"),
+    "not-utf8": (lambda sidecar: b"\xff\xfe".decode("latin-1"), "is not valid JSON"),
+    "not-object": (lambda sidecar: json.dumps([sidecar]), "is not a JSON object"),
+}
+
+
+def bad_sidecar_checkpoint(path, case):
+    """Save a tiny checkpoint, then rewrite its sidecar per BAD_SIDECARS[case]."""
+    save_checkpoint(path, init_params("mvd", 4, 2, 4, 0.0, "separate", Rng(0)), {})
+    side = path.parent / (path.name + ".json")
+    mutate, message = BAD_SIDECARS[case]
+    side.write_text(mutate(json.loads(side.read_text())), encoding="latin-1")
+    return message
+
+
+class TestSidecarSchema:
+    @pytest.mark.parametrize("case", sorted(BAD_SIDECARS))
+    def test_bad_sidecar_names_file_and_field(self, tmp_path, case):
+        path = tmp_path / "model.psld"
+        message = bad_sidecar_checkpoint(path, case)
+        with pytest.raises(CheckpointError) as exc:
+            load_checkpoint(path)
+        assert message in str(exc.value)
+        assert f"checkpoint sidecar {path}.json" in str(exc.value)
+
+    def test_integral_dropout_and_extra_fields_load(self, tmp_path):
+        # the writer's own fields pass, and JSON 0 is a number in [0, 1)
+        path = tmp_path / "model.psld"
+        p = init_params("stl", 4, 2, 4, 0.0, "merged", Rng(1))
+        save_checkpoint(path, p, {"note": "kept"})
+        side = tmp_path / "model.psld.json"
+        sidecar = json.loads(side.read_text())
+        sidecar["dropout"] = 0
+        side.write_text(json.dumps(sidecar))
+        loaded, read = load_checkpoint(path)
+        assert loaded.flat.tobytes() == p.flat.tobytes()
+        assert loaded.dropout == 0.0 and read["config"] == {"note": "kept"}

@@ -1,12 +1,16 @@
 import math
 import tracemalloc
+import warnings
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
+from psld import sampler
 from psld.dataset import SeriesStore, generate_synthetic
 from psld.numerics import Rng
 from psld.sampler import (
+    NORM_MODES,
     GraphSpec,
     SampleDesign,
     aggregate_sampled,
@@ -185,24 +189,78 @@ class TestPartition:
             rss_partition(store, 2, 8, 3, training=False, rng=Rng(0))
 
 
+def undirected(*links):
+    """Edge rows carrying each (a, b) link in both directions."""
+    return [(a, b, 1.0) for a, b in links] + [(b, a, 1.0) for a, b in links]
+
+
 class TestGraphSpec:
     def test_neighbor_normalization(self):
-        g = GraphSpec(neighbors=((2, 1, 1), (0,), (0,)),
+        # repeated rows collapse to one pair, and pairs sort by (src, dst)
+        g = GraphSpec(edges=((0, 2, 1.0), (0, 1, 1.0), (0, 1, 5.0), (1, 0, 1.0), (2, 0, 1.0)),
                       features=np.zeros((3, 2)),
                       weight=np.zeros((2, 2)),
                       norm_mode="target_degree")
-        assert g.neighbors[0] == (1, 2)
-        assert g.degree(0) == 2
+        assert g.src.tolist() == [0, 0, 1, 2]
+        assert g.dst.tolist() == [1, 2, 0, 0]
+        assert g.dst[g.pairs(0)].tolist() == [1, 2]
+        assert g.degree.tolist() == [2, 1, 1]
+        assert g.inv_norm.tolist() == [0.5, 0.5, 1.0, 1.0]
+
+    def test_takes_store_adjacency(self):
+        store = six_node_store()
+        g = GraphSpec(store.adjacency, np.ones((6, 2)), np.eye(2))
+        assert g.edges is store.adjacency
+        assert g.degree.tolist() == [2] * 6
+
+    def test_weight_column_is_not_read(self):
+        f, w = Rng(3).gen.standard_normal((4, 3)), Rng(4).gen.standard_normal((3, 2))
+        edges = np.array(undirected((0, 1), (1, 2), (2, 3), (0, 3)))
+        other = edges.copy()
+        other[:, 2] = np.arange(len(edges)) - 3.5
+        for mode in NORM_MODES:
+            a, b = GraphSpec(edges, f, w, mode), GraphSpec(other, f, w, mode)
+            assert np.array_equal(a.inv_norm, b.inv_norm)
+            for v in range(4):
+                assert np.array_equal(aggregate_true(a, v), aggregate_true(b, v))
 
     def test_rejects_self_loop(self):
-        with pytest.raises(ValueError):
-            GraphSpec(neighbors=((0,),), features=np.zeros((1, 2)),
+        with pytest.raises(ValueError, match="self-loop on node 0"):
+            GraphSpec(edges=((0, 0, 1.0),), features=np.zeros((1, 2)),
                       weight=np.zeros((2, 2)), norm_mode="target_degree")
+
+    def test_rejects_out_of_range_edge(self):
+        with pytest.raises(ValueError, match="out of range for 2 nodes"):
+            GraphSpec(edges=((0, 2, 1.0),), features=np.zeros((2, 2)),
+                      weight=np.zeros((2, 2)))
 
     def test_rejects_bad_mode(self):
         with pytest.raises(ValueError):
-            GraphSpec(neighbors=((1,), (0,)), features=np.zeros((2, 2)),
+            GraphSpec(edges=undirected((0, 1)), features=np.zeros((2, 2)),
                       weight=np.zeros((2, 2)), norm_mode="mean")
+
+    def test_rejects_mismatched_weight(self):
+        with pytest.raises(ValueError, match=r"got \(2, 2\) and \(3, 2\)"):
+            GraphSpec(edges=(), features=np.zeros((2, 2)), weight=np.zeros((3, 2)))
+
+    def test_symmetric_sqrt_neighbor_without_neighbors_is_named(self):
+        # node 2 is a neighbor of 0 but has no neighbors, so C_02 = sqrt(2 * 0)
+        # has no inverse; the graph is refused before any division
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="node 2 is a neighbor but has none"):
+                GraphSpec(edges=((0, 1, 1.0), (0, 2, 1.0), (1, 0, 1.0)),
+                          features=np.ones((3, 2)), weight=np.eye(2),
+                          norm_mode="symmetric_sqrt")
+            g = GraphSpec(edges=((0, 1, 1.0), (0, 2, 1.0), (1, 0, 1.0)),
+                          features=np.ones((3, 2)), weight=np.eye(2), norm_mode="unit")
+            assert np.isfinite(g.inv_norm).all()
+
+    def test_pairs_rejects_out_of_range_node(self):
+        g = line_graph(3, Rng(0))
+        for v in (-1, 3):
+            with pytest.raises(IndexError):
+                g.pairs(v)
 
 
 class TestAggregation:
@@ -210,16 +268,17 @@ class TestAggregation:
         g = line_graph(5, Rng(8))
         proj = g.features @ g.weight
         for v in range(5):
+            path = [u for u in (v - 1, v + 1) if 0 <= u < 5]
             want = np.zeros(proj.shape[1])
-            for u in g.neighbors[v]:
-                want += proj[u] / g.degree(v)
+            for u in path:
+                want += proj[u] / len(path)
             got = aggregate_true(g, v)
             assert np.max(np.abs(got - want)) <= 1e-12
 
     def test_two_neighbor_frozen_example(self):
         # node 1 in a 3-path: neighbors {0, 2}, degree 2,
         # features [1,0] and [0,1], weight identity
-        g = GraphSpec(neighbors=((1,), (0, 2), (1,)),
+        g = GraphSpec(edges=undirected((0, 1), (1, 2)),
                       features=np.array([[1.0, 0.0],
                                          [5.0, 5.0],
                                          [0.0, 1.0]]),
@@ -229,7 +288,7 @@ class TestAggregation:
         assert np.max(np.abs(got - np.array([0.5, 0.5]))) <= 1e-15
 
     def test_symmetric_sqrt_constant(self):
-        g = GraphSpec(neighbors=((1,), (0, 2), (1,)),
+        g = GraphSpec(edges=undirected((0, 1), (1, 2)),
                       features=np.array([[1.0, 0.0],
                                          [5.0, 5.0],
                                          [0.0, 1.0]]),
@@ -240,11 +299,13 @@ class TestAggregation:
         assert np.max(np.abs(aggregate_true(g, 1) - want)) <= 1e-15
 
     def test_isolated_node_is_zero(self):
-        g = GraphSpec(neighbors=((), (2,), (1,)),
+        g = GraphSpec(edges=undirected((1, 2)),
                       features=np.ones((3, 2)),
                       weight=np.ones((2, 2)),
                       norm_mode="target_degree")
         assert np.array_equal(aggregate_true(g, 0), np.zeros(2))
+        assert np.array_equal(aggregate_sampled(g, 0, range(3), SampleDesign.uniform(3, 0.5)),
+                              np.zeros(2))
 
     def test_full_sample_equals_truth(self):
         g = line_graph(6, Rng(2))
@@ -272,11 +333,37 @@ class TestAggregation:
             b = aggregate_sampled(g, v, sampled, half)
             assert np.max(np.abs(b - 2.0 * a)) <= 1e-12
 
+    @pytest.mark.parametrize("mode", NORM_MODES)
+    def test_matches_neighbor_list_reference(self, mode):
+        # reference: accumulate neighbor by neighbor with the per-pair constant
+        for seed in range(10):
+            n, edges, features, weight = random_directed_graph(2 * seed + 1)
+            g = GraphSpec(edges, features, weight, mode)
+            ref = NeighborListGraph(neighbor_lists(n, edges), features, weight, mode)
+            design = SampleDesign(np.random.default_rng(seed).uniform(0.2, 1.0, n))
+            sampled = set(np.flatnonzero(np.random.default_rng(seed).random(n) < 0.6).tolist())
+            for v in range(n):
+                true_want = np.zeros(weight.shape[1])
+                est_want = np.zeros(weight.shape[1])
+                for u in ref.neighbors[v]:
+                    term = (features[u] @ weight) / ref_norm_constant(ref, v, u)
+                    true_want = true_want + term
+                    if u in sampled:
+                        est_want = est_want + term / design.inclusion_prob[u]
+                assert np.allclose(aggregate_true(g, v), true_want, rtol=1e-13, atol=1e-14)
+                assert np.allclose(aggregate_sampled(g, v, sampled, design), est_want,
+                                   rtol=1e-13, atol=1e-14)
+
     def test_design_validation(self):
         with pytest.raises(ValueError):
             SampleDesign(inclusion_prob=np.array([0.0, 0.5]))
         with pytest.raises(ValueError):
             SampleDesign(inclusion_prob=np.array([1.5]))
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.nan])
+    def test_design_rejects_nan(self, bad):
+        with pytest.raises(ValueError, match=r"\(0, 1\]"):
+            SampleDesign(inclusion_prob=np.array([bad, 0.5]))
 
 
 class TestMcCheck:
@@ -286,7 +373,7 @@ class TestMcCheck:
         # (#sampled leaves)/0.5 with mean 4.
         n = 5
         g = GraphSpec(
-            neighbors=((1, 2, 3, 4), (0,), (0,), (0,), (0,)),
+            edges=undirected((0, 1), (0, 2), (0, 3), (0, 4)),
             features=np.ones((n, 1)),
             weight=np.ones((1, 1)),
             norm_mode="unit",
@@ -340,19 +427,153 @@ class TestRandomGraph:
     def test_deterministic(self):
         a = random_graph(15, Rng(3))
         b = random_graph(15, Rng(3))
-        assert a.neighbors == b.neighbors
+        assert np.array_equal(a.edges, b.edges)
         assert np.array_equal(a.features, b.features)
 
     def test_no_isolated_nodes(self):
         for seed in range(10):
             g = random_graph(10, Rng(seed), edge_prob=0.05)
-            assert all(len(nbrs) > 0 for nbrs in g.neighbors)
+            assert (g.degree > 0).all()
 
     def test_symmetry(self):
         g = random_graph(12, Rng(9))
-        for v, nbrs in enumerate(g.neighbors):
-            for u in nbrs:
-                assert v in g.neighbors[u]
+        pairs = set(zip(g.src.tolist(), g.dst.tolist()))
+        assert pairs == {(u, v) for v, u in pairs}
+
+    @pytest.mark.parametrize("n", [2, 3, 17, 50])
+    @pytest.mark.parametrize("edge_prob", [0.02, 0.2])
+    def test_equals_pair_loop_reference(self, n, edge_prob):
+        for seed in range(4):
+            ref = pair_loop_random_graph(n, Rng(seed), edge_prob=edge_prob)
+            g = random_graph(n, Rng(seed), edge_prob=edge_prob)
+            pairs = [(v, u) for v, row in enumerate(ref.neighbors) for u in row]
+            assert list(zip(g.src.tolist(), g.dst.tolist())) == pairs
+            # every undirected link appears once per direction, with weight 1
+            assert sorted(map(tuple, g.edges.tolist())) == [(v, u, 1.0) for v, u in pairs]
+            assert np.array_equal(g.features, ref.features)
+            assert np.array_equal(g.weight, ref.weight)
+
+
+# --- references: neighbor-list graph, per-pair operator, pair-loop graph ---
+
+@dataclass(frozen=True)
+class NeighborListGraph:
+    """Reference graph: a sorted tuple of neighbor indices per node."""
+
+    neighbors: tuple
+    features: np.ndarray
+    weight: np.ndarray
+    norm_mode: str = "target_degree"
+
+    def __post_init__(self):
+        nbs = tuple(tuple(sorted(set(int(u) for u in row))) for row in self.neighbors)
+        n = len(nbs)
+        for v, row in enumerate(nbs):
+            for u in row:
+                if not 0 <= u < n:
+                    raise ValueError(f"neighbor {u} of node {v} out of range")
+                if u == v:
+                    raise ValueError(f"self-loop on node {v} is not supported")
+        object.__setattr__(self, "neighbors", nbs)
+        object.__setattr__(self, "features", np.asarray(self.features, dtype=np.float64))
+        object.__setattr__(self, "weight", np.asarray(self.weight, dtype=np.float64))
+
+    @property
+    def n_nodes(self) -> int:
+        return len(self.neighbors)
+
+    def degree(self, v: int) -> int:
+        return len(self.neighbors[v])
+
+
+def ref_norm_constant(g: NeighborListGraph, v: int, u: int) -> float:
+    if g.norm_mode == "target_degree":
+        return float(g.degree(v))
+    if g.norm_mode == "symmetric_sqrt":
+        return math.sqrt(g.degree(v) * g.degree(u))
+    return 1.0
+
+
+def ref_inv_norm_matrix(g: NeighborListGraph) -> np.ndarray:
+    mat = np.zeros((g.n_nodes, g.n_nodes), dtype=np.float64)
+    for v, row in enumerate(g.neighbors):
+        for u in row:
+            mat[v, u] = 1.0 / ref_norm_constant(g, v, u)
+    return mat
+
+
+def pair_loop_random_graph(n_nodes, rng, d_in=3, d_out=2, edge_prob=0.2,
+                           norm_mode="target_degree"):
+    g = rng.gen
+    draw = g.random((n_nodes, n_nodes))
+    nbs = [set() for _ in range(n_nodes)]
+    for i in range(n_nodes):
+        for j in range(i + 1, n_nodes):
+            if draw[i, j] < edge_prob:
+                nbs[i].add(j)
+                nbs[j].add(i)
+    for i in range(n_nodes):
+        if not nbs[i]:
+            j = (i + 1) % n_nodes
+            nbs[i].add(j)
+            nbs[j].add(i)
+    features = g.standard_normal((n_nodes, d_in))
+    weight = g.standard_normal((d_in, d_out))
+    return NeighborListGraph(tuple(tuple(sorted(s)) for s in nbs), features, weight, norm_mode)
+
+
+def random_directed_graph(seed):
+    """A small directed graph with repeated edges and, often, isolated nodes.
+
+    Odd seeds add every edge's reverse, so symmetric_sqrt is defined there.
+    """
+    g = np.random.default_rng(seed)
+    n = int(g.integers(2, 30))
+    src, dst = g.integers(0, n, (2, int(g.integers(0, 3 * n))))
+    src, dst = src[src != dst], dst[src != dst]
+    if seed % 2:
+        src, dst = np.append(src, dst), np.append(dst, src)
+    repeat = g.integers(0, max(len(src), 1), len(src) // 3)
+    src, dst = np.append(src, src[repeat]), np.append(dst, dst[repeat])
+    edges = np.column_stack((src, dst, g.standard_normal(len(src))))
+    return n, edges, g.standard_normal((n, 3)), g.standard_normal((3, 2))
+
+
+def neighbor_lists(n, edges):
+    return tuple(tuple(int(u) for b, u in edges[:, :2].tolist() if b == v) for v in range(n))
+
+
+def mc_report_bytes(report):
+    return (report.n_nodes, report.n_trials, report.rel_err.tobytes(),
+            report.max_rel_err.hex(), report.max_z.hex(),
+            {t: e.tobytes() for t, e in report.rel_err_at.items()})
+
+
+@pytest.mark.parametrize("seed", range(36))
+def test_operator_and_report_equal_neighbor_list_reference(seed, monkeypatch):
+    n, edges, features, weight = random_directed_graph(seed)
+    nbs = neighbor_lists(n, edges)
+    design = SampleDesign(np.random.default_rng(seed).uniform(0.2, 1.0, n))
+    checked = 0
+    for mode in NORM_MODES:
+        ref = NeighborListGraph(nbs, features, weight, mode)
+        try:
+            want = ref_inv_norm_matrix(ref)
+        except ZeroDivisionError:
+            # an edge into a node without neighbors: refused up front instead
+            with pytest.raises(ValueError, match="symmetric_sqrt"):
+                GraphSpec(edges, features, weight, mode)
+            continue
+        g = GraphSpec(edges, features, weight, mode)
+        assert sampler._inv_norm_matrix(g).tobytes() == want.tobytes()
+        got = unbiasedness_mc_check(g, design, 200, Rng(seed), checkpoints=(20, 200))
+        # the same check with the reference operator in place of the new one
+        with monkeypatch.context() as m:
+            m.setattr(sampler, "_inv_norm_matrix", ref_inv_norm_matrix)
+            expected = unbiasedness_mc_check(ref, design, 200, Rng(seed), checkpoints=(20, 200))
+        assert mc_report_bytes(got) == mc_report_bytes(expected)
+        checked += 1
+    assert checked >= 2
 
 
 def test_partition_on_synthetic_store():

@@ -56,6 +56,27 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             TrainConfig(split=(1.0, 0.0, 0.0))
 
+    @pytest.mark.parametrize("key,value,want", [
+        ("l_in", "abc", "an integer, got 'abc'"),
+        ("epochs", None, "an integer, got None"),
+        ("epochs", 2.0, "an integer, got 2.0"),
+        ("hidden", True, "an integer, got True"),
+        ("lr", "fast", "a number, got 'fast'"),
+        ("dropout", False, "a number, got False"),
+        ("decomposer", 3, "a string, got 3"),
+        ("split", "abc", "a list of numbers, got 'abc'"),
+        ("split", [0.7, "x", 0.1], "a list of numbers"),
+        ("lambda", [1.0], "a number, got [1.0]"),
+    ])
+    def test_from_dict_rejects_mistyped_field(self, key, value, want):
+        with pytest.raises(ValueError) as exc:
+            TrainConfig.from_dict({**TrainConfig().to_dict(), key: value})
+        assert f"config field {key!r} must be {want}" in str(exc.value)
+
+    def test_from_dict_takes_integral_floats(self):
+        cfg = TrainConfig.from_dict({"lr": 1, "dropout": 0, "split": [7, 1, 2]})
+        assert (cfg.lr, cfg.dropout, cfg.split) == (1, 0, (7.0, 1.0, 2.0))
+
     def test_pinned_defaults(self):
         cfg = TrainConfig()
         assert cfg.hidden == 128
