@@ -13,6 +13,7 @@ import argparse
 import hashlib
 import json
 import sys
+from dataclasses import fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -25,8 +26,9 @@ from .dataset import (
     save_csv,
     split_ranges,
 )
-from .exceptions import CheckpointError, NumericError, PsldError
-from .model import finite_difference_check, load_checkpoint, save_checkpoint
+from .decomposition import KINDS
+from .exceptions import CheckpointError, PsldError
+from .model import MODES, finite_difference_check, load_checkpoint, save_checkpoint
 from .numerics import Rng
 from .sampler import NORM_MODES, SampleDesign, random_graph, unbiasedness_mc_check
 from .training import (
@@ -54,14 +56,8 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _usage_error(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return EXIT_USAGE
-
-
-def _runtime_error(message: str) -> int:
-    print(json.dumps({"error": message}), file=sys.stderr)
-    return EXIT_RUNTIME
+class _UsageError(Exception):
+    """A bad flag, config line or input size: ``main`` exits 1 with ``error: ...``."""
 
 
 def _sha256(path) -> str:
@@ -92,42 +88,42 @@ def _dump_json(payload: dict) -> None:
     print(json.dumps(payload, indent=2))
 
 
-def _parse_config_file(path: str) -> dict:
-    values = {}
-    with open(path, "r", encoding="utf-8") as f:
-        for line_no, line in enumerate(f, 1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            if "=" not in stripped:
-                raise ValueError(f"{path}:{line_no}: expected key=value, got {stripped!r}")
-            key, _, raw = stripped.partition("=")
-            values[key.strip()] = raw.strip()
-    return values
+def _config_tokens(path: str, sub: argparse.ArgumentParser) -> list:
+    """Flag tokens for the ``key=value`` lines of a --config file.
 
-
-def _merge_config_file(parser: argparse.ArgumentParser, sub, args, argv):
-    """Re-parse argv with config-file values installed beneath the flags."""
-    raw = _parse_config_file(args.config_file)
-    defaults = {}
-    for key, value in raw.items():
-        option = "--" + key.lstrip("-").replace("_", "-")
-        dest_key = key.lstrip("-").replace("-", "_")
-        matched = None
-        for action in sub._actions:
-            if option in action.option_strings or action.dest == dest_key:
-                matched = action
-                break
-        if matched is None:
-            raise ValueError(f"unknown config key {key!r}")
-        if isinstance(matched, (argparse._StoreTrueAction, argparse._StoreFalseAction)):
-            defaults[matched.dest] = value.lower() in ("1", "true", "yes", "on")
-        elif matched.type is not None:
-            defaults[matched.dest] = matched.type(value)
-        else:
-            defaults[matched.dest] = value
-    sub.set_defaults(**defaults)
-    return parser.parse_args(argv)
+    A key names a flag (``l-in``, ``--l-in``) or its field (``l_in``,
+    ``n_subgraphs``, ``lam``). A switch adds its flag when its value is
+    true and nothing otherwise; every other value goes through the flag's
+    own parsing once the tokens are spliced ahead of the command line.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            lines = list(f)
+    except OSError as err:
+        raise _UsageError(f"cannot read --config file: {err}") from None
+    except UnicodeDecodeError as err:
+        raise _UsageError(f"--config file {path} is not UTF-8 text ({err.reason})") from None
+    tokens = []
+    for line_no, line in enumerate(lines, 1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        key, eq, value = stripped.partition("=")
+        if not eq:
+            raise _UsageError(f"{path}:{line_no}: expected key=value, got {stripped!r}")
+        key, value = key.strip(), value.strip()
+        name = key.lstrip("-").replace("-", "_")
+        option = "--" + name.replace("_", "-")
+        action = next((a for a in sub._actions
+                       if a.dest == name or option in a.option_strings), None)
+        if action is None:
+            raise _UsageError(f"{path}:{line_no}: unknown config key {key!r}")
+        flag = action.option_strings[-1]
+        if action.nargs != 0:
+            tokens.append(f"{flag}={value}")
+        elif value.lower() in ("1", "true", "yes", "on"):
+            tokens.append(flag)
+    return tokens
 
 
 def _split_ratios(text: str) -> tuple:
@@ -135,95 +131,77 @@ def _split_ratios(text: str) -> tuple:
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(f"split must look like 6:2:2, got {text!r}")
     try:
-        ratios = tuple(float(p) for p in parts)
+        return tuple(float(p) for p in parts)
     except ValueError:
         raise argparse.ArgumentTypeError(f"split must be numeric, got {text!r}") from None
-    return ratios
 
 
 def cmd_synth(args) -> int:
     if args.nodes < 1:
-        return _usage_error("--nodes must be >= 1")
+        raise _UsageError("--nodes must be >= 1")
     if args.length < MIN_SYNTH_LENGTH:
-        return _usage_error(f"--length must be >= {MIN_SYNTH_LENGTH}, got {args.length}")
+        raise _UsageError(f"--length must be >= {MIN_SYNTH_LENGTH}, got {args.length}")
     if args.sigma < 0:
-        return _usage_error("--sigma must be >= 0")
+        raise _UsageError("--sigma must be >= 0")
     out_dir = Path(args.out)
     config = {"nodes": args.nodes, "length": args.length, "sigma": args.sigma,
               "seed": args.seed}
     store = generate_synthetic(args.nodes, args.length, Rng(args.seed),
                                noise_sigma=args.sigma)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        series = out_dir / "series.csv"
-        adjacency = out_dir / "adjacency.csv"
-        _write_manifest(out_dir, "synth", config, args.seed, [], [series, adjacency])
-        save_csv(store, series)
-        save_adjacency_csv(store, adjacency)
-    except OSError as err:
-        return _runtime_error(f"cannot write outputs: {err}")
+    out_dir.mkdir(parents=True, exist_ok=True)
+    series = out_dir / "series.csv"
+    adjacency = out_dir / "adjacency.csv"
+    _write_manifest(out_dir, "synth", config, args.seed, [], [series, adjacency])
+    save_csv(store, series)
+    save_adjacency_csv(store, adjacency)
     return EXIT_OK
 
 
 def _train_config_from_args(args) -> TrainConfig:
-    return TrainConfig(
-        l_in=args.l_in, l_out=args.l_out, decomposer=args.decomposer,
-        epsilon=args.epsilon, kappa_t=args.kappa_t, kappa_s=args.kappa_s,
-        hidden=args.hidden, dropout=args.dropout, lr=args.lr, lam=args.lam,
-        epochs=args.epochs, n_subgraphs=args.n_subgraphs, minibatch=args.minibatch,
-        seed=args.seed, sigma_floor=args.sigma_floor, mode=args.mode,
-        split=args.split,
-    )
+    """The fields given as flags or config lines; TrainConfig supplies the rest."""
+    given = vars(args)
+    try:
+        return TrainConfig(**{f.name: given[f.name] for f in fields(TrainConfig)
+                              if f.name in given})
+    except ValueError as err:
+        raise _UsageError(str(err)) from None
 
 
 def cmd_train(args) -> int:
-    try:
-        config = _train_config_from_args(args)
-    except ValueError as err:
-        return _usage_error(str(err))
-    try:
-        store = load_csv(args.data, args.adjacency)
-    except (PsldError, OSError) as err:
-        return _runtime_error(f"cannot load dataset: {err}")
+    config = _train_config_from_args(args)
+    store = load_csv(args.data, args.adjacency)
     if config.n_subgraphs > store.n_nodes:
-        return _usage_error(
+        raise _UsageError(
             f"--n-sub {config.n_subgraphs} exceeds the {store.n_nodes} nodes in --data"
         )
     try:
         ranges = split_ranges(store.l_data, config.split)
-        for name in ("train", "val", "test"):
-            t0, t1 = ranges[name]
-            if (t1 - t0) < config.l_in + config.l_out:
-                return _usage_error(
-                    f"{name} split has {t1 - t0} timesteps but --l-in/--l-out need "
-                    f"{config.l_in + config.l_out}"
-                )
     except ValueError as err:
-        return _usage_error(str(err))
+        raise _UsageError(str(err)) from None
+    for name, (t0, t1) in ranges.items():
+        if (t1 - t0) < config.l_in + config.l_out:
+            raise _UsageError(
+                f"{name} split has {t1 - t0} timesteps but --l-in/--l-out need "
+                f"{config.l_in + config.l_out}"
+            )
 
     out_dir = Path(args.out)
     checkpoint = out_dir / "checkpoint.psld"
     metrics_path = out_dir / "metrics.json"
     epochs_path = out_dir / "epochs.csv"
     inputs = [args.data] + ([args.adjacency] if args.adjacency else [])
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        _write_manifest(
-            out_dir, "train", config.to_dict(), config.seed, inputs,
-            [checkpoint, Path(str(checkpoint) + ".json"), metrics_path, epochs_path],
-        )
-    except OSError as err:
-        return _runtime_error(f"cannot write outputs: {err}")
+    out_dir.mkdir(parents=True, exist_ok=True)
+    _write_manifest(
+        out_dir, "train", config.to_dict(), config.seed, inputs,
+        [checkpoint, Path(str(checkpoint) + ".json"), metrics_path, epochs_path],
+    )
 
-    try:
-        params, reports = train(store, config)
-        normed, ranges, _ = prepare_store(store, config)
-        test = evaluate(params, normed, config, ranges["test"])
-        baselines = {"last_value": baseline_last_value(normed, config, ranges["test"])}
-        if args.baseline_mlp:
-            baselines["plain_mlp"] = baseline_plain_mlp(store, config)
-    except NumericError as err:
-        return _runtime_error(str(err))
+    params, reports = train(store, config)
+    normed, ranges, _ = prepare_store(store, config)
+    test = evaluate(params, normed, config, ranges["test"])
+    baselines = {"last_value": baseline_last_value(normed, config, ranges["test"])}
+    if args.baseline_mlp:
+        baselines["plain_mlp"] = baseline_plain_mlp(store, config)
 
     metrics = {
         "config": config.to_dict(),
@@ -232,47 +210,52 @@ def cmd_train(args) -> int:
         "baselines": baselines,
         "seed": config.seed,
     }
-    try:
-        save_checkpoint(checkpoint, params, config.to_dict())
-        with open(metrics_path, "w", encoding="utf-8") as f:
-            json.dump(metrics, f, indent=2)
-            f.write("\n")
-        with open(epochs_path, "w", encoding="utf-8") as f:
-            f.write("epoch,train_total,train_cbn,train_cpn,val_mse,val_mae\n")
-            for r in reports:
-                f.write(f"{r.epoch},{r.train_total!r},{r.train_cbn!r},"
-                        f"{r.train_cpn!r},{r.val_mse!r},{r.val_mae!r}\n")
-    except OSError as err:
-        return _runtime_error(f"cannot write outputs: {err}")
+    save_checkpoint(checkpoint, params, config.to_dict())
+    with open(metrics_path, "w", encoding="utf-8") as f:
+        json.dump(metrics, f, indent=2)
+        f.write("\n")
+    with open(epochs_path, "w", encoding="utf-8") as f:
+        f.write("epoch,train_total,train_cbn,train_cpn,val_mse,val_mae\n")
+        for r in reports:
+            f.write(f"{r.epoch},{r.train_total!r},{r.train_cbn!r},"
+                    f"{r.train_cpn!r},{r.val_mse!r},{r.val_mae!r}\n")
     _dump_json(metrics)
     return EXIT_OK
 
 
+# (TrainConfig field, sidecar model field) pairs a checkpoint sidecar carries twice
+_REPEATED_FIELDS = (("decomposer", "kind"), ("mode", "mode"), ("l_in", "l_in"),
+                    ("l_out", "l_out"), ("hidden", "hidden"), ("dropout", "dropout"))
+
+
+def _sidecar_config(path, sidecar: dict) -> TrainConfig:
+    """The sidecar's training config, which must agree with its model fields."""
+    where = f"checkpoint sidecar {path}.json"
+    try:
+        config = TrainConfig.from_dict(sidecar["config"])
+    except ValueError as err:
+        raise CheckpointError(f"{where}: {err}") from None
+    for name, key in _REPEATED_FIELDS:
+        if getattr(config, name) != sidecar[key]:
+            raise CheckpointError(f"{where}: config field {name!r} is {getattr(config, name)!r} "
+                                  f"but the model's {key!r} is {sidecar[key]!r}")
+    return config
+
+
 def cmd_eval(args) -> int:
-    try:
-        params, sidecar = load_checkpoint(args.checkpoint)
-        try:
-            config = TrainConfig.from_dict(sidecar["config"])
-        except ValueError as err:
-            raise CheckpointError(f"checkpoint sidecar {args.checkpoint}.json: {err}") from None
-        store = load_csv(args.data, args.adjacency)
-        normed, ranges, stats = prepare_store(store, config)
-        split = ranges[args.split]
-        _n_rows(normed, config.l_in, config.l_out, split)  # before a dump file is created
-    except (PsldError, OSError, KeyError, ValueError) as err:
-        return _runtime_error(str(err))
+    params, sidecar = load_checkpoint(args.checkpoint)
+    config = _sidecar_config(args.checkpoint, sidecar)
+    store = load_csv(args.data, args.adjacency)
+    normed, ranges, stats = prepare_store(store, config)
+    split = ranges[args.split]
+    _n_rows(normed, config.l_in, config.l_out, split)  # before a dump file is created
     denorm = stats if args.denormalize else None
-    try:
-        if args.dump_predictions:
-            with open(args.dump_predictions, "w", encoding="utf-8") as f:
-                metrics = evaluate(params, normed, config, split, denorm,
-                                   sink=_prediction_writer(f, normed, config, split))
-        else:
-            metrics = evaluate(params, normed, config, split, denorm)
-    except (PsldError, ValueError) as err:
-        return _runtime_error(str(err))
-    except OSError as err:
-        return _runtime_error(f"cannot write predictions: {err}")
+    if args.dump_predictions:
+        with open(args.dump_predictions, "w", encoding="utf-8") as f:
+            metrics = evaluate(params, normed, config, split, denorm,
+                               sink=_prediction_writer(f, normed, config, split))
+    else:
+        metrics = evaluate(params, normed, config, split, denorm)
     _dump_json({"split": args.split, "mse": metrics["mse"], "mae": metrics["mae"]})
     return EXIT_OK
 
@@ -294,11 +277,11 @@ def _prediction_writer(f, store, config, split):
 
 def cmd_rss_check(args) -> int:
     if not 0.0 < args.prob <= 1.0:
-        return _usage_error(f"--prob must be in (0, 1], got {args.prob}")
+        raise _UsageError(f"--prob must be in (0, 1], got {args.prob}")
     if args.nodes < 2:
-        return _usage_error("--nodes must be >= 2")
+        raise _UsageError("--nodes must be >= 2")
     if args.trials < 1:
-        return _usage_error("--trials must be >= 1")
+        raise _UsageError("--trials must be >= 1")
     if args.trials < MIN_RELIABLE_TRIALS:
         print(
             f"warning: {args.trials} trials give an unreliable bound; "
@@ -322,7 +305,7 @@ def cmd_rss_check(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     if args.n_seeds < 1:
-        return _usage_error("--n-seeds must be >= 1")
+        raise _UsageError("--n-seeds must be >= 1")
     per_group = {}
     kinks = 0
     for seed in range(args.seed, args.seed + args.n_seeds):
@@ -345,11 +328,17 @@ def cmd_gradcheck(args) -> int:
     return EXIT_OK if ok else EXIT_RUNTIME
 
 
+# Flags whose spelling is not the TrainConfig field's, and the argparse
+# conversion for each field annotation: the defaults and checks are TrainConfig's.
+_FLAG_NAMES = {"lam": "--lambda", "n_subgraphs": "--n-sub"}
+_FLAG_TYPES = {"int": int, "float": float, "str": str, "tuple": _split_ratios}
+_FLAG_CHOICES = {"decomposer": KINDS, "mode": MODES}
+
+
 def build_parser():
     parser = _Parser(prog="psld", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"psld {__version__}")
     subs = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    sub_map = {}
 
     p = subs.add_parser("synth", help="generate a seeded synthetic dataset")
     p.add_argument("--nodes", type=int, default=64)
@@ -358,33 +347,19 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_synth)
-    sub_map["synth"] = p
 
-    p = subs.add_parser("train", help="train on a series CSV")
+    # an absent training flag stays absent, so TrainConfig's default applies
+    p = subs.add_parser("train", help="train on a series CSV",
+                        argument_default=argparse.SUPPRESS)
     p.add_argument("--data", required=True)
-    p.add_argument("--adjacency")
+    p.add_argument("--adjacency", default=None)
     p.add_argument("--out", required=True)
-    p.add_argument("--l-in", dest="l_in", type=int, default=36)
-    p.add_argument("--l-out", dest="l_out", type=int, default=36)
-    p.add_argument("--decomposer", choices=("mvd", "stl"), default="mvd")
-    p.add_argument("--epsilon", type=float, default=1e-5)
-    p.add_argument("--kappa-t", dest="kappa_t", type=int, default=25)
-    p.add_argument("--kappa-s", dest="kappa_s", type=int, default=7)
-    p.add_argument("--hidden", type=int, default=128)
-    p.add_argument("--dropout", type=float, default=0.05)
-    p.add_argument("--lr", type=float, default=1e-4)
-    p.add_argument("--lambda", dest="lam", type=float, default=1.0)
-    p.add_argument("--epochs", type=int, default=10)
-    p.add_argument("--n-sub", dest="n_subgraphs", type=int, default=24)
-    p.add_argument("--minibatch", type=int, default=32)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--sigma-floor", dest="sigma_floor", type=float, default=1e-8)
-    p.add_argument("--mode", choices=("separate", "merged"), default="separate")
-    p.add_argument("--split", type=_split_ratios, default=(0.6, 0.2, 0.2))
-    p.add_argument("--baseline-mlp", action="store_true")
-    p.add_argument("--config", dest="config_file")
+    for f in fields(TrainConfig):
+        p.add_argument(_FLAG_NAMES.get(f.name, "--" + f.name.replace("_", "-")), dest=f.name,
+                       type=_FLAG_TYPES[f.type], choices=_FLAG_CHOICES.get(f.name))
+    p.add_argument("--baseline-mlp", action="store_true", default=False)
+    p.add_argument("--config", dest="config_file", default=None)
     p.set_defaults(func=cmd_train)
-    sub_map["train"] = p
 
     p = subs.add_parser("eval", help="evaluate a checkpoint on a split")
     p.add_argument("--checkpoint", required=True)
@@ -394,7 +369,6 @@ def build_parser():
     p.add_argument("--denormalize", action="store_true")
     p.add_argument("--dump-predictions", dest="dump_predictions")
     p.set_defaults(func=cmd_eval)
-    sub_map["eval"] = p
 
     p = subs.add_parser("rss-check", help="Monte-Carlo unbiasedness check")
     p.add_argument("--nodes", type=int, default=50)
@@ -404,35 +378,38 @@ def build_parser():
                    default="target_degree")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_rss_check)
-    sub_map["rss-check"] = p
 
     p = subs.add_parser("gradcheck", help="finite-difference gradient check")
-    p.add_argument("--decomposer", choices=("mvd", "stl"), default="mvd")
-    p.add_argument("--mode", choices=("separate", "merged"), default="separate")
+    p.add_argument("--decomposer", choices=KINDS, default=KINDS[0])
+    p.add_argument("--mode", choices=MODES, default=MODES[0])
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--n-seeds", dest="n_seeds", type=int, default=1)
     p.set_defaults(func=cmd_gradcheck)
-    sub_map["gradcheck"] = p
 
-    return parser, sub_map
+    return parser, subs.choices
 
 
 def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    parser, sub_map = build_parser()
+    """Run one command; the only place an exception becomes an exit code."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, commands = build_parser()
     try:
         args = parser.parse_args(argv)
         if getattr(args, "config_file", None):
-            args = _merge_config_file(parser, sub_map[args.command], args, argv)
+            # file values go first, so a flag on the command line wins
+            at = argv.index(args.command) + 1
+            argv[at:at] = _config_tokens(args.config_file, commands[args.command])
+            args = parser.parse_args(argv)
+        return args.func(args)
     except SystemExit as exit_request:
         code = exit_request.code
         return int(code) if code else EXIT_OK
-    except ValueError as err:
-        return _usage_error(str(err))
-    except OSError as err:
-        return _usage_error(f"cannot read --config file: {err}")
-    return args.func(args)
+    except _UsageError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_USAGE
+    except (PsldError, OSError, ValueError) as err:
+        print(json.dumps({"error": str(err)}), file=sys.stderr)
+        return EXIT_RUNTIME
 
 
 if __name__ == "__main__":

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from array import array
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import compress, islice, repeat
 from operator import itemgetter
@@ -134,7 +135,7 @@ def load_csv(path, adjacency_path=None) -> SeriesStore:
     data = array("d")
     ids, line_nos = [], []
     has_ids = width = None
-    with open(path, "r", encoding="utf-8") as f:
+    with _utf8_text(path) as f:
         line_no = 0
         for raw in f:
             for line in raw.splitlines():
@@ -180,6 +181,16 @@ def load_csv(path, adjacency_path=None) -> SeriesStore:
     return SeriesStore(values, tuple(ids), adjacency)
 
 
+@contextmanager
+def _utf8_text(path):
+    """Open path as UTF-8 text; bytes that do not decode raise FormatError naming it."""
+    with open(path, "r", encoding="utf-8") as f:
+        try:
+            yield f
+        except UnicodeDecodeError as err:
+            raise FormatError(f"{path}: not UTF-8 text ({err.reason})") from None
+
+
 def _is_number(token: str) -> bool:
     try:
         float(token)
@@ -195,7 +206,7 @@ def _load_adjacency(path, n_nodes: int) -> np.ndarray:
     has a non-finite weight, or names an edge that leaves [0, n_nodes) or
     loops, are the lines walked again to name the first bad one.
     """
-    with open(path, "r", encoding="utf-8") as f:
+    with _utf8_text(path) as f:
         raw_lines = f.read().splitlines()
     rows = list(map(str.split, filter(str.strip, raw_lines), repeat(",")))
     columns = _bulk_edge_columns(rows, n_nodes)

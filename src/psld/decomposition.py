@@ -19,6 +19,7 @@ import numpy as np
 from .exceptions import ShapeError
 
 PART_NAMES = {"mvd": ("m", "v", "r"), "stl": ("t", "s", "r")}
+KINDS = tuple(PART_NAMES)
 
 
 def part_names(kind: str) -> tuple:

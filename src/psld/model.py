@@ -53,11 +53,17 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 CHECKPOINT_MAGIC = b"PSLD1"
+MODES = ("separate", "merged")
 # Elements per pass of adam_step: its two scratch arrays have this length
 # however large the model is.
 _ADAM_BLOCK = 16384
 # A head's tensors in layout order: learner layers 1 and 2, then the predictor.
 _SUFFIXES = ("l1.w", "l1.b", "l2.w", "l2.b", "p.w", "p.b")
+
+
+def one_of(names) -> str:
+    """The allowed names as error messages list them: ``'mvd' or 'stl'``."""
+    return " or ".join(map(repr, names))
 
 
 @dataclass
@@ -187,7 +193,7 @@ def head_layout(kind: str, mode: str, l_in: int, l_out: int, hidden: int) -> tup
         return (("merged", tuple(name for name, _, _ in plan),
                  sum(ilen for _, ilen, _ in plan), sum(olen for _, _, olen in plan),
                  len(plan) * hidden),)
-    raise ValueError(f"mode must be 'separate' or 'merged', got {mode!r}")
+    raise ValueError(f"mode must be {one_of(MODES)}, got {mode!r}")
 
 
 def _psld_heads(kind: str, mode: str, l_in: int, l_out: int, hidden: int) -> tuple:
@@ -631,8 +637,8 @@ def _is_count(value) -> bool:
 
 # (field, check, what the check wants) for every model field a sidecar carries
 _SIDECAR_SCHEMA = (
-    ("kind", lambda v: v in ("mvd", "stl"), "'mvd' or 'stl'"),
-    ("mode", lambda v: v in ("separate", "merged"), "'separate' or 'merged'"),
+    ("kind", lambda v: v in dc.KINDS, one_of(dc.KINDS)),
+    ("mode", lambda v: v in MODES, one_of(MODES)),
     ("l_in", _is_count, "an integer >= 1"),
     ("l_out", _is_count, "an integer >= 1"),
     ("hidden", _is_count, "an integer >= 1"),

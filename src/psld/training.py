@@ -71,13 +71,15 @@ class TrainConfig:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.minibatch < 1:
             raise ValueError(f"minibatch must be >= 1, got {self.minibatch}")
+        if self.hidden < 1:
+            raise ValueError(f"hidden must be >= 1, got {self.hidden}")
         if self.n_subgraphs < 1:
             raise ValueError(f"n_subgraphs must be >= 1, got {self.n_subgraphs}")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
         dc.make_config(self.decomposer, self.epsilon, self.kappa_t, self.kappa_s)
-        if self.mode not in ("separate", "merged"):
-            raise ValueError(f"mode must be 'separate' or 'merged', got {self.mode!r}")
+        if self.mode not in md.MODES:
+            raise ValueError(f"mode must be {md.one_of(md.MODES)}, got {self.mode!r}")
         ratios = tuple(float(r) for r in self.split)
         if len(ratios) != 3 or any(r <= 0.0 for r in ratios):
             raise ValueError(f"split needs three positive ratios, got {self.split}")
@@ -96,16 +98,17 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TrainConfig":
-        """The config ``to_dict`` wrote; a mistyped field raises ValueError naming it."""
+        """The config ``to_dict`` wrote; an unknown or mistyped key raises ValueError naming it."""
+        by_key = {"lambda" if f.name == "lam" else f.name: f for f in fields(cls)}
         kwargs = {}
-        for f in fields(cls):
-            key = "lambda" if f.name == "lam" else f.name
-            if key in data:
-                value = data[key]
-                check, want = _FIELD_TYPES[f.type]
-                if not check(value):
-                    raise ValueError(f"config field {key!r} must be {want}, got {value!r}")
-                kwargs[f.name] = tuple(value) if f.name == "split" else value
+        for key, value in data.items():
+            if key not in by_key:
+                raise ValueError(f"unknown config field {key!r}")
+            f = by_key[key]
+            check, want = _FIELD_TYPES[f.type]
+            if not check(value):
+                raise ValueError(f"config field {key!r} must be {want}, got {value!r}")
+            kwargs[f.name] = tuple(value) if f.name == "split" else value
         return cls(**kwargs)
 
 

@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 
 import psld
-from psld import training
+from psld import cli, training
 from psld.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
+from psld.exceptions import NumericError
 from psld.model import init_params, save_checkpoint
 from psld.numerics import Rng
+from psld.training import TrainConfig
 from test_model import BAD_SIDECARS, MALFORMED, bad_sidecar_checkpoint, malformed_checkpoint
 
 
@@ -182,6 +184,92 @@ class TestTrain:
         assert metrics["config"]["epochs"] == 2  # flag wins over file
         assert metrics["config"]["l_in"] == 12
 
+    @pytest.mark.parametrize("line,flag", [
+        ("split=abc", "--split"),
+        ("hidden=abc", "--hidden"),
+        ("decomposer=foo", "--decomposer"),
+    ])
+    def test_bad_config_file_value_names_the_flag(self, tmp_path, line, flag):
+        # config values go through the flag's own parsing, choices included
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        proc = run_module("train", "--data", str(tmp_path / "unread.csv"),
+                          "--out", str(tmp_path / "r"), "--config", str(cfg))
+        assert proc.returncode == EXIT_USAGE
+        assert f"argument {flag}: " in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_config_file_takes_field_names(self, dataset, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("baseline_mlp = true\nn_subgraphs = 2\nlam = 0.5\n")
+        out = tmp_path / "run"
+        code, _, _ = run_cli(capsys, "train", "--data", str(dataset / "series.csv"),
+                             "--out", str(out), "--l-in", "12", "--l-out", "6",
+                             "--epochs", "1", "--hidden", "4", "--config", str(cfg))
+        assert code == EXIT_OK
+        metrics = json.loads((out / "metrics.json").read_text())
+        assert metrics["config"]["n_subgraphs"] == 2
+        assert metrics["config"]["lambda"] == 0.5
+        assert "plain_mlp" in metrics["baselines"]
+
+    def test_command_line_beats_config_file(self, dataset, tmp_path, capsys):
+        # the file's tokens go ahead of the command line's, and argparse
+        # keeps the last occurrence; no other test pins --split this way
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("hidden = 4\nsplit = 5:2:3\n")
+        out = tmp_path / "run"
+        code, _, _ = run_cli(capsys, *train_args(dataset, out, "--split", "6:2:2",
+                                                 "--config", str(cfg)))
+        assert code == EXIT_OK
+        config = json.loads((out / "metrics.json").read_text())["config"]
+        assert config["hidden"] == 8
+        assert config["split"] == [6.0, 2.0, 2.0]
+
+    @pytest.mark.parametrize("hidden", ["0", "-3"])
+    def test_hidden_below_one_is_usage_error(self, tmp_path, hidden):
+        series = tmp_path / "series.csv"
+        series.write_text("a,1,2,3,4\nb,5,6,7,8\n")
+        proc = run_module("train", "--data", str(series), "--out", str(tmp_path / "r"),
+                          "--hidden", hidden)
+        assert proc.returncode == EXIT_USAGE
+        assert "Traceback" not in proc.stderr
+        assert f"hidden must be >= 1, got {hidden}" in proc.stderr
+        assert not (tmp_path / "r").exists()
+
+    def test_bare_train_records_train_config_defaults(self, tmp_path, capsys):
+        # every field left off the command line takes TrainConfig's default;
+        # acceptance 8 checks five of the seventeen
+        data = tmp_path / "data"
+        run_cli(capsys, "synth", "--nodes", "24", "--length", "360", "--out", str(data))
+        out = tmp_path / "run"
+        code, _, _ = run_cli(capsys, "train", "--data", str(data / "series.csv"),
+                             "--out", str(out))
+        assert code == EXIT_OK
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"] == TrainConfig().to_dict()
+
+    @pytest.mark.parametrize("flag", ["--data", "--adjacency"])
+    def test_non_utf8_input_is_runtime_error(self, tmp_path, flag):
+        series = tmp_path / "series.csv"
+        series.write_text("a,1,2,3,4\nb,5,6,7,8\n")
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"\xff\xfe0,1\n")
+        inputs = (["--data", str(bad)] if flag == "--data"
+                  else ["--data", str(series), "--adjacency", str(bad)])
+        proc = run_module("train", *inputs, "--out", str(tmp_path / "r"))
+        assert proc.returncode == EXIT_RUNTIME
+        assert "Traceback" not in proc.stderr
+        assert f"{bad}: not UTF-8 text" in json.loads(proc.stderr)["error"]
+
+    def test_non_utf8_config_file_is_usage_error(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"\xff\xfehidden=8\n")
+        proc = run_module("train", "--data", str(tmp_path / "unread.csv"),
+                          "--out", str(tmp_path / "r"), "--config", str(cfg))
+        assert proc.returncode == EXIT_USAGE
+        assert "Traceback" not in proc.stderr
+        assert f"--config file {cfg} is not UTF-8 text" in proc.stderr
+
 
 class TestEval:
     def test_reproduces_training_test_metrics(self, dataset, tmp_path, capsys):
@@ -256,6 +344,7 @@ class TestEval:
         ("l_in", "abc", "config field 'l_in' must be an integer, got 'abc'"),
         ("epochs", None, "config field 'epochs' must be an integer, got None"),
         ("epochs", 0, "epochs must be >= 1, got 0"),
+        ("splitt", [0.5, 0.1, 0.4], "unknown config field 'splitt'"),
     ])
     def test_mistyped_sidecar_config_is_json_runtime_error(self, tmp_path, key, value, want):
         # run as a process, so any traceback would reach stderr
@@ -265,6 +354,28 @@ class TestEval:
         assert proc.returncode == EXIT_RUNTIME
         assert proc.stdout == ""
         assert json.loads(proc.stderr)["error"] == f"checkpoint sidecar {ckpt}.json: {want}"
+
+    @pytest.mark.parametrize("field,value,model_key,model_value", [
+        ("decomposer", "stl", "kind", "'mvd'"),
+        ("mode", "merged", "mode", "'separate'"),
+        ("l_in", 5, "l_in", "4"),
+        ("l_out", 6, "l_out", "2"),
+        ("hidden", 16, "hidden", "4"),
+        ("dropout", 0.1, "dropout", "0.0"),
+    ])
+    def test_sidecar_config_must_match_model(self, tmp_path, capsys, field, value,
+                                             model_key, model_value):
+        ckpt = tmp_path / "model.psld"
+        config = TrainConfig(l_in=4, l_out=2, hidden=4, dropout=0.0).to_dict()
+        save_checkpoint(ckpt, init_params("mvd", 4, 2, 4, 0.0, "separate", Rng(0)),
+                        {**config, field: value})
+        code, out, err = run_cli(capsys, "eval", "--checkpoint", str(ckpt),
+                                 "--data", str(tmp_path / "unread.csv"))
+        assert code == EXIT_RUNTIME
+        assert out == ""
+        assert json.loads(err)["error"] == (
+            f"checkpoint sidecar {ckpt}.json: config field {field!r} is {value!r} "
+            f"but the model's {model_key!r} is {model_value}")
 
     def test_split_too_short_creates_no_dump(self, dataset, tmp_path, capsys):
         out = tmp_path / "run"
@@ -375,3 +486,94 @@ class TestTopLevel:
         assert "created_utc" in manifest
         assert manifest["config"]["nodes"] == 4
         assert manifest["inputs"] == {}
+
+
+def _raise_numeric(*args, **kwargs):
+    raise NumericError("non-finite loss in combinator head 'cbn'")
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """A 10-node dataset, a copy too short for its windows, a plain file, a checkpoint."""
+    root = tmp_path_factory.mktemp("trained")
+    assert main(["synth", "--nodes", "10", "--length", "160", "--seed", "3",
+                 "--out", str(root / "data")]) == EXIT_OK
+    assert main(["train", "--data", str(root / "data" / "series.csv"), "--out", str(root / "run"),
+                 "--l-in", "12", "--l-out", "6", "--epochs", "1", "--n-sub", "3",
+                 "--hidden", "4"]) == EXIT_OK
+    (root / "file").write_text("")
+    rows = (root / "data" / "series.csv").read_text().splitlines()
+    (root / "short.csv").write_text("".join(",".join(r.split(",")[:51]) + "\n" for r in rows))
+    return {"data": root / "data", "file": root / "file", "short": root / "short.csv",
+            "ckpt": root / "run" / "checkpoint.psld"}
+
+
+SMALL = "--data {data}/series.csv --l-in 12 --l-out 6 --epochs 1 --n-sub 3 --hidden 4"
+CKPT = "--checkpoint {ckpt} --data {data}/series.csv"
+
+# (command line, exit code, where the output goes, cli attributes to patch).
+# Output: "out" is JSON on stdout, "json" a JSON error on stderr, "usage" an
+# "error: ..." line on stderr, "argparse" the parser's usage message, "" none.
+EXIT_PATHS = [
+    ("synth --nodes 4 --length 70 --out {tmp}/d", EXIT_OK, "", {}),
+    ("synth --nodes 0 --out {tmp}/d", EXIT_USAGE, "usage", {}),
+    ("synth --length 10 --out {tmp}/d", EXIT_USAGE, "usage", {}),
+    ("synth --sigma -1 --out {tmp}/d", EXIT_USAGE, "usage", {}),
+    ("synth --nodes 4 --length 70 --out {file}/d", EXIT_RUNTIME, "json", {}),
+    ("synth --nodes x --out {tmp}/d", EXIT_USAGE, "argparse", {}),
+    (f"train {SMALL} --out {{tmp}}/r", EXIT_OK, "out", {}),
+    (f"train {SMALL} --out {{tmp}}/r --dropout 1", EXIT_USAGE, "usage", {}),
+    (f"train {SMALL} --out {{tmp}}/r --mode wide", EXIT_USAGE, "argparse", {}),
+    (f"train {SMALL} --out {{tmp}}/r --config {{tmp}}/absent.cfg", EXIT_USAGE, "usage", {}),
+    ("train --data {tmp}/absent.csv --out {tmp}/r", EXIT_RUNTIME, "json", {}),
+    (f"train {SMALL} --adjacency {{data}}/series.csv --out {{tmp}}/r", EXIT_RUNTIME, "json", {}),
+    (f"train {SMALL} --out {{tmp}}/r --n-sub 11", EXIT_USAGE, "usage", {}),
+    (f"train {SMALL} --out {{tmp}}/r --split 1:1:1000", EXIT_USAGE, "usage", {}),
+    (f"train {SMALL} --out {{tmp}}/r --l-in 40", EXIT_USAGE, "usage", {}),
+    (f"train {SMALL} --out {{file}}/r", EXIT_RUNTIME, "json", {}),
+    (f"train {SMALL} --out {{tmp}}/r", EXIT_RUNTIME, "json", {"train": _raise_numeric}),
+    (f"eval {CKPT}", EXIT_OK, "out", {}),
+    (f"eval {CKPT} --dump-predictions {{tmp}}/p.csv --denormalize", EXIT_OK, "out", {}),
+    ("eval --checkpoint {tmp}/absent.psld --data {data}/series.csv", EXIT_RUNTIME, "json", {}),
+    ("eval --checkpoint {data}/series.csv --data {data}/series.csv", EXIT_RUNTIME, "json", {}),
+    ("eval --checkpoint {ckpt} --data {tmp}/absent.csv", EXIT_RUNTIME, "json", {}),
+    (f"eval {CKPT} --dump-predictions {{tmp}}/absent/p.csv", EXIT_RUNTIME, "json", {}),
+    ("eval --checkpoint {ckpt} --data {short}", EXIT_RUNTIME, "json", {}),
+    ("eval --checkpoint {ckpt}", EXIT_USAGE, "argparse", {}),
+    ("rss-check --nodes 10 --trials 200", EXIT_OK, "out", {}),
+    ("rss-check --nodes 10 --trials 200", EXIT_RUNTIME, "out", {"RSS_CHECK_Z_BOUND": -1.0}),
+    ("rss-check --prob 0", EXIT_USAGE, "usage", {}),
+    ("rss-check --nodes 1", EXIT_USAGE, "usage", {}),
+    ("rss-check --trials 0", EXIT_USAGE, "usage", {}),
+    ("gradcheck", EXIT_OK, "out", {}),
+    ("gradcheck", EXIT_RUNTIME, "out", {"GRADCHECK_TOL": -1.0}),
+    ("gradcheck --n-seeds 0", EXIT_USAGE, "usage", {}),
+    ("gradcheck --decomposer fft", EXIT_USAGE, "argparse", {}),
+    ("", EXIT_USAGE, "argparse", {}),
+    ("frobnicate", EXIT_USAGE, "argparse", {}),
+]
+
+
+@pytest.mark.parametrize("argv,code,stream,patches", EXIT_PATHS,
+                         ids=[(a or "(none)") + "".join(f" [{name}]" for name in p)
+                              for a, _, _, p in EXIT_PATHS])
+def test_exit_paths(trained, tmp_path, capsys, monkeypatch, argv, code, stream, patches):
+    for name, value in patches.items():
+        monkeypatch.setattr(cli, name, value)
+    paths = {key: str(value) for key, value in trained.items()}
+    got, out, err = run_cli(capsys, *(token.format(tmp=tmp_path, **paths)
+                                      for token in argv.split()))
+    assert got == code
+    if stream == "out":
+        json.loads(out)
+        assert err == ""
+    else:
+        assert out == ""
+    if stream == "json":
+        assert set(json.loads(err)) == {"error"}
+    elif stream == "usage":
+        assert err.startswith("error: ") and err.count("\n") == 1
+    elif stream == "argparse":
+        assert err.startswith("usage: psld") and ": error: " in err
+    elif stream == "":
+        assert err == ""

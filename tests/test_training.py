@@ -55,6 +55,8 @@ class TestTrainConfig:
             TrainConfig(mode="wide")
         with pytest.raises(ValueError):
             TrainConfig(split=(1.0, 0.0, 0.0))
+        with pytest.raises(ValueError, match="hidden must be >= 1, got 0"):
+            TrainConfig(hidden=0)
 
     @pytest.mark.parametrize("key,value,want", [
         ("l_in", "abc", "an integer, got 'abc'"),
@@ -72,6 +74,11 @@ class TestTrainConfig:
         with pytest.raises(ValueError) as exc:
             TrainConfig.from_dict({**TrainConfig().to_dict(), key: value})
         assert f"config field {key!r} must be {want}" in str(exc.value)
+
+    def test_from_dict_rejects_unknown_field(self):
+        data = {**TrainConfig().to_dict(), "splitt": [0.5, 0.1, 0.4], "lam": 0.5}
+        with pytest.raises(ValueError, match="^unknown config field 'splitt'$"):
+            TrainConfig.from_dict(data)
 
     def test_from_dict_takes_integral_floats(self):
         cfg = TrainConfig.from_dict({"lr": 1, "dropout": 0, "split": [7, 1, 2]})
