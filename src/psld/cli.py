@@ -92,9 +92,9 @@ def _config_tokens(path: str, sub: argparse.ArgumentParser) -> list:
     """Flag tokens for the ``key=value`` lines of a --config file.
 
     A key names a flag (``l-in``, ``--l-in``) or its field (``l_in``,
-    ``n_subgraphs``, ``lam``). A switch adds its flag when its value is
-    true and nothing otherwise; every other value goes through the flag's
-    own parsing once the tokens are spliced ahead of the command line.
+    ``n_subgraphs``, ``lam``). A switch takes 1/true/yes/on or
+    0/false/no/off; every other value goes through the flag's own parsing
+    once the tokens are spliced ahead of the command line.
     """
     try:
         with open(path, "r", encoding="utf-8") as f:
@@ -123,6 +123,9 @@ def _config_tokens(path: str, sub: argparse.ArgumentParser) -> list:
             tokens.append(f"{flag}={value}")
         elif value.lower() in ("1", "true", "yes", "on"):
             tokens.append(flag)
+        elif value.lower() not in ("0", "false", "no", "off"):
+            raise _UsageError(f"{path}:{line_no}: {key} takes 1/true/yes/on or "
+                              f"0/false/no/off, got {value!r}")
     return tokens
 
 

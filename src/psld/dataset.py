@@ -6,12 +6,12 @@ plus an optional undirected weighted adjacency.
 
 from __future__ import annotations
 
-import math
+import struct
 from array import array
+from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import compress, islice, repeat
-from operator import itemgetter
+from itertools import chain, islice
 
 import numpy as np
 
@@ -21,6 +21,9 @@ from .numerics import Rng
 SIGMA_FLOOR = 1e-8
 SPLIT_RATIOS = (0.6, 0.2, 0.2)
 MIN_SYNTH_LENGTH = 64
+# an input edge's two directed rows, packed in one call
+_EDGE_PAIR = struct.Struct("6d").pack
+_OUT_OF_RANGE = "edge ({}, {}) out of range for {} nodes".format
 
 
 @dataclass(frozen=True)
@@ -29,13 +32,11 @@ class SeriesStore:
 
     ``values`` has shape (n_nodes, l_data). ``adjacency`` is a read-only
     (n_edges, 3) float64 array of directed ``[src, dst, weight]`` rows, or
-    None; undirected inputs carry both directions. It is built from a
-    tuple of triples or any array of that shape. A read-only float64 array
-    is kept as is, so stores derived by ``apply_norm`` and
-    ``restrict_time`` share their parent's edges; any other input is
-    copied once. Node indices must be integers in [0, n_nodes) without
-    self-loops, and weights finite; float64 holds indices exactly below
-    2**53. Instances are treated as immutable after construction.
+    None; undirected inputs carry both directions. It is built from any
+    array-like of that shape, copied once unless it is a read-only float64
+    array, and checked once: node indices are integers in [0, n_nodes)
+    without self-loops (exact below 2**53), weights finite. Stores derived
+    by ``apply_norm`` and ``restrict_time`` share it unchecked.
     """
 
     values: np.ndarray
@@ -65,10 +66,25 @@ class SeriesStore:
         return self.values.shape[1]
 
 
+def _with_edges(store: SeriesStore, edges) -> SeriesStore:
+    """``store`` given ``edges``, which ``_edge_array`` has already checked for its nodes."""
+    object.__setattr__(store, "adjacency", edges)
+    return store
+
+
+class _EdgeFault(ValueError):
+    """A bad edge ``row``; ``weight`` is set when its non-finite weight is the fault."""
+
+    def __init__(self, message: str, row: int, weight=None):
+        super().__init__(message)
+        self.row, self.weight = row, weight
+
+
 def _edge_array(edges, n_nodes: int) -> np.ndarray:
     """Validated read-only (n_edges, 3) float64 array of ``edges``.
 
     A read-only float64 array is returned as is; anything else is copied.
+    The first bad row raises ``_EdgeFault``, a ``ValueError``.
     """
     a = edges
     if not (isinstance(a, np.ndarray) and a.dtype == np.float64 and not a.flags.writeable):
@@ -88,12 +104,13 @@ def _edge_array(edges, n_nodes: int) -> np.ndarray:
         row = int(np.argmax(bad))
         src, dst, weight = a[row].tolist()
         if not integral[row]:
-            raise ValueError(f"edge ({src!r}, {dst!r}) has a non-integer node index")
+            raise _EdgeFault(f"edge ({src!r}, {dst!r}) has a non-integer node index", row)
         if not in_range[row]:
-            raise ValueError(f"edge ({int(src)}, {int(dst)}) out of range for {n_nodes} nodes")
+            raise _EdgeFault(_OUT_OF_RANGE(int(src), int(dst), n_nodes), row)
         if loop[row]:
-            raise ValueError(f"self-loop on node {int(src)} is not supported")
-        raise ValueError(f"edge ({int(src)}, {int(dst)}) has non-finite weight {weight!r}")
+            raise _EdgeFault(f"self-loop on node {int(src)} is not supported", row)
+        raise _EdgeFault(f"edge ({int(src)}, {int(dst)}) has non-finite weight {weight!r}",
+                         row, weight)
     return a
 
 
@@ -109,17 +126,15 @@ class NormStats:
         object.__setattr__(self, "sigma", np.asarray(self.sigma, dtype=np.float64))
 
 
-def _parse_float(token: str, line_no: int, field_no: int) -> float:
+def _parse_float(token: str, where: str) -> float:
     try:
         return float(token)
     except ValueError:
-        raise ParseError(
-            f"line {line_no}, field {field_no}: cannot parse {token!r} as a number"
-        ) from None
+        raise ParseError(f"{where}: cannot parse {token!r} as a number") from None
 
 
-def _non_finite(line_no: int, field_no: int, value: float) -> ParseError:
-    return ParseError(f"line {line_no}, field {field_no}: non-finite value {value!r}")
+def _non_finite(where: str, value: float) -> ParseError:
+    return ParseError(f"{where}: non-finite value {value!r}")
 
 
 def load_csv(path, adjacency_path=None) -> SeriesStore:
@@ -127,42 +142,38 @@ def load_csv(path, adjacency_path=None) -> SeriesStore:
 
     A leading id column is auto-detected: if the first field of the first
     data row is not numeric, every row is expected to start with an id.
-    Lines are split as ``str.splitlines`` splits them, and blank lines are
-    skipped but counted. The file is read line by line and each line's
-    fields go through ``float`` straight into one float64 buffer, so no
-    per-value Python object outlives its line.
+    Blank lines are skipped but counted. The file is read line by line and
+    each line's fields go through ``float`` straight into one float64
+    buffer, so no per-value Python object outlives its line.
     """
     data = array("d")
     ids, line_nos = [], []
     has_ids = width = None
-    with _utf8_text(path) as f:
-        line_no = 0
-        for raw in f:
-            for line in raw.splitlines():
-                line_no += 1
-                if not line.strip():
-                    continue
-                fields = line.split(",")
-                if has_ids is None:
-                    has_ids = not _is_number(fields[0])
-                    width = len(fields) - has_ids
-                if len(fields) - has_ids != width:
-                    raise FormatError(
-                        f"line {line_no}: expected {width} values, got {len(fields) - has_ids}"
-                    )
-                if has_ids:
-                    ids.append(fields[0].strip())
-                filled = len(data)
-                try:
-                    data.extend(map(float, islice(fields, has_ids, None)))
-                except ValueError:
-                    # float() ignores only part of what str.strip() removes
-                    # (not "\x1f"), so redo the line on stripped fields,
-                    # which also names the first bad one
-                    del data[filled:]
-                    data.extend([_parse_float(tok.strip(), line_no, i + 1)
-                                 for i, tok in enumerate(fields[has_ids:])])
-                line_nos.append(line_no)
+    with _utf8_lines(path) as lines:
+        for line_no, line in lines:
+            if not line.strip():
+                continue
+            fields = line.split(",")
+            if has_ids is None:
+                has_ids = not _is_number(fields[0])
+                width = len(fields) - has_ids
+            if len(fields) - has_ids != width:
+                raise FormatError(
+                    f"line {line_no}: expected {width} values, got {len(fields) - has_ids}"
+                )
+            if has_ids:
+                ids.append(fields[0].strip())
+            filled = len(data)
+            try:
+                data.extend(map(float, islice(fields, has_ids, None)))
+            except ValueError:
+                # float() ignores only part of what str.strip() removes
+                # (not "\x1f"), so redo the line on stripped fields,
+                # which also names the first bad one
+                del data[filled:]
+                data.extend([_parse_float(tok.strip(), f"line {line_no}, field {i + 1}")
+                             for i, tok in enumerate(fields[has_ids:])])
+            line_nos.append(line_no)
     if not line_nos:
         raise FormatError(f"{path}: empty series file")
     if not has_ids:
@@ -173,20 +184,18 @@ def load_csv(path, adjacency_path=None) -> SeriesStore:
     bad = np.argwhere(~np.isfinite(values))
     if bad.size:
         row, col = bad[0]
-        raise _non_finite(line_nos[row], col + 1, float(values[row, col]))
+        raise _non_finite(f"line {line_nos[row]}, field {col + 1}", float(values[row, col]))
 
-    adjacency = None
-    if adjacency_path is not None:
-        adjacency = _load_adjacency(adjacency_path, values.shape[0])
-    return SeriesStore(values, tuple(ids), adjacency)
+    edges = None if adjacency_path is None else _load_adjacency(adjacency_path, len(values))
+    return _with_edges(SeriesStore(values, tuple(ids)), edges)
 
 
 @contextmanager
-def _utf8_text(path):
-    """Open path as UTF-8 text; bytes that do not decode raise FormatError naming it."""
+def _utf8_lines(path):
+    """(line_no, line) pairs split as ``str.splitlines`` splits; non-UTF-8 bytes name the file."""
     with open(path, "r", encoding="utf-8") as f:
         try:
-            yield f
+            yield enumerate(chain.from_iterable(map(str.splitlines, f)), 1)
         except UnicodeDecodeError as err:
             raise FormatError(f"{path}: not UTF-8 text ({err.reason})") from None
 
@@ -202,68 +211,61 @@ def _is_number(token: str) -> bool:
 def _load_adjacency(path, n_nodes: int) -> np.ndarray:
     """Read 'src,dst[,weight]' lines; each line contributes both directions.
 
-    The columns are converted in bulk. Only when a line fails to convert,
-    has a non-finite weight, or names an edge that leaves [0, n_nodes) or
-    loops, are the lines walked again to name the first bad one.
+    One pass packs each line's two edge rows into one float64 buffer, and
+    ``_edge_array`` checks it once. A line is redone on stripped fields only
+    when its fields do not convert as they stand. Faults name file and line.
     """
-    with _utf8_text(path) as f:
-        raw_lines = f.read().splitlines()
-    rows = list(map(str.split, filter(str.strip, raw_lines), repeat(",")))
-    columns = _bulk_edge_columns(rows, n_nodes)
-    if columns is None:
-        _raise_first_bad_line(path, raw_lines, n_nodes)
-    edges = _both_directions(*columns)
-    edges.flags.writeable = False
-    return edges
+    data = array("d")
+    blank_at = []  # data lines read before each blank line
+    with _utf8_lines(path) as lines:
+        for line_no, line in lines:
+            # a fourth field stays in the third, where float() rejects its comma
+            fields = line.split(",", 2)
+            try:
+                src, dst = int(fields[0]), int(fields[1])
+                w = float(fields[2]) if len(fields) == 3 else 1.0
+                data.frombytes(_EDGE_PAIR(src, dst, w, dst, src, w))
+            except (ValueError, IndexError, struct.error):
+                if not line.strip():
+                    blank_at.append(len(data) // 6)
+                    continue
+                try:
+                    data.frombytes(_strict_edge(path, line_no, line, n_nodes))
+                except FormatError:
+                    _checked_edges(path, data, blank_at, n_nodes)  # an earlier bad row wins
+                    raise
+    return _checked_edges(path, data, blank_at, n_nodes)
 
 
-def _column(rows, k: int, convert) -> np.ndarray:
-    fields = map(str.strip, map(itemgetter(k), rows))
-    return np.fromiter(map(convert, fields), dtype=np.float64)
-
-
-def _bulk_edge_columns(rows, n_nodes: int):
-    """(src, dst, weight) float64 columns, or None if some line is bad."""
-    widths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
-    weighted = widths == 3
-    if not np.all(weighted | (widths == 2)):
-        return None
+def _strict_edge(path, line_no: int, line: str, n_nodes: int) -> bytes:
+    """A line's two packed edge rows from its stripped fields, or the fault naming it."""
+    where = f"{path}: line {line_no}"
+    fields = [f.strip() for f in line.split(",")]
+    if len(fields) not in (2, 3):
+        raise FormatError(f"{where}: adjacency rows need 2 or 3 fields, got {len(fields)}")
     try:
-        src = _column(rows, 0, int)
-        dst = _column(rows, 1, int)
-        w = np.ones(len(rows))
-        w[weighted] = _column(compress(rows, weighted.tolist()), 2, float)
-    except (ValueError, OverflowError):
-        return None
-    in_range = (src >= 0) & (src < n_nodes) & (dst >= 0) & (dst < n_nodes)
-    if not np.all(in_range & (src != dst) & np.isfinite(w)):
-        return None
-    return src, dst, w
+        src, dst = int(fields[0]), int(fields[1])
+    except ValueError:
+        raise ParseError(f"{where}: node indices must be integers") from None
+    w = _parse_float(fields[2], f"{where}, field 3") if len(fields) == 3 else 1.0
+    try:
+        return _EDGE_PAIR(src, dst, w, dst, src, w)
+    except struct.error:  # an index float64 cannot hold is outside any node range
+        raise FormatError(f"{where}: {_OUT_OF_RANGE(src, dst, n_nodes)}") from None
 
 
-def _raise_first_bad_line(path, raw_lines, n_nodes: int) -> None:
-    """Walk the lines with the bulk converters and raise for the first bad one."""
-    for line_no, line in enumerate(raw_lines, 1):
-        if not line.strip():
-            continue
-        fields = [f.strip() for f in line.split(",")]
-        if len(fields) not in (2, 3):
-            raise FormatError(
-                f"line {line_no}: adjacency rows need 2 or 3 fields, got {len(fields)}"
-            )
-        try:
-            src, dst = int(fields[0]), int(fields[1])
-        except ValueError:
-            raise ParseError(f"line {line_no}: node indices must be integers") from None
-        w = _parse_float(fields[2], line_no, 3) if len(fields) == 3 else 1.0
-        if not math.isfinite(w):
-            raise _non_finite(line_no, 3, w)
-        if not (0 <= src < n_nodes and 0 <= dst < n_nodes):
-            raise FormatError(
-                f"{path}: line {line_no}: edge ({src}, {dst}) out of range for {n_nodes} nodes"
-            )
-        if src == dst:
-            raise FormatError(f"{path}: line {line_no}: self-loop on node {src} is not supported")
+def _checked_edges(path, data: array, blank_at: list, n_nodes: int) -> np.ndarray:
+    """The buffer's rows as ``_edge_array`` checks them, a fault naming its line."""
+    edges = np.frombuffer(data, dtype=np.float64).reshape(-1, 3)
+    edges.flags.writeable = False
+    try:
+        return _edge_array(edges, n_nodes)
+    except _EdgeFault as fault:
+        i = fault.row // 2
+        where = f"{path}: line {i + 1 + bisect_right(blank_at, i)}"
+        if fault.weight is not None:
+            raise _non_finite(f"{where}, field 3", fault.weight) from None
+        raise FormatError(f"{where}: {fault}") from None
 
 
 def _both_directions(src, dst, w) -> np.ndarray:
@@ -354,14 +356,14 @@ def apply_norm(store: SeriesStore, stats: NormStats, sigma_floor: float = SIGMA_
         raise ShapeError(f"stats cover {stats.mu.shape[0]} nodes, store has {store.n_nodes}")
     scale = np.maximum(stats.sigma, sigma_floor)
     normed = (store.values - stats.mu[:, None]) / scale[:, None]
-    return SeriesStore(normed, store.node_ids, store.adjacency)
+    return _with_edges(SeriesStore(normed, store.node_ids), store.adjacency)
 
 
 def restrict_time(store: SeriesStore, t0: int, t1: int) -> SeriesStore:
     """Slice the store to timesteps [t0, t1), keeping ids and adjacency."""
     if not (0 <= t0 < t1 <= store.l_data):
         raise ValueError(f"invalid time range [{t0}, {t1}) for length {store.l_data}")
-    return SeriesStore(store.values[:, t0:t1].copy(), store.node_ids, store.adjacency)
+    return _with_edges(SeriesStore(store.values[:, t0:t1].copy(), store.node_ids), store.adjacency)
 
 
 def split_ranges(l_data: int, ratios=SPLIT_RATIOS) -> dict:

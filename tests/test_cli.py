@@ -131,6 +131,22 @@ class TestTrain:
         assert code == EXIT_OK
         assert len(calls) == 3
 
+    @pytest.mark.parametrize("extra", [(), ("--baseline-mlp",)], ids=["plain", "baseline-mlp"])
+    def test_edges_are_checked_once_per_run(self, dataset, tmp_path, capsys, monkeypatch,
+                                            extra):
+        # the loader checks the edge array; derived stores share it unchecked
+        calls = []
+        real = psld.dataset._edge_array
+
+        def counting(edges, n_nodes):
+            calls.append(len(edges))
+            return real(edges, n_nodes)
+
+        monkeypatch.setattr(psld.dataset, "_edge_array", counting)
+        code, _, _ = run_cli(capsys, *train_args(dataset, tmp_path / "run", *extra))
+        assert code == EXIT_OK
+        assert len(calls) == 1
+
     def test_too_many_subgraphs_is_usage_error(self, dataset, tmp_path, capsys):
         code, _, err = run_cli(capsys, "train", "--data",
                                str(dataset / "series.csv"),
@@ -146,7 +162,7 @@ class TestTrain:
         assert code == EXIT_RUNTIME
         assert "error" in json.loads(err.strip().splitlines()[-1])
 
-    @pytest.mark.parametrize("edge", ["0,5", "0,0"])
+    @pytest.mark.parametrize("edge", ["0,5", "0,0", "0", "0,x", "0,1,x", "0,1,inf", "0,1,2,3"])
     def test_bad_adjacency_edge_is_runtime_error(self, tmp_path, edge):
         series = tmp_path / "series.csv"
         series.write_text("a,1,2,3,4\nb,5,6,7,8\n")
@@ -198,6 +214,28 @@ class TestTrain:
         assert proc.returncode == EXIT_USAGE
         assert f"argument {flag}: " in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("value", ["off", "0", "False"])
+    def test_config_switch_false_values(self, dataset, tmp_path, capsys, value):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"baseline_mlp = {value}\n")
+        out = tmp_path / "run"
+        code, _, _ = run_cli(capsys, *train_args(dataset, out, "--config", str(cfg)))
+        assert code == EXIT_OK
+        assert "plain_mlp" not in json.loads((out / "metrics.json").read_text())["baselines"]
+
+    @pytest.mark.parametrize("value", ["maybe", "ture", ""])
+    def test_bad_config_switch_value_is_usage_error(self, tmp_path, value):
+        # before, such a line silently trained without the baseline and exited 0
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"# run\nbaseline_mlp = {value}\n")
+        proc = run_module("train", "--data", str(tmp_path / "unread.csv"),
+                          "--out", str(tmp_path / "r"), "--config", str(cfg))
+        assert proc.returncode == EXIT_USAGE
+        assert "Traceback" not in proc.stderr
+        assert f"error: {cfg}:2: baseline_mlp takes 1/true/yes/on or 0/false/no/off, " \
+               f"got {value!r}" in proc.stderr
+        assert not (tmp_path / "r").exists()
 
     def test_config_file_takes_field_names(self, dataset, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

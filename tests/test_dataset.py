@@ -1,5 +1,7 @@
 import math
 import tracemalloc
+from itertools import compress, repeat
+from operator import itemgetter
 
 import numpy as np
 import pytest
@@ -8,6 +10,8 @@ from hypothesis import strategies as st
 
 from psld import training as tr
 from psld.dataset import (
+    _both_directions,
+    _load_adjacency,
     SIGMA_FLOOR,
     SeriesStore,
     apply_norm,
@@ -503,6 +507,202 @@ class TestCsvParsing:
             tracemalloc.stop()
         assert np.array_equal(values, store.values)
         assert peak <= 2 * values.nbytes
+
+
+def _reference_column(rows, k: int, convert) -> np.ndarray:
+    fields = map(str.strip, map(itemgetter(k), rows))
+    return np.fromiter(map(convert, fields), dtype=np.float64)
+
+
+def _reference_bulk_edge_columns(rows, n_nodes: int):
+    widths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
+    weighted = widths == 3
+    if not np.all(weighted | (widths == 2)):
+        return None
+    try:
+        src = _reference_column(rows, 0, int)
+        dst = _reference_column(rows, 1, int)
+        w = np.ones(len(rows))
+        w[weighted] = _reference_column(compress(rows, weighted.tolist()), 2, float)
+    except (ValueError, OverflowError):
+        return None
+    in_range = (src >= 0) & (src < n_nodes) & (dst >= 0) & (dst < n_nodes)
+    if not np.all(in_range & (src != dst) & np.isfinite(w)):
+        return None
+    return src, dst, w
+
+
+def _reference_raise_first_bad_line(path, raw_lines, n_nodes: int) -> None:
+    for line_no, line in enumerate(raw_lines, 1):
+        if not line.strip():
+            continue
+        fields = [f.strip() for f in line.split(",")]
+        if len(fields) not in (2, 3):
+            raise FormatError(
+                f"line {line_no}: adjacency rows need 2 or 3 fields, got {len(fields)}"
+            )
+        try:
+            src, dst = int(fields[0]), int(fields[1])
+        except ValueError:
+            raise ParseError(f"line {line_no}: node indices must be integers") from None
+        w = 1.0
+        if len(fields) == 3:
+            try:
+                w = float(fields[2])
+            except ValueError:
+                raise ParseError(f"line {line_no}, field 3: cannot parse {fields[2]!r} "
+                                 f"as a number") from None
+        if not math.isfinite(w):
+            raise ParseError(f"line {line_no}, field 3: non-finite value {w!r}")
+        if not (0 <= src < n_nodes and 0 <= dst < n_nodes):
+            raise FormatError(
+                f"{path}: line {line_no}: edge ({src}, {dst}) out of range for {n_nodes} nodes"
+            )
+        if src == dst:
+            raise FormatError(f"{path}: line {line_no}: self-loop on node {src} is not supported")
+
+
+def reference_load_adjacency(path, n_nodes: int) -> np.ndarray:
+    """The bulk loader (and its three helpers) that _load_adjacency replaced, kept as its oracle.
+
+    It converts whole columns, then walks the lines again to name the
+    first bad one; some of its errors do not name the file.
+    """
+    with open(path, "r", encoding="utf-8") as f:
+        raw_lines = f.read().splitlines()
+    rows = list(map(str.split, filter(str.strip, raw_lines), repeat(",")))
+    columns = _reference_bulk_edge_columns(rows, n_nodes)
+    if columns is None:
+        _reference_raise_first_bad_line(path, raw_lines, n_nodes)
+    edges = _both_directions(*columns)
+    edges.flags.writeable = False
+    return edges
+
+
+ADJ_NODES = 12
+
+
+def adjacency_outcome(load, path):
+    """Edge bytes, or the error type and text without the file prefix."""
+    try:
+        edges = load(path, ADJ_NODES)
+    except Exception as err:  # noqa: BLE001 - the error is the outcome compared
+        return type(err), str(err).removeprefix(f"{path}: ")
+    assert edges.dtype == np.float64 and not edges.flags.writeable
+    return edges.shape, edges.tobytes()
+
+
+HUGE = "1" + "0" * 400  # a 401-digit index: int() takes it, float64 overflows
+
+
+class TestAdjacencyParsing:
+    """_load_adjacency streams one pass and must parse as the bulk oracle."""
+
+    @pytest.mark.parametrize("text", [
+        pytest.param("0,1\r\n1,2,0.5\r\n", id="crlf"),
+        pytest.param("0,1\r1,2,0.5\r", id="cr"),
+        pytest.param("0,1\x0c1,2\n", id="form-feed"),
+        pytest.param("0,1\u20281,2,3\n2,3", id="line-separator"),
+        pytest.param("0,1\x0b\x1c1,2\x852,3\n", id="other-splitlines-breaks"),
+        pytest.param("0,1\n\n  \t\n1,2\n", id="blank-and-whitespace-lines"),
+        pytest.param("\n \n0,1\n\r\n1,x\n", id="leading-blank-lines"),
+        pytest.param("\x1f0\x1f,1\u3000\n\u30001,2,\x1f0.5\u3000\n", id="padded-fields"),
+        pytest.param(" 0 , 1 \n1,2, 0.5\n", id="spaces"),
+        pytest.param("1_0,2\n3,4,1_5\n", id="underscores"),
+        pytest.param("\u0661,\u0662\n\u0969,4,\u0665\n", id="unicode-digits"),
+        pytest.param("0,1\n1,2,0.5\n2,3\n3,4,-2.5e3\n", id="mixed-widths"),
+        pytest.param("0,1\n" + HUGE + ",0\n", id="401-digit-index"),
+        pytest.param("0,-" + HUGE + "\n", id="401-digit-negative-index"),
+        pytest.param("0,1\n" + "1" * 4301 + ",0\n", id="4301-digit-index"),
+        pytest.param("0\n", id="one-field"),
+        pytest.param("0,1,2,3\n", id="four-fields"),
+        pytest.param("0,1,2,\n", id="four-fields-last-empty"),
+        pytest.param("0,\n", id="empty-index"),
+        pytest.param("a,b,1.0\n", id="non-integer-index"),
+        pytest.param("1.5,2\n", id="float-index"),
+        pytest.param("0,1,x\n", id="bad-weight"),
+        pytest.param("0,1,\n", id="empty-weight"),
+        pytest.param("0,1, 4x \n", id="padded-bad-weight"),
+        pytest.param("0,1,nan\n", id="nan-weight"),
+        pytest.param("0,1,inf\n", id="inf-weight"),
+        pytest.param("0,1,-inf\n", id="minus-inf-weight"),
+        pytest.param("0,1,1e999\n", id="overflowing-weight"),
+        pytest.param("0,12\n", id="index-at-node-count"),
+        pytest.param("-1,2\n", id="negative-index"),
+        pytest.param("2,2\n", id="self-loop"),
+        pytest.param("0,1\n0,99\n0,x\n", id="range-before-syntax"),
+        pytest.param("0,1\n0,x\n0,99\n", id="syntax-before-range"),
+        pytest.param("0,1\n3,3\n1,2,3,4\n", id="self-loop-before-field-count"),
+        pytest.param("0,1\n1,2,3,4\n3,3\n", id="field-count-before-self-loop"),
+        pytest.param("0,1\n1,2,inf\n0,x\n", id="weight-before-syntax"),
+        pytest.param("0,1\n\n1,2,inf\n\n0,99\n", id="weight-before-range-after-blanks"),
+        pytest.param("0,1\n\n0,99\n\n\n1,2,nan\n", id="range-before-weight-after-blanks"),
+        pytest.param("0,1\n5,5\n" + HUGE + ",0\n", id="self-loop-before-overflow"),
+        pytest.param("0,1\n" + HUGE + ",0\n5,5\n", id="overflow-before-self-loop"),
+        pytest.param("0,99\n" + "1" * 4301 + ",0\n", id="range-before-4301-digits"),
+        pytest.param("", id="empty"),
+        pytest.param(" \n\t\n", id="only-blank-lines"),
+        pytest.param("0,1", id="no-final-newline"),
+    ])
+    def test_parses_as_the_bulk_oracle(self, tmp_path, text):
+        p = tmp_path / "adjacency.csv"
+        p.write_bytes(text.encode("utf-8"))
+        assert adjacency_outcome(_load_adjacency, p) == \
+            adjacency_outcome(reference_load_adjacency, p)
+
+    @pytest.mark.parametrize("line", ["0", "1,2,3,4", "0,x", "0,1,x", "0,1,nan", "0,99",
+                                      HUGE + ",0", "4,4"],
+                             ids=["fields", "extra-field", "index", "weight", "non-finite",
+                                  "range", "overflow", "self-loop"])
+    def test_every_fault_names_the_file_and_line(self, tmp_path, line):
+        p = tmp_path / "adjacency.csv"
+        p.write_text(f"0,1\n\n{line}\n")
+        with pytest.raises(FormatError) as exc:
+            _load_adjacency(p, ADJ_NODES)
+        assert str(exc.value).startswith(f"{p}: line 3")
+
+    def test_synthetic_file_parses_as_the_oracle(self, tmp_path):
+        p = tmp_path / "adjacency.csv"
+        save_adjacency_csv(generate_synthetic(512, 64, Rng(41)), p)
+        new = _load_adjacency(p, 512)
+        assert new.shape[0] > 10_000
+        assert new.tobytes() == reference_load_adjacency(p, 512).tobytes()
+
+    @pytest.mark.parametrize("line", ["0,99,nan", HUGE + ",0,nan", "3,3,inf"],
+                             ids=["range", "overflow", "self-loop"])
+    def test_bad_index_is_named_before_bad_weight_of_the_same_line(self, tmp_path, line):
+        # as SeriesStore does; the bulk oracle named the non-finite weight first
+        p = tmp_path / "adjacency.csv"
+        p.write_text(f"0,1\n{line}\n")
+        with pytest.raises(ParseError, match="line 2, field 3: non-finite"):
+            reference_load_adjacency(p, ADJ_NODES)
+        with pytest.raises(FormatError) as exc:
+            _load_adjacency(p, ADJ_NODES)
+        index = line.split(",")[0]
+        assert str(exc.value) in (
+            f"{p}: line 2: edge ({index}, {line.split(',')[1]}) out of range for 12 nodes",
+            f"{p}: line 2: self-loop on node {index} is not supported")
+
+    def test_indices_past_2_53_print_as_float64(self, tmp_path):
+        # the range text is formatted from the float64 edge array
+        p = tmp_path / "adjacency.csv"
+        p.write_text("0,9007199254740993\n")
+        with pytest.raises(FormatError) as exc:
+            _load_adjacency(p, ADJ_NODES)
+        assert str(exc.value) == f"{p}: line 1: edge (0, 9007199254740992) out of range for 12 nodes"
+
+    def test_peak_memory_is_a_small_multiple_of_the_edges(self, tmp_path):
+        # the edge buffer and one line's fields, not every line's at once
+        p = tmp_path / "adjacency.csv"
+        save_adjacency_csv(generate_synthetic(512, 64, Rng(41)), p)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            edges = _load_adjacency(p, 512)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * edges.nbytes
 
 
 class TestSynthetic:
