@@ -28,7 +28,7 @@ from .dataset import (
 )
 from .decomposition import KINDS
 from .exceptions import CheckpointError, PsldError
-from .model import MODES, finite_difference_check, load_checkpoint, save_checkpoint
+from .model import MODES, finite_difference_check, load_checkpoint, one_of, save_checkpoint
 from .numerics import Rng
 from .sampler import NORM_MODES, SampleDesign, random_graph, unbiasedness_mc_check
 from .training import (
@@ -93,8 +93,8 @@ def _config_tokens(path: str, sub: argparse.ArgumentParser) -> list:
 
     A key names a flag (``l-in``, ``--l-in``) or its field (``l_in``,
     ``n_subgraphs``, ``lam``). A switch takes 1/true/yes/on or
-    0/false/no/off; every other value goes through the flag's own parsing
-    once the tokens are spliced ahead of the command line.
+    0/false/no/off; every other value must pass the flag's own type and
+    choices, and a value that does not is reported with its file and line.
     """
     try:
         with open(path, "r", encoding="utf-8") as f:
@@ -120,6 +120,7 @@ def _config_tokens(path: str, sub: argparse.ArgumentParser) -> list:
             raise _UsageError(f"{path}:{line_no}: unknown config key {key!r}")
         flag = action.option_strings[-1]
         if action.nargs != 0:
+            _check_value(action, value, f"{path}:{line_no}: argument {flag}")
             tokens.append(f"{flag}={value}")
         elif value.lower() in ("1", "true", "yes", "on"):
             tokens.append(flag)
@@ -127,6 +128,18 @@ def _config_tokens(path: str, sub: argparse.ArgumentParser) -> list:
             raise _UsageError(f"{path}:{line_no}: {key} takes 1/true/yes/on or "
                               f"0/false/no/off, got {value!r}")
     return tokens
+
+
+def _check_value(action: argparse.Action, value: str, where: str) -> None:
+    """Parse a config value as argparse would parse the flag, failing with ``where``."""
+    try:
+        parsed = action.type(value) if action.type else value
+    except argparse.ArgumentTypeError as err:
+        raise _UsageError(f"{where}: {err}") from None
+    except (TypeError, ValueError):
+        raise _UsageError(f"{where}: invalid {action.type.__name__} value: {value!r}") from None
+    if action.choices is not None and parsed not in action.choices:
+        raise _UsageError(f"{where}: must be {one_of(action.choices)}, got {value!r}")
 
 
 def _split_ratios(text: str) -> tuple:
@@ -181,12 +194,11 @@ def cmd_train(args) -> int:
         ranges = split_ranges(store.l_data, config.split)
     except ValueError as err:
         raise _UsageError(str(err)) from None
-    for name, (t0, t1) in ranges.items():
-        if (t1 - t0) < config.l_in + config.l_out:
-            raise _UsageError(
-                f"{name} split has {t1 - t0} timesteps but --l-in/--l-out need "
-                f"{config.l_in + config.l_out}"
-            )
+    for name, split in ranges.items():
+        try:
+            _n_rows(store, config.l_in, config.l_out, split)
+        except ValueError as err:
+            raise _UsageError(f"{name} split: {err}") from None
 
     out_dir = Path(args.out)
     checkpoint = out_dir / "checkpoint.psld"
@@ -218,10 +230,8 @@ def cmd_train(args) -> int:
         json.dump(metrics, f, indent=2)
         f.write("\n")
     with open(epochs_path, "w", encoding="utf-8") as f:
-        f.write("epoch,train_total,train_cbn,train_cpn,val_mse,val_mae\n")
-        for r in reports:
-            f.write(f"{r.epoch},{r.train_total!r},{r.train_cbn!r},"
-                    f"{r.train_cpn!r},{r.val_mse!r},{r.val_mae!r}\n")
+        f.write(",".join(metrics["epochs"][0]) + "\n")
+        f.writelines(",".join(map(repr, row.values())) + "\n" for row in metrics["epochs"])
     _dump_json(metrics)
     return EXIT_OK
 

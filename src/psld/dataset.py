@@ -366,6 +366,20 @@ def restrict_time(store: SeriesStore, t0: int, t1: int) -> SeriesStore:
     return _with_edges(SeriesStore(store.values[:, t0:t1].copy(), store.node_ids), store.adjacency)
 
 
+def _windows(values: np.ndarray, l_in: int, l_out: int) -> tuple:
+    """Read-only node-major views (x, y) of every window of (n_nodes, length) ``values``.
+
+    ``x[d, w] = values[d, w:w + l_in]``, ``y[d, w] = values[d, w + l_in:w + l_in + l_out]``
+    for ``w`` in ``range(length - l_in - l_out + 1)``; nothing is copied.
+    """
+    n_win = values.shape[1] - l_in - l_out + 1
+    if n_win < 1:
+        raise ValueError(f"series of length {values.shape[1]} too short for windows; "
+                         f"needs at least {l_in + l_out}")
+    view = np.lib.stride_tricks.sliding_window_view
+    return view(values[:, :n_win + l_in - 1], l_in, axis=1), view(values[:, l_in:], l_out, axis=1)
+
+
 def split_ranges(l_data: int, ratios=SPLIT_RATIOS) -> dict:
     """Contiguous train/val/test timestep ranges from fractional ratios."""
     if len(ratios) != 3 or any(r <= 0 for r in ratios):

@@ -410,8 +410,14 @@ class LossParts:
     per_component: dict
 
 
-def _mse(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.mean((a - b) ** 2))
+def _mse(hat: np.ndarray, ref: np.ndarray, what: str) -> float:
+    """Mean squared error of one loss term; a shape mismatch or non-finite loss names ``what``."""
+    if hat.shape != ref.shape:
+        raise ShapeError(f"{what}: prediction {hat.shape} vs target {ref.shape}")
+    loss = float(np.mean((hat - ref) ** 2))
+    if not math.isfinite(loss):
+        raise NumericError(f"non-finite loss in {what}")
+    return loss
 
 
 def train_step(params, x_rows: np.ndarray, y_rows: np.ndarray, dcfg, lam: float, rng: Rng,
@@ -427,11 +433,7 @@ def train_step(params, x_rows: np.ndarray, y_rows: np.ndarray, dcfg, lam: float,
     """
     if isinstance(params, PlainParams):
         out, cache = _head_forward(params.head, x_rows, params.dropout, rng, buffers)
-        if out.shape != y_rows.shape:
-            raise ShapeError(f"forecast {out.shape} vs target {y_rows.shape}")
-        loss = _mse(out, y_rows)
-        if not math.isfinite(loss):
-            raise NumericError("non-finite loss in head 'main'")
+        loss = _mse(out, y_rows, "head 'main'")
         _head_backward(params.head, cache, (2.0 / y_rows.size) * (out - y_rows), params.grads)
         return LossParts(loss, loss, 0.0, {}), params.grads
     state = forward(params, dc.decompose(x_rows, dcfg), training=True, rng=rng, buffers=buffers)
@@ -462,22 +464,10 @@ def loss_and_backward(
             f"label bundle kind {label_bundle.kind!r} does not match model {params.kind!r}"
         )
     names = dc.part_names(params.kind)
-    comp_losses = {}
-    for nm in names:
-        hat, ref = state.comp_hat[nm], label_bundle.parts[nm]
-        if hat.shape != ref.shape:
-            raise ShapeError(
-                f"component '{nm}': prediction {hat.shape} vs label {ref.shape}"
-            )
-        comp_losses[nm] = _mse(hat, ref)
-        if not math.isfinite(comp_losses[nm]):
-            raise NumericError(f"non-finite loss in component head '{nm}'")
+    comp_losses = {nm: _mse(state.comp_hat[nm], label_bundle.parts[nm],
+                            f"component head '{nm}'") for nm in names}
     l_cpn = sum(comp_losses.values())
-    if state.y_hat.shape != y.shape:
-        raise ShapeError(f"forecast {state.y_hat.shape} vs target {y.shape}")
-    l_cbn = _mse(state.y_hat, y)
-    if not math.isfinite(l_cbn):
-        raise NumericError("non-finite loss in combinator head 'cbn'")
+    l_cbn = _mse(state.y_hat, y, "combinator head 'cbn'")
     total = l_cbn + lam * l_cpn
 
     grads = params.grads

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import SeriesStore, _both_directions, _edge_array
+from .dataset import SeriesStore, _both_directions, _edge_array, _windows
 from .numerics import Rng, shuffle_indices
 
 NORM_MODES = ("target_degree", "symmetric_sqrt", "unit")
@@ -29,10 +29,10 @@ class SubgraphBatch:
     ``adjacency`` is the dense (n_sub, n_sub) weight block for the chunk:
     ``adjacency[i, j]`` is the weight of the edge from ``node_index[i]``
     to ``node_index[j]`` (the last one where the edge array repeats it),
-    else 0. ``x`` and ``y`` are read-only strided views over one
-    (n_sub, l_data) copy of the chunk's series, so a batch holds
-    O(n_sub * l_data) values however many windows it exposes; indexing a
-    subset of windows copies only that subset.
+    else 0. ``x`` and ``y`` are read-only strided views into one shuffled
+    copy of the series that all batches of a partition share, so they hold
+    O(n_nodes * l_data) values however many windows they expose; indexing
+    a subset of windows copies only that subset.
     """
 
     node_index: np.ndarray
@@ -62,25 +62,13 @@ def rss_partition(
     n = store.n_nodes
     if not 1 <= n_subgraphs <= n:
         raise ValueError(f"n_subgraphs must be in [1, {n}], got {n_subgraphs}")
-    l_time = store.l_data - l_in - l_out + 1
-    if l_time < 1:
-        raise ValueError(
-            f"series length {store.l_data} too short for windows; "
-            f"needs at least {l_in + l_out}"
-        )
     order = shuffle_indices(n, rng) if training else np.arange(n)
+    x, y = (w.transpose(1, 2, 0) for w in _windows(store.values[order], l_in, l_out))
     size = n // n_subgraphs
     bounds = [k * size for k in range(n_subgraphs)] + [n]
     blocks = _adjacency_blocks(store.adjacency, order, bounds)
-    view = np.lib.stride_tricks.sliding_window_view
-    batches = []
-    for k, block in enumerate(blocks):
-        idx = order[bounds[k]:bounds[k + 1]]
-        sliced = store.values[idx]
-        x = view(sliced, l_in, axis=1)[:, :l_time].transpose(1, 2, 0)
-        y = view(sliced[:, l_in:], l_out, axis=1).transpose(1, 2, 0)
-        batches.append(SubgraphBatch(idx.copy(), x, y, block))
-    return batches
+    return [SubgraphBatch(order[a:b].copy(), x[..., a:b], y[..., a:b], block)
+            for a, b, block in zip(bounds, bounds[1:], blocks)]
 
 
 def _adjacency_blocks(edges, order: np.ndarray, bounds: list) -> list:

@@ -16,6 +16,7 @@ computed on whatever scale the given store carries.
 from __future__ import annotations
 
 import dataclasses
+import math
 import time
 from dataclasses import dataclass, field, fields
 
@@ -28,6 +29,7 @@ from .dataset import (
     SPLIT_RATIOS,
     NormStats,
     SeriesStore,
+    _windows,
     apply_norm,
     fit_norm_stats,
     restrict_time,
@@ -143,14 +145,8 @@ class EpochReport:
     wall_time_s: float = field(default=0.0, compare=False)
 
     def to_dict(self) -> dict:
-        return {
-            "epoch": self.epoch,
-            "train_total": self.train_total,
-            "train_cbn": self.train_cbn,
-            "train_cpn": self.train_cpn,
-            "val_mse": self.val_mse,
-            "val_mae": self.val_mae,
-        }
+        """The compared fields by name, in field order."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.compare}
 
 
 def prepare_store(store: SeriesStore, config: TrainConfig):
@@ -163,13 +159,7 @@ def prepare_store(store: SeriesStore, config: TrainConfig):
 
 def _n_rows(store: SeriesStore, l_in: int, l_out: int, split: tuple) -> int:
     """Rows of the split: one per (window, node)."""
-    t0, t1 = split
-    n_win = (t1 - t0) - l_in - l_out + 1
-    if n_win < 1:
-        raise ValueError(
-            f"split of length {t1 - t0} too short for windows; needs at least {l_in + l_out}"
-        )
-    return n_win * store.n_nodes
+    return math.prod(_windows(store.values[:, split[0]:split[1]], l_in, l_out)[0].shape[:2])
 
 
 def _split_chunks(store: SeriesStore, l_in: int, l_out: int, split: tuple):
@@ -183,12 +173,8 @@ def _split_chunks(store: SeriesStore, l_in: int, l_out: int, split: tuple):
     one is shifted back to end at the last row and so repeats rows of the
     chunk before it.
     """
-    n_nodes = store.n_nodes
-    n_rows = _n_rows(store, l_in, l_out, split)
-    t0, t1 = split
-    view = np.lib.stride_tricks.sliding_window_view
-    xv = view(store.values[:, t0:t1 - l_out], l_in, axis=1)
-    yv = view(store.values[:, t0 + l_in:t1], l_out, axis=1)
+    xv, yv = _windows(store.values[:, split[0]:split[1]], l_in, l_out)
+    n_nodes, n_rows = xv.shape[0], math.prod(xv.shape[:2])
     size = min(EVAL_CHUNK_ROWS, n_rows)
     for start in range(0, n_rows, size):
         lo = min(start, n_rows - size)
@@ -274,12 +260,12 @@ def evaluate(params, store: SeriesStore, config: TrainConfig, split: tuple,
 
 def _sample_minibatch(batch, k: int, rng: Rng):
     """Stack up to k windows of the subgraph into head-layout rows."""
-    n_win = batch.x.shape[0]
+    n_win, _, n_sub = batch.x.shape
     take = min(k, n_win)
     idx = rng.gen.choice(n_win, size=take, replace=False)
-    x = batch.x[idx].transpose(0, 2, 1)
-    y = batch.y[idx].transpose(0, 2, 1)
-    n_sub = x.shape[1]
+    # one fancy index on the node-last views gathers C-contiguous rows: the reshapes copy nothing
+    x = batch.x.transpose(0, 2, 1)[idx]
+    y = batch.y.transpose(0, 2, 1)[idx]
     return x.reshape(take * n_sub, -1), y.reshape(take * n_sub, -1)
 
 

@@ -104,6 +104,7 @@ class TestTrain:
         metrics = json.loads((out / "metrics.json").read_text())
         lines = (out / "epochs.csv").read_text().strip().splitlines()
         assert lines[0] == "epoch,train_total,train_cbn,train_cpn,val_mse,val_mae"
+        assert lines[1:] == [",".join(map(repr, e.values())) for e in metrics["epochs"]]
         assert len(lines) == 1 + len(metrics["epochs"])
         first = lines[1].split(",")
         assert float(first[1]) == metrics["epochs"][0]["train_total"]
@@ -154,6 +155,17 @@ class TestTrain:
                                "--n-sub", "99")
         assert code == EXIT_USAGE
         assert "--n-sub" in err
+
+    def test_split_too_short_is_usage_error_naming_the_split(self, dataset, tmp_path, capsys):
+        # 160 steps split 96/32/32
+        out = tmp_path / "r"
+        code, _, err = run_cli(capsys, "train", "--data", str(dataset / "series.csv"),
+                               "--out", str(out), "--l-in", "30", "--l-out", "6",
+                               "--n-sub", "3")
+        assert code == EXIT_USAGE
+        assert err == ("error: val split: series of length 32 too short for windows; "
+                       "needs at least 36\n")
+        assert not out.exists()
 
     def test_missing_data_is_runtime_error(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "train", "--data",
@@ -214,6 +226,22 @@ class TestTrain:
         assert proc.returncode == EXIT_USAGE
         assert f"argument {flag}: " in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("line,want", [
+        ("hidden=abc", "argument --hidden: invalid int value: 'abc'"),
+        ("decomposer=foo", "argument --decomposer: must be 'mvd' or 'stl', got 'foo'"),
+        ("split=abc", "argument --split: split must look like 6:2:2, got 'abc'"),
+    ])
+    def test_bad_config_file_value_names_file_and_line(self, tmp_path, line, want):
+        # the same flag on the command line must not hide which one is wrong
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"# run\nepochs = 2\n{line}\n")
+        proc = run_module("train", "--data", str(tmp_path / "unread.csv"),
+                          "--out", str(tmp_path / "r"), "--hidden", "4", "--config", str(cfg))
+        assert proc.returncode == EXIT_USAGE
+        assert f"error: {cfg}:3: {want}" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "r").exists()
 
     @pytest.mark.parametrize("value", ["off", "0", "False"])
     def test_config_switch_false_values(self, dataset, tmp_path, capsys, value):

@@ -12,6 +12,7 @@ from psld import training as tr
 from psld.dataset import (
     _both_directions,
     _load_adjacency,
+    _windows,
     SIGMA_FLOOR,
     SeriesStore,
     apply_norm,
@@ -193,6 +194,27 @@ class TestSplitsAndWindows:
             assert r["train"][1] == r["val"][0]
             assert r["val"][1] == r["test"][0]
             assert r["test"][1] == l_data
+
+    def test_windows_equal_explicit_slices(self, tiny_store):
+        # every feasible (l_in, l_out) of a length-10 series
+        values = tiny_store.values
+        for l_in in range(1, 10):
+            for l_out in range(1, 11 - l_in):
+                x, y = _windows(values, l_in, l_out)
+                n_win = 10 - l_in - l_out + 1
+                assert x.shape == (3, n_win, l_in) and y.shape == (3, n_win, l_out)
+                for w in range(n_win):
+                    assert np.array_equal(x[:, w], values[:, w:w + l_in])
+                    assert np.array_equal(y[:, w], values[:, w + l_in:w + l_in + l_out])
+                assert not x.flags.writeable and not y.flags.writeable
+                assert np.shares_memory(x, values) and np.shares_memory(y, values)
+
+    @pytest.mark.parametrize("l_in,l_out", [(8, 3), (10, 1), (1, 10), (11, 4)])
+    def test_windows_too_short_names_minimum(self, tiny_store, l_in, l_out):
+        with pytest.raises(ValueError) as exc:
+            _windows(tiny_store.values, l_in, l_out)
+        assert str(exc.value) == ("series of length 10 too short for windows; "
+                                  f"needs at least {l_in + l_out}")
 
     # windows as evaluation and the baselines read them: one row per
     # (window, node), window-major, gathered in chunks

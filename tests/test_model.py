@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from psld import model as md
-from psld.decomposition import decompose, make_config
+from psld.decomposition import ComponentBundle, decompose, make_config
 from psld.exceptions import CheckpointError, ShapeError
 from psld.model import (
     AdamState,
@@ -262,6 +262,21 @@ class TestLoss:
                    for k in ("t", "s", "r"))
         assert loss.cpn == pytest.approx(want, rel=1e-12)
         assert set(loss.per_component) == {"t", "s", "r"}
+
+    @pytest.mark.parametrize("kind", ["mvd", "stl"])
+    def test_shape_mismatch_names_the_term(self, kind):
+        xb, yb, x, y, cfg = bundle_pair(kind)
+        p = init_params(kind, 8, 4, 16, 0.0, "separate", Rng(3))
+        state = forward(p, xb, training=True, rng=Rng(0))
+        for nm in yb.parts:
+            parts = {**yb.parts, nm: yb.parts[nm][:-1]}
+            with pytest.raises(ShapeError, match=f"^component head '{nm}': prediction "):
+                loss_and_backward(p, state, ComponentBundle(kind, parts), y, 1.0)
+        with pytest.raises(ShapeError, match="^combinator head 'cbn': prediction "):
+            loss_and_backward(p, state, yb, y[:, :-1], 1.0)
+        plain = init_plain_params(8, 4, 16, 0.0, Rng(2))
+        with pytest.raises(ShapeError, match="^head 'main': prediction "):
+            md.train_step(plain, x, y[:-1], None, 1.0, Rng(5))
 
     def test_gradient_descent_decreases_loss(self):
         xb, yb, x, y, cfg = bundle_pair("mvd", seed=4)

@@ -32,6 +32,29 @@ def six_node_store():
                        adjacency=tuple(edges))
 
 
+def reference_rss_partition(store, n_subgraphs, l_in, l_out, training, rng):
+    """The per-chunk construction: one copy of each chunk's series, its own views."""
+    n = store.n_nodes
+    l_time = store.l_data - l_in - l_out + 1
+    order = sampler.shuffle_indices(n, rng) if training else np.arange(n)
+    size = n // n_subgraphs
+    bounds = [k * size for k in range(n_subgraphs)] + [n]
+    blocks = sampler._adjacency_blocks(store.adjacency, order, bounds)
+    view = np.lib.stride_tricks.sliding_window_view
+    batches = []
+    for k, block in enumerate(blocks):
+        idx = order[bounds[k]:bounds[k + 1]]
+        sliced = store.values[idx]
+        x = view(sliced, l_in, axis=1)[:, :l_time].transpose(1, 2, 0)
+        y = view(sliced[:, l_in:], l_out, axis=1).transpose(1, 2, 0)
+        batches.append(sampler.SubgraphBatch(idx.copy(), x, y, block))
+    return batches
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
 class TestPartition:
     def test_eval_mode_is_identity_order(self):
         store = six_node_store()
@@ -178,6 +201,35 @@ class TestPartition:
         small = sum(b.adjacency.nbytes + b.node_index.nbytes for b in batches)
         assert held <= store.values.nbytes + small + 32 * 1024
 
+    @pytest.mark.parametrize("training", [False, True])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_batches_equal_per_chunk_reference(self, training, seed):
+        # 11 nodes in 3 chunks leaves a remainder chunk of 5
+        store = generate_synthetic(11, 70, Rng(seed))
+        for k, l_in, l_out in ((3, 6, 4), (1, 30, 40), (11, 1, 1)):
+            got = rss_partition(store, k, l_in, l_out, training=training, rng=Rng(seed))
+            want = reference_rss_partition(store, k, l_in, l_out, training, Rng(seed))
+            assert len(got) == len(want) == k
+            for g, w in zip(got, want):
+                assert np.array_equal(g.node_index, w.node_index)
+                assert g.node_index.dtype == w.node_index.dtype
+                for name in ("x", "y", "adjacency"):
+                    a, b = getattr(g, name), getattr(w, name)
+                    assert a.shape == b.shape
+                    assert np.array_equal(bits(a), bits(b))
+
+    def test_batches_share_one_copy_of_the_series(self):
+        # the per-chunk construction gives every batch its own copy
+        store = generate_synthetic(12, 64, Rng(3))
+        batches = rss_partition(store, 4, 5, 3, training=True, rng=Rng(0))
+        base = batches[0].x
+        while base.base is not None:  # views, and the strided view's wrapper
+            base = base.base
+        assert base.shape == store.values.shape
+        assert not np.shares_memory(base, store.values)
+        for b in batches:
+            assert np.shares_memory(b.x, base) and np.shares_memory(b.y, base)
+
     def test_too_many_subgraphs_rejected(self):
         store = six_node_store()
         with pytest.raises(ValueError):
@@ -185,7 +237,7 @@ class TestPartition:
 
     def test_too_long_windows_rejected(self):
         store = six_node_store()
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="too short for windows; needs at least 11"):
             rss_partition(store, 2, 8, 3, training=False, rng=Rng(0))
 
 

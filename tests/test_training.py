@@ -10,6 +10,7 @@ from psld import training as tr
 from psld.dataset import SeriesStore, generate_synthetic, split_ranges
 from psld.model import init_params, init_plain_params, named_tensors
 from psld.numerics import Rng
+from psld.sampler import rss_partition
 from psld.training import (
     EpochReport,
     TrainConfig,
@@ -311,6 +312,32 @@ class TestChunkedEvaluate:
             normed, split, _, error_bytes = self._split_at(n_nodes, cfg)
             peak = _traced_peak(lambda: baseline_last_value(normed, cfg, split))
             assert peak <= error_bytes + self.BASELINE_ALLOWANCE
+
+
+class TestSampleMinibatch:
+    @pytest.mark.parametrize("k", [1, 7, 500])
+    def test_rows_equal_window_gather(self, k):
+        # reference: gather the windows, then put each window's nodes in rows
+        store = generate_synthetic(10, 80, Rng(5))
+        for b in rss_partition(store, 3, 12, 6, training=True, rng=Rng(2)):
+            x_rows, y_rows = tr._sample_minibatch(b, k, Rng(7))
+            n_win, _, n_sub = b.x.shape
+            idx = Rng(7).gen.choice(n_win, size=min(k, n_win), replace=False)
+            for got, win in ((x_rows, b.x), (y_rows, b.y)):
+                want = win[idx].transpose(0, 2, 1).reshape(len(idx) * n_sub, -1)
+                assert got.shape == want.shape and got.flags.c_contiguous
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_gather_copies_each_row_once(self):
+        # one copy of the sampled windows, already in row order: neither the
+        # gather nor the reshapes may hold a second one
+        store = generate_synthetic(64, 200, Rng(5))
+        batch = rss_partition(store, 1, 36, 36, training=True, rng=Rng(2))[0]
+        rows = []
+        peak = _traced_peak(lambda: rows.extend(tr._sample_minibatch(batch, 32, Rng(7))))
+        held = sum(r.nbytes for r in rows)
+        assert held == 2 * 32 * 64 * 36 * 8
+        assert peak <= 1.5 * held
 
 
 class TestTrain:
