@@ -4,8 +4,9 @@ The library decomposes forecasting labels into easier components (mean,
 variance, residual, or trend, seasonal, remainder), supervises a shallow
 head per component, and learns a combinator that assembles the final
 forecast. Large node sets train through random disjoint subgraph
-partitions whose sampled-aggregation estimator is unbiased, which a
-Monte-Carlo harness verifies.
+partitions. The forecast is per node: the graph is validated but does not
+change it. A Monte-Carlo harness verifies the Horvitz-Thompson neighbor
+aggregation on random graphs, not the training gradient.
 """
 
 __version__ = "0.1.0"
@@ -58,14 +59,12 @@ from .model import (
     predict,
     save_checkpoint,
 )
-from .numerics import Matrix, Rng, relu, shuffle_indices
+from .numerics import Rng
 from .sampler import (
     GraphSpec,
     McReport,
     SampleDesign,
     SubgraphBatch,
-    aggregate_sampled,
-    aggregate_true,
     random_graph,
     rss_partition,
     unbiasedness_mc_check,

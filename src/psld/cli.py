@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from dataclasses import fields
 from datetime import datetime, timezone
@@ -157,8 +158,8 @@ def cmd_synth(args) -> int:
         raise _UsageError("--nodes must be >= 1")
     if args.length < MIN_SYNTH_LENGTH:
         raise _UsageError(f"--length must be >= {MIN_SYNTH_LENGTH}, got {args.length}")
-    if args.sigma < 0:
-        raise _UsageError("--sigma must be >= 0")
+    if not 0.0 <= args.sigma < math.inf:
+        raise _UsageError(f"--sigma must be finite and >= 0, got {args.sigma}")
     out_dir = Path(args.out)
     config = {"nodes": args.nodes, "length": args.length, "sigma": args.sigma,
               "seed": args.seed}

@@ -6,6 +6,7 @@ plus an optional undirected weighted adjacency.
 
 from __future__ import annotations
 
+import math
 import struct
 from array import array
 from bisect import bisect_right
@@ -24,6 +25,8 @@ MIN_SYNTH_LENGTH = 64
 # an input edge's two directed rows, packed in one call
 _EDGE_PAIR = struct.Struct("6d").pack
 _OUT_OF_RANGE = "edge ({}, {}) out of range for {} nodes".format
+# Rows per block of the edge check in ``_edge_array``.
+_EDGE_BLOCK = 16384
 
 
 @dataclass(frozen=True)
@@ -84,7 +87,9 @@ def _edge_array(edges, n_nodes: int) -> np.ndarray:
     """Validated read-only (n_edges, 3) float64 array of ``edges``.
 
     A read-only float64 array is returned as is; anything else is copied.
-    The first bad row raises ``_EdgeFault``, a ``ValueError``.
+    The first bad row raises ``_EdgeFault``, a ``ValueError``. The rows
+    are checked ``_EDGE_BLOCK`` at a time, so the check's temporaries do
+    not grow with the number of edges.
     """
     a = edges
     if not (isinstance(a, np.ndarray) and a.dtype == np.float64 and not a.flags.writeable):
@@ -94,20 +99,23 @@ def _edge_array(edges, n_nodes: int) -> np.ndarray:
         a.flags.writeable = False
     if a.ndim != 2 or a.shape[1] != 3:
         raise ValueError(f"adjacency must be (n_edges, 3) [src, dst, weight] rows, got {a.shape}")
-    ends = a[:, :2]
-    integral = (np.isfinite(ends) & (ends == np.floor(ends))).all(axis=1)
-    in_range = ((ends >= 0) & (ends < n_nodes)).all(axis=1)
-    loop = ends[:, 0] == ends[:, 1]
-    finite = np.isfinite(a[:, 2])
-    bad = ~integral | ~in_range | loop | ~finite
-    if bad.any():
-        row = int(np.argmax(bad))
-        src, dst, weight = a[row].tolist()
-        if not integral[row]:
+    for lo in range(0, len(a), _EDGE_BLOCK):
+        block = a[lo:lo + _EDGE_BLOCK]
+        ends = block[:, :2]
+        integral = (np.isfinite(ends) & (ends == np.floor(ends))).all(axis=1)
+        in_range = ((ends >= 0) & (ends < n_nodes)).all(axis=1)
+        loop = ends[:, 0] == ends[:, 1]
+        bad = ~integral | ~in_range | loop | ~np.isfinite(block[:, 2])
+        if not bad.any():
+            continue
+        at = int(np.argmax(bad))
+        row = lo + at
+        src, dst, weight = block[at].tolist()
+        if not integral[at]:
             raise _EdgeFault(f"edge ({src!r}, {dst!r}) has a non-integer node index", row)
-        if not in_range[row]:
+        if not in_range[at]:
             raise _EdgeFault(_OUT_OF_RANGE(int(src), int(dst), n_nodes), row)
-        if loop[row]:
+        if loop[at]:
             raise _EdgeFault(f"self-loop on node {int(src)} is not supported", row)
         raise _EdgeFault(f"edge ({int(src)}, {int(dst)}) has non-finite weight {weight!r}",
                          row, weight)
@@ -311,6 +319,8 @@ def generate_synthetic(
         raise ValueError(f"need at least one node, got {n_nodes}")
     if l_data < MIN_SYNTH_LENGTH:
         raise ValueError(f"l_data must be >= {MIN_SYNTH_LENGTH}, got {l_data}")
+    if not 0.0 <= noise_sigma < math.inf:
+        raise ValueError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
     t = np.arange(l_data, dtype=np.float64)
     values = np.empty((n_nodes, l_data), dtype=np.float64)
     for i in range(n_nodes):

@@ -47,7 +47,7 @@ import numpy as np
 
 from . import decomposition as dc
 from .exceptions import CheckpointError, NumericError, ShapeError
-from .numerics import Rng, relu
+from .numerics import Rng
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -260,22 +260,6 @@ def _buffer(buffers: dict | None, key: str, shape: tuple) -> np.ndarray | None:
     return buf
 
 
-def _first_layer(z: np.ndarray, w1: np.ndarray, out: np.ndarray | None) -> np.ndarray:
-    """``z @ w1.T``, into ``out`` if given.
-
-    With one input column (the mvd m and v heads) the product is not
-    BLAS-able and numpy runs its naive matmul loop, about 2x slower than
-    the broadcast multiply. That loop sums from +0.0, which turns a -0.0
-    product into +0.0; adding 0.0 does the same, so the two agree bit for
-    bit.
-    """
-    if w1.shape[1] != 1:
-        return np.matmul(z, w1.T, out=out)
-    out = np.multiply(z, w1.T, out=out)
-    out += 0.0
-    return out
-
-
 def _head_forward(head: Head, z: np.ndarray, dropout: float, rng: Rng | None,
                   buffers: dict | None = None):
     """Output and backward cache of one head.
@@ -288,9 +272,9 @@ def _head_forward(head: Head, z: np.ndarray, dropout: float, rng: Rng | None,
     if z.ndim != 2 or z.shape[1] != in_len:
         raise ShapeError(f"head '{name}': expected input (rows, {in_len}), got {z.shape}")
     hidden = (z.shape[0], head.w1.shape[0])
-    h1 = _first_layer(z, head.w1, _buffer(buffers, f"{name}.h1", hidden))
+    h1 = np.matmul(z, head.w1.T, out=_buffer(buffers, f"{name}.h1", hidden))
     h1 += head.b1
-    a = relu(h1, out=_buffer(buffers, f"{name}.a", hidden))
+    a = np.maximum(h1, 0.0, out=_buffer(buffers, f"{name}.a", hidden))
     mask = None
     if rng is not None and dropout > 0.0:
         # inverted dropout: zero with probability p, scale survivors by 1/(1-p);
@@ -440,6 +424,20 @@ def train_step(params, x_rows: np.ndarray, y_rows: np.ndarray, dcfg, lam: float,
     return loss_and_backward(params, state, dc.decompose(y_rows, dcfg), y_rows, lam)
 
 
+def _losses(params: PsldParams, state: ForwardState, label_bundle: dc.ComponentBundle,
+            y: np.ndarray, lam: float) -> LossParts:
+    """The loss terms of ``loss_and_backward``, with no backward pass."""
+    if label_bundle.kind != params.kind:
+        raise ValueError(
+            f"label bundle kind {label_bundle.kind!r} does not match model {params.kind!r}"
+        )
+    comp_losses = {nm: _mse(state.comp_hat[nm], label_bundle.parts[nm],
+                            f"component head '{nm}'") for nm in dc.part_names(params.kind)}
+    l_cpn = sum(comp_losses.values())
+    l_cbn = _mse(state.y_hat, y, "combinator head 'cbn'")
+    return LossParts(l_cbn + lam * l_cpn, l_cbn, l_cpn, comp_losses)
+
+
 def loss_and_backward(
     params: PsldParams,
     state: ForwardState,
@@ -459,17 +457,7 @@ def loss_and_backward(
     written into ``params.grads`` and stay valid until the next backward
     pass on ``params``.
     """
-    if label_bundle.kind != params.kind:
-        raise ValueError(
-            f"label bundle kind {label_bundle.kind!r} does not match model {params.kind!r}"
-        )
-    names = dc.part_names(params.kind)
-    comp_losses = {nm: _mse(state.comp_hat[nm], label_bundle.parts[nm],
-                            f"component head '{nm}'") for nm in names}
-    l_cpn = sum(comp_losses.values())
-    l_cbn = _mse(state.y_hat, y, "combinator head 'cbn'")
-    total = l_cbn + lam * l_cpn
-
+    losses = _losses(params, state, label_bundle, y, lam)
     grads = params.grads
     g_y = (2.0 / y.size) * (state.y_hat - y)
     g_cbn_in = _head_backward(params.combinator, state.cbn_cache, g_y, grads)
@@ -485,14 +473,14 @@ def loss_and_backward(
         routed = {"t": g_y, "s": g_cbn_in, "r": g_cbn_in}
 
     d_hat = {}
-    for nm in names:
+    for nm in dc.part_names(params.kind):
         hat, ref = state.comp_hat[nm], label_bundle.parts[nm]
         d_hat[nm] = routed[nm] + lam * (2.0 / hat.size) * (hat - ref)
 
     for name, parts, *_ in _layout(params):
         g_out = _concat([d_hat[nm] for nm in parts])
         _head_backward(params.heads[name], state.head_caches[name], g_out, grads)
-    return LossParts(total, l_cbn, l_cpn, comp_losses), grads
+    return losses, grads
 
 
 def named_tensors(params) -> list:
@@ -726,12 +714,6 @@ def load_checkpoint(path):
     return params, sidecar
 
 
-def _relu_signature(state: ForwardState) -> tuple:
-    sigs = [np.packbits(cache.h1 > 0.0).tobytes() for cache in state.head_caches.values()]
-    sigs.append(np.packbits(state.cbn_cache.h1 > 0.0).tobytes())
-    return tuple(sigs)
-
-
 def finite_difference_check(
     kind: str,
     mode: str,
@@ -765,12 +747,16 @@ def finite_difference_check(
     yb = dc.decompose(y, dcfg)
 
     def run():
-        state = forward(params, xb, training=True, rng=root.child("fdmask"))
-        losses, grads = loss_and_backward(params, state, yb, y, lam)
-        return losses.total, grads, _relu_signature(state)
+        return forward(params, xb, training=True, rng=root.child("fdmask"))
 
-    # every later run() overwrites the gradient vector
-    analytic = run()[1].flat.copy()
+    def score(state):
+        """The loss and the sign pattern of every ReLU input."""
+        caches = (*state.head_caches.values(), state.cbn_cache)
+        return (_losses(params, state, yb, y, lam).total,
+                tuple(np.packbits(cache.h1 > 0.0).tobytes() for cache in caches))
+
+    # the one backward pass; the perturbed runs below only score the loss
+    analytic = loss_and_backward(params, run(), yb, y, lam)[1].flat
     flat = params.flat
     per_group = {}
     kinks = 0
@@ -780,9 +766,9 @@ def finite_difference_check(
         for i in range(start, stop):
             orig = flat[i]
             flat[i] = orig + step
-            loss_plus, _, sig_plus = run()
+            loss_plus, sig_plus = score(run())
             flat[i] = orig - step
-            loss_minus, _, sig_minus = run()
+            loss_minus, sig_minus = score(run())
             flat[i] = orig
             if sig_plus != sig_minus:
                 kinks += 1

@@ -1,6 +1,5 @@
-"""ReLU on float64 matrices and a splittable, seed-deterministic PRNG.
+"""A splittable, seed-deterministic PRNG.
 
-Matrices are plain 2-D ``numpy.ndarray`` values in row-major float64.
 Randomness flows from a single integer seed through ``Rng`` children that
 are derived from the seed and a key path alone, never from how much the
 parent stream was consumed, so any subtree of streams can be reproduced
@@ -12,13 +11,6 @@ from __future__ import annotations
 import zlib
 
 import numpy as np
-
-Matrix = np.ndarray
-
-
-def relu(a: Matrix, out: Matrix | None = None) -> Matrix:
-    """Elementwise max(x, 0), into ``out`` if given. The input is not modified."""
-    return np.maximum(np.asarray(a, dtype=np.float64), 0.0, out=out)
 
 
 def _key_to_int(key) -> int:
@@ -55,9 +47,3 @@ class Rng:
     def __repr__(self) -> str:
         return f"Rng(seed={self.seed}, path={self.path})"
 
-
-def shuffle_indices(n: int, rng: Rng) -> np.ndarray:
-    """Fisher-Yates permutation of range(n), reproducible from the rng seed."""
-    if n < 1:
-        raise ValueError(f"shuffle_indices needs n >= 1, got {n}")
-    return rng.gen.permutation(n)

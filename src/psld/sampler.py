@@ -2,10 +2,11 @@
 
 ``rss_partition`` splits the node set into disjoint contiguous chunks of a
 (possibly shuffled) node order and slices series windows plus adjacency
-down to each chunk. The estimator half of the module checks that
-aggregating over an inclusion-sampled node subset, reweighted by the
-inclusion probabilities, matches the full-neighborhood aggregation in
-expectation.
+down to each chunk; training reads the windows, not the adjacency. The
+estimator half checks, on a dense operator over random graphs, that the
+Horvitz-Thompson aggregation over an inclusion-sampled node subset matches
+the full-neighborhood aggregation in expectation. Training computes no such
+aggregation, so this does not check the training gradient.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import SeriesStore, _both_directions, _edge_array, _windows
-from .numerics import Rng, shuffle_indices
+from .numerics import Rng
 
 NORM_MODES = ("target_degree", "symmetric_sqrt", "unit")
 
@@ -62,7 +63,7 @@ def rss_partition(
     n = store.n_nodes
     if not 1 <= n_subgraphs <= n:
         raise ValueError(f"n_subgraphs must be in [1, {n}], got {n_subgraphs}")
-    order = shuffle_indices(n, rng) if training else np.arange(n)
+    order = rng.gen.permutation(n) if training else np.arange(n)
     x, y = (w.transpose(1, 2, 0) for w in _windows(store.values[order], l_in, l_out))
     size = n // n_subgraphs
     bounds = [k * size for k in range(n_subgraphs)] + [n]
@@ -139,12 +140,6 @@ class GraphSpec:
     def n_nodes(self) -> int:
         return self.features.shape[0]
 
-    def pairs(self, v: int) -> slice:
-        """The slice of ``src``, ``dst`` and ``inv_norm`` whose source is v."""
-        if not 0 <= v < self.n_nodes:
-            raise IndexError(f"node {v} out of range for {self.n_nodes} nodes")
-        return slice(*np.searchsorted(self.src, (v, v + 1)).tolist())
-
 
 def _inv_norm(norm_mode: str, src: np.ndarray, dst: np.ndarray, degree: np.ndarray) -> np.ndarray:
     """1 / C_vu for every pair (v, u) = (src, dst); the only reader of a norm mode."""
@@ -184,28 +179,6 @@ def _inv_norm_matrix(g: GraphSpec) -> np.ndarray:
     mat = np.zeros((g.n_nodes, g.n_nodes), dtype=np.float64)
     mat[g.src, g.dst] = g.inv_norm
     return mat
-
-
-def aggregate_true(g: GraphSpec, v: int) -> np.ndarray:
-    """Full-neighborhood aggregation: sum over u in N(v) of (h_u W) / C_vu.
-
-    Isolated nodes aggregate to the zero vector.
-    """
-    s = g.pairs(v)
-    return g.inv_norm[s] @ (g.features[g.dst[s]] @ g.weight)
-
-
-def aggregate_sampled(g: GraphSpec, v: int, sampled, design: SampleDesign) -> np.ndarray:
-    """Inclusion-reweighted aggregation over the sampled neighbors of v.
-
-    Each sampled neighbor u contributes (h_u W) / (C_vu * P(u)), which
-    makes the estimator unbiased for aggregate_true under independent
-    inclusion with probabilities P.
-    """
-    s = g.pairs(v)
-    hit = np.isin(g.dst[s], np.fromiter(sampled, dtype=np.intp))
-    u = g.dst[s][hit]
-    return (g.inv_norm[s][hit] / design.inclusion_prob[u]) @ (g.features[u] @ g.weight)
 
 
 @dataclass(frozen=True)

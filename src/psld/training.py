@@ -79,12 +79,20 @@ class TrainConfig:
             raise ValueError(f"n_subgraphs must be >= 1, got {self.n_subgraphs}")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if not 0.0 < self.lr < math.inf:
+            raise ValueError(f"lr must be finite and > 0, got {self.lr}")
+        if not 0.0 <= self.lam < math.inf:
+            raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
+        if not 0.0 < self.sigma_floor < math.inf:
+            raise ValueError(f"sigma_floor must be finite and > 0, got {self.sigma_floor}")
         dc.make_config(self.decomposer, self.epsilon, self.kappa_t, self.kappa_s)
         if self.mode not in md.MODES:
             raise ValueError(f"mode must be {md.one_of(md.MODES)}, got {self.mode!r}")
         ratios = tuple(float(r) for r in self.split)
-        if len(ratios) != 3 or any(r <= 0.0 for r in ratios):
-            raise ValueError(f"split needs three positive ratios, got {self.split}")
+        if len(ratios) != 3 or not all(0.0 < r < math.inf for r in ratios):
+            raise ValueError(f"split needs three finite positive ratios, got {self.split}")
         object.__setattr__(self, "split", ratios)
 
     def decomposer_config(self):

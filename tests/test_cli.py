@@ -83,6 +83,13 @@ class TestSynth:
                                "--out", str(tmp_path / "x"))
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("sigma", ["nan", "inf", "-inf"])
+    def test_non_finite_sigma_is_usage_error(self, tmp_path, capsys, sigma):
+        code, _, err = run_cli(capsys, "synth", f"--sigma={sigma}", "--out", str(tmp_path / "x"))
+        assert code == EXIT_USAGE
+        assert "--sigma must be finite and >= 0" in err
+        assert not (tmp_path / "x").exists()
+
 
 class TestTrain:
     def test_writes_artifacts_and_metrics(self, dataset, tmp_path, capsys):
@@ -301,6 +308,27 @@ class TestTrain:
         assert "Traceback" not in proc.stderr
         assert f"hidden must be >= 1, got {hidden}" in proc.stderr
         assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("flag,value,want", [
+        ("--seed", "-1", "seed must be >= 0"),
+        ("--split", "nan:1:1", "split needs three finite positive ratios"),
+        ("--split", "1:inf:1", "split needs three finite positive ratios"),
+        ("--lr", "-1", "lr must be finite and > 0"),
+        ("--lr", "0", "lr must be finite and > 0"),
+        ("--lr", "nan", "lr must be finite and > 0"),
+        ("--lambda", "-0.5", "lam must be finite and >= 0"),
+        ("--lambda", "inf", "lam must be finite and >= 0"),
+        ("--sigma-floor", "nan", "sigma_floor must be finite and > 0"),
+        ("--sigma-floor", "0", "sigma_floor must be finite and > 0"),
+    ])
+    def test_bad_config_number_is_usage_error_before_any_artifact(self, dataset, tmp_path,
+                                                                 capsys, flag, value, want):
+        out = tmp_path / "run"
+        code, _, err = run_cli(capsys, "train", "--data", str(dataset / "series.csv"),
+                               "--out", str(out), f"{flag}={value}")
+        assert code == EXIT_USAGE
+        assert want in err
+        assert not (out / "manifest.json").exists()
 
     def test_bare_train_records_train_config_defaults(self, tmp_path, capsys):
         # every field left off the command line takes TrainConfig's default;

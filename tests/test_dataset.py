@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 
 from psld import training as tr
 from psld.dataset import (
+    _EDGE_BLOCK,
     _both_directions,
+    _edge_array,
     _load_adjacency,
     _windows,
     SIGMA_FLOOR,
@@ -133,6 +135,38 @@ class TestSeriesStore:
         assert not np.shares_memory(store.adjacency, given)
         given[0, 2] = 9.0
         assert store.adjacency[0, 2] == 2.0
+
+    @pytest.mark.parametrize("rows", [3 * _EDGE_BLOCK, 25 * _EDGE_BLOCK + 7])
+    def test_edge_check_memory_does_not_grow_with_rows(self, rows):
+        # a read-only float64 array is checked in place, block by block
+        n = 1000
+        src = np.arange(rows) % n
+        edges = np.column_stack((src, (src + 1) % n, np.ones(rows)))
+        edges.flags.writeable = False
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            assert _edge_array(edges, n) is edges
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * _EDGE_BLOCK
+
+    def test_first_bad_edge_wins_across_blocks(self):
+        edges = np.zeros((3 * _EDGE_BLOCK + 5, 3))
+        edges[:, 1] = 1.0
+        edges[-1] = (2.0, 2.0, 1.0)
+        edges[2 * _EDGE_BLOCK + 3] = (0.0, 9.0, 1.0)
+        edges[2 * _EDGE_BLOCK + 4, 2] = np.nan
+        with pytest.raises(ValueError) as exc:
+            _edge_array(edges, 4)
+        assert str(exc.value) == "edge (0, 9) out of range for 4 nodes"
+        assert exc.value.row == 2 * _EDGE_BLOCK + 3
+        edges[2 * _EDGE_BLOCK + 3] = (0.0, 1.0, 1.0)
+        edges[2 * _EDGE_BLOCK + 4, 2] = 1.0
+        with pytest.raises(ValueError, match="self-loop on node 2") as exc:
+            _edge_array(edges, 4)
+        assert exc.value.row == len(edges) - 1
 
     def test_read_only_edges_are_shared(self, synth_store):
         edges = synth_store.adjacency
@@ -746,6 +780,11 @@ class TestSynthetic:
                     edges.append((i, j, 1.0))
                     edges.append((j, i, 1.0))
         assert s.adjacency.tolist() == [list(map(float, e)) for e in edges]
+
+    @pytest.mark.parametrize("sigma", [-0.1, float("nan"), float("inf")])
+    def test_rejects_negative_or_non_finite_noise(self, sigma):
+        with pytest.raises(ValueError, match="noise_sigma must be finite and >= 0"):
+            generate_synthetic(4, 80, Rng(0), noise_sigma=sigma)
 
     def test_shapes_and_ids(self):
         s = generate_synthetic(4, 80, Rng(0))

@@ -13,13 +13,10 @@ from psld.sampler import (
     NORM_MODES,
     GraphSpec,
     SampleDesign,
-    aggregate_sampled,
-    aggregate_true,
     random_graph,
     rss_partition,
     unbiasedness_mc_check,
 )
-from conftest import line_graph
 
 
 def six_node_store():
@@ -36,7 +33,7 @@ def reference_rss_partition(store, n_subgraphs, l_in, l_out, training, rng):
     """The per-chunk construction: one copy of each chunk's series, its own views."""
     n = store.n_nodes
     l_time = store.l_data - l_in - l_out + 1
-    order = sampler.shuffle_indices(n, rng) if training else np.arange(n)
+    order = rng.gen.permutation(n) if training else np.arange(n)
     size = n // n_subgraphs
     bounds = [k * size for k in range(n_subgraphs)] + [n]
     blocks = sampler._adjacency_blocks(store.adjacency, order, bounds)
@@ -255,7 +252,6 @@ class TestGraphSpec:
                       norm_mode="target_degree")
         assert g.src.tolist() == [0, 0, 1, 2]
         assert g.dst.tolist() == [1, 2, 0, 0]
-        assert g.dst[g.pairs(0)].tolist() == [1, 2]
         assert g.degree.tolist() == [2, 1, 1]
         assert g.inv_norm.tolist() == [0.5, 0.5, 1.0, 1.0]
 
@@ -273,8 +269,7 @@ class TestGraphSpec:
         for mode in NORM_MODES:
             a, b = GraphSpec(edges, f, w, mode), GraphSpec(other, f, w, mode)
             assert np.array_equal(a.inv_norm, b.inv_norm)
-            for v in range(4):
-                assert np.array_equal(aggregate_true(a, v), aggregate_true(b, v))
+            assert np.array_equal(sampler._inv_norm_matrix(a), sampler._inv_norm_matrix(b))
 
     def test_rejects_self_loop(self):
         with pytest.raises(ValueError, match="self-loop on node 0"):
@@ -308,25 +303,13 @@ class TestGraphSpec:
                           features=np.ones((3, 2)), weight=np.eye(2), norm_mode="unit")
             assert np.isfinite(g.inv_norm).all()
 
-    def test_pairs_rejects_out_of_range_node(self):
-        g = line_graph(3, Rng(0))
-        for v in (-1, 3):
-            with pytest.raises(IndexError):
-                g.pairs(v)
+
+def true_aggregates(g):
+    """Row v: the full-neighborhood aggregation of node v, sum over u of (h_u W) / C_vu."""
+    return sampler._inv_norm_matrix(g) @ (g.features @ g.weight)
 
 
 class TestAggregation:
-    def test_true_matches_double_loop_oracle(self):
-        g = line_graph(5, Rng(8))
-        proj = g.features @ g.weight
-        for v in range(5):
-            path = [u for u in (v - 1, v + 1) if 0 <= u < 5]
-            want = np.zeros(proj.shape[1])
-            for u in path:
-                want += proj[u] / len(path)
-            got = aggregate_true(g, v)
-            assert np.max(np.abs(got - want)) <= 1e-12
-
     def test_two_neighbor_frozen_example(self):
         # node 1 in a 3-path: neighbors {0, 2}, degree 2,
         # features [1,0] and [0,1], weight identity
@@ -336,7 +319,7 @@ class TestAggregation:
                                          [0.0, 1.0]]),
                       weight=np.eye(2),
                       norm_mode="target_degree")
-        got = aggregate_true(g, 1)
+        got = true_aggregates(g)[1]
         assert np.max(np.abs(got - np.array([0.5, 0.5]))) <= 1e-15
 
     def test_symmetric_sqrt_constant(self):
@@ -348,63 +331,15 @@ class TestAggregation:
                       norm_mode="symmetric_sqrt")
         # C_1u = sqrt(2 * 1) for both neighbors
         want = (np.array([1.0, 0.0]) + np.array([0.0, 1.0])) / math.sqrt(2.0)
-        assert np.max(np.abs(aggregate_true(g, 1) - want)) <= 1e-15
+        assert np.max(np.abs(true_aggregates(g)[1] - want)) <= 1e-15
 
     def test_isolated_node_is_zero(self):
         g = GraphSpec(edges=undirected((1, 2)),
                       features=np.ones((3, 2)),
                       weight=np.ones((2, 2)),
                       norm_mode="target_degree")
-        assert np.array_equal(aggregate_true(g, 0), np.zeros(2))
-        assert np.array_equal(aggregate_sampled(g, 0, range(3), SampleDesign.uniform(3, 0.5)),
-                              np.zeros(2))
-
-    def test_full_sample_equals_truth(self):
-        g = line_graph(6, Rng(2))
-        design = SampleDesign.uniform(6, 1.0)
-        sampled = range(6)
-        for v in range(6):
-            a = aggregate_true(g, v)
-            b = aggregate_sampled(g, v, sampled, design)
-            assert np.max(np.abs(a - b)) <= 1e-12
-
-    def test_empty_sample_is_zero(self):
-        g = line_graph(4, Rng(2))
-        design = SampleDesign.uniform(4, 0.5)
-        for v in range(4):
-            assert np.array_equal(aggregate_sampled(g, v, (), design),
-                                  np.zeros(2))
-
-    def test_half_prob_doubles_each_term(self):
-        g = line_graph(4, Rng(2))
-        full = SampleDesign.uniform(4, 1.0)
-        half = SampleDesign.uniform(4, 0.5)
-        sampled = range(4)
-        for v in range(4):
-            a = aggregate_sampled(g, v, sampled, full)
-            b = aggregate_sampled(g, v, sampled, half)
-            assert np.max(np.abs(b - 2.0 * a)) <= 1e-12
-
-    @pytest.mark.parametrize("mode", NORM_MODES)
-    def test_matches_neighbor_list_reference(self, mode):
-        # reference: accumulate neighbor by neighbor with the per-pair constant
-        for seed in range(10):
-            n, edges, features, weight = random_directed_graph(2 * seed + 1)
-            g = GraphSpec(edges, features, weight, mode)
-            ref = NeighborListGraph(neighbor_lists(n, edges), features, weight, mode)
-            design = SampleDesign(np.random.default_rng(seed).uniform(0.2, 1.0, n))
-            sampled = set(np.flatnonzero(np.random.default_rng(seed).random(n) < 0.6).tolist())
-            for v in range(n):
-                true_want = np.zeros(weight.shape[1])
-                est_want = np.zeros(weight.shape[1])
-                for u in ref.neighbors[v]:
-                    term = (features[u] @ weight) / ref_norm_constant(ref, v, u)
-                    true_want = true_want + term
-                    if u in sampled:
-                        est_want = est_want + term / design.inclusion_prob[u]
-                assert np.allclose(aggregate_true(g, v), true_want, rtol=1e-13, atol=1e-14)
-                assert np.allclose(aggregate_sampled(g, v, sampled, design), est_want,
-                                   rtol=1e-13, atol=1e-14)
+        assert not sampler._inv_norm_matrix(g)[0].any()
+        assert np.array_equal(true_aggregates(g)[0], np.zeros(2))
 
     def test_design_validation(self):
         with pytest.raises(ValueError):
@@ -445,22 +380,25 @@ class TestMcCheck:
         report = unbiasedness_mc_check(g, design, 50, Rng(5))
         assert report.max_rel_err == 0.0
 
-    def test_matches_aggregate_sampled_per_trial(self):
-        # the vectorized einsum path must agree with the per-node estimator
+    def test_matches_neighbor_list_estimate_per_trial(self):
+        # the vectorized einsum path must agree with the per-node estimator,
+        # accumulated neighbor by neighbor on the reference graph
         g = random_graph(12, Rng(6))
+        ref = NeighborListGraph(neighbor_lists(12, g.edges), g.features, g.weight, g.norm_mode)
         design = SampleDesign.uniform(12, 0.7)
         inc = Rng(7).gen.random((40, 12)) < design.inclusion_prob
-        means = np.zeros((12, g.weight.shape[1]))
-        for t in range(40):
-            chosen = np.flatnonzero(inc[t])
-            for v in range(12):
-                means[v] += aggregate_sampled(g, v, chosen, design)
+        truth = np.zeros((12, g.weight.shape[1]))
+        means = np.zeros_like(truth)
+        for v in range(12):
+            for u in ref.neighbors[v]:
+                term = (ref.features[u] @ ref.weight) / ref_norm_constant(ref, v, u)
+                truth[v] += term
+                means[v] += inc[:, u].sum() * term / design.inclusion_prob[u]
         means /= 40
         report = unbiasedness_mc_check(g, design, 40, Rng(7))
         for v in range(12):
-            truth = aggregate_true(g, v)
-            denom = max(float(np.linalg.norm(truth)), 1e-12)
-            want = float(np.linalg.norm(means[v] - truth)) / denom
+            denom = max(float(np.linalg.norm(truth[v])), 1e-12)
+            want = float(np.linalg.norm(means[v] - truth[v])) / denom
             assert report.rel_err[v] == pytest.approx(want, abs=1e-10)
 
     def test_checkpoints_are_prefix_means(self):

@@ -59,6 +59,23 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="hidden must be >= 1, got 0"):
             TrainConfig(hidden=0)
 
+    @pytest.mark.parametrize("field,value,want", [
+        ("seed", -1, "seed must be >= 0, got -1"),
+        ("split", (float("nan"), 1.0, 1.0), "split needs three finite positive ratios"),
+        ("split", (1.0, 1.0, float("inf")), "split needs three finite positive ratios"),
+        ("lr", -1.0, "lr must be finite and > 0, got -1.0"),
+        ("lr", 0.0, "lr must be finite and > 0, got 0.0"),
+        ("lr", float("inf"), "lr must be finite and > 0, got inf"),
+        ("lam", -1e-9, "lam must be finite and >= 0"),
+        ("lam", float("nan"), "lam must be finite and >= 0, got nan"),
+        ("sigma_floor", float("nan"), "sigma_floor must be finite and > 0, got nan"),
+        ("sigma_floor", 0.0, "sigma_floor must be finite and > 0, got 0.0"),
+    ])
+    def test_bad_number_names_its_field(self, field, value, want):
+        with pytest.raises(ValueError) as exc:
+            TrainConfig(**{field: value})
+        assert want in str(exc.value)
+
     @pytest.mark.parametrize("key,value,want", [
         ("l_in", "abc", "an integer, got 'abc'"),
         ("epochs", None, "an integer, got None"),
@@ -346,10 +363,11 @@ class TestTrain:
         _, reports = train(train_store, cfg)
         assert reports[-1].train_total < reports[0].train_total
 
-    def test_lr_zero_leaves_params_at_init(self, train_store):
+    def test_no_updates_leave_params_at_init(self, train_store, monkeypatch):
         from psld.model import init_params
 
-        cfg = small_config(epochs=1, lr=0.0)
+        cfg = small_config(epochs=1)
+        monkeypatch.setattr(md, "adam_step", lambda params, grads, state, lr: (params, state))
         params, _ = train(train_store, cfg)
         fresh = init_params(cfg.decomposer, cfg.l_in, cfg.l_out, cfg.hidden,
                             cfg.dropout, cfg.mode, Rng(cfg.seed).child("init"))
