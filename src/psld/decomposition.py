@@ -35,8 +35,8 @@ class MvdConfig:
     epsilon: float = 1e-5
 
     def __post_init__(self):
-        if not self.epsilon > 0.0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+        if not 0.0 < self.epsilon < np.inf:
+            raise ValueError(f"epsilon must be finite and > 0, got {self.epsilon}")
 
     @property
     def kind(self) -> str:

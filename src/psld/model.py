@@ -243,12 +243,14 @@ def init_plain_params(l_in: int, l_out: int, hidden: int, dropout: float, rng: R
 
 @dataclass
 class HeadCache:
-    z: np.ndarray
-    h1: np.ndarray
-    mask: np.ndarray | None
-    ad: np.ndarray
-    h2: np.ndarray
-    out: np.ndarray
+    """What a head's backward pass reads; the benchmark's tracer reads these fields."""
+
+    z: np.ndarray  # the input
+    h1: np.ndarray  # relu(z @ W1.T + b1) * keep / (1 - p), written over the pre-activation
+    mask: np.float64 | None  # the dropout scale 1 / (1 - p), None without dropout
+    ad: np.ndarray  # the same array as h1
+    h2: np.ndarray  # ad @ W2.T + b2
+    out: np.ndarray  # h2 @ Wp.T + bp
 
 
 def _buffer(buffers: dict | None, key: str, shape: tuple) -> np.ndarray | None:
@@ -272,21 +274,21 @@ def _head_forward(head: Head, z: np.ndarray, dropout: float, rng: Rng | None,
     if z.ndim != 2 or z.shape[1] != in_len:
         raise ShapeError(f"head '{name}': expected input (rows, {in_len}), got {z.shape}")
     hidden = (z.shape[0], head.w1.shape[0])
-    h1 = np.matmul(z, head.w1.T, out=_buffer(buffers, f"{name}.h1", hidden))
-    h1 += head.b1
-    a = np.maximum(h1, 0.0, out=_buffer(buffers, f"{name}.a", hidden))
-    mask = None
+    a = np.matmul(z, head.w1.T, out=_buffer(buffers, f"{name}.h1", hidden))
+    a += head.b1
+    np.maximum(a, 0.0, out=a)
+    scale = None
     if rng is not None and dropout > 0.0:
-        # inverted dropout: zero with probability p, scale survivors by 1/(1-p);
-        # applied in place, as only the dropped-out activations are kept
-        mask = (rng.gen.random(a.shape) >= dropout) / (1.0 - dropout)
-        a *= mask
+        # inverted dropout: zero with probability p, scale survivors by 1/(1-p)
+        a *= rng.gen.random(a.shape) >= dropout
+        scale = np.float64(1.0 / (1.0 - dropout))
+        a *= scale
     h2 = np.matmul(a, head.w2.T, out=_buffer(buffers, f"{name}.h2", hidden))
     h2 += head.b2
     out_shape = (z.shape[0], head.wp.shape[0])
     out = np.matmul(h2, head.wp.T, out=_buffer(buffers, f"{name}.out", out_shape))
     out += head.bp
-    return out, HeadCache(z, h1, mask, a, h2, out)
+    return out, HeadCache(z, a, scale, a, h2, out)
 
 
 def _head_backward(head: Head, cache: HeadCache, g_out: np.ndarray, grads: Tensors) -> np.ndarray:
@@ -294,8 +296,9 @@ def _head_backward(head: Head, cache: HeadCache, g_out: np.ndarray, grads: Tenso
 
     With out = h2 @ Wp.T + bp the weight gradient is g_out.T @ h2 and the
     bias gradient the column sums of g_out; the two learner layers follow
-    the same pattern with the dropout mask and the ReLU gate applied on
-    the way down.
+    the same pattern with the dropout scale and then the ReLU gate ad > 0
+    (kept and positive) applied on the way down. This order keeps the bits,
+    zero signs included, of the float-mask product while d_ad / (1 - p) is finite.
     """
     name = head.name
     np.matmul(g_out.T, cache.h2, out=grads[f"{name}.p.w"])
@@ -303,9 +306,10 @@ def _head_backward(head: Head, cache: HeadCache, g_out: np.ndarray, grads: Tenso
     d_h2 = g_out @ head.wp
     np.matmul(d_h2.T, cache.ad, out=grads[f"{name}.l2.w"])
     np.sum(d_h2, axis=0, out=grads[f"{name}.l2.b"])
-    d_ad = d_h2 @ head.w2
-    d_a = d_ad * cache.mask if cache.mask is not None else d_ad
-    d_h1 = d_a * (cache.h1 > 0.0)
+    d_h1 = d_h2 @ head.w2
+    if cache.mask is not None:
+        d_h1 *= cache.mask
+    d_h1 *= cache.ad > 0.0
     np.matmul(d_h1.T, cache.z, out=grads[f"{name}.l1.w"])
     np.sum(d_h1, axis=0, out=grads[f"{name}.l1.b"])
     return d_h1 @ head.w1
@@ -731,9 +735,10 @@ def finite_difference_check(
     Runs a tiny model on one random window and perturbs every parameter
     entry by +-step. Dropout masks are regenerated from a fixed stream for
     every loss evaluation, so the compared function is deterministic.
-    Entries whose perturbation flips a ReLU activation sign are excluded
-    (the loss is not differentiable across such a kink) and counted in the
-    returned report under "kinks_skipped".
+    Entries whose perturbation flips the sign of a kept activation are
+    excluded (the loss is not differentiable across such a kink) and counted
+    under "kinks_skipped". A kink on a dropped unit does not move the loss:
+    it is compared, so fewer entries are skipped than with pre-activation signs.
 
     Returns {"per_group": {head: worst rel err}, "max_rel_err": float,
     "kinks_skipped": int}.
@@ -750,10 +755,10 @@ def finite_difference_check(
         return forward(params, xb, training=True, rng=root.child("fdmask"))
 
     def score(state):
-        """The loss and the sign pattern of every ReLU input."""
+        """The loss and the sign pattern of every kept activation."""
         caches = (*state.head_caches.values(), state.cbn_cache)
         return (_losses(params, state, yb, y, lam).total,
-                tuple(np.packbits(cache.h1 > 0.0).tobytes() for cache in caches))
+                tuple(np.packbits(cache.ad > 0.0).tobytes() for cache in caches))
 
     # the one backward pass; the perturbed runs below only score the loss
     analytic = loss_and_backward(params, run(), yb, y, lam)[1].flat

@@ -46,6 +46,20 @@ from .sampler import rss_partition
 EVAL_CHUNK_ROWS = 512
 
 
+_COUNT = (lambda v: v >= 1, ">= 1")
+_FINITE_POSITIVE = (lambda v: 0.0 < v < math.inf, "finite and > 0")
+# (check, what it must be) per TrainConfig field, bar the split; epsilon, kappa_t
+# and kappa_s are checked by both decomposer configs, whichever one runs
+_FIELD_BOUNDS = {
+    "l_in": _COUNT, "l_out": _COUNT, "hidden": _COUNT, "epochs": _COUNT,
+    "n_subgraphs": _COUNT, "minibatch": _COUNT, "seed": (lambda v: v >= 0, ">= 0"),
+    "decomposer": (lambda v: v in dc.KINDS, md.one_of(dc.KINDS)),
+    "mode": (lambda v: v in md.MODES, md.one_of(md.MODES)),
+    "dropout": (lambda v: 0.0 <= v < 1.0, "in [0, 1)"), "lr": _FINITE_POSITIVE,
+    "lam": (lambda v: 0.0 <= v < math.inf, "finite and >= 0"), "sigma_floor": _FINITE_POSITIVE,
+}
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     l_in: int = 36
@@ -67,29 +81,10 @@ class TrainConfig:
     split: tuple = SPLIT_RATIOS
 
     def __post_init__(self):
-        if self.l_in < 1 or self.l_out < 1:
-            raise ValueError(f"l_in and l_out must be positive, got {self.l_in}, {self.l_out}")
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if self.minibatch < 1:
-            raise ValueError(f"minibatch must be >= 1, got {self.minibatch}")
-        if self.hidden < 1:
-            raise ValueError(f"hidden must be >= 1, got {self.hidden}")
-        if self.n_subgraphs < 1:
-            raise ValueError(f"n_subgraphs must be >= 1, got {self.n_subgraphs}")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if not 0.0 < self.lr < math.inf:
-            raise ValueError(f"lr must be finite and > 0, got {self.lr}")
-        if not 0.0 <= self.lam < math.inf:
-            raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
-        if not 0.0 < self.sigma_floor < math.inf:
-            raise ValueError(f"sigma_floor must be finite and > 0, got {self.sigma_floor}")
-        dc.make_config(self.decomposer, self.epsilon, self.kappa_t, self.kappa_s)
-        if self.mode not in md.MODES:
-            raise ValueError(f"mode must be {md.one_of(md.MODES)}, got {self.mode!r}")
+        for name, (check, want) in _FIELD_BOUNDS.items():
+            if not check(getattr(self, name)):
+                raise ValueError(f"{name} must be {want}, got {getattr(self, name)!r}")
+        dc.MvdConfig(self.epsilon), dc.StlConfig(self.kappa_t, self.kappa_s)
         ratios = tuple(float(r) for r in self.split)
         if len(ratios) != 3 or not all(0.0 < r < math.inf for r in ratios):
             raise ValueError(f"split needs three finite positive ratios, got {self.split}")
@@ -202,7 +197,7 @@ def _forecast_chunks(params, store: SeriesStore, config: TrainConfig, split: tup
     call the same size, no short remainder call depends on where the split
     ends. Of the rows the shifted last chunk repeats, its forecasts are the
     ones yielded. All chunks write the heads' hidden and output arrays
-    into one set of buffers: fresh ones per chunk (about 6 MiB at hidden
+    into one set of buffers: fresh ones per chunk (about 4 MiB at hidden
     128) are handed back to the OS by glibc's heap trimming whenever
     nothing live sits above them, and page-faulted in again by the next
     chunk. ``pred`` may be one of those buffers, so it is valid only until

@@ -330,6 +330,22 @@ class TestTrain:
         assert want in err
         assert not (out / "manifest.json").exists()
 
+    @pytest.mark.parametrize("flags,want", [
+        # each decomposer's fields are checked whichever decomposer runs
+        (("--decomposer", "stl", "--epsilon", "nan"), "epsilon must be finite and > 0, got nan"),
+        (("--epsilon", "inf"), "epsilon must be finite and > 0, got inf"),
+        (("--kappa-t", "4"), "kappa_t must be odd and >= 1, got 4"),
+    ])
+    def test_bad_decomposer_field_is_usage_error_before_any_artifact(self, dataset, tmp_path,
+                                                                     capsys, flags, want):
+        out = tmp_path / "run"
+        code, stdout, err = run_cli(capsys, "train", "--data", str(dataset / "series.csv"),
+                                    "--out", str(out), *flags)
+        assert code == EXIT_USAGE
+        assert stdout == ""
+        assert want in err
+        assert not (out / "manifest.json").exists()
+
     def test_bare_train_records_train_config_defaults(self, tmp_path, capsys):
         # every field left off the command line takes TrainConfig's default;
         # acceptance 8 checks five of the seventeen

@@ -1,6 +1,8 @@
 import copy
+import dataclasses
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -52,14 +54,23 @@ def reference_head_backward(head, cache, g_out, grads):
     return d_h1 @ head.w1
 
 
-def reference_head_forward(head, z, dropout, rng):
-    """The forward pass with fresh arrays and an out-of-place dropout product."""
+def reference_head_forward(head, z, dropout, rng, buffers=None):
+    """The forward pass with fresh arrays and an out-of-place float-mask dropout.
+
+    Its cache keeps what the backward pass used to read: the pre-activation
+    as ``h1`` and the float mask keep / (1 - p) as ``mask``, so
+    ``reference_head_backward`` gates with the pre-activation's sign and
+    not with the kept activation. ``buffers`` is ignored.
+    """
     h1 = z @ head.w1.T + head.b1
     a = np.maximum(h1, 0.0)
-    mask = (rng.gen.random(a.shape) >= dropout) / (1.0 - dropout)
-    ad = a * mask
-    h2 = ad @ head.w2.T + head.b2
-    return h2 @ head.wp.T + head.bp, ad
+    mask = None
+    if rng is not None and dropout > 0.0:
+        mask = (rng.gen.random(a.shape) >= dropout) / (1.0 - dropout)
+        a = a * mask
+    h2 = a @ head.w2.T + head.b2
+    out = h2 @ head.wp.T + head.bp
+    return out, md.HeadCache(z, h1, mask, a, h2, out)
 
 
 def reference_adam_step(params, grads, m, v, t, lr):
@@ -412,11 +423,112 @@ class TestPlainHead:
         assert losses[-1] < losses[0]
 
 
+class _Recorded(np.ndarray):
+    """A weight that keeps every ``x @ w`` product in ``products``.
+
+    The backward pass forms d(loss)/d(ad) as ``d_h2 @ w2`` and gates that
+    array in place, so the kept product holds the gated gradient.
+    """
+
+    def __rmatmul__(self, other):
+        product = np.matmul(other, self.view(np.ndarray))
+        self.products.append(product)
+        return product
+
+
+class TestKeptActivationGate:
+    @pytest.mark.parametrize("dropout", [0.0, 0.5])
+    def test_zero_signs_match_float_mask_formulas(self, dropout):
+        # the in-place head against (d_ad * mask) * (h1 > 0) on the
+        # pre-activation, bit for bit, where the sign of a zero is at stake
+        g = Rng(1).gen
+        rows, in_len, width, out_len = 7, 8, 16, 4
+        w1 = g.standard_normal((width, in_len))
+        b1 = 0.1 * g.standard_normal(width)
+        # units 0 and 1 get a zero dot product plus a bias of +0.0 / -0.0,
+        # which makes both pre-activations exact zeros (the matmul's zero is
+        # +0.0); unit 2 is negative on every row; input rows 0 and 1 are
+        # +0.0 / -0.0
+        w1[:2] = 0.0
+        b1[:3] = 0.0, -0.0, -1e3
+        # non-negative second-layer and predictor weights under a negative
+        # upstream gradient make d(loss)/d(ad) negative everywhere, so every
+        # gated or dropped unit's gradient is a zero of negative sign
+        head = md.Head("h", w1, b1, np.abs(g.standard_normal((width, width))),
+                       g.standard_normal(width), np.abs(g.standard_normal((out_len, width))),
+                       g.standard_normal(out_len))
+        z = g.standard_normal((rows, in_len))
+        z[0], z[1] = 0.0, -0.0
+        g_out = -np.abs(g.standard_normal((rows, out_len)))
+
+        out, cache = md._head_forward(head, z, dropout, Rng(2))
+        want_out, want = reference_head_forward(head, z, dropout, Rng(2))
+        assert np.array_equal(bits(out), bits(want_out))
+        assert np.array_equal(bits(cache.ad), bits(want.ad))
+        assert np.any(want.h1 == 0.0)
+        assert (want.mask is None) == (dropout == 0.0)
+        if dropout:
+            assert np.any(want.mask == 0.0) and np.any(want.h1[want.mask == 0.0] > 0.0)
+
+        spy = dataclasses.replace(head, w2=head.w2.view(_Recorded))
+        spy.w2.products = []
+        grads = {f"h.{s}": np.empty(t.shape) for s, t in
+                 zip(md._SUFFIXES, (w1, b1, head.w2, head.b2, head.wp, head.bp))}
+        d_z = md._head_backward(spy, cache, g_out, grads)
+        (d_h1,) = spy.w2.products
+        d_ad = (g_out @ head.wp) @ head.w2
+        assert (d_ad < 0.0).all()
+        want_d_h1 = (d_ad * want.mask if dropout else d_ad) * (want.h1 > 0.0)
+        assert np.array_equal(bits(d_h1), bits(want_d_h1))
+        zeros = want_d_h1 == 0.0
+        assert zeros[:, :3].all() and np.signbit(want_d_h1[zeros]).all()
+
+        want_grads = {}
+        want_d_z = reference_head_backward(head, want, g_out, want_grads)
+        assert np.array_equal(bits(d_z), bits(want_d_z))
+        assert set(grads) == set(want_grads)
+        for name in grads:
+            assert np.array_equal(bits(grads[name]), bits(want_grads[name])), name
+
+
+class TestStepMemory:
+    # traced bytes of one training step with step buffers, in units of one
+    # (rows, width) float64 array, width the component heads' hidden width:
+    # the first step allocates the buffers, a warm step adds only transients
+    @pytest.mark.parametrize("kind,mode,rows,first,warm", [
+        # a train-large step: 1024 nodes in 24 subgraphs, minibatch 32
+        ("mvd", "separate", 1344, 14, 6),
+        # the largest train-small-stl-merged step: the 18-node remainder chunk
+        ("stl", "merged", 576, 8, 5),
+    ])
+    def test_step_working_set(self, kind, mode, rows, first, warm):
+        hidden, length = 128, 36
+        p = init_params(kind, length, length, hidden, 0.05, mode, Rng(1))
+        cfg = make_config(kind, 1e-5, 25, 7)
+        x, y = Rng(2).gen.standard_normal((2, rows, length))
+        unit = rows * hidden * (3 if mode == "merged" else 1) * 8
+        buffers, extra = {}, []
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            for step in range(2):
+                held = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                md.train_step(p, x, y, cfg, 1.0, Rng(5).child(step), buffers)
+                extra.append(tracemalloc.get_traced_memory()[1] - held)
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert extra[0] <= first * unit, extra[0] / unit
+        assert extra[1] <= warm * unit, extra[1] / unit
+
+
 class TestFlatBuffers:
     @pytest.mark.parametrize("kind,mode", MODEL_VARIANTS)
     def test_steps_match_per_tensor_reference_bits(self, kind, mode, monkeypatch):
-        # 200 training steps through the flat gradient vector and blocked
-        # ADAM against fresh per-tensor gradients and per-tensor ADAM
+        # 200 training steps through the flat gradient vector, the in-place
+        # head and blocked ADAM against the float-mask reference head with
+        # fresh per-tensor gradients and per-tensor ADAM
         new, cfg = variant_model(kind, mode)
         ref = copy.deepcopy(new)
         m = {n: np.zeros_like(t) for n, t in named_tensors(ref)}
@@ -427,6 +539,7 @@ class TestFlatBuffers:
             x, y = g.standard_normal((6, 8)), g.standard_normal((6, 4))
             _, grads = md.train_step(new, x, y, cfg, 0.5, Rng(5).child(step))
             with monkeypatch.context() as patched:
+                patched.setattr(md, "_head_forward", reference_head_forward)
                 patched.setattr(md, "_head_backward", reference_head_backward)
                 _, ref_grads = md.train_step(ref, x, y, cfg, 0.5, Rng(5).child(step))
             assert list(grads) == list(ref_grads)
@@ -457,9 +570,10 @@ class TestFlatBuffers:
         head = init_params("stl", 8, 4, 16, 0.3, "separate", Rng(1)).heads["t"]
         z = Rng(2).gen.standard_normal((7, 8))
         out, cache = md._head_forward(head, z, 0.3, Rng(3))
-        want_out, want_ad = reference_head_forward(head, z, 0.3, Rng(3))
-        assert np.array_equal(bits(cache.ad), bits(want_ad))
+        want_out, want = reference_head_forward(head, z, 0.3, Rng(3))
+        assert np.array_equal(bits(cache.ad), bits(want.ad))
         assert np.array_equal(bits(out), bits(want_out))
+        assert cache.h1 is cache.ad and cache.mask == 1.0 / 0.7
 
     def test_adam_blocks_cover_a_vector_longer_than_one_block(self):
         p, _ = variant_model("stl", "merged", hidden=64)

@@ -70,11 +70,25 @@ class TestTrainConfig:
         ("lam", float("nan"), "lam must be finite and >= 0, got nan"),
         ("sigma_floor", float("nan"), "sigma_floor must be finite and > 0, got nan"),
         ("sigma_floor", 0.0, "sigma_floor must be finite and > 0, got 0.0"),
+        ("l_out", 0, "l_out must be >= 1, got 0"),
+        ("decomposer", "fft", "decomposer must be 'mvd' or 'stl', got 'fft'"),
+        ("mode", "wide", "mode must be 'separate' or 'merged', got 'wide'"),
     ])
     def test_bad_number_names_its_field(self, field, value, want):
         with pytest.raises(ValueError) as exc:
             TrainConfig(**{field: value})
         assert want in str(exc.value)
+
+    @pytest.mark.parametrize("decomposer", ["mvd", "stl"])
+    @pytest.mark.parametrize("field,value,want", [
+        ("epsilon", float("nan"), "epsilon must be finite and > 0, got nan"),
+        ("epsilon", float("inf"), "epsilon must be finite and > 0, got inf"),
+        ("kappa_t", 4, "kappa_t must be odd and >= 1"),
+        ("kappa_s", 0, "kappa_s must be odd and >= 1"),
+    ])
+    def test_both_decomposers_fields_are_checked(self, decomposer, field, value, want):
+        with pytest.raises(ValueError, match=want):
+            TrainConfig(decomposer=decomposer, **{field: value})
 
     @pytest.mark.parametrize("key,value,want", [
         ("l_in", "abc", "an integer, got 'abc'"),
