@@ -243,7 +243,11 @@ def init_plain_params(l_in: int, l_out: int, hidden: int, dropout: float, rng: R
 
 @dataclass
 class HeadCache:
-    """What a head's backward pass reads; the benchmark's tracer reads these fields."""
+    """What a head's backward pass reads; the benchmark's tracer reads these fields.
+
+    The backward pass writes its hidden gradients over ``h2`` and
+    ``h1``/``ad`` once it has read them, so a cache serves one backward pass.
+    """
 
     z: np.ndarray  # the input
     h1: np.ndarray  # relu(z @ W1.T + b1) * keep / (1 - p), written over the pre-activation
@@ -292,27 +296,33 @@ def _head_forward(head: Head, z: np.ndarray, dropout: float, rng: Rng | None,
 
 
 def _head_backward(head: Head, cache: HeadCache, g_out: np.ndarray, grads: Tensors) -> np.ndarray:
-    """Write this head's gradients from d(loss)/d(out) into ``grads``, return d(loss)/d(z).
+    """Write this head's gradients from d(loss)/d(out) into ``grads``; return d(loss)/d(h1).
 
     With out = h2 @ Wp.T + bp the weight gradient is g_out.T @ h2 and the
     bias gradient the column sums of g_out; the two learner layers follow
     the same pattern with the dropout scale and then the ReLU gate ad > 0
     (kept and positive) applied on the way down. This order keeps the bits,
     zero signs included, of the float-mask product while d_ad / (1 - p) is finite.
+    Each hidden gradient is written over the cache array it replaces once
+    that array has been read, d_h2 into ``h2`` and d_h1 into ``h1``/``ad``,
+    so no (rows, width) float array is allocated. The returned d_h1 is that
+    ``ad`` array; d(loss)/d(z) is ``d_h1 @ W1``, which only the combinator's
+    caller forms.
     """
     name = head.name
     np.matmul(g_out.T, cache.h2, out=grads[f"{name}.p.w"])
     np.sum(g_out, axis=0, out=grads[f"{name}.p.b"])
-    d_h2 = g_out @ head.wp
+    d_h2 = np.matmul(g_out, head.wp, out=cache.h2)
     np.matmul(d_h2.T, cache.ad, out=grads[f"{name}.l2.w"])
     np.sum(d_h2, axis=0, out=grads[f"{name}.l2.b"])
-    d_h1 = d_h2 @ head.w2
+    gate = cache.ad > 0.0
+    d_h1 = np.matmul(d_h2, head.w2, out=cache.ad)
     if cache.mask is not None:
         d_h1 *= cache.mask
-    d_h1 *= cache.ad > 0.0
+    d_h1 *= gate
     np.matmul(d_h1.T, cache.z, out=grads[f"{name}.l1.w"])
     np.sum(d_h1, axis=0, out=grads[f"{name}.l1.b"])
-    return d_h1 @ head.w1
+    return d_h1
 
 
 def _concat(columns: list) -> np.ndarray:
@@ -346,6 +356,8 @@ def forward(
     head then writes its hidden and output arrays into arrays kept there,
     so repeated calls on the same number of rows allocate them once. The
     returned state's caches are then overwritten by the next such call.
+    ``loss_and_backward`` consumes the state: it writes the hidden
+    gradients over every cache's ``h1`` and ``h2``.
     """
     if x_bundle.kind != params.kind:
         raise ValueError(f"bundle kind {x_bundle.kind!r} does not match model {params.kind!r}")
@@ -459,12 +471,14 @@ def loss_and_backward(
     mean squared error of the forecast. If predictions equal targets
     exactly, the loss and every gradient are zero. The gradients are
     written into ``params.grads`` and stay valid until the next backward
-    pass on ``params``.
+    pass on ``params``. Each head's backward pass overwrites the ``h1``/``ad``
+    and ``h2`` arrays of its cache in ``state``, so a state serves one call.
     """
     losses = _losses(params, state, label_bundle, y, lam)
     grads = params.grads
     g_y = (2.0 / y.size) * (state.y_hat - y)
-    g_cbn_in = _head_backward(params.combinator, state.cbn_cache, g_y, grads)
+    cbn = params.combinator
+    g_cbn_in = _head_backward(cbn, state.cbn_cache, g_y, grads) @ cbn.w1
 
     # route the forecast gradient into the predicted components
     if params.kind == "mvd":

@@ -35,7 +35,7 @@ from .dataset import (
     restrict_time,
     split_ranges,
 )
-from .exceptions import NumericError
+from .exceptions import NumericError, ShapeError
 from .numerics import Rng
 from .sampler import rss_partition
 
@@ -44,6 +44,9 @@ from .sampler import rss_partition
 # free lists; multi-MiB chunks are page-faulted in afresh every call and
 # made evaluation slower than the unchunked pass.
 EVAL_CHUNK_ROWS = 512
+# Values per summed node of the metrics' pairwise tree, at least numpy's
+# 128-value block: the two error buffers of ``_metrics`` hold 128 KiB each.
+SUM_LEAF = 16384
 
 
 _COUNT = (lambda v: v >= 1, ">= 1")
@@ -185,6 +188,16 @@ def _split_chunks(store: SeriesStore, l_in: int, l_out: int, split: tuple):
         yield lo, xv[node, win], yv[node, win]
 
 
+def _kept_stop(lo: int, size: int, n_rows: int) -> int:
+    """End of the rows a ``_split_chunks`` chunk [lo, lo + size) is scored on.
+
+    The shifted last chunk keeps all its rows, so the chunk before it stops
+    where the last one starts: every row is kept once, in order.
+    """
+    last = n_rows - size  # where the last chunk starts
+    return n_rows if lo == last else min(lo + size, last)
+
+
 def _forecast_chunks(params, store: SeriesStore, config: TrainConfig, split: tuple,
                      denorm_stats: NormStats | None = None):
     """Yield (lo, pred, y): forecast and truth of the split rows [lo, lo + len(pred)).
@@ -213,8 +226,7 @@ def _forecast_chunks(params, store: SeriesStore, config: TrainConfig, split: tup
         sigma = np.maximum(denorm_stats.sigma, config.sigma_floor)[:, None]
     for lo, x, y in _split_chunks(store, config.l_in, config.l_out, split):
         pred = md.predict(params, x, dcfg, buffers)
-        last = n_rows - len(x)  # where the last chunk starts
-        stop = n_rows if lo == last else min(lo + len(x), last)
+        stop = _kept_stop(lo, len(x), n_rows)
         pred, y = pred[:stop - lo], y[:stop - lo]
         if denorm_stats is not None:
             node = np.arange(lo, stop) % n_nodes
@@ -223,26 +235,78 @@ def _forecast_chunks(params, store: SeriesStore, config: TrainConfig, split: tup
         yield lo, pred, y
 
 
-def _metrics(chunks, shape: tuple, sink=None) -> dict:
-    """MSE and MAE of (lo, pred, y) chunks that together cover ``shape``.
+def _pairwise_split(n: int) -> int:
+    """Where numpy's pairwise sum splits n > 128 values: half, down to a multiple of 8."""
+    half = n // 2
+    return half - half % 8
 
-    ``|pred - y|`` is written chunk by chunk into one array of ``shape``
-    (a row written twice keeps its later value). Its mean is the MAE;
-    squared in place, its mean is the MSE. These are the same values in
-    the same contiguous layout as full-split ``pred - y`` temporaries, so
-    numpy sums them in the same order and the metrics match to the bit.
-    ``sink``, if given, is called with each chunk before it is scored.
+
+def _sum_leaves(n: int) -> list:
+    """Lengths, in order, of the highest nodes of numpy's pairwise tree over n
+    values that hold at most ``SUM_LEAF`` values each."""
+    if n <= SUM_LEAF:
+        return [n]
+    half = _pairwise_split(n)
+    return _sum_leaves(half) + _sum_leaves(n - half)
+
+
+def _sum_join(n: int, leaf_sums) -> float:
+    """The pairwise sum of n values from the sums of its ``_sum_leaves``, taken in order."""
+    if n <= SUM_LEAF:
+        return next(leaf_sums)
+    half = _pairwise_split(n)
+    return _sum_join(half, leaf_sums) + _sum_join(n - half, leaf_sums)
+
+
+def _metrics(chunks, shape: tuple, sink=None) -> dict:
+    """MSE and MAE of (lo, pred, y) chunks that cover the rows of ``shape`` once, in order.
+
+    A chunk that does not start where the one before it ended, or runs past
+    the last row, raises ``ShapeError`` naming its ``lo``; chunks that stop
+    short of the last row raise it naming the first row left out. ``|pred - y|`` and its square are
+    streamed into two buffers of at most ``SUM_LEAF`` values (plus one
+    row). Each buffer is summed by ``np.add.reduce`` whenever it holds a
+    whole node of the pairwise tree numpy sums a contiguous array of
+    ``shape`` with, and those sums are added up in the tree's order. So
+    the metrics equal ``np.mean`` of full-split temporaries to the bit,
+    and nothing the size of the split is allocated. ``sink``, if given,
+    is called with each chunk before it is scored.
     """
-    err = np.empty(shape)
+    n_rows, width = shape
+    n = n_rows * width
+    leaves = iter(_sum_leaves(n))
+    leaf = next(leaves)
+    err, sq = np.empty((2, min(n, SUM_LEAF) + width))
+    err_sums, sq_sums = [], []
+    fill = covered = 0
     for lo, pred, y in chunks:
+        if lo != covered or lo + len(y) > n_rows:
+            raise ShapeError(f"chunk at row lo={lo} of {len(y)} rows does not continue "
+                             f"rows [0, {covered}) of {n_rows}")
         if sink is not None:
             sink(lo, pred, y)
-        rows = err[lo:lo + len(y)]
-        np.subtract(pred, y, out=rows)
-        np.abs(rows, out=rows)
-    mae = float(np.mean(err))
-    np.square(err, out=err)
-    return {"mse": float(np.mean(err)), "mae": mae}
+        row = 0
+        while row < len(y):
+            # whole rows up to the first that reaches the end of the leaf
+            take = min(len(y) - row, -(-(leaf - fill) // width))
+            stop = fill + take * width
+            e = err[fill:stop].reshape(take, width)
+            np.subtract(pred[row:row + take], y[row:row + take], out=e)
+            np.abs(e, out=e)
+            np.square(e, out=sq[fill:stop].reshape(take, width))
+            fill, row = stop, row + take
+            while leaf is not None and fill >= leaf:
+                err_sums.append(np.add.reduce(err[:leaf]))
+                sq_sums.append(np.add.reduce(sq[:leaf]))
+                fill -= leaf
+                err[:fill], sq[:fill] = err[leaf:leaf + fill], sq[leaf:leaf + fill]
+                leaf = next(leaves, None)
+        covered = lo + len(y)
+    if covered != n_rows:
+        raise ShapeError(f"no chunk at row lo={covered}: chunks stop before the last "
+                         f"of {n_rows} rows")
+    return {"mse": float(_sum_join(n, iter(sq_sums)) / n),
+            "mae": float(_sum_join(n, iter(err_sums)) / n)}
 
 
 def evaluate(params, store: SeriesStore, config: TrainConfig, split: tuple,
@@ -250,9 +314,9 @@ def evaluate(params, store: SeriesStore, config: TrainConfig, split: tuple,
     """MSE and MAE over all windows, horizon steps, and nodes of the split.
 
     The forecast is made in chunks of ``EVAL_CHUNK_ROWS`` rows (see
-    ``_forecast_chunks``), and only its absolute error is kept for the
-    whole split: beyond that one (rows, l_out) array, memory does not grow
-    with the split. With ``denorm_stats`` both forecast and truth are
+    ``_forecast_chunks``) and scored as it comes (see ``_metrics``): no
+    array the size of the split is kept, so memory does not grow with the
+    split. With ``denorm_stats`` both forecast and truth are
     mapped back to the raw scale before the metrics. ``sink(lo, pred, y)``,
     if given, sees every chunk ``_forecast_chunks`` yields, so one pass
     can both score and write the forecast.
@@ -347,9 +411,14 @@ def train(store: SeriesStore, config: TrainConfig):
 
 def baseline_last_value(store: SeriesStore, config: TrainConfig, split: tuple) -> dict:
     """Repeat the last observed input value across the whole horizon."""
-    shape = (_n_rows(store, config.l_in, config.l_out, split), config.l_out)
-    chunks = _split_chunks(store, config.l_in, config.l_out, split)
-    return _metrics(((lo, x[:, -1:], y) for lo, x, y in chunks), shape)
+    n_rows = _n_rows(store, config.l_in, config.l_out, split)
+
+    def chunks():
+        for lo, x, y in _split_chunks(store, config.l_in, config.l_out, split):
+            keep = _kept_stop(lo, len(x), n_rows) - lo
+            yield lo, x[:keep, -1:], y[:keep]
+
+    return _metrics(chunks(), (n_rows, config.l_out))
 
 
 def baseline_plain_mlp(store: SeriesStore, config: TrainConfig) -> dict:
