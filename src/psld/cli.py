@@ -414,6 +414,9 @@ def main(argv=None) -> int:
             at = argv.index(args.command) + 1
             argv[at:at] = _config_tokens(args.config_file, commands[args.command])
             args = parser.parse_args(argv)
+        # every command has --seed; train leaves it unset for TrainConfig's default
+        if getattr(args, "seed", 0) < 0:
+            raise _UsageError(f"--seed must be >= 0, got {args.seed}")
         return args.func(args)
     except SystemExit as exit_request:
         code = exit_request.code

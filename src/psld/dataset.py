@@ -165,10 +165,12 @@ def load_csv(path, adjacency_path=None) -> SeriesStore:
             if has_ids is None:
                 has_ids = not _is_number(fields[0])
                 width = len(fields) - has_ids
+                if width < 2:
+                    raise FormatError(f"{path}: line {line_no}: need at least 2 timesteps, "
+                                      f"got {width}")
             if len(fields) - has_ids != width:
-                raise FormatError(
-                    f"line {line_no}: expected {width} values, got {len(fields) - has_ids}"
-                )
+                raise FormatError(f"{path}: line {line_no}: expected {width} values, "
+                                  f"got {len(fields) - has_ids}")
             if has_ids:
                 ids.append(fields[0].strip())
             filled = len(data)
@@ -179,7 +181,7 @@ def load_csv(path, adjacency_path=None) -> SeriesStore:
                 # (not "\x1f"), so redo the line on stripped fields,
                 # which also names the first bad one
                 del data[filled:]
-                data.extend([_parse_float(tok.strip(), f"line {line_no}, field {i + 1}")
+                data.extend([_parse_float(tok.strip(), f"{path}: line {line_no}, field {i + 1}")
                              for i, tok in enumerate(fields[has_ids:])])
             line_nos.append(line_no)
     if not line_nos:
@@ -192,7 +194,8 @@ def load_csv(path, adjacency_path=None) -> SeriesStore:
     bad = np.argwhere(~np.isfinite(values))
     if bad.size:
         row, col = bad[0]
-        raise _non_finite(f"line {line_nos[row]}, field {col + 1}", float(values[row, col]))
+        raise _non_finite(f"{path}: line {line_nos[row]}, field {col + 1}",
+                          float(values[row, col]))
 
     edges = None if adjacency_path is None else _load_adjacency(adjacency_path, len(values))
     return _with_edges(SeriesStore(values, tuple(ids)), edges)

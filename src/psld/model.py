@@ -732,23 +732,20 @@ def load_checkpoint(path):
     return params, sidecar
 
 
-def finite_difference_check(
-    kind: str,
-    mode: str,
-    seed: int,
-    hidden: int = 4,
-    l_in: int = 6,
-    l_out: int = 3,
-    n_vars: int = 2,
-    dropout: float = 0.05,
-    lam: float = 1.0,
-    step: float = 1e-5,
-) -> dict:
+# The tiny model finite_difference_check differentiates: hidden width, input
+# and horizon lengths, rows of its one random window, dropout and lambda; and
+# the central-difference step.
+FD_HIDDEN, FD_L_IN, FD_L_OUT, FD_N_VARS, FD_DROPOUT, FD_LAM = 4, 6, 3, 2, 0.05, 1.0
+FD_STEP = 1e-5
+
+
+def finite_difference_check(kind: str, mode: str, seed: int) -> dict:
     """Compare analytic gradients against central finite differences.
 
-    Runs a tiny model on one random window and perturbs every parameter
-    entry by +-step. Dropout masks are regenerated from a fixed stream for
-    every loss evaluation, so the compared function is deterministic.
+    Runs a tiny model (the ``FD_*`` constants) on one random window and
+    perturbs every parameter entry by +-``FD_STEP``. Dropout masks are
+    regenerated from a fixed stream for every loss evaluation, so the
+    compared function is deterministic.
     Entries whose perturbation flips the sign of a kept activation are
     excluded (the loss is not differentiable across such a kink) and counted
     under "kinks_skipped". A kink on a dropped unit does not move the loss:
@@ -758,9 +755,10 @@ def finite_difference_check(
     "kinks_skipped": int}.
     """
     root = Rng(seed)
-    params = init_params(kind, l_in, l_out, hidden, dropout, mode, root.child("init"))
-    x = root.child("x").gen.standard_normal((n_vars, l_in))
-    y = root.child("y").gen.standard_normal((n_vars, l_out))
+    params = init_params(kind, FD_L_IN, FD_L_OUT, FD_HIDDEN, FD_DROPOUT, mode,
+                         root.child("init"))
+    x = root.child("x").gen.standard_normal((FD_N_VARS, FD_L_IN))
+    y = root.child("y").gen.standard_normal((FD_N_VARS, FD_L_OUT))
     dcfg = dc.make_config(kind, kappa_t=5, kappa_s=3)
     xb = dc.decompose(x, dcfg)
     yb = dc.decompose(y, dcfg)
@@ -771,11 +769,11 @@ def finite_difference_check(
     def score(state):
         """The loss and the sign pattern of every kept activation."""
         caches = (*state.head_caches.values(), state.cbn_cache)
-        return (_losses(params, state, yb, y, lam).total,
+        return (_losses(params, state, yb, y, FD_LAM).total,
                 tuple(np.packbits(cache.ad > 0.0).tobytes() for cache in caches))
 
     # the one backward pass; the perturbed runs below only score the loss
-    analytic = loss_and_backward(params, run(), yb, y, lam)[1].flat
+    analytic = loss_and_backward(params, run(), yb, y, FD_LAM)[1].flat
     flat = params.flat
     per_group = {}
     kinks = 0
@@ -784,15 +782,15 @@ def finite_difference_check(
         worst = per_group.get(group, 0.0)
         for i in range(start, stop):
             orig = flat[i]
-            flat[i] = orig + step
+            flat[i] = orig + FD_STEP
             loss_plus, sig_plus = score(run())
-            flat[i] = orig - step
+            flat[i] = orig - FD_STEP
             loss_minus, sig_minus = score(run())
             flat[i] = orig
             if sig_plus != sig_minus:
                 kinks += 1
                 continue
-            fd = (loss_plus - loss_minus) / (2.0 * step)
+            fd = (loss_plus - loss_minus) / (2.0 * FD_STEP)
             rel = abs(analytic[i] - fd) / max(abs(analytic[i]) + abs(fd), 1e-6)
             worst = max(worst, float(rel))
         per_group[group] = worst

@@ -168,68 +168,42 @@ def _n_rows(store: SeriesStore, l_in: int, l_out: int, split: tuple) -> int:
     return math.prod(_windows(store.values[:, split[0]:split[1]], l_in, l_out)[0].shape[:2])
 
 
-def _split_chunks(store: SeriesStore, l_in: int, l_out: int, split: tuple):
-    """Yield (lo, x, y): the input and target rows [lo, lo + len(x)) of the split.
+def _forecast_chunks(store: SeriesStore, config: TrainConfig, split: tuple, forecast,
+                     denorm_stats: NormStats | None = None):
+    """Yield (lo, pred, y): ``forecast(x)`` and truth of the split rows [lo, lo + len(pred)).
 
     The split has one row per (window, node), window-major: row
     ``w * n_nodes + d`` is node d's window starting at step ``split[0] + w``.
-    Each chunk is gathered from sliding-window views of the split, so
-    nothing the size of the split is allocated. Every chunk has
+    Each chunk's input rows are gathered by index from sliding-window views
+    of the split, so nothing the size of the split is allocated, and
+    ``forecast`` is called once per chunk. Every chunk has
     ``EVAL_CHUNK_ROWS`` rows, or all rows if the split has fewer: the last
-    one is shifted back to end at the last row and so repeats rows of the
-    chunk before it.
+    one is shifted back to end at the last row, so its forecast is made in
+    a call of the same size as every other. Rows are independent, but BLAS
+    may round a product of a few rows differently in the last bit from the
+    same rows inside a larger product; with every call the same size, no
+    short remainder call depends on where the split ends. Rows are yielded
+    once each, in order: of the rows the shifted last chunk repeats, its
+    forecasts are the ones yielded, so the chunk before it stops where it
+    starts. ``pred`` may be a buffer ``forecast`` reuses, so it is valid
+    only until the next chunk. With ``denorm_stats`` forecast and truth are
+    mapped back to the raw scale.
     """
-    xv, yv = _windows(store.values[:, split[0]:split[1]], l_in, l_out)
+    xv, yv = _windows(store.values[:, split[0]:split[1]], config.l_in, config.l_out)
     n_nodes, n_rows = xv.shape[0], math.prod(xv.shape[:2])
     size = min(EVAL_CHUNK_ROWS, n_rows)
-    for start in range(0, n_rows, size):
-        lo = min(start, n_rows - size)
-        win, node = np.divmod(np.arange(lo, lo + size), n_nodes)
-        yield lo, xv[node, win], yv[node, win]
-
-
-def _kept_stop(lo: int, size: int, n_rows: int) -> int:
-    """End of the rows a ``_split_chunks`` chunk [lo, lo + size) is scored on.
-
-    The shifted last chunk keeps all its rows, so the chunk before it stops
-    where the last one starts: every row is kept once, in order.
-    """
-    last = n_rows - size  # where the last chunk starts
-    return n_rows if lo == last else min(lo + size, last)
-
-
-def _forecast_chunks(params, store: SeriesStore, config: TrainConfig, split: tuple,
-                     denorm_stats: NormStats | None = None):
-    """Yield (lo, pred, y): forecast and truth of the split rows [lo, lo + len(pred)).
-
-    Rows follow ``_split_chunks`` and are yielded once each, in order.
-    Every forward call sees a whole chunk, so its intermediates keep a
-    fixed size however many nodes and windows the split has. Rows are
-    independent, but BLAS may round a product of a few rows differently in
-    the last bit from the same rows inside a larger product; with every
-    call the same size, no short remainder call depends on where the split
-    ends. Of the rows the shifted last chunk repeats, its forecasts are the
-    ones yielded. All chunks write the heads' hidden and output arrays
-    into one set of buffers: fresh ones per chunk (about 4 MiB at hidden
-    128) are handed back to the OS by glibc's heap trimming whenever
-    nothing live sits above them, and page-faulted in again by the next
-    chunk. ``pred`` may be one of those buffers, so it is valid only until
-    the next chunk. With ``denorm_stats`` forecast and truth are mapped
-    back to the raw scale.
-    """
-    n_nodes = store.n_nodes
-    n_rows = _n_rows(store, config.l_in, config.l_out, split)
-    dcfg = config.decomposer_config()
-    buffers = {}
+    last = n_rows - size  # where the shifted last chunk starts
     if denorm_stats is not None:
         mu = denorm_stats.mu[:, None]
         sigma = np.maximum(denorm_stats.sigma, config.sigma_floor)[:, None]
-    for lo, x, y in _split_chunks(store, config.l_in, config.l_out, split):
-        pred = md.predict(params, x, dcfg, buffers)
-        stop = _kept_stop(lo, len(x), n_rows)
-        pred, y = pred[:stop - lo], y[:stop - lo]
+    for start in range(0, n_rows, size):
+        lo = min(start, last)
+        keep = (n_rows if lo == last else min(lo + size, last)) - lo
+        win, node = np.divmod(np.arange(lo, lo + size), n_nodes)
+        pred = forecast(xv[node, win])[:keep]
+        win, node = win[:keep], node[:keep]
+        y = yv[node, win]
         if denorm_stats is not None:
-            node = np.arange(lo, stop) % n_nodes
             pred = pred * sigma[node] + mu[node]
             y = y * sigma[node] + mu[node]
         yield lo, pred, y
@@ -316,13 +290,20 @@ def evaluate(params, store: SeriesStore, config: TrainConfig, split: tuple,
     The forecast is made in chunks of ``EVAL_CHUNK_ROWS`` rows (see
     ``_forecast_chunks``) and scored as it comes (see ``_metrics``): no
     array the size of the split is kept, so memory does not grow with the
-    split. With ``denorm_stats`` both forecast and truth are
+    split. All chunks write the heads' hidden and output arrays into one
+    set of buffers, made afresh for each call: fresh ones per chunk (about
+    4 MiB at hidden 128) are handed back to the OS by glibc's heap trimming
+    whenever nothing live sits above them, and page-faulted in again by the
+    next chunk. With ``denorm_stats`` both forecast and truth are
     mapped back to the raw scale before the metrics. ``sink(lo, pred, y)``,
     if given, sees every chunk ``_forecast_chunks`` yields, so one pass
     can both score and write the forecast.
     """
     shape = (_n_rows(store, config.l_in, config.l_out, split), config.l_out)
-    return _metrics(_forecast_chunks(params, store, config, split, denorm_stats), shape, sink)
+    dcfg, buffers = config.decomposer_config(), {}
+    chunks = _forecast_chunks(store, config, split,
+                              lambda x: md.predict(params, x, dcfg, buffers), denorm_stats)
+    return _metrics(chunks, shape, sink)
 
 
 def _sample_minibatch(batch, k: int, rng: Rng):
@@ -410,15 +391,13 @@ def train(store: SeriesStore, config: TrainConfig):
 
 
 def baseline_last_value(store: SeriesStore, config: TrainConfig, split: tuple) -> dict:
-    """Repeat the last observed input value across the whole horizon."""
-    n_rows = _n_rows(store, config.l_in, config.l_out, split)
+    """Repeat the last observed input value across the whole horizon.
 
-    def chunks():
-        for lo, x, y in _split_chunks(store, config.l_in, config.l_out, split):
-            keep = _kept_stop(lo, len(x), n_rows) - lo
-            yield lo, x[:keep, -1:], y[:keep]
-
-    return _metrics(chunks(), (n_rows, config.l_out))
+    Scored through ``_forecast_chunks`` as ``evaluate`` scores the model,
+    on the same rows in the same chunks.
+    """
+    shape = (_n_rows(store, config.l_in, config.l_out, split), config.l_out)
+    return _metrics(_forecast_chunks(store, config, split, lambda x: x[:, -1:]), shape)
 
 
 def baseline_plain_mlp(store: SeriesStore, config: TrainConfig) -> dict:

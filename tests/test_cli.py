@@ -155,6 +155,18 @@ class TestTrain:
         assert code == EXIT_OK
         assert len(calls) == 1
 
+    def test_adjacency_changes_no_artifact(self, dataset, tmp_path, capsys):
+        # the forecaster is per node: the graph is validated and hashed into
+        # the manifest, and the artifacts come out the same without it
+        with_graph, without = tmp_path / "with", tmp_path / "without"
+        assert run_cli(capsys, *train_args(dataset, with_graph, "--baseline-mlp"))[0] == EXIT_OK
+        argv = list(train_args(dataset, without, "--baseline-mlp"))
+        at = argv.index("--adjacency")
+        del argv[at:at + 2]
+        assert run_cli(capsys, *argv)[0] == EXIT_OK
+        for name in ("checkpoint.psld", "checkpoint.psld.json", "metrics.json", "epochs.csv"):
+            assert (with_graph / name).read_bytes() == (without / name).read_bytes(), name
+
     def test_too_many_subgraphs_is_usage_error(self, dataset, tmp_path, capsys):
         code, _, err = run_cli(capsys, "train", "--data",
                                str(dataset / "series.csv"),
@@ -180,6 +192,16 @@ class TestTrain:
                                "--out", str(tmp_path / "r"))
         assert code == EXIT_RUNTIME
         assert "error" in json.loads(err.strip().splitlines()[-1])
+
+    def test_bad_series_line_names_the_series_file(self, tmp_path, capsys):
+        # with both inputs given, the error says which file is malformed
+        series, adjacency = tmp_path / "bad.csv", tmp_path / "good.csv"
+        series.write_text("a,1,2,3,4\nb,5,6,7\n")
+        adjacency.write_text("0,1\n")
+        code, out, err = run_cli(capsys, "train", "--data", str(series), "--adjacency",
+                                 str(adjacency), "--out", str(tmp_path / "r"))
+        assert (code, out) == (EXIT_RUNTIME, "")
+        assert json.loads(err)["error"] == f"{series}: line 2: expected 4 values, got 3"
 
     @pytest.mark.parametrize("edge", ["0,5", "0,0", "0", "0,x", "0,1,x", "0,1,inf", "0,1,2,3"])
     def test_bad_adjacency_edge_is_runtime_error(self, tmp_path, edge):
@@ -582,6 +604,14 @@ class TestTopLevel:
     def test_unknown_command_is_usage_error(self, capsys):
         assert run_cli(capsys, "frobnicate")[0] == EXIT_USAGE
 
+    @pytest.mark.parametrize("command", ["synth", "train", "rss-check", "gradcheck"])
+    def test_negative_seed_is_usage_error_naming_the_flag(self, tmp_path, capsys, command):
+        argv = {"synth": ["--out", str(tmp_path / "d")],
+                "train": ["--data", str(tmp_path / "absent.csv"), "--out", str(tmp_path / "r")]}
+        code, out, err = run_cli(capsys, command, *argv.get(command, []), "--seed", "-1")
+        assert (code, out, err) == (EXIT_USAGE, "", "error: --seed must be >= 0, got -1\n")
+        assert not any(tmp_path.iterdir())
+
     def test_module_entry_point(self, tmp_path):
         out = tmp_path / "d"
         proc = run_module("synth", "--nodes", "4", "--length", "70", "--out", str(out))
@@ -631,6 +661,7 @@ EXIT_PATHS = [
     ("synth --sigma -1 --out {tmp}/d", EXIT_USAGE, "usage", {}),
     ("synth --nodes 4 --length 70 --out {file}/d", EXIT_RUNTIME, "json", {}),
     ("synth --nodes x --out {tmp}/d", EXIT_USAGE, "argparse", {}),
+    ("synth --seed -1 --out {tmp}/d", EXIT_USAGE, "usage", {}),
     (f"train {SMALL} --out {{tmp}}/r", EXIT_OK, "out", {}),
     (f"train {SMALL} --out {{tmp}}/r --dropout 1", EXIT_USAGE, "usage", {}),
     (f"train {SMALL} --out {{tmp}}/r --mode wide", EXIT_USAGE, "argparse", {}),
@@ -655,9 +686,11 @@ EXIT_PATHS = [
     ("rss-check --prob 0", EXIT_USAGE, "usage", {}),
     ("rss-check --nodes 1", EXIT_USAGE, "usage", {}),
     ("rss-check --trials 0", EXIT_USAGE, "usage", {}),
+    ("rss-check --seed -1", EXIT_USAGE, "usage", {}),
     ("gradcheck", EXIT_OK, "out", {}),
     ("gradcheck", EXIT_RUNTIME, "out", {"GRADCHECK_TOL": -1.0}),
     ("gradcheck --n-seeds 0", EXIT_USAGE, "usage", {}),
+    ("gradcheck --seed -1", EXIT_USAGE, "usage", {}),
     ("gradcheck --decomposer fft", EXIT_USAGE, "argparse", {}),
     ("", EXIT_USAGE, "argparse", {}),
     ("frobnicate", EXIT_USAGE, "argparse", {}),

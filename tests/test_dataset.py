@@ -38,21 +38,35 @@ def has_row(edges, row):
     return bool(np.any(np.all(edges == np.asarray(row, dtype=float), axis=1)))
 
 
-def split_rows(store, l_in, l_out, split):
-    """The (lo, x, y) chunks of the split and the rows they assemble.
+def echo_chunks(store, l_in, l_out, split):
+    """``_forecast_chunks`` with a forecast that returns its input.
 
-    Checks that the chunks start at row 0, leave no gap, and end at the
-    last row.
+    Returns (calls, yielded): the (lo, x) each forecast call saw, and the
+    (lo, pred, y) chunks yielded, whose ``pred`` are input rows.
     """
-    chunks = list(tr._split_chunks(store, l_in, l_out, split))
-    end = chunks[-1][0] + len(chunks[-1][1])
-    x, y = np.empty((end, l_in)), np.empty((end, l_out))
-    covered = 0
-    for lo, cx, cy in chunks:
-        assert lo <= covered < lo + len(cx)
-        x[lo:lo + len(cx)], y[lo:lo + len(cy)] = cx, cy
-        covered = lo + len(cx)
-    assert chunks[0][0] == 0 and covered == end
+    calls = []
+
+    def echo(x):
+        calls.append(x)
+        return x
+
+    config = tr.TrainConfig(l_in=l_in, l_out=l_out)
+    yielded = list(tr._forecast_chunks(store, config, split, echo))
+    return [(lo, x) for (lo, _, _), x in zip(yielded, calls)], yielded
+
+
+def split_rows(store, l_in, l_out, split):
+    """The (lo, x) chunks forecast over the split and the rows they assemble.
+
+    Checks that one forecast call is made per yielded chunk and that the
+    yielded rows start at row 0, leave no gap and repeat none.
+    """
+    chunks, yielded = echo_chunks(store, l_in, l_out, split)
+    assert len(chunks) == len(yielded)
+    x = np.concatenate([pred for _, pred, _ in yielded])
+    y = np.concatenate([cy for _, _, cy in yielded])
+    assert [lo for lo, _, _ in yielded] == \
+        np.cumsum([0] + [len(pred) for _, pred, _ in yielded[:-1]]).tolist()
     return chunks, x, y
 
 
@@ -265,7 +279,7 @@ class TestSplitsAndWindows:
                     assert x.shape == (n_win * 3, l_in)
                     assert y.shape == (n_win * 3, l_out)
                     size = min(chunk_rows, n_win * 3)
-                    assert all(len(cx) == len(cy) == size for _, cx, cy in chunks)
+                    assert all(len(cx) == size for _, cx in chunks)
                     for row in range(n_win * 3):
                         w, d = divmod(row, 3)
                         assert np.array_equal(x[row], v[d, w:w + l_in])
@@ -290,19 +304,21 @@ class TestSplitsAndWindows:
         # 7 windows of 3 nodes in chunks of 5: starts 0, 5, 10, 15, then 16
         monkeypatch.setattr(tr, "EVAL_CHUNK_ROWS", 5)
         chunks, x, _ = split_rows(tiny_store, 2, 2, (0, 10))
-        assert [lo for lo, _, _ in chunks] == [0, 5, 10, 15, 16]
-        for lo, cx, _ in chunks:
+        assert [lo for lo, _ in chunks] == [0, 5, 10, 15, 16]
+        for lo, cx in chunks:
             assert np.array_equal(cx, x[lo:lo + 5])
 
     def test_chunks_are_contiguous_copies(self, tiny_store, monkeypatch):
         monkeypatch.setattr(tr, "EVAL_CHUNK_ROWS", 4)
-        for _, cx, cy in tr._split_chunks(tiny_store, 3, 2, (1, 10)):
+        chunks, yielded = echo_chunks(tiny_store, 3, 2, (1, 10))
+        for (_, cx), (_, _, cy) in zip(chunks, yielded):
             assert cx.flags.c_contiguous and cy.flags.c_contiguous
             assert not np.shares_memory(cx, tiny_store.values)
+            assert not np.shares_memory(cy, tiny_store.values)
 
     def test_too_short_split_names_minimum(self, tiny_store):
         with pytest.raises(ValueError) as exc:
-            next(tr._split_chunks(tiny_store, 8, 4, (0, 10)))
+            echo_chunks(tiny_store, 8, 4, (0, 10))
         assert "12" in str(exc.value)
 
     def test_restrict_time(self, tiny_store):
@@ -459,7 +475,11 @@ class TestCsv:
 
 
 def reference_load_csv(path):
-    """The whole-file parser that load_csv replaced, kept as its oracle."""
+    """The whole-file parser that load_csv replaced, kept as its oracle.
+
+    Its errors do not name the file. Like load_csv, it refuses a first row
+    of fewer than 2 values as a format fault.
+    """
     with open(path, "r", encoding="utf-8") as f:
         raw_lines = f.read().splitlines()
     rows = [(no, line) for no, line in enumerate(raw_lines, 1) if line.strip()]
@@ -478,6 +498,8 @@ def reference_load_csv(path):
             fields = fields[1:]
         if width is None:
             width = len(fields)
+            if width < 2:
+                raise FormatError(f"line {line_no}: need at least 2 timesteps, got {width}")
         elif len(fields) != width:
             raise FormatError(f"line {line_no}: expected {width} values, got {len(fields)}")
         row = []
@@ -501,10 +523,11 @@ def reference_load_csv(path):
 
 
 def outcome(load, path):
+    """Values and ids, or the error type and text without the file prefix."""
     try:
         store = load(path)
     except Exception as err:  # noqa: BLE001 - the error is the outcome compared
-        return type(err), str(err)
+        return type(err), str(err).removeprefix(f"{path}: ")
     return store.values.shape, store.values.tobytes(), store.node_ids
 
 
@@ -527,6 +550,8 @@ class TestCsvParsing:
         pytest.param("1,2\nx,3\n", id="id-only-checked-on-first-row"),
         pytest.param("x,1,2\n5,3,4\n", id="numeric-id-after-first-row"),
         pytest.param("a\nb\n", id="ids-without-values"),
+        pytest.param("1\n2\n", id="one-value-column"),
+        pytest.param("a,1\nb,2,3\n", id="one-value-column-before-width-mismatch"),
         pytest.param("a,1,2\nb,3\n", id="width-mismatch"),
         pytest.param("1,2\n3,4,5\n6,x\n", id="width-mismatch-before-bad-token"),
         pytest.param("a,1,2\nb,3,oops\n", id="bad-token"),
@@ -543,6 +568,17 @@ class TestCsvParsing:
         p = tmp_path / "series.csv"
         p.write_bytes(text.encode("utf-8"))
         assert outcome(load_csv, p) == outcome(reference_load_csv, p)
+
+    @pytest.mark.parametrize("text", ["a,1,2\n\nb,3\n", "a,1,2\n\nb,3,x\n",
+                                      "a,1,2\n\nb,3,inf\n", "\n\nb,3\nc,4\n",
+                                      "\n\nb\n"],
+                             ids=["width", "token", "non-finite", "one-value", "no-values"])
+    def test_every_fault_names_the_file_and_line(self, tmp_path, text):
+        p = tmp_path / "series.csv"
+        p.write_text(text)
+        with pytest.raises(FormatError) as exc:
+            load_csv(p)
+        assert str(exc.value).startswith(f"{p}: line 3")
 
     def test_long_lines_parse_as_the_oracle(self, synth_store, tmp_path):
         p = tmp_path / "series.csv"

@@ -157,7 +157,12 @@ def one_shot_metrics(pred, truth):
 def assembled_forecast(params, store, cfg, split, denorm_stats=None):
     """Forecast and truth rows from _forecast_chunks; each row once, in order."""
     preds, truths, covered = [], [], 0
-    for lo, pred, y in tr._forecast_chunks(params, store, cfg, split, denorm_stats):
+    dcfg, buffers = cfg.decomposer_config(), {}
+
+    def forecast(x):  # as evaluate's
+        return md.predict(params, x, dcfg, buffers)
+
+    for lo, pred, y in tr._forecast_chunks(store, cfg, split, forecast, denorm_stats):
         assert lo == covered
         preds.append(pred.copy())
         truths.append(y.copy())
@@ -308,7 +313,7 @@ class TestChunkedEvaluate:
 
         monkeypatch.setattr(md, "predict", fake_predict)
         assert x_rows.shape[0] < tr.EVAL_CHUNK_ROWS
-        list(tr._forecast_chunks(None, normed, cfg, split))
+        evaluate(None, normed, cfg, split)
         assert calls == [x_rows.shape[0]]
 
     def test_shifted_chunk_supersedes_the_rows_it_repeats(self, split_setup, monkeypatch):
