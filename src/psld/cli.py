@@ -21,6 +21,7 @@ from pathlib import Path
 from . import __version__
 from .dataset import (
     MIN_SYNTH_LENGTH,
+    _atomic_write,
     generate_synthetic,
     load_csv,
     save_adjacency_csv,
@@ -80,7 +81,7 @@ def _write_manifest(out_dir: Path, command: str, config: dict, seed: int,
         "outputs": [str(p) for p in outputs],
         "created_utc": datetime.now(timezone.utc).isoformat(timespec="seconds"),
     }
-    with open(out_dir / "manifest.json", "w", encoding="utf-8") as f:
+    with _atomic_write(out_dir / "manifest.json") as f:
         json.dump(manifest, f, indent=2)
         f.write("\n")
 
@@ -227,10 +228,10 @@ def cmd_train(args) -> int:
         "seed": config.seed,
     }
     save_checkpoint(checkpoint, params, config.to_dict())
-    with open(metrics_path, "w", encoding="utf-8") as f:
+    with _atomic_write(metrics_path) as f:
         json.dump(metrics, f, indent=2)
         f.write("\n")
-    with open(epochs_path, "w", encoding="utf-8") as f:
+    with _atomic_write(epochs_path) as f:
         f.write(",".join(metrics["epochs"][0]) + "\n")
         f.writelines(",".join(map(repr, row.values())) + "\n" for row in metrics["epochs"])
     _dump_json(metrics)
@@ -265,7 +266,7 @@ def cmd_eval(args) -> int:
     _n_rows(normed, config.l_in, config.l_out, split)  # before a dump file is created
     denorm = stats if args.denormalize else None
     if args.dump_predictions:
-        with open(args.dump_predictions, "w", encoding="utf-8") as f:
+        with _atomic_write(args.dump_predictions) as f:
             metrics = evaluate(params, normed, config, split, denorm,
                                sink=_prediction_writer(f, normed, config, split))
     else:

@@ -7,6 +7,7 @@ plus an optional undirected weighted adjacency.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from array import array
 from bisect import bisect_right
@@ -284,9 +285,28 @@ def _both_directions(src, dst, w) -> np.ndarray:
     return np.stack([src, dst, w, dst, src, w], axis=1).reshape(-1, 3)
 
 
+@contextmanager
+def _atomic_write(path, binary: bool = False):
+    """A file object that replaces ``path`` when the block exits cleanly.
+
+    The block writes a temp file beside ``path``, which ``os.replace`` then
+    moves onto it, so readers see the old file or the whole new one. If
+    the block raises, the temp file is removed and ``path`` is left as it was.
+    """
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") if binary else open(tmp, "w", encoding="utf-8") as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
 def save_csv(store: SeriesStore, path) -> None:
     """Write the series with id column, full round-trip float precision."""
-    with open(path, "w", encoding="utf-8") as f:
+    with _atomic_write(path) as f:
         for node_id, row in zip(store.node_ids, store.values):
             f.write(node_id + "," + ",".join(repr(float(x)) for x in row) + "\n")
 
@@ -296,7 +316,7 @@ def save_adjacency_csv(store: SeriesStore, path) -> None:
     edges = store.adjacency if store.adjacency is not None else np.empty((0, 3))
     upper = edges[edges[:, 0] < edges[:, 1]]
     ends = upper[:, :2].astype(np.int64)
-    with open(path, "w", encoding="utf-8") as f:
+    with _atomic_write(path) as f:
         f.writelines(map("{},{},{!r}\n".format,
                          ends[:, 0].tolist(), ends[:, 1].tolist(), upper[:, 2].tolist()))
 

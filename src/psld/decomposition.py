@@ -91,7 +91,17 @@ class ComponentBundle:
 def moving_average(series: np.ndarray, kernel: int) -> np.ndarray:
     """Centered moving average along the last axis with replicate padding.
 
-    Output length equals input length; kernel 1 is the identity.
+    Output length equals input length; kernel 1 is the identity. The bits
+    equal numpy's ``mean`` over each padded window, because each window's
+    sum follows the order of numpy's pairwise reduction over n contiguous
+    values. Below 8 values it is a left fold. From 8 to 128 values,
+    accumulator j sums values j, j+8, ... left to right, the eight combine
+    as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), and the last n % 8 values are
+    added left to right. Above 128 the sum is that of the first
+    h = n//2 - (n//2) % 8 values plus that of the other n - h. The
+    reduction starts from +0.0 and the sum is divided by the kernel.
+    Neighbouring windows share accumulators, so all windows are summed by
+    a few whole-array adds over shifted time slices.
     """
     a = np.asarray(series, dtype=np.float64)
     if kernel < 1 or kernel % 2 == 0:
@@ -100,11 +110,69 @@ def moving_average(series: np.ndarray, kernel: int) -> np.ndarray:
         raise ShapeError(f"cannot average an empty time axis, shape {a.shape}")
     if kernel == 1:
         return a.copy()
-    half = kernel // 2
-    pad = [(0, 0)] * (a.ndim - 1) + [(half, half)]
-    padded = np.pad(a, pad, mode="edge")
-    windows = np.lib.stride_tricks.sliding_window_view(padded, kernel, axis=-1)
-    return windows.mean(axis=-1)
+    length, half = a.shape[-1], kernel // 2
+    # A time-major copy with pad repeated edge rows at each end. Edge padding
+    # takes half rows, but no slice read from it is longer than length + 7
+    # rows, and one that lies wholly in a pad reads only the repeated row,
+    # so a longer pad would hold nothing new (see _shifted).
+    pad = min(half, length + 7)
+    flat = a.reshape(-1, length)
+    padded = np.empty((length + 2 * pad, len(flat)))
+    padded[:pad] = flat[:, 0]
+    padded[pad : pad + length] = flat.T
+    padded[pad + length :] = flat[:, -1]
+    total = _window_sums(padded, kernel, pad - half, length)
+    del padded  # freed before the output is allocated
+    total += 0.0
+    out = np.empty(a.shape)
+    np.divide(total, kernel, out=out.reshape(-1, length).T)
+    return out
+
+
+# numpy's pairwise summation sums runs of up to this many values with
+# eight accumulators and splits longer runs in two.
+_PAIRWISE_BLOCK = 128
+
+
+def _pairwise_split(n: int) -> int:
+    """Where numpy's pairwise sum splits n > 128 values: half, down to a multiple of 8."""
+    half = n // 2
+    return half - half % 8
+
+
+def _window_sums(padded: np.ndarray, n: int, start: int, length: int) -> np.ndarray:
+    """Sums of padded[start + t : start + t + n] in numpy's pairwise order
+    for t < length, as a time-major array of length rows. Rows before 0 or
+    past the end of padded repeat its first or last row."""
+    if n > _PAIRWISE_BLOCK:
+        split = _pairwise_split(n)
+        total = _window_sums(padded, split, start, length)
+        total += _window_sums(padded, n - split, start + split, length)
+        return total
+    if n < 8:
+        total = _shifted(padded, start, length) + _shifted(padded, start + 1, length)
+        for i in range(2, n):
+            total += _shifted(padded, start + i, length)
+        return total
+    # q[s] = padded[start+s] + padded[start+s+8] + ...: accumulator j of
+    # window t is q[t+j], so the tree over the eight is three shifted adds.
+    q = _shifted(padded, start, length + 7).copy()
+    for k in range(1, n // 8):
+        q += _shifted(padded, start + 8 * k, length + 7)
+    pairs = np.add(q[:-1], q[1:])
+    quads = np.add(pairs[:-2], pairs[2:], out=q[: length + 4])
+    total = np.add(quads[:-4], quads[4:], out=pairs[:length])
+    for i in range(n - n % 8, n):
+        total += _shifted(padded, start + i, length)
+    return total
+
+
+def _shifted(padded: np.ndarray, start: int, size: int) -> np.ndarray:
+    """padded[start : start + size], moved inside padded if it starts
+    before 0 or ends past the end: such a slice lies wholly in a pad, so
+    every row it reads is that pad's repeated row."""
+    lo = min(max(start, 0), len(padded) - size)
+    return padded[lo : lo + size]
 
 
 def mvd_decompose(y: np.ndarray, cfg: MvdConfig) -> ComponentBundle:

@@ -46,6 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import decomposition as dc
+from .dataset import _atomic_write
 from .exceptions import CheckpointError, NumericError, ShapeError
 from .numerics import Rng
 
@@ -605,7 +606,7 @@ def save_checkpoint(path, params: PsldParams, config: dict) -> None:
     The payloads, in order, are the parameter vector. Identical parameters
     serialize to identical bytes.
     """
-    with open(path, "wb") as f:
+    with _atomic_write(path, binary=True) as f:
         f.write(CHECKPOINT_MAGIC)
         for name, shape, start, stop in params.slots:
             encoded = name.encode("utf-8")
@@ -622,7 +623,7 @@ def save_checkpoint(path, params: PsldParams, config: dict) -> None:
         "dropout": params.dropout,
         "config": config,
     }
-    with open(str(path) + ".json", "w", encoding="utf-8") as f:
+    with _atomic_write(str(path) + ".json") as f:
         json.dump(sidecar, f, indent=2)
         f.write("\n")
 

@@ -209,18 +209,12 @@ def _forecast_chunks(store: SeriesStore, config: TrainConfig, split: tuple, fore
         yield lo, pred, y
 
 
-def _pairwise_split(n: int) -> int:
-    """Where numpy's pairwise sum splits n > 128 values: half, down to a multiple of 8."""
-    half = n // 2
-    return half - half % 8
-
-
 def _sum_leaves(n: int) -> list:
     """Lengths, in order, of the highest nodes of numpy's pairwise tree over n
     values that hold at most ``SUM_LEAF`` values each."""
     if n <= SUM_LEAF:
         return [n]
-    half = _pairwise_split(n)
+    half = dc._pairwise_split(n)
     return _sum_leaves(half) + _sum_leaves(n - half)
 
 
@@ -228,7 +222,7 @@ def _sum_join(n: int, leaf_sums) -> float:
     """The pairwise sum of n values from the sums of its ``_sum_leaves``, taken in order."""
     if n <= SUM_LEAF:
         return next(leaf_sums)
-    half = _pairwise_split(n)
+    half = dc._pairwise_split(n)
     return _sum_join(half, leaf_sums) + _sum_join(n - half, leaf_sums)
 
 

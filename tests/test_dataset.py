@@ -1,4 +1,5 @@
 import math
+import os
 import tracemalloc
 from itertools import compress, repeat
 from operator import itemgetter
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from psld import training as tr
 from psld.dataset import (
     _EDGE_BLOCK,
+    _atomic_write,
     _both_directions,
     _edge_array,
     _load_adjacency,
@@ -861,3 +863,42 @@ class TestSynthetic:
         for a, b, _ in s.adjacency:
             assert a != b
             assert (b, a) in pairs
+
+
+class TestAtomicWrite:
+    def test_write_that_raises_keeps_the_previous_file(self, tmp_path):
+        path = tmp_path / "metrics.json"
+        path.write_text("previous\n")
+        with pytest.raises(RuntimeError, match="interrupted"):
+            with _atomic_write(path) as f:
+                f.write("half of the new")
+                f.flush()
+                raise RuntimeError("interrupted")
+        assert path.read_text() == "previous\n"
+        assert os.listdir(tmp_path) == ["metrics.json"]
+
+    def test_clean_exit_replaces_the_file(self, tmp_path):
+        path = tmp_path / "checkpoint.psld"
+        path.write_bytes(b"old")
+        with _atomic_write(path, binary=True) as f:
+            f.write(b"new bytes")
+        assert path.read_bytes() == b"new bytes"
+        assert os.listdir(tmp_path) == ["checkpoint.psld"]
+
+    def test_save_csv_interrupted_part_way_keeps_the_previous_file(self, tmp_path):
+        path = tmp_path / "series.csv"
+        save_csv(generate_synthetic(4, 64, Rng(0)), path)
+        before = path.read_bytes()
+
+        class InterruptedStore:
+            node_ids = ("a", "b")
+
+            @property
+            def values(self):
+                yield np.array([1.0, 2.0])
+                raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            save_csv(InterruptedStore(), path)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["series.csv"]

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -150,3 +152,109 @@ class TestDispatch:
     def test_bundle_rejects_wrong_parts(self):
         with pytest.raises(ValueError):
             ComponentBundle(kind="mvd", parts={"m": np.zeros((1, 1))})
+
+
+def padded_window_mean(series, kernel):
+    """The formula moving_average must match to the bit: numpy's mean over
+    each window of the edge-padded series. The series is made C-contiguous
+    first: np.pad keeps a Fortran-ordered input's order, and numpy's mean
+    then folds each window in another order."""
+    a = np.ascontiguousarray(series, dtype=np.float64)
+    if kernel == 1:
+        return a.copy()
+    half = kernel // 2
+    padded = np.pad(a, [(0, 0)] * (a.ndim - 1) + [(half, half)], mode="edge")
+    return np.lib.stride_tricks.sliding_window_view(padded, kernel, axis=-1).mean(-1)
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+# signed zeros, the smallest subnormals, a normal near the subnormal range
+# and values whose sums overflow
+SPECIAL_VALUES = (0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e300, -1e300, 1.0, -2.5)
+KERNELS = (1, 3, 5, 7, 9, 15, 23, 25, 63, 127, 129, 131, 255, 257, 301, 513)
+
+
+def mixed_rows(n_rows, length, seed):
+    gen = Rng(seed).gen
+    scale = 10.0 ** gen.integers(-6, 7, (n_rows, length))
+    a = gen.standard_normal((n_rows, length)) * scale
+    specials = gen.random((n_rows, length)) < 0.3
+    a[specials] = gen.choice(SPECIAL_VALUES, int(specials.sum()))
+    if n_rows:
+        a[0] = -0.0  # an all-(-0.0) window averages to +0.0
+    return a
+
+
+class TestMovingAverageBits:
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_matches_padded_window_mean(self, kernel):
+        with np.errstate(over="ignore", invalid="ignore"):
+            for length in (1, 2, 3, 7, 8, 9, 16, 36, 100, 128, 129, 200):
+                for n_rows in (0, 1, 5):
+                    a = mixed_rows(n_rows, length, seed=kernel * 1000 + length)
+                    assert_same_bits(moving_average(a, kernel), padded_window_mean(a, kernel))
+
+    @pytest.mark.parametrize("n_rows", (64, 512, 513))
+    def test_matches_on_tall_blocks(self, n_rows):
+        with np.errstate(over="ignore", invalid="ignore"):
+            for kernel in (7, 25, 131):
+                a = mixed_rows(n_rows, 36, seed=n_rows + kernel)
+                assert_same_bits(moving_average(a, kernel), padded_window_mean(a, kernel))
+
+    def test_negative_zero_windows_average_to_positive_zero(self):
+        for kernel in (3, 9, 25, 131):
+            got = moving_average(np.full((2, 12), -0.0), kernel)
+            assert not np.signbit(got).any()
+
+    def test_any_layout_and_rank(self):
+        base = mixed_rows(6, 40, seed=3)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for a in (base[1], base.reshape(2, 3, 40), base[:, ::2], base.T,
+                      np.lib.stride_tricks.sliding_window_view(base[1], 9)):
+                for kernel in (5, 25, 131):
+                    got = moving_average(a, kernel)
+                    assert got.flags.c_contiguous
+                    assert_same_bits(got, padded_window_mean(a, kernel))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        a=hnp.arrays(
+            np.float64,
+            hnp.array_shapes(min_dims=1, max_dims=3, min_side=1, max_side=40),
+            elements=st.one_of(st.sampled_from(SPECIAL_VALUES),
+                               st.floats(allow_nan=False, allow_infinity=False)),
+        ),
+        kernel=st.integers(0, 150).map(lambda i: 2 * i + 1),
+    )
+    def test_matches_padded_window_mean_property(self, a, kernel):
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert_same_bits(moving_average(a, kernel), padded_window_mean(a, kernel))
+
+
+class TestStlBits:
+    @pytest.mark.parametrize("kappa_t,kappa_s", [(25, 7), (1, 1), (9, 3), (131, 9), (301, 129)])
+    def test_parts_match_padded_window_mean(self, kappa_t, kappa_s):
+        a = mixed_rows(7, 36, seed=kappa_t)
+        a[1:] = Rng(kappa_s).gen.standard_normal((6, 36))
+        b = stl_decompose(a, StlConfig(kappa_t, kappa_s))
+        trend = padded_window_mean(a, kappa_t)
+        seasonal = padded_window_mean(a - trend, kappa_s)
+        want = {"t": trend, "s": seasonal, "r": a - trend - seasonal}
+        for name, part in b.parts.items():
+            assert part.flags.c_contiguous
+            assert_same_bits(part, want[name])
+
+    @pytest.mark.parametrize("kappa_t", (25, 127))
+    def test_peak_memory_does_not_grow_with_kernel(self, kappa_t):
+        a = Rng(0).gen.standard_normal((1344, 36))
+        tracemalloc.start()
+        try:
+            stl_decompose(a, StlConfig(kappa_t, 7))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * a.nbytes
