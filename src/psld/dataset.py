@@ -383,19 +383,33 @@ def fit_norm_stats(store: SeriesStore, train_len: int) -> NormStats:
     return NormStats(head.mean(axis=1), head.std(axis=1))
 
 
-def apply_norm(store: SeriesStore, stats: NormStats, sigma_floor: float = SIGMA_FLOOR) -> SeriesStore:
-    """Return a store with values (x - mu) / max(sigma, sigma_floor)."""
+def apply_norm(store: SeriesStore, stats: NormStats, sigma_floor: float = SIGMA_FLOOR,
+               span: tuple | None = None) -> SeriesStore:
+    """Return a store with values (x - mu) / max(sigma, sigma_floor).
+
+    With ``span`` = (t0, t1) only timesteps [t0, t1) are normalized, into a
+    store of their own, bit for bit ``restrict_time`` of the whole result.
+    The difference is divided in place, so the output is the one array
+    allocated.
+    """
     if stats.mu.shape[0] != store.n_nodes:
         raise ShapeError(f"stats cover {stats.mu.shape[0]} nodes, store has {store.n_nodes}")
+    t0, t1 = (0, store.l_data) if span is None else _checked_span(store, *span)
     scale = np.maximum(stats.sigma, sigma_floor)
-    normed = (store.values - stats.mu[:, None]) / scale[:, None]
+    normed = store.values[:, t0:t1] - stats.mu[:, None]
+    normed /= scale[:, None]
     return _with_edges(SeriesStore(normed, store.node_ids), store.adjacency)
+
+
+def _checked_span(store: SeriesStore, t0: int, t1: int) -> tuple:
+    if not (0 <= t0 < t1 <= store.l_data):
+        raise ValueError(f"invalid time range [{t0}, {t1}) for length {store.l_data}")
+    return t0, t1
 
 
 def restrict_time(store: SeriesStore, t0: int, t1: int) -> SeriesStore:
     """Slice the store to timesteps [t0, t1), keeping ids and adjacency."""
-    if not (0 <= t0 < t1 <= store.l_data):
-        raise ValueError(f"invalid time range [{t0}, {t1}) for length {store.l_data}")
+    t0, t1 = _checked_span(store, t0, t1)
     return _with_edges(SeriesStore(store.values[:, t0:t1].copy(), store.node_ids), store.adjacency)
 
 

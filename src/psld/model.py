@@ -258,9 +258,10 @@ class HeadCache:
     out: np.ndarray  # h2 @ Wp.T + bp
 
 
-def _buffer(buffers: dict | None, key: str, shape: tuple) -> np.ndarray | None:
+def _buffer(buffers: dict | None, key: str, shape: tuple) -> np.ndarray:
+    """The array kept under ``key`` (made anew for a new shape), or a fresh one without buffers."""
     if buffers is None:
-        return None
+        return np.empty(shape)
     buf = buffers.get(key)
     if buf is None or buf.shape != shape:
         buf = buffers[key] = np.empty(shape)
@@ -282,13 +283,15 @@ def _head_forward(head: Head, z: np.ndarray, dropout: float, rng: Rng | None,
     a = np.matmul(z, head.w1.T, out=_buffer(buffers, f"{name}.h1", hidden))
     a += head.b1
     np.maximum(a, 0.0, out=a)
+    h2 = _buffer(buffers, f"{name}.h2", hidden)
     scale = None
     if rng is not None and dropout > 0.0:
-        # inverted dropout: zero with probability p, scale survivors by 1/(1-p)
-        a *= rng.gen.random(a.shape) >= dropout
+        # inverted dropout: zero with probability p, scale survivors by 1/(1-p);
+        # the uniforms are drawn into h2, which is not written until after
+        a *= rng.gen.random(out=h2) >= dropout
         scale = np.float64(1.0 / (1.0 - dropout))
         a *= scale
-    h2 = np.matmul(a, head.w2.T, out=_buffer(buffers, f"{name}.h2", hidden))
+    np.matmul(a, head.w2.T, out=h2)
     h2 += head.b2
     out_shape = (z.shape[0], head.wp.shape[0])
     out = np.matmul(h2, head.wp.T, out=_buffer(buffers, f"{name}.out", out_shape))
@@ -477,7 +480,8 @@ def loss_and_backward(
     """
     losses = _losses(params, state, label_bundle, y, lam)
     grads = params.grads
-    g_y = (2.0 / y.size) * (state.y_hat - y)
+    g_y = np.subtract(state.y_hat, y)
+    g_y *= 2.0 / y.size
     cbn = params.combinator
     g_cbn_in = _head_backward(cbn, state.cbn_cache, g_y, grads) @ cbn.w1
 
@@ -486,15 +490,18 @@ def loss_and_backward(
         routed = {
             "m": g_y.sum(axis=1, keepdims=True),
             "v": (g_cbn_in * state.comp_hat["r"]).sum(axis=1, keepdims=True),
-            "r": g_cbn_in * state.comp_hat["v"],
         }
+        # r's gradient goes over g_cbn_in, which v's has read
+        routed["r"] = np.multiply(g_cbn_in, state.comp_hat["v"], out=g_cbn_in)
     else:
         routed = {"t": g_y, "s": g_cbn_in, "r": g_cbn_in}
 
     d_hat = {}
     for nm in dc.part_names(params.kind):
         hat, ref = state.comp_hat[nm], label_bundle.parts[nm]
-        d_hat[nm] = routed[nm] + lam * (2.0 / hat.size) * (hat - ref)
+        d = d_hat[nm] = np.subtract(hat, ref)
+        d *= lam * (2.0 / hat.size)
+        d += routed[nm]
 
     for name, parts, *_ in _layout(params):
         g_out = _concat([d_hat[nm] for nm in parts])

@@ -9,8 +9,10 @@ there is no early stopping. Everything is a pure function of the config
 and seed: rerunning with identical inputs reproduces reports and
 parameters bit for bit.
 
-Callers normalize stores themselves (``prepare_store``); metrics are
-computed on whatever scale the given store carries.
+``train`` and ``baseline_plain_mlp`` take the raw store and normalize
+only the split columns they read. ``evaluate`` and ``baseline_last_value``
+score the store they are given, on whatever scale it carries; callers
+normalize it themselves (``prepare_store``).
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from .dataset import (
     _windows,
     apply_norm,
     fit_norm_stats,
-    restrict_time,
     split_ranges,
 )
 from .exceptions import NumericError, ShapeError
@@ -155,12 +156,23 @@ class EpochReport:
         return {f.name: getattr(self, f.name) for f in fields(self) if f.compare}
 
 
-def prepare_store(store: SeriesStore, config: TrainConfig):
-    """Normalize with train-split stats; returns (store, ranges, stats)."""
+def prepare_store(store: SeriesStore, config: TrainConfig, splits: tuple = ()):
+    """Normalize with train-split stats; returns (store, ranges, stats).
+
+    With ``splits`` (names of ``ranges``) the first item is instead a dict
+    from each name to a store of that split's columns alone, bit for bit
+    those columns of the whole normalized store, which is then not made.
+    A split too short for one window raises the ``ValueError`` that
+    windowing it would, before anything is normalized.
+    """
     ranges = split_ranges(store.l_data, config.split)
+    for name in splits:
+        _n_rows(store, config.l_in, config.l_out, ranges[name])
     stats = fit_norm_stats(store, ranges["train"][1])
-    normed = apply_norm(store, stats, config.sigma_floor)
-    return normed, ranges, stats
+    if splits:
+        return ({name: apply_norm(store, stats, config.sigma_floor, ranges[name])
+                 for name in splits}, ranges, stats)
+    return apply_norm(store, stats, config.sigma_floor), ranges, stats
 
 
 def _n_rows(store: SeriesStore, l_in: int, l_out: int, split: tuple) -> int:
@@ -311,22 +323,24 @@ def _sample_minibatch(batch, k: int, rng: Rng):
     return x.reshape(take * n_sub, -1), y.reshape(take * n_sub, -1)
 
 
-def _fit(params, normed: SeriesStore, ranges: dict, config: TrainConfig):
-    """The epoch loop of train() and the plain baseline, on a normalized store.
+def _fit(params, train_store: SeriesStore, val_store: SeriesStore, config: TrainConfig):
+    """The epoch loop of train() and the plain baseline, on normalized split stores.
 
-    Trains ``params`` in place and returns (best_params, reports) as
-    train() does; ``md.train_step`` is the only model-specific call. The
-    best parameters are kept in one preallocated vector, refilled with
-    ``np.copyto`` whenever validation improves, and returned as a model
-    bound to that vector. An epoch's training forward passes write their
-    hidden and output arrays into one buffer dict, as evaluation does:
-    nothing else of a step outlives it, so glibc would otherwise hand the
-    step's freed arrays back to the OS and the next step would page-fault
-    them in again (about 12k minor faults per 1344-row step). The buffers
-    are freed before validation, which would otherwise hold them at its
-    peak.
+    ``train_store`` and ``val_store`` hold the train and val columns alone
+    (``prepare_store`` with ``splits``): each epoch partitions the first and
+    validates on the whole of the second. Trains ``params`` in place and
+    returns (best_params, reports) as train() does; ``md.train_step`` is
+    the only model-specific call. The best parameters are kept in one
+    preallocated vector, refilled with ``np.copyto`` whenever validation
+    improves, and returned as a model bound to that vector. An epoch's
+    training forward passes write their hidden and output arrays into one
+    buffer dict, as evaluation does: nothing else of a step outlives it,
+    so glibc would otherwise hand the step's freed arrays back to the OS
+    and the next step would page-fault them in again (about 12k minor
+    faults per 1344-row step). The buffers are freed before validation,
+    which would otherwise hold them at its peak.
     """
-    train_store = restrict_time(normed, *ranges["train"])
+    val_split = (0, val_store.l_data)
     root = Rng(config.seed)
     adam = md.AdamState.for_params(params)
     dcfg = config.decomposer_config()
@@ -354,7 +368,7 @@ def _fit(params, normed: SeriesStore, ranges: dict, config: TrainConfig):
             md.adam_step(params, grads, adam, config.lr)
             sums += (losses.total, losses.cbn, losses.cpn)
         step_buffers.clear()
-        val = evaluate(params, normed, config, ranges["val"])
+        val = evaluate(params, val_store, config, val_split)
         reports.append(EpochReport(
             epoch=epoch,
             train_total=float(sums[0] / len(batches)),
@@ -374,14 +388,15 @@ def train(store: SeriesStore, config: TrainConfig):
     """Train on the store's train split, validating after each epoch.
 
     Returns (best_params, reports) where best_params minimizes validation
-    MSE over epochs (earliest epoch wins ties).
+    MSE over epochs (earliest epoch wins ties). Only the train and val
+    columns are normalized, each into a store of its own.
     """
-    normed, ranges, _ = prepare_store(store, config)
+    parts, _, _ = prepare_store(store, config, ("train", "val"))
     params = md.init_params(
         config.decomposer, config.l_in, config.l_out, config.hidden,
         config.dropout, config.mode, Rng(config.seed).child("init"),
     )
-    return _fit(params, normed, ranges, config)
+    return _fit(params, parts["train"], parts["val"], config)
 
 
 def baseline_last_value(store: SeriesStore, config: TrainConfig, split: tuple) -> dict:
@@ -396,8 +411,8 @@ def baseline_last_value(store: SeriesStore, config: TrainConfig, split: tuple) -
 
 def baseline_plain_mlp(store: SeriesStore, config: TrainConfig) -> dict:
     """Test metrics of the plain single-head model under the same budget."""
-    normed, ranges, _ = prepare_store(store, config)
+    parts, _, _ = prepare_store(store, config, ("train", "val", "test"))
     params = md.init_plain_params(config.l_in, config.l_out, config.hidden,
                                   config.dropout, Rng(config.seed).child("init"))
-    params, _ = _fit(params, normed, ranges, config)
-    return evaluate(params, normed, config, ranges["test"])
+    params, _ = _fit(params, parts["train"], parts["val"], config)
+    return evaluate(params, parts["test"], config, (0, parts["test"].l_data))

@@ -125,19 +125,29 @@ class TestTrain:
             assert abs(row["train_total"] - row["train_cbn"]) <= 1e-12
 
     def test_normalizes_once_per_model(self, dataset, tmp_path, capsys, monkeypatch):
-        # train, the test metrics and the plain baseline each normalize once
-        calls = []
-        real = training.prepare_store
+        # train, the test metrics and the plain baseline each fit the stats
+        # once and normalize each column they read once: train its train
+        # and val columns, the test metrics the whole series, the baseline
+        # its three splits
+        fits, spans = [], {}
+        real_fit, real_norm = training.fit_norm_stats, training.apply_norm
 
-        def counting(store, config):
-            calls.append(store.n_nodes)
-            return real(store, config)
+        def fit(store, train_len):
+            fits.append(real_fit(store, train_len))
+            return fits[-1]
 
-        monkeypatch.setattr(training, "prepare_store", counting)
-        monkeypatch.setattr("psld.cli.prepare_store", counting)
+        def norm(store, stats, sigma_floor, span=None):
+            spans.setdefault(id(stats), []).append(span)
+            return real_norm(store, stats, sigma_floor, span)
+
+        monkeypatch.setattr(training, "fit_norm_stats", fit)
+        monkeypatch.setattr(training, "apply_norm", norm)
         code, _, _ = run_cli(capsys, *train_args(dataset, tmp_path / "run", "--baseline-mlp"))
         assert code == EXIT_OK
-        assert len(calls) == 3
+        assert len(fits) == 3
+        ranges = training.split_ranges(psld.load_csv(dataset / "series.csv").l_data)
+        splits = [ranges[name] for name in ("train", "val", "test")]
+        assert [spans[id(stats)] for stats in fits] == [splits[:2], [None], splits]
 
     @pytest.mark.parametrize("extra", [(), ("--baseline-mlp",)], ids=["plain", "baseline-mlp"])
     def test_edges_are_checked_once_per_run(self, dataset, tmp_path, capsys, monkeypatch,

@@ -18,6 +18,7 @@ from psld.dataset import (
     _load_adjacency,
     _windows,
     SIGMA_FLOOR,
+    NormStats,
     SeriesStore,
     apply_norm,
     fit_norm_stats,
@@ -230,6 +231,41 @@ class TestNormalization:
         normed = apply_norm(store, stats, SIGMA_FLOOR)
         assert np.all(np.isfinite(normed.values))
         assert np.all(normed.values == 0.0)
+
+    def test_in_place_division_keeps_the_bits(self):
+        # (x - mu) divided in place against the two-temporary formula, bit
+        # for bit, on signed zeros, subnormals and values near overflow
+        tiny = np.nextafter(0.0, 1.0)
+        values = np.array([
+            [0.0, -0.0, 0.0, -0.0, 1.0, -1.0],
+            [tiny, -tiny, 3 * tiny, 2.2250738585072014e-308, -tiny, 0.0],
+            [1e300, -1e300, 1e300, -1e300, 0.0, 5e299],
+            [1.0, 2.0, -0.0, 0.0, tiny, -3.5],
+        ])
+        store = SeriesStore(values, ("a", "b", "c", "d"))
+        stats = NormStats(np.array([0.0, -0.0, -1e300, tiny]), np.array([1.0, tiny, 1e300, 1e-9]))
+        for floor in (tiny, SIGMA_FLOOR, 1e300):
+            scale = np.maximum(stats.sigma, floor)
+            want = (values - stats.mu[:, None]) / scale[:, None]
+            got = apply_norm(store, stats, floor).values
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), floor
+
+    def test_span_equals_restricted_whole_bit_for_bit(self, synth_store):
+        stats = fit_norm_stats(synth_store, 120)
+        whole = apply_norm(synth_store, stats, SIGMA_FLOOR)
+        for t0, t1 in ((0, 120), (120, 160), (160, synth_store.l_data), (7, 9)):
+            part = apply_norm(synth_store, stats, SIGMA_FLOOR, (t0, t1))
+            want = restrict_time(whole, t0, t1)
+            assert part.values.flags.c_contiguous
+            assert np.array_equal(part.values.view(np.uint64), want.values.view(np.uint64))
+            assert part.node_ids == want.node_ids
+            assert part.adjacency is synth_store.adjacency
+
+    @pytest.mark.parametrize("span", [(0, 0), (5, 3), (-1, 4), (0, 10_000)])
+    def test_bad_span_raises(self, synth_store, span):
+        stats = fit_norm_stats(synth_store, 120)
+        with pytest.raises(ValueError, match="invalid time range"):
+            apply_norm(synth_store, stats, SIGMA_FLOOR, span)
 
 
 class TestSplitsAndWindows:

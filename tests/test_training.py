@@ -7,7 +7,7 @@ import pytest
 
 from psld import model as md
 from psld import training as tr
-from psld.dataset import SeriesStore, generate_synthetic, split_ranges
+from psld.dataset import SeriesStore, generate_synthetic, restrict_time, split_ranges
 from psld.exceptions import ShapeError
 from psld.model import init_params, init_plain_params, named_tensors
 from psld.numerics import Rng
@@ -187,6 +187,51 @@ class TestEvaluate:
                 ae += abs(d)
         assert got["mse"] == pytest.approx(se / pred.size, rel=1e-12)
         assert got["mae"] == pytest.approx(ae / pred.size, rel=1e-12)
+
+    def test_split_stores_are_the_normalized_columns_bit_for_bit(self, train_store):
+        # train and the plain baseline normalize each split into its own
+        # store; each equals those columns of prepare_store's whole series
+        cfg = small_config()
+        normed, ranges, stats = prepare_store(train_store, cfg)
+        names = ("train", "val", "test")
+        parts, part_ranges, part_stats = prepare_store(train_store, cfg, names)
+        assert list(parts) == list(names) and part_ranges == ranges
+        assert np.array_equal(part_stats.mu, stats.mu) and np.array_equal(part_stats.sigma,
+                                                                           stats.sigma)
+        for name in names:
+            got, want = parts[name], restrict_time(normed, *ranges[name])
+            assert got.values.flags.c_contiguous, name
+            assert np.array_equal(got.values.view(np.uint64), want.values.view(np.uint64)), name
+
+    @pytest.mark.parametrize("val_len", [1, 17])
+    @pytest.mark.parametrize("fit", [train, baseline_plain_mlp], ids=["train", "plain"])
+    def test_short_val_split_raises_the_window_error_before_training(self, train_store,
+                                                                       monkeypatch, fit, val_len):
+        # l_in + l_out = 18: a val split of 1 or 17 columns has no window;
+        # the error is windowing's own, raised before the first epoch
+        cfg = small_config(split=(75, val_len, 75 - val_len))
+        assert split_ranges(train_store.l_data, cfg.split)["val"] == (75, 75 + val_len)
+        monkeypatch.setattr(tr, "rss_partition", None)
+        with pytest.raises(ValueError) as exc:
+            fit(train_store, cfg)
+        assert str(exc.value) == (f"series of length {val_len} too short for windows; "
+                                  "needs at least 18")
+
+    @pytest.mark.parametrize("kind,mode", [("mvd", "separate"), ("stl", "merged")])
+    def test_split_store_scores_as_its_range_of_the_whole(self, kind, mode):
+        # validation on the val store alone, over several 512-row chunks and
+        # a shifted last one, gives the metrics of the whole series' val range
+        store = generate_synthetic(64, 400, Rng(4))
+        cfg = small_config(decomposer=kind, mode=mode, kappa_t=5, kappa_s=3)
+        params = init_params(kind, cfg.l_in, cfg.l_out, cfg.hidden, cfg.dropout, mode,
+                             Rng(9).child("init"))
+        normed, ranges, stats = prepare_store(store, cfg)
+        parts, _, _ = prepare_store(store, cfg, ("val", "test"))
+        for name, alone in parts.items():
+            assert tr._n_rows(alone, cfg.l_in, cfg.l_out, (0, alone.l_data)) > 2 * tr.EVAL_CHUNK_ROWS
+            for denorm in (None, stats):
+                got = evaluate(params, alone, cfg, (0, alone.l_data), denorm)
+                assert got == evaluate(params, normed, cfg, ranges[name], denorm), name
 
     def test_constant_offset_metrics(self):
         # forecasting y + c with truth y gives mse c^2 and mae |c|
@@ -478,12 +523,18 @@ class TestTrain:
         got = evaluate(params, normed, cfg, ranges["val"])
         assert got["mse"] == pytest.approx(best, rel=1e-12)
 
-    def test_best_params_are_a_separate_vector(self, train_store):
-        cfg = small_config(epochs=3)
-        normed, ranges, _ = prepare_store(train_store, cfg)
-        params = init_params(cfg.decomposer, cfg.l_in, cfg.l_out, cfg.hidden,
-                             cfg.dropout, cfg.mode, Rng(cfg.seed).child("init"))
-        best, _ = tr._fit(params, normed, ranges, cfg)
+    def test_best_params_are_a_separate_vector(self, train_store, monkeypatch):
+        # train() returns a model bound to its own vector, not to the one it trained
+        trained = []
+        real_init = md.init_params
+
+        def init(*args):
+            trained.append(real_init(*args))
+            return trained[-1]
+
+        monkeypatch.setattr(md, "init_params", init)
+        best, _ = train(train_store, small_config(epochs=3))
+        params, = trained
         assert not np.shares_memory(best.flat, params.flat)
         kept = best.flat.copy()
         params.flat[:] = 0.0
@@ -526,6 +577,42 @@ class TestTrain:
         train(train_store, small_config(epochs=2))
         assert len(states) == 2 * 2  # two subgraphs per epoch
         assert alive == [0, 0]
+
+    def test_no_full_series_array_during_train(self, monkeypatch):
+        # train normalizes its train and val columns into arrays of their
+        # own: at no step and no validation is an array the size of the
+        # whole series live (the raw store is made before tracing starts)
+        store = generate_synthetic(64, 400, Rng(3))
+        cfg = small_config(epochs=2, n_subgraphs=8)
+        largest = []
+        real_step, real_evaluate = md.train_step, tr.evaluate
+
+        def note_largest():
+            numpy_only = tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)
+            traces = tracemalloc.take_snapshot().filter_traces([numpy_only]).traces
+            largest.append(max(t.size for t in traces))
+
+        def step(*args):
+            note_largest()
+            return real_step(*args)
+
+        def checking_evaluate(*args):
+            note_largest()
+            return real_evaluate(*args)
+
+        monkeypatch.setattr(md, "train_step", step)
+        monkeypatch.setattr(tr, "evaluate", checking_evaluate)
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            train(store, cfg)
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert len(largest) == 2 * (8 + 1)
+        # the train columns and their shuffled copy are the largest arrays held
+        assert max(largest) == store.n_nodes * split_ranges(400)["train"][1] * 8
+        assert max(largest) < store.values.nbytes
 
     def test_n_subgraphs_capped_by_nodes(self, train_store):
         cfg = small_config(n_subgraphs=7)  # store has 6 nodes
