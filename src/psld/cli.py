@@ -58,7 +58,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-class _UsageError(Exception):
+class _UsageError(PsldError):
     """A bad flag, config line or input size: ``main`` exits 1 with ``error: ...``."""
 
 
@@ -214,9 +214,10 @@ def cmd_train(args) -> int:
     )
 
     params, reports = train(store, config)
-    normed, ranges, _ = prepare_store(store, config)
-    test = evaluate(params, normed, config, ranges["test"])
-    baselines = {"last_value": baseline_last_value(normed, config, ranges["test"])}
+    parts, _, _ = prepare_store(store, config, ("test",))
+    test_split = (0, parts["test"].l_data)
+    test = evaluate(params, parts["test"], config, test_split)
+    baselines = {"last_value": baseline_last_value(parts["test"], config, test_split)}
     if args.baseline_mlp:
         baselines["plain_mlp"] = baseline_plain_mlp(store, config)
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ShapeError
+from .numerics import _PAIRWISE_BLOCK, _pairwise_split
 
 PART_NAMES = {"mvd": ("m", "v", "r"), "stl": ("t", "s", "r")}
 KINDS = tuple(PART_NAMES)
@@ -94,12 +95,8 @@ def moving_average(series: np.ndarray, kernel: int) -> np.ndarray:
     Output length equals input length; kernel 1 is the identity. The bits
     equal numpy's ``mean`` over each padded window, because each window's
     sum follows the order of numpy's pairwise reduction over n contiguous
-    values. Below 8 values it is a left fold. From 8 to 128 values,
-    accumulator j sums values j, j+8, ... left to right, the eight combine
-    as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), and the last n % 8 values are
-    added left to right. Above 128 the sum is that of the first
-    h = n//2 - (n//2) % 8 values plus that of the other n - h. The
-    reduction starts from +0.0 and the sum is divided by the kernel.
+    values (see ``numerics``). The reduction starts from +0.0 and the sum
+    is divided by the kernel.
     Neighbouring windows share accumulators, so all windows are summed by
     a few whole-array adds over shifted time slices.
     """
@@ -127,17 +124,6 @@ def moving_average(series: np.ndarray, kernel: int) -> np.ndarray:
     out = np.empty(a.shape)
     np.divide(total, kernel, out=out.reshape(-1, length).T)
     return out
-
-
-# numpy's pairwise summation sums runs of up to this many values with
-# eight accumulators and splits longer runs in two.
-_PAIRWISE_BLOCK = 128
-
-
-def _pairwise_split(n: int) -> int:
-    """Where numpy's pairwise sum splits n > 128 values: half, down to a multiple of 8."""
-    half = n // 2
-    return half - half % 8
 
 
 def _window_sums(padded: np.ndarray, n: int, start: int, length: int) -> np.ndarray:

@@ -1,11 +1,13 @@
 """Random subgraph partitioning and the sampled-neighborhood estimator.
 
 ``rss_partition`` splits the node set into disjoint contiguous chunks of a
-(possibly shuffled) node order and slices series windows plus adjacency
-down to each chunk; training reads the windows, not the adjacency. The
-estimator half checks, on a dense operator over random graphs, that the
-Horvitz-Thompson aggregation over an inclusion-sampled node subset matches
-the full-neighborhood aggregation in expectation. Training computes no such
+(possibly shuffled) node order. A chunk's batch holds its node indices;
+its series windows and its adjacency block are built only when read, once
+per partition for all of its batches. Training reads neither: it gathers
+its minibatches from the train store by node index. The estimator half
+checks, on a dense operator over random graphs, that the Horvitz-Thompson
+aggregation over an inclusion-sampled node subset matches the
+full-neighborhood aggregation in expectation. Training computes no such
 aggregation, so this does not check the training gradient.
 """
 
@@ -13,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -22,7 +25,6 @@ from .numerics import Rng
 NORM_MODES = ("target_degree", "symmetric_sqrt", "unit")
 
 
-@dataclass(frozen=True)
 class SubgraphBatch:
     """One node chunk with its windows and double-sliced adjacency.
 
@@ -30,16 +32,57 @@ class SubgraphBatch:
     ``adjacency`` is the dense (n_sub, n_sub) weight block for the chunk:
     ``adjacency[i, j]`` is the weight of the edge from ``node_index[i]``
     to ``node_index[j]`` (the last one where the edge array repeats it),
-    else 0. ``x`` and ``y`` are read-only strided views into one shuffled
-    copy of the series that all batches of a partition share, so they hold
-    O(n_nodes * l_data) values however many windows they expose; indexing
-    a subset of windows copies only that subset.
+    else 0. Constructed directly, a batch holds the arrays it is given. A
+    batch of ``rss_partition`` holds only ``node_index`` until the others
+    are read: the first read of ``x`` or ``y`` in a partition makes one
+    shuffled copy of the series, and the first read of ``adjacency`` fills
+    every chunk's block; all batches of the partition share both. ``x``
+    and ``y`` are then read-only strided views into that copy, so they
+    hold O(n_nodes * l_data) values however many windows they expose;
+    indexing a subset of windows copies only that subset.
     """
 
-    node_index: np.ndarray
-    x: np.ndarray
-    y: np.ndarray
-    adjacency: np.ndarray
+    def __init__(self, node_index, x, y, adjacency):
+        self.node_index, self.x, self.y, self.adjacency = node_index, x, y, adjacency
+
+    @classmethod
+    def _of(cls, partition: "_Partition", k: int) -> "SubgraphBatch":
+        """Batch k of the partition, its arrays left to be read from it."""
+        batch = cls.__new__(cls)
+        batch._partition, batch._k = partition, k
+        batch._cols = slice(partition.bounds[k], partition.bounds[k + 1])
+        batch.node_index = partition.order[batch._cols].copy()
+        return batch
+
+    @cached_property
+    def x(self):
+        return self._partition.windows[0][..., self._cols]
+
+    @cached_property
+    def y(self):
+        return self._partition.windows[1][..., self._cols]
+
+    @cached_property
+    def adjacency(self):
+        return self._partition.blocks[self._k]
+
+
+class _Partition:
+    """What the batches of one ``rss_partition`` call view, each part built on first read."""
+
+    def __init__(self, store: SeriesStore, order: np.ndarray, bounds: list, l_in: int,
+                 l_out: int):
+        self.store, self.order, self.bounds, self.l_in, self.l_out = store, order, bounds, l_in, l_out
+
+    @cached_property
+    def windows(self) -> tuple:
+        """Node-last (x, y) views of every window of one shuffled copy of the series."""
+        shuffled = self.store.values[self.order]
+        return tuple(w.transpose(1, 2, 0) for w in _windows(shuffled, self.l_in, self.l_out))
+
+    @cached_property
+    def blocks(self) -> list:
+        return _adjacency_blocks(self.store.adjacency, self.order, self.bounds)
 
 
 def rss_partition(
@@ -55,21 +98,21 @@ def rss_partition(
     In training mode the node order is a seeded shuffle, otherwise the
     identity. Chunks are contiguous runs of size n_nodes // n_subgraphs;
     the remainder goes to the last chunk. The union of chunks is the full
-    node set and chunks are pairwise disjoint. The adjacency blocks are
-    filled from the store's edge array, keeping only edges inside a
-    chunk, so a call costs O(n_edges + sum of n_sub**2) and never builds
-    an (n_nodes, n_nodes) matrix.
+    node set and chunks are pairwise disjoint. A call costs O(n_nodes);
+    the windows and adjacency blocks are built on first read (see
+    ``SubgraphBatch``). The blocks are filled from the store's edge array,
+    keeping only edges inside a chunk, so they cost O(n_edges + sum of
+    n_sub**2) and no (n_nodes, n_nodes) matrix is ever built.
     """
     n = store.n_nodes
     if not 1 <= n_subgraphs <= n:
         raise ValueError(f"n_subgraphs must be in [1, {n}], got {n_subgraphs}")
+    _windows(store.values, l_in, l_out)  # a series too short for a window fails here
     order = rng.gen.permutation(n) if training else np.arange(n)
-    x, y = (w.transpose(1, 2, 0) for w in _windows(store.values[order], l_in, l_out))
     size = n // n_subgraphs
     bounds = [k * size for k in range(n_subgraphs)] + [n]
-    blocks = _adjacency_blocks(store.adjacency, order, bounds)
-    return [SubgraphBatch(order[a:b].copy(), x[..., a:b], y[..., a:b], block)
-            for a, b, block in zip(bounds, bounds[1:], blocks)]
+    partition = _Partition(store, order, bounds, l_in, l_out)
+    return [SubgraphBatch._of(partition, k) for k in range(n_subgraphs)]
 
 
 def _adjacency_blocks(edges, order: np.ndarray, bounds: list) -> list:

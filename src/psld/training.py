@@ -26,6 +26,7 @@ import numpy as np
 
 from . import decomposition as dc
 from . import model as md
+from . import numerics as nx
 from .dataset import (
     SIGMA_FLOOR,
     SPLIT_RATIOS,
@@ -45,9 +46,6 @@ from .sampler import rss_partition
 # free lists; multi-MiB chunks are page-faulted in afresh every call and
 # made evaluation slower than the unchunked pass.
 EVAL_CHUNK_ROWS = 512
-# Values per summed node of the metrics' pairwise tree, at least numpy's
-# 128-value block: the two error buffers of ``_metrics`` hold 128 KiB each.
-SUM_LEAF = 16384
 
 
 _COUNT = (lambda v: v >= 1, ">= 1")
@@ -221,30 +219,13 @@ def _forecast_chunks(store: SeriesStore, config: TrainConfig, split: tuple, fore
         yield lo, pred, y
 
 
-def _sum_leaves(n: int) -> list:
-    """Lengths, in order, of the highest nodes of numpy's pairwise tree over n
-    values that hold at most ``SUM_LEAF`` values each."""
-    if n <= SUM_LEAF:
-        return [n]
-    half = dc._pairwise_split(n)
-    return _sum_leaves(half) + _sum_leaves(n - half)
-
-
-def _sum_join(n: int, leaf_sums) -> float:
-    """The pairwise sum of n values from the sums of its ``_sum_leaves``, taken in order."""
-    if n <= SUM_LEAF:
-        return next(leaf_sums)
-    half = dc._pairwise_split(n)
-    return _sum_join(half, leaf_sums) + _sum_join(n - half, leaf_sums)
-
-
 def _metrics(chunks, shape: tuple, sink=None) -> dict:
     """MSE and MAE of (lo, pred, y) chunks that cover the rows of ``shape`` once, in order.
 
     A chunk that does not start where the one before it ended, or runs past
     the last row, raises ``ShapeError`` naming its ``lo``; chunks that stop
     short of the last row raise it naming the first row left out. ``|pred - y|`` and its square are
-    streamed into two buffers of at most ``SUM_LEAF`` values (plus one
+    streamed into two buffers of at most ``numerics.SUM_LEAF`` values (plus one
     row). Each buffer is summed by ``np.add.reduce`` whenever it holds a
     whole node of the pairwise tree numpy sums a contiguous array of
     ``shape`` with, and those sums are added up in the tree's order. So
@@ -254,9 +235,9 @@ def _metrics(chunks, shape: tuple, sink=None) -> dict:
     """
     n_rows, width = shape
     n = n_rows * width
-    leaves = iter(_sum_leaves(n))
+    leaves = iter(nx._pairwise_leaves(n))
     leaf = next(leaves)
-    err, sq = np.empty((2, min(n, SUM_LEAF) + width))
+    err, sq = np.empty((2, min(n, nx.SUM_LEAF) + width))
     err_sums, sq_sums = [], []
     fill = covered = 0
     for lo, pred, y in chunks:
@@ -285,8 +266,8 @@ def _metrics(chunks, shape: tuple, sink=None) -> dict:
     if covered != n_rows:
         raise ShapeError(f"no chunk at row lo={covered}: chunks stop before the last "
                          f"of {n_rows} rows")
-    return {"mse": float(_sum_join(n, iter(sq_sums)) / n),
-            "mae": float(_sum_join(n, iter(err_sums)) / n)}
+    return {"mse": float(nx._pairwise_join(n, iter(sq_sums)) / n),
+            "mae": float(nx._pairwise_join(n, iter(err_sums)) / n)}
 
 
 def evaluate(params, store: SeriesStore, config: TrainConfig, split: tuple,
@@ -312,22 +293,27 @@ def evaluate(params, store: SeriesStore, config: TrainConfig, split: tuple,
     return _metrics(chunks, shape, sink)
 
 
-def _sample_minibatch(batch, k: int, rng: Rng):
-    """Stack up to k windows of the subgraph into head-layout rows."""
-    n_win, _, n_sub = batch.x.shape
-    take = min(k, n_win)
-    idx = rng.gen.choice(n_win, size=take, replace=False)
-    # one fancy index on the node-last views gathers C-contiguous rows: the reshapes copy nothing
-    x = batch.x.transpose(0, 2, 1)[idx]
-    y = batch.y.transpose(0, 2, 1)[idx]
-    return x.reshape(take * n_sub, -1), y.reshape(take * n_sub, -1)
+def _sample_minibatch(windows: tuple, node_index: np.ndarray, k: int, rng: Rng):
+    """Up to k windows of the nodes in ``node_index``, stacked into head-layout rows.
+
+    ``windows`` are the node-major (x, y) views of the train store
+    (``_windows``). One fancy index per view copies the sampled windows,
+    window-major and in ``node_index`` order, as C-contiguous rows: the
+    reshapes copy nothing.
+    """
+    xv, yv = windows
+    take = min(k, xv.shape[1])
+    idx = rng.gen.choice(xv.shape[1], size=take, replace=False)
+    rows = (node_index[None, :], idx[:, None])
+    return xv[rows].reshape(-1, xv.shape[2]), yv[rows].reshape(-1, yv.shape[2])
 
 
 def _fit(params, train_store: SeriesStore, val_store: SeriesStore, config: TrainConfig):
     """The epoch loop of train() and the plain baseline, on normalized split stores.
 
     ``train_store`` and ``val_store`` hold the train and val columns alone
-    (``prepare_store`` with ``splits``): each epoch partitions the first and
+    (``prepare_store`` with ``splits``): each epoch partitions the first's
+    nodes, gathers every step's minibatch from its window views, and
     validates on the whole of the second. Trains ``params`` in place and
     returns (best_params, reports) as train() does; ``md.train_step`` is
     the only model-specific call. The best parameters are kept in one
@@ -341,6 +327,7 @@ def _fit(params, train_store: SeriesStore, val_store: SeriesStore, config: Train
     which would otherwise hold them at its peak.
     """
     val_split = (0, val_store.l_data)
+    windows = _windows(train_store.values, config.l_in, config.l_out)
     root = Rng(config.seed)
     adam = md.AdamState.for_params(params)
     dcfg = config.decomposer_config()
@@ -358,7 +345,7 @@ def _fit(params, train_store: SeriesStore, val_store: SeriesStore, config: Train
         )
         sums = np.zeros(3)
         for step, batch in enumerate(batches):
-            x_rows, y_rows = _sample_minibatch(batch, config.minibatch,
+            x_rows, y_rows = _sample_minibatch(windows, batch.node_index, config.minibatch,
                                                erng.child("minibatch", step))
             try:
                 losses, grads = md.train_step(params, x_rows, y_rows, dcfg, config.lam,

@@ -1,0 +1,53 @@
+"""The byte contract across BLAS thread counts.
+
+Each case trains the same config in two child processes, one under
+``OPENBLAS_NUM_THREADS=1`` and one under ``=2``, and compares the
+checkpoint and ``metrics.json`` bytes. The thread count must be set before
+numpy loads its BLAS, hence the child processes. Where the BLAS does not
+read the variable, or the host has one CPU, both children run alike.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+# 64 nodes, seed 3, 3 epochs: the config of the thread-count defect's first report
+TRAIN_ARGS = ("--epochs", "3", "--seed", "3")
+
+
+def _psld(*args, threads: int = 1) -> None:
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+               PYTHONPATH=os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH")))))
+    subprocess.run([sys.executable, "-m", "psld", *args], env=env, check=True,
+                   stdout=subprocess.DEVNULL)
+
+
+@pytest.fixture(scope="module")
+def series(tmp_path_factory):
+    out = tmp_path_factory.mktemp("blas") / "data"
+    _psld("synth", "--nodes", "64", "--seed", "3", "--out", str(out))
+    return out / "series.csv"
+
+
+@pytest.mark.parametrize("kind,mode", [
+    ("mvd", "separate"),
+    ("mvd", "merged"),
+    ("stl", "separate"),
+    pytest.param("stl", "merged", marks=pytest.mark.xfail(
+        raises=AssertionError,
+        reason="the merged stl head's h2 @ wp.T at 64 rows, (64, 384) @ (384, 108), "
+               "rounds differently under 1 and 2 OpenBLAS threads")),
+])
+def test_artifacts_do_not_depend_on_blas_threads(series, tmp_path, kind, mode):
+    outs = []
+    for threads in (1, 2):
+        out = tmp_path / f"threads-{threads}"
+        _psld("train", "--data", str(series), "--out", str(out), "--decomposer", kind,
+              "--mode", mode, *TRAIN_ARGS, threads=threads)
+        outs.append(out)
+    for name in ("checkpoint.psld", "metrics.json"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name

@@ -127,7 +127,7 @@ class TestTrain:
     def test_normalizes_once_per_model(self, dataset, tmp_path, capsys, monkeypatch):
         # train, the test metrics and the plain baseline each fit the stats
         # once and normalize each column they read once: train its train
-        # and val columns, the test metrics the whole series, the baseline
+        # and val columns, the test metrics the test columns, the baseline
         # its three splits
         fits, spans = [], {}
         real_fit, real_norm = training.fit_norm_stats, training.apply_norm
@@ -147,7 +147,7 @@ class TestTrain:
         assert len(fits) == 3
         ranges = training.split_ranges(psld.load_csv(dataset / "series.csv").l_data)
         splits = [ranges[name] for name in ("train", "val", "test")]
-        assert [spans[id(stats)] for stats in fits] == [splits[:2], [None], splits]
+        assert [spans[id(stats)] for stats in fits] == [splits[:2], splits[2:], splits]
 
     @pytest.mark.parametrize("extra", [(), ("--baseline-mlp",)], ids=["plain", "baseline-mlp"])
     def test_edges_are_checked_once_per_run(self, dataset, tmp_path, capsys, monkeypatch,

@@ -154,6 +154,8 @@ class TestPartition:
         try:
             before = tracemalloc.get_traced_memory()[0]
             batches = rss_partition(store, 16, 2, 2, training=True, rng=Rng(1))
+            for b in batches:  # the blocks are built on first read
+                b.adjacency
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
@@ -192,6 +194,8 @@ class TestPartition:
         try:
             before = tracemalloc.get_traced_memory()[0]
             batches = rss_partition(store, 4, l_in, 12, training=True, rng=Rng(1))
+            for b in batches:  # the windows and blocks are built on first read
+                b.x, b.y, b.adjacency
             held = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
@@ -226,6 +230,42 @@ class TestPartition:
         assert not np.shares_memory(base, store.values)
         for b in batches:
             assert np.shares_memory(b.x, base) and np.shares_memory(b.y, base)
+
+    def test_arrays_built_once_on_first_read_and_shared(self, monkeypatch):
+        # the call builds neither the shuffled copy nor the blocks; the first
+        # read of any batch builds each once for all of the partition's batches
+        store = generate_synthetic(12, 64, Rng(3))
+        assert len(store.adjacency)
+        built = {"windows": 0, "blocks": 0}
+        real_windows, real_blocks = sampler._windows, sampler._adjacency_blocks
+
+        def windows(values, l_in, l_out):
+            built["windows"] += values is not store.values  # not the length check
+            return real_windows(values, l_in, l_out)
+
+        def blocks(*args):
+            built["blocks"] += 1
+            return real_blocks(*args)
+
+        monkeypatch.setattr(sampler, "_windows", windows)
+        monkeypatch.setattr(sampler, "_adjacency_blocks", blocks)
+        batches = rss_partition(store, 4, 5, 3, training=True, rng=Rng(0))
+        assert built == {"windows": 0, "blocks": 0}
+        assert batches[2].adjacency.shape == (3, 3)
+        assert built == {"windows": 0, "blocks": 1}
+        for _ in range(2):
+            for b in batches:
+                b.x, b.y, b.adjacency
+        assert built == {"windows": 1, "blocks": 1}
+
+        def root(a):
+            while a.base is not None:
+                a = a.base
+            return a
+
+        for name in ("x", "y", "adjacency"):
+            assert len({id(root(getattr(b, name))) for b in batches}) == 1, name
+        assert root(batches[0].x) is root(batches[0].y)
 
     def test_too_many_subgraphs_rejected(self):
         store = six_node_store()

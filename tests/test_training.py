@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from psld import model as md
+from psld import numerics
+from psld import sampler
 from psld import training as tr
-from psld.dataset import SeriesStore, generate_synthetic, restrict_time, split_ranges
+from psld.dataset import SeriesStore, _windows, generate_synthetic, restrict_time, split_ranges
 from psld.exceptions import ShapeError
 from psld.model import init_params, init_plain_params, named_tensors
 from psld.numerics import Rng
@@ -255,8 +257,8 @@ class TestEvaluate:
     # leaves, and the 64- and 1024-node benchmark splits' shapes
     @pytest.mark.parametrize("rows,width", [
         (1, 1), (7, 1), (8, 1), (128, 1), (129, 1), (1, 129),
-        (tr.SUM_LEAF - 1, 1), (tr.SUM_LEAF, 1), (tr.SUM_LEAF + 1, 1), (1, tr.SUM_LEAF + 1),
-        (5 * tr.SUM_LEAF // 7 + 3, 7), (3136, 36), (50176, 36),
+        (numerics.SUM_LEAF - 1, 1), (numerics.SUM_LEAF, 1), (numerics.SUM_LEAF + 1, 1),
+        (1, numerics.SUM_LEAF + 1), (5 * numerics.SUM_LEAF // 7 + 3, 7), (3136, 36), (50176, 36),
     ])
     def test_metrics_equal_np_mean_bits(self, rows, width):
         g = Rng(rows * width).gen
@@ -278,7 +280,7 @@ class TestEvaluate:
         pred, truth = Rng(4).gen.standard_normal((2, 50176, 36))
         chunks = ((lo, pred[lo:lo + 512], truth[lo:lo + 512]) for lo in range(0, 50176, 512))
         peak = _traced_peak(lambda: tr._metrics(chunks, pred.shape))
-        assert peak <= 2 * (tr.SUM_LEAF + 36) * 8 + 2**16, peak
+        assert peak <= 2 * (numerics.SUM_LEAF + 36) * 8 + 2**16, peak
 
     @pytest.mark.parametrize("los", [(0, 3, 4), (0, 3, 2), (0, 3, 6), (1,)],
                              ids=["gap", "overlap", "past-the-end", "gap-at-start"])
@@ -389,7 +391,7 @@ class TestChunkedEvaluate:
         assert y_rows.size > 3 * 128  # four leaves
         params = _eval_params("mvd", cfg)
         monkeypatch.setattr(tr, "EVAL_CHUNK_ROWS", 7)
-        monkeypatch.setattr(tr, "SUM_LEAF", 128)
+        monkeypatch.setattr(numerics, "SUM_LEAF", 128)
         stats_arg = stats if denorm else None
         pred, truth = assembled_forecast(params, normed, cfg, split, stats_arg)
         got = evaluate(params, normed, cfg, split, denorm_stats=stats_arg)
@@ -399,7 +401,7 @@ class TestChunkedEvaluate:
         # the shifted last chunk is trimmed, so each row is scored once
         cfg, normed, split, _, x_rows, y_rows, _ = split_setup
         monkeypatch.setattr(tr, "EVAL_CHUNK_ROWS", 7)
-        monkeypatch.setattr(tr, "SUM_LEAF", 128)
+        monkeypatch.setattr(numerics, "SUM_LEAF", 128)
         got = baseline_last_value(normed, cfg, split)
         assert got == one_shot_metrics(x_rows[:, -1:], y_rows)
 
@@ -465,10 +467,12 @@ class TestChunkedEvaluate:
 class TestSampleMinibatch:
     @pytest.mark.parametrize("k", [1, 7, 500])
     def test_rows_equal_window_gather(self, k):
-        # reference: gather the windows, then put each window's nodes in rows
+        # reference: gather the windows of the partition's shuffled copy, then
+        # put each window's nodes in rows
         store = generate_synthetic(10, 80, Rng(5))
+        windows = _windows(store.values, 12, 6)
         for b in rss_partition(store, 3, 12, 6, training=True, rng=Rng(2)):
-            x_rows, y_rows = tr._sample_minibatch(b, k, Rng(7))
+            x_rows, y_rows = tr._sample_minibatch(windows, b.node_index, k, Rng(7))
             n_win, _, n_sub = b.x.shape
             idx = Rng(7).gen.choice(n_win, size=min(k, n_win), replace=False)
             for got, win in ((x_rows, b.x), (y_rows, b.y)):
@@ -481,11 +485,54 @@ class TestSampleMinibatch:
         # gather nor the reshapes may hold a second one
         store = generate_synthetic(64, 200, Rng(5))
         batch = rss_partition(store, 1, 36, 36, training=True, rng=Rng(2))[0]
+        windows = _windows(store.values, 36, 36)
         rows = []
-        peak = _traced_peak(lambda: rows.extend(tr._sample_minibatch(batch, 32, Rng(7))))
+        peak = _traced_peak(lambda: rows.extend(
+            tr._sample_minibatch(windows, batch.node_index, 32, Rng(7))))
         held = sum(r.nbytes for r in rows)
         assert held == 2 * 32 * 64 * 36 * 8
         assert peak <= 1.5 * held
+
+
+class TestTrainingReadsNodeIndicesOnly:
+    """Training gathers its minibatches from the train store by node index."""
+
+    def test_train_builds_no_partition_arrays(self, monkeypatch):
+        # the partition's shuffled copy and adjacency blocks are never built
+        store = generate_synthetic(12, 150, Rng(8))
+        assert len(store.adjacency)
+        cfg = small_config(epochs=2, n_subgraphs=3)
+        want_params, want_reports = train(store, cfg)
+
+        def unread(*args):
+            raise AssertionError("training read a partition array")
+
+        monkeypatch.setattr(sampler, "_adjacency_blocks", unread)
+        monkeypatch.setattr(sampler._Partition, "windows", property(unread))
+        params, reports = train(store, cfg)
+        assert reports == want_reports
+        assert np.array_equal(params.flat.view(np.uint64), want_params.flat.view(np.uint64))
+
+    def test_no_train_sized_copy_is_live_at_any_step(self, monkeypatch):
+        # at every step the only live traced array of the train store's size
+        # is the normalized train store itself: no shuffled copy of it
+        store = generate_synthetic(64, 600, Rng(3))
+        cfg = small_config(epochs=2, n_subgraphs=4)
+        t0, t1 = split_ranges(store.l_data, cfg.split)["train"]
+        size = store.n_nodes * (t1 - t0) * 8
+        real_step, live = md.train_step, []
+
+        def step(*args):
+            live.append(sum(t.size >= size for t in tracemalloc.take_snapshot().traces))
+            return real_step(*args)
+
+        monkeypatch.setattr(md, "train_step", step)
+        tracemalloc.start()
+        try:
+            train(store, cfg)
+        finally:
+            tracemalloc.stop()
+        assert live == [1] * (cfg.epochs * cfg.n_subgraphs)
 
 
 class TestTrain:
