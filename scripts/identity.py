@@ -1,0 +1,112 @@
+"""Byte-identity harness: sha256 of every artifact of a fixed set of psld runs.
+
+Usage:
+    python scripts/identity.py --out A.json [--threads 2] [--src DIR]
+    python scripts/identity.py --compare A.json B.json
+
+The first form runs each command of the matrix below in a child process
+under ``OPENBLAS_NUM_THREADS=--threads``, importing psld from ``--src``
+(default: this checkout's ``src``), and writes one JSON object mapping each
+artifact to its sha256. Artifacts are every file a command writes, bar
+``manifest.json`` (it holds paths and a timestamp), and every command's
+stdout (``<run>/stdout``), which carries the eval and gradcheck JSON. The
+matrix, on one 64-node ``psld synth`` series (seed 3) and its adjacency:
+
+- ``psld train`` for mvd/stl x separate/merged, seed 3, 3 epochs,
+  ``--baseline-mlp``, and stl/merged again with ``--kappa-t 131 --kappa-s 9``;
+- ``psld eval`` of each of those checkpoints on val and test, with and
+  without ``--denormalize``, each with ``--dump-predictions``;
+- ``psld gradcheck --n-seeds 20`` for each decomposer/mode pair.
+
+To check that a change keeps every byte, run the first form once with
+``--src`` at the parent's source and once at the change's, then compare.
+``--compare`` prints every artifact whose digest differs or that only one
+file has, and exits 1 if there is any; else it prints the count and exits 0.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+COMBOS = [(kind, mode) for kind in ("mvd", "stl") for mode in ("separate", "merged")]
+TRAIN_ARGS = ("--seed", "3", "--epochs", "3", "--baseline-mlp")
+
+
+def _psld(args: list, out: Path, src: Path, threads: int) -> None:
+    """Run ``python -m psld ARGS`` with its stdout saved to ``out/stdout``."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), PYTHONPATH=str(src))
+    out.mkdir(parents=True, exist_ok=True)
+    proc = subprocess.run([sys.executable, "-m", "psld", *args], env=env,
+                          stdout=subprocess.PIPE, check=True)
+    (out / "stdout").write_bytes(proc.stdout)
+
+
+def run_matrix(work: Path, src: Path, threads: int) -> None:
+    data = work / "data"
+    _psld(["synth", "--nodes", "64", "--seed", "3", "--out", str(data)], data, src, threads)
+    series, adjacency = str(data / "series.csv"), str(data / "adjacency.csv")
+    runs = {f"{kind}-{mode}": ["--decomposer", kind, "--mode", mode] for kind, mode in COMBOS}
+    runs["stl-merged-wide-kernel"] = runs["stl-merged"] + ["--kappa-t", "131", "--kappa-s", "9"]
+    for name, flags in runs.items():
+        run = work / name
+        _psld(["train", "--data", series, "--adjacency", adjacency, "--out", str(run),
+               *TRAIN_ARGS, *flags], run, src, threads)
+        for split in ("val", "test"):
+            for scale in ([], ["--denormalize"]):
+                out = run / f"eval-{split}{'-denormalize' if scale else ''}"
+                _psld(["eval", "--checkpoint", str(run / "checkpoint.psld"), "--data", series,
+                       "--split", split, *scale,
+                       "--dump-predictions", str(out / "predictions.csv")], out, src, threads)
+    for kind, mode in COMBOS:
+        _psld(["gradcheck", "--decomposer", kind, "--mode", mode, "--n-seeds", "20"],
+              work / f"gradcheck-{kind}-{mode}", src, threads)
+
+
+def digests(root: Path) -> dict:
+    """sha256 of every file under root but manifests, by its path relative to root."""
+    return {p.relative_to(root).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(root.rglob("*")) if p.is_file() and p.name != "manifest.json"}
+
+
+def compare(a: dict, b: dict) -> list:
+    """Lines naming each artifact whose digest differs or that only one side has."""
+    lines = []
+    for name in sorted(a.keys() | b.keys()):
+        if name not in b or name not in a:
+            lines.append(f"only in {'A' if name in a else 'B'}: {name}")
+        elif a[name] != b[name]:
+            lines.append(f"differs: {name}")
+    return lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    action = parser.add_mutually_exclusive_group(required=True)
+    action.add_argument("--out", type=Path, help="write the digests of one run to this JSON")
+    action.add_argument("--compare", nargs=2, type=Path, metavar=("A", "B"))
+    parser.add_argument("--threads", type=int, default=2, help="OPENBLAS_NUM_THREADS")
+    parser.add_argument("--src", type=Path, default=SRC, help="the psld source to import")
+    args = parser.parse_args(argv)
+    if args.compare:
+        a, b = (json.loads(p.read_text()) for p in args.compare)
+        lines = compare(a, b)
+        print("\n".join(lines) if lines else f"identical: {len(a)} artifacts")
+        return 1 if lines else 0
+    with tempfile.TemporaryDirectory() as work:
+        run_matrix(Path(work), args.src.resolve(), args.threads)
+        found = digests(Path(work))
+    args.out.write_text(json.dumps(found, indent=1, sort_keys=True) + "\n")
+    print(f"{len(found)} artifacts -> {args.out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

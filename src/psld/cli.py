@@ -90,6 +90,10 @@ def _dump_json(payload: dict) -> None:
     print(json.dumps(payload, indent=2))
 
 
+# a config file may neither ask for the usage text nor name another config file
+_NOT_CONFIG_KEYS = ("help", "config_file")
+
+
 def _config_tokens(path: str, sub: argparse.ArgumentParser) -> list:
     """Flag tokens for the ``key=value`` lines of a --config file.
 
@@ -118,7 +122,7 @@ def _config_tokens(path: str, sub: argparse.ArgumentParser) -> list:
         option = "--" + name.replace("_", "-")
         action = next((a for a in sub._actions
                        if a.dest == name or option in a.option_strings), None)
-        if action is None:
+        if action is None or action.dest in _NOT_CONFIG_KEYS:
             raise _UsageError(f"{path}:{line_no}: unknown config key {key!r}")
         flag = action.option_strings[-1]
         if action.nargs != 0:
@@ -262,29 +266,34 @@ def cmd_eval(args) -> int:
     params, sidecar = load_checkpoint(args.checkpoint)
     config = _sidecar_config(args.checkpoint, sidecar)
     store = load_csv(args.data, args.adjacency)
-    normed, ranges, stats = prepare_store(store, config)
-    split = ranges[args.split]
-    _n_rows(normed, config.l_in, config.l_out, split)  # before a dump file is created
+    # the split's columns alone; a split too short for a window fails here,
+    # before a dump file is created
+    parts, ranges, stats = prepare_store(store, config, (args.split,))
+    normed = parts[args.split]
+    split = (0, normed.l_data)
     denorm = stats if args.denormalize else None
     if args.dump_predictions:
         with _atomic_write(args.dump_predictions) as f:
-            metrics = evaluate(params, normed, config, split, denorm,
-                               sink=_prediction_writer(f, normed, config, split))
+            sink = _prediction_writer(f, normed, config, ranges[args.split][0])
+            metrics = evaluate(params, normed, config, split, denorm, sink=sink)
     else:
         metrics = evaluate(params, normed, config, split, denorm)
     _dump_json({"split": args.split, "mse": metrics["mse"], "mae": metrics["mae"]})
     return EXIT_OK
 
 
-def _prediction_writer(f, store, config, split):
-    """Write the CSV header to f, return an ``evaluate`` sink writing each chunk's rows."""
+def _prediction_writer(f, store, config, t0: int):
+    """Write the CSV header to f, return an ``evaluate`` sink writing each chunk's rows.
+
+    ``store`` holds the scored split's columns, the first of them time step ``t0``.
+    """
     ids, l_out = store.node_ids, config.l_out
     f.write("t0,node,h,y,y_hat\n")
 
     def write(lo, pred, y):
         for row, y_row, p_row in zip(range(lo, lo + len(y)), y.tolist(), pred.tolist()):
             w, d = divmod(row, store.n_nodes)
-            prefix = f"{split[0] + w},{ids[d]},"
+            prefix = f"{t0 + w},{ids[d]},"
             for h in range(l_out):
                 f.write(f"{prefix}{h + 1},{y_row[h]!r},{p_row[h]!r}\n")
 

@@ -2,13 +2,13 @@
 
 ``rss_partition`` splits the node set into disjoint contiguous chunks of a
 (possibly shuffled) node order. A chunk's batch holds its node indices;
-its series windows and its adjacency block are built only when read, once
-per partition for all of its batches. Training reads neither: it gathers
-its minibatches from the train store by node index. The estimator half
-checks, on a dense operator over random graphs, that the Horvitz-Thompson
-aggregation over an inclusion-sampled node subset matches the
-full-neighborhood aggregation in expectation. Training computes no such
-aggregation, so this does not check the training gradient.
+each batch builds its series windows and its adjacency block only when
+they are read. Training reads neither: it gathers its minibatches from
+the train store by node index. The estimator half checks, on a dense
+operator over random graphs, that the Horvitz-Thompson aggregation over
+an inclusion-sampled node subset matches the full-neighborhood
+aggregation in expectation. Training computes no such aggregation, so
+this does not check the training gradient.
 """
 
 from __future__ import annotations
@@ -26,63 +26,39 @@ NORM_MODES = ("target_degree", "symmetric_sqrt", "unit")
 
 
 class SubgraphBatch:
-    """One node chunk with its windows and double-sliced adjacency.
+    """The nodes ``node_index`` of ``store``, with their windows and double-sliced adjacency.
 
     ``x`` is (n_windows, l_in, n_sub), ``y`` is (n_windows, l_out, n_sub),
     ``adjacency`` is the dense (n_sub, n_sub) weight block for the chunk:
     ``adjacency[i, j]`` is the weight of the edge from ``node_index[i]``
     to ``node_index[j]`` (the last one where the edge array repeats it),
-    else 0. Constructed directly, a batch holds the arrays it is given. A
-    batch of ``rss_partition`` holds only ``node_index`` until the others
-    are read: the first read of ``x`` or ``y`` in a partition makes one
-    shuffled copy of the series, and the first read of ``adjacency`` fills
-    every chunk's block; all batches of the partition share both. ``x``
-    and ``y`` are then read-only strided views into that copy, so they
-    hold O(n_nodes * l_data) values however many windows they expose;
-    indexing a subset of windows copies only that subset.
+    else 0. Each is built on its first read and kept by the batch. ``x``
+    and ``y`` are read-only strided views into one copy of the chunk's
+    series, made on the first read of either, so they hold
+    O(n_sub * l_data) values however many windows they expose; indexing a
+    subset of windows copies only that subset.
     """
 
-    def __init__(self, node_index, x, y, adjacency):
-        self.node_index, self.x, self.y, self.adjacency = node_index, x, y, adjacency
-
-    @classmethod
-    def _of(cls, partition: "_Partition", k: int) -> "SubgraphBatch":
-        """Batch k of the partition, its arrays left to be read from it."""
-        batch = cls.__new__(cls)
-        batch._partition, batch._k = partition, k
-        batch._cols = slice(partition.bounds[k], partition.bounds[k + 1])
-        batch.node_index = partition.order[batch._cols].copy()
-        return batch
+    def __init__(self, node_index: np.ndarray, store: SeriesStore, l_in: int, l_out: int):
+        self.node_index = node_index
+        self._store, self._l_in, self._l_out = store, l_in, l_out
 
     @cached_property
-    def x(self):
-        return self._partition.windows[0][..., self._cols]
+    def _views(self) -> tuple:
+        sliced = self._store.values[self.node_index]
+        return tuple(w.transpose(1, 2, 0) for w in _windows(sliced, self._l_in, self._l_out))
+
+    @property
+    def x(self) -> np.ndarray:
+        return self._views[0]
+
+    @property
+    def y(self) -> np.ndarray:
+        return self._views[1]
 
     @cached_property
-    def y(self):
-        return self._partition.windows[1][..., self._cols]
-
-    @cached_property
-    def adjacency(self):
-        return self._partition.blocks[self._k]
-
-
-class _Partition:
-    """What the batches of one ``rss_partition`` call view, each part built on first read."""
-
-    def __init__(self, store: SeriesStore, order: np.ndarray, bounds: list, l_in: int,
-                 l_out: int):
-        self.store, self.order, self.bounds, self.l_in, self.l_out = store, order, bounds, l_in, l_out
-
-    @cached_property
-    def windows(self) -> tuple:
-        """Node-last (x, y) views of every window of one shuffled copy of the series."""
-        shuffled = self.store.values[self.order]
-        return tuple(w.transpose(1, 2, 0) for w in _windows(shuffled, self.l_in, self.l_out))
-
-    @cached_property
-    def blocks(self) -> list:
-        return _adjacency_blocks(self.store.adjacency, self.order, self.bounds)
+    def adjacency(self) -> np.ndarray:
+        return _adjacency_block(self._store.adjacency, self._store.n_nodes, self.node_index)
 
 
 def rss_partition(
@@ -93,16 +69,13 @@ def rss_partition(
     training: bool,
     rng: Rng,
 ) -> list:
-    """Partition nodes into n_subgraphs chunks and window each chunk.
+    """Partition nodes into n_subgraphs chunks, one ``SubgraphBatch`` each.
 
     In training mode the node order is a seeded shuffle, otherwise the
     identity. Chunks are contiguous runs of size n_nodes // n_subgraphs;
     the remainder goes to the last chunk. The union of chunks is the full
-    node set and chunks are pairwise disjoint. A call costs O(n_nodes);
-    the windows and adjacency blocks are built on first read (see
-    ``SubgraphBatch``). The blocks are filled from the store's edge array,
-    keeping only edges inside a chunk, so they cost O(n_edges + sum of
-    n_sub**2) and no (n_nodes, n_nodes) matrix is ever built.
+    node set and chunks are pairwise disjoint. A call costs O(n_nodes):
+    each batch builds its windows and adjacency block when they are read.
     """
     n = store.n_nodes
     if not 1 <= n_subgraphs <= n:
@@ -111,38 +84,34 @@ def rss_partition(
     order = rng.gen.permutation(n) if training else np.arange(n)
     size = n // n_subgraphs
     bounds = [k * size for k in range(n_subgraphs)] + [n]
-    partition = _Partition(store, order, bounds, l_in, l_out)
-    return [SubgraphBatch._of(partition, k) for k in range(n_subgraphs)]
+    return [SubgraphBatch(order[lo:hi].copy(), store, l_in, l_out)
+            for lo, hi in zip(bounds, bounds[1:])]
 
 
-def _adjacency_blocks(edges, order: np.ndarray, bounds: list) -> list:
-    """Per-chunk dense weight blocks, chunk k holding order[bounds[k]:bounds[k+1]].
+def _adjacency_block(edges, n_nodes: int, node_index: np.ndarray) -> np.ndarray:
+    """Dense weight block of the edges between the nodes of node_index, in its order.
 
-    Each node is mapped once to its chunk and its position there; edges
-    whose ends share a chunk are scattered into one flat buffer that the
-    blocks view. Where (src, dst) repeats, the last row's weight wins.
+    Each node of the chunk is mapped to its position, and the edges whose
+    ends both lie in the chunk are scattered into the block: O(n_edges +
+    n_sub**2), with no (n_nodes, n_nodes) matrix. Where (src, dst) repeats,
+    the last row's weight wins.
     """
-    n = len(order)
-    sizes = np.diff(bounds)
-    offsets = np.concatenate(([0], np.cumsum(sizes * sizes)))
-    chunk = np.empty(n, dtype=np.intp)
-    chunk[order] = np.repeat(np.arange(len(sizes)), sizes)
-    local = np.empty(n, dtype=np.intp)
-    local[order] = np.arange(n) - np.repeat(bounds[:-1], sizes)
-    flat = np.zeros(offsets[-1])
-    if edges is not None and len(edges):
-        src = edges[:, 0].astype(np.intp)
-        dst = edges[:, 1].astype(np.intp)
-        inside = np.flatnonzero(chunk[src] == chunk[dst])
-        src, dst, k = src[inside], dst[inside], chunk[src[inside]]
-        cell = offsets[k] + local[src] * sizes[k] + local[dst]
-        # numpy leaves the winner of repeated fancy-index writes unspecified,
-        # so pick the last row per cell explicitly
-        last = np.full(len(flat), -1, dtype=np.intp)
-        np.maximum.at(last, cell, np.arange(len(cell)))
-        hit = np.flatnonzero(last >= 0)
-        flat[hit] = edges[inside[last[hit]], 2]
-    return [flat[offsets[k]:offsets[k + 1]].reshape(m, m) for k, m in enumerate(sizes)]
+    m = len(node_index)
+    block = np.zeros((m, m))
+    if edges is None or not len(edges):
+        return block
+    local = np.full(n_nodes, -1, dtype=np.intp)
+    local[node_index] = np.arange(m)
+    src = local[edges[:, 0].astype(np.intp)]
+    dst = local[edges[:, 1].astype(np.intp)]
+    inside = np.flatnonzero((src >= 0) & (dst >= 0))
+    # numpy leaves the winner of repeated fancy-index writes unspecified,
+    # so pick the last row per cell explicitly
+    last = np.full(m * m, -1, dtype=np.intp)
+    np.maximum.at(last, src[inside] * m + dst[inside], inside)
+    hit = np.flatnonzero(last >= 0)
+    block.flat[hit] = edges[last[hit], 2]
+    return block
 
 
 @dataclass(frozen=True)

@@ -304,6 +304,23 @@ class TestTrain:
                f"got {value!r}" in proc.stderr
         assert not (tmp_path / "r").exists()
 
+    @pytest.mark.parametrize("line,key", [
+        ("help=yes", "help"),
+        ("--help=1", "--help"),
+        ("config=other.cfg", "config"),
+    ])
+    def test_help_and_config_are_not_config_keys(self, tmp_path, capsys, line, key):
+        # a config line must neither print the usage and exit 0 without
+        # training, nor name a second --config that would never be read
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"# run\n{line}\n")
+        code, stdout, err = run_cli(capsys, "train", "--data", str(tmp_path / "unread.csv"),
+                                    "--out", str(tmp_path / "r"), "--config", str(cfg))
+        assert code == EXIT_USAGE
+        assert stdout == ""
+        assert f"error: {cfg}:2: unknown config key {key!r}" in err
+        assert not (tmp_path / "r").exists()
+
     def test_config_file_takes_field_names(self, dataset, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("baseline_mlp = true\nn_subgraphs = 2\nlam = 0.5\n")
@@ -556,6 +573,42 @@ class TestEval:
         assert dumped == plain
         # test split: 15 windows over 10 nodes and 6 horizon steps, plus a header
         assert len(preds.read_text().splitlines()) == 15 * 10 * 6 + 1
+
+    @pytest.mark.parametrize("split", ["val", "test"])
+    @pytest.mark.parametrize("denormalize", [False, True])
+    def test_normalizes_only_the_scored_split(self, dataset, tmp_path, capsys, monkeypatch,
+                                             split, denormalize):
+        # the split's columns are normalized once, alone, and score and dump
+        # as that range of the whole normalized series does, t0 absolute
+        out = tmp_path / "run"
+        run_cli(capsys, *train_args(dataset, out))
+        params, sidecar = psld.load_checkpoint(out / "checkpoint.psld")
+        config = TrainConfig.from_dict(sidecar["config"])
+        normed, ranges, stats = training.prepare_store(
+            psld.load_csv(dataset / "series.csv"), config)
+        want = tmp_path / "want.csv"
+        with open(want, "w") as f:
+            metrics = training.evaluate(
+                params, normed, config, ranges[split], stats if denormalize else None,
+                sink=cli._prediction_writer(f, normed, config, ranges[split][0]))
+        spans, real_norm = [], training.apply_norm
+
+        def norm(store, stats, sigma_floor, span=None):
+            spans.append(span)
+            return real_norm(store, stats, sigma_floor, span)
+
+        monkeypatch.setattr(training, "apply_norm", norm)
+        preds = tmp_path / "preds.csv"
+        code, stdout, _ = run_cli(capsys, "eval", "--checkpoint", str(out / "checkpoint.psld"),
+                                  "--data", str(dataset / "series.csv"), "--split", split,
+                                  "--dump-predictions", str(preds),
+                                  *(["--denormalize"] if denormalize else []))
+        assert code == EXIT_OK
+        assert spans == [ranges[split]]
+        assert json.loads(stdout) == {"split": split, **metrics}
+        assert preds.read_bytes() == want.read_bytes()
+        t0 = {int(line.split(",")[0]) for line in want.read_text().splitlines()[1:]}
+        assert t0 == set(range(ranges[split][0], ranges[split][1] - 12 - 6 + 1))
 
 
 class TestRssCheck:

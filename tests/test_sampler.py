@@ -30,21 +30,24 @@ def six_node_store():
 
 
 def reference_rss_partition(store, n_subgraphs, l_in, l_out, training, rng):
-    """The per-chunk construction: one copy of each chunk's series, its own views."""
+    """(node_index, x, y, adjacency) per chunk: its own copy of the chunk's series and
+    views of it, and the double slice of the dense matrix filled edge by edge."""
     n = store.n_nodes
     l_time = store.l_data - l_in - l_out + 1
     order = rng.gen.permutation(n) if training else np.arange(n)
     size = n // n_subgraphs
     bounds = [k * size for k in range(n_subgraphs)] + [n]
-    blocks = sampler._adjacency_blocks(store.adjacency, order, bounds)
+    dense = np.zeros((n, n))
+    for a, b, w in store.adjacency.tolist():  # later rows overwrite earlier ones
+        dense[int(a), int(b)] = w
     view = np.lib.stride_tricks.sliding_window_view
     batches = []
-    for k, block in enumerate(blocks):
-        idx = order[bounds[k]:bounds[k + 1]]
+    for lo, hi in zip(bounds, bounds[1:]):
+        idx = order[lo:hi]
         sliced = store.values[idx]
         x = view(sliced, l_in, axis=1)[:, :l_time].transpose(1, 2, 0)
         y = view(sliced[:, l_in:], l_out, axis=1).transpose(1, 2, 0)
-        batches.append(sampler.SubgraphBatch(idx.copy(), x, y, block))
+        batches.append((idx.copy(), x, y, dense[np.ix_(idx, idx)]))
     return batches
 
 
@@ -212,60 +215,58 @@ class TestPartition:
             want = reference_rss_partition(store, k, l_in, l_out, training, Rng(seed))
             assert len(got) == len(want) == k
             for g, w in zip(got, want):
-                assert np.array_equal(g.node_index, w.node_index)
-                assert g.node_index.dtype == w.node_index.dtype
-                for name in ("x", "y", "adjacency"):
-                    a, b = getattr(g, name), getattr(w, name)
+                assert g.node_index.dtype == w[0].dtype
+                for name, b in zip(("node_index", "x", "y", "adjacency"), w):
+                    a = getattr(g, name)
                     assert a.shape == b.shape
                     assert np.array_equal(bits(a), bits(b))
 
-    def test_batches_share_one_copy_of_the_series(self):
-        # the per-chunk construction gives every batch its own copy
-        store = generate_synthetic(12, 64, Rng(3))
-        batches = rss_partition(store, 4, 5, 3, training=True, rng=Rng(0))
-        base = batches[0].x
-        while base.base is not None:  # views, and the strided view's wrapper
-            base = base.base
-        assert base.shape == store.values.shape
-        assert not np.shares_memory(base, store.values)
-        for b in batches:
-            assert np.shares_memory(b.x, base) and np.shares_memory(b.y, base)
-
     def test_arrays_built_once_on_first_read_and_shared(self, monkeypatch):
-        # the call builds neither the shuffled copy nor the blocks; the first
-        # read of any batch builds each once for all of the partition's batches
+        # the call builds no batch's windows or block; each batch builds its
+        # own once, on its first read, and its x and y share one copy of its
+        # series
         store = generate_synthetic(12, 64, Rng(3))
         assert len(store.adjacency)
-        built = {"windows": 0, "blocks": 0}
-        real_windows, real_blocks = sampler._windows, sampler._adjacency_blocks
+        built = {"windows": [], "blocks": []}
+        real_windows, real_block = sampler._windows, sampler._adjacency_block
 
         def windows(values, l_in, l_out):
-            built["windows"] += values is not store.values  # not the length check
+            if values is not store.values:  # not the length check
+                built["windows"].append(values.shape)
             return real_windows(values, l_in, l_out)
 
-        def blocks(*args):
-            built["blocks"] += 1
-            return real_blocks(*args)
+        def block(edges, n_nodes, node_index):
+            built["blocks"].append(tuple(node_index))
+            return real_block(edges, n_nodes, node_index)
 
         monkeypatch.setattr(sampler, "_windows", windows)
-        monkeypatch.setattr(sampler, "_adjacency_blocks", blocks)
+        monkeypatch.setattr(sampler, "_adjacency_block", block)
         batches = rss_partition(store, 4, 5, 3, training=True, rng=Rng(0))
-        assert built == {"windows": 0, "blocks": 0}
+        assert built == {"windows": [], "blocks": []}
         assert batches[2].adjacency.shape == (3, 3)
-        assert built == {"windows": 0, "blocks": 1}
+        assert built == {"windows": [], "blocks": [tuple(batches[2].node_index)]}
         for _ in range(2):
             for b in batches:
                 b.x, b.y, b.adjacency
-        assert built == {"windows": 1, "blocks": 1}
+        assert built["windows"] == [(3, 64)] * 4
+        assert built["blocks"] == [tuple(batches[k].node_index) for k in (2, 0, 1, 3)]
 
         def root(a):
-            while a.base is not None:
+            while a.base is not None:  # views, and the strided view's wrapper
                 a = a.base
             return a
 
+        for b in batches:
+            assert root(b.x) is root(b.y)
+            assert root(b.x).shape == (3, 64)
+            assert not np.shares_memory(root(b.x), store.values)
+        assert len({id(root(b.x)) for b in batches}) == 4
+
+    def test_arrays_are_cached_per_batch(self):
+        # acceptance 4 reads adjacency[i, j] in a loop: a read must not rebuild it
+        batch = rss_partition(six_node_store(), 2, 3, 2, training=True, rng=Rng(0))[1]
         for name in ("x", "y", "adjacency"):
-            assert len({id(root(getattr(b, name))) for b in batches}) == 1, name
-        assert root(batches[0].x) is root(batches[0].y)
+            assert getattr(batch, name) is getattr(batch, name), name
 
     def test_too_many_subgraphs_rejected(self):
         store = six_node_store()

@@ -498,7 +498,7 @@ class TestTrainingReadsNodeIndicesOnly:
     """Training gathers its minibatches from the train store by node index."""
 
     def test_train_builds_no_partition_arrays(self, monkeypatch):
-        # the partition's shuffled copy and adjacency blocks are never built
+        # no batch's series copy or adjacency block is ever built
         store = generate_synthetic(12, 150, Rng(8))
         assert len(store.adjacency)
         cfg = small_config(epochs=2, n_subgraphs=3)
@@ -507,8 +507,8 @@ class TestTrainingReadsNodeIndicesOnly:
         def unread(*args):
             raise AssertionError("training read a partition array")
 
-        monkeypatch.setattr(sampler, "_adjacency_blocks", unread)
-        monkeypatch.setattr(sampler._Partition, "windows", property(unread))
+        monkeypatch.setattr(sampler, "_adjacency_block", unread)
+        monkeypatch.setattr(sampler.SubgraphBatch, "_views", property(unread))
         params, reports = train(store, cfg)
         assert reports == want_reports
         assert np.array_equal(params.flat.view(np.uint64), want_params.flat.view(np.uint64))
