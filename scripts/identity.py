@@ -13,7 +13,9 @@ stdout (``<run>/stdout``), which carries the eval and gradcheck JSON. The
 matrix, on one 64-node ``psld synth`` series (seed 3) and its adjacency:
 
 - ``psld train`` for mvd/stl x separate/merged, seed 3, 3 epochs,
-  ``--baseline-mlp``, and stl/merged again with ``--kappa-t 131 --kappa-s 9``;
+  ``--baseline-mlp``; stl/merged again with ``--kappa-t 131 --kappa-s 9``;
+  and mvd/separate again with ``--n-sub 1``, whose 2048-row steps run as
+  row blocks (``training.STEP_ROWS``);
 - ``psld eval`` of each of those checkpoints on val and test, with and
   without ``--denormalize``, each with ``--dump-predictions``;
 - ``psld gradcheck --n-seeds 20`` for each decomposer/mode pair.
@@ -55,6 +57,7 @@ def run_matrix(work: Path, src: Path, threads: int) -> None:
     series, adjacency = str(data / "series.csv"), str(data / "adjacency.csv")
     runs = {f"{kind}-{mode}": ["--decomposer", kind, "--mode", mode] for kind, mode in COMBOS}
     runs["stl-merged-wide-kernel"] = runs["stl-merged"] + ["--kappa-t", "131", "--kappa-s", "9"]
+    runs["mvd-separate-one-subgraph"] = runs["mvd-separate"] + ["--n-sub", "1"]
     for name, flags in runs.items():
         run = work / name
         _psld(["train", "--data", series, "--adjacency", adjacency, "--out", str(run),

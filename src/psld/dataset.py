@@ -13,6 +13,7 @@ from array import array
 from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, islice
 
 import numpy as np
@@ -69,6 +70,51 @@ class SeriesStore:
     def l_data(self) -> int:
         return self.values.shape[1]
 
+    def _adjacency_block(self, node_index: np.ndarray) -> np.ndarray:
+        """Dense weight block of the edges between the nodes of node_index, in its order.
+
+        ``block[i, j]`` is the weight of the edge from ``node_index[i]`` to
+        ``node_index[j]``, the last row's where the edge array repeats it,
+        else 0. Only the chunk's out-edges are read, through
+        ``_edges_by_source``: reading the blocks of every chunk of a
+        partition costs O(n_edges + sum of n_sub**2), with no (n_nodes,
+        n_nodes) matrix. The sampler's batches are its only caller.
+        """
+        m = len(node_index)
+        block = np.zeros((m, m))
+        if not m or self.adjacency is None or not len(self.adjacency):
+            return block
+        starts, dst, weight = self._edges_by_source
+        lo = starts[node_index]
+        count = starts[node_index + 1] - lo
+        # the chunk's out-edges, node by node: node k's are [lo[k], lo[k] + count[k])
+        ends = count.cumsum()
+        at = np.arange(ends[-1]) + np.repeat(lo - ends + count, count)
+        target = dst[at]
+        # each target's position in the chunk, if it lies in the chunk; the
+        # index holds each (src, dst) pair once, so no cell is written twice
+        sorter = np.argsort(node_index)
+        col = sorter.take(np.searchsorted(node_index, target, sorter=sorter), mode="clip")
+        inside = node_index[col] == target
+        block[np.repeat(np.arange(m), count)[inside], col[inside]] = weight[at[inside]]
+        return block
+
+    @cached_property
+    def _edges_by_source(self) -> tuple:
+        """(starts, dst, weight): the edges sorted by (source, target), built on first read.
+
+        Node v's targets are ``dst[starts[v]:starts[v + 1]]``, ascending, with
+        their weights in ``weight``. Where a (source, target) pair repeats in
+        the edge array, only its last row is kept. ``_adjacency_block`` is
+        its only reader, and only for a store with edges.
+        """
+        n = self.n_nodes
+        key = self.adjacency[:, 0].astype(np.intp) * n + self.adjacency[:, 1].astype(np.intp)
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        last = np.append(key[1:] != key[:-1], True)
+        src, dst = np.divmod(key[last], n)
+        return np.searchsorted(src, np.arange(n + 1)), dst, self.adjacency[order[last], 2]
 
 def _with_edges(store: SeriesStore, edges) -> SeriesStore:
     """``store`` given ``edges``, which ``_edge_array`` has already checked for its nodes."""

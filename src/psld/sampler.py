@@ -58,7 +58,7 @@ class SubgraphBatch:
 
     @cached_property
     def adjacency(self) -> np.ndarray:
-        return _adjacency_block(self._store.adjacency, self._store.n_nodes, self.node_index)
+        return self._store._adjacency_block(self.node_index)
 
 
 def rss_partition(
@@ -86,32 +86,6 @@ def rss_partition(
     bounds = [k * size for k in range(n_subgraphs)] + [n]
     return [SubgraphBatch(order[lo:hi].copy(), store, l_in, l_out)
             for lo, hi in zip(bounds, bounds[1:])]
-
-
-def _adjacency_block(edges, n_nodes: int, node_index: np.ndarray) -> np.ndarray:
-    """Dense weight block of the edges between the nodes of node_index, in its order.
-
-    Each node of the chunk is mapped to its position, and the edges whose
-    ends both lie in the chunk are scattered into the block: O(n_edges +
-    n_sub**2), with no (n_nodes, n_nodes) matrix. Where (src, dst) repeats,
-    the last row's weight wins.
-    """
-    m = len(node_index)
-    block = np.zeros((m, m))
-    if edges is None or not len(edges):
-        return block
-    local = np.full(n_nodes, -1, dtype=np.intp)
-    local[node_index] = np.arange(m)
-    src = local[edges[:, 0].astype(np.intp)]
-    dst = local[edges[:, 1].astype(np.intp)]
-    inside = np.flatnonzero((src >= 0) & (dst >= 0))
-    # numpy leaves the winner of repeated fancy-index writes unspecified,
-    # so pick the last row per cell explicitly
-    last = np.full(m * m, -1, dtype=np.intp)
-    np.maximum.at(last, src[inside] * m + dst[inside], inside)
-    hit = np.flatnonzero(last >= 0)
-    block.flat[hit] = edges[last[hit], 2]
-    return block
 
 
 @dataclass(frozen=True)

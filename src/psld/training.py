@@ -4,10 +4,12 @@ One epoch loop serves both the PSLD model and the plain MLP baseline;
 ``model.train_step`` is the only step that differs between them. Each
 epoch re-partitions the node set into random subgraphs, then takes one
 ADAM step per subgraph on the mean loss of a freshly sampled window
-minibatch. Validation after every epoch picks the returned parameters;
-there is no early stopping. Everything is a pure function of the config
-and seed: rerunning with identical inputs reproduces reports and
-parameters bit for bit.
+minibatch. A minibatch of more than ``STEP_ROWS`` rows runs forward and
+backward in row blocks whose gradients are summed before that one step,
+so a step's memory does not grow with the node count. Validation after
+every epoch picks the returned parameters; there is no early stopping.
+Everything is a pure function of the config and seed: rerunning with
+identical inputs reproduces reports and parameters bit for bit.
 
 ``train`` and ``baseline_plain_mlp`` take the raw store and normalize
 only the split columns they read. ``evaluate`` and ``baseline_last_value``
@@ -46,6 +48,13 @@ from .sampler import rss_partition
 # free lists; multi-MiB chunks are page-faulted in afresh every call and
 # made evaluation slower than the unchunked pass.
 EVAL_CHUNK_ROWS = 512
+# Most rows per training forward and backward pass. At the paper's fixed 24
+# subgraphs a step has n_nodes // 24 * minibatch rows (the remainder chunk
+# more), and its (rows, hidden) arrays set the run's peak memory; a larger
+# step runs as row blocks summed before its one ADAM step (see _blocked_step),
+# so step memory stops growing with the node count. 1024 rows keep every
+# step of a 64-node run at the defaults (at most 576 rows) one pass.
+STEP_ROWS = 1024
 
 
 _COUNT = (lambda v: v >= 1, ">= 1")
@@ -308,6 +317,41 @@ def _sample_minibatch(windows: tuple, node_index: np.ndarray, k: int, rng: Rng):
     return xv[rows].reshape(-1, xv.shape[2]), yv[rows].reshape(-1, yv.shape[2])
 
 
+def _blocked_step(params, x_rows: np.ndarray, y_rows: np.ndarray, dcfg, lam: float, rng: Rng,
+                  buffers: dict, grad_sum: np.ndarray):
+    """Losses (total, cbn, cpn) and gradients of one step, in row blocks of at most STEP_ROWS.
+
+    The k = ceil(rows / STEP_ROWS) blocks are rows [rows * i // k,
+    rows * (i + 1) // k), so their sizes differ by at most one row. Each
+    runs through ``md.train_step`` with the same ``rng`` and ``buffers``,
+    in order, so dropout draws from the step's one stream. Every loss term
+    is a mean over the rows, so the step's losses and gradient are the
+    blocks' weighted by their share of the rows. The scaled gradients are
+    added up in ``params.grads``, which is returned; ``grad_sum``, laid
+    out like ``params.flat``, keeps the blocks so far while the next
+    block's pass overwrites ``params.grads``. A step of at most STEP_ROWS rows is one
+    block of share 1.0: it neither scales ``params.grads`` nor touches
+    ``grad_sum``, and its losses and gradient have the bits of one
+    ``md.train_step``.
+    """
+    rows = len(x_rows)
+    k = -(-rows // STEP_ROWS)
+    losses = np.zeros(3)
+    for i in range(k):
+        lo, hi = rows * i // k, rows * (i + 1) // k
+        part, grads = md.train_step(params, x_rows[lo:hi], y_rows[lo:hi], dcfg, lam, rng,
+                                    buffers)
+        share = (hi - lo) / rows
+        losses += (share * part.total, share * part.cbn, share * part.cpn)
+        if k > 1:  # a pass over every parameter, which share 1.0 would leave as it is
+            grads.flat *= share
+        if i:
+            grads.flat += grad_sum
+        if i + 1 < k:
+            np.copyto(grad_sum, grads.flat)
+    return tuple(losses), grads
+
+
 def _fit(params, train_store: SeriesStore, val_store: SeriesStore, config: TrainConfig):
     """The epoch loop of train() and the plain baseline, on normalized split stores.
 
@@ -324,7 +368,13 @@ def _fit(params, train_store: SeriesStore, val_store: SeriesStore, config: Train
     so glibc would otherwise hand the step's freed arrays back to the OS
     and the next step would page-fault them in again (about 12k minor
     faults per 1344-row step). The buffers are freed before validation,
-    which would otherwise hold them at its peak.
+    which would otherwise hold them at its peak. Every step runs through
+    ``_blocked_step``: a step of more than ``STEP_ROWS`` rows as balanced
+    row blocks through those buffers, with one ADAM step on the blocks'
+    summed gradient, so the buffers hold at most ``STEP_ROWS`` rows
+    whatever the node count. The blocks' running sum has one preallocated
+    vector, like the best parameters, which only steps of more than one
+    block write.
     """
     val_split = (0, val_store.l_data)
     windows = _windows(train_store.values, config.l_in, config.l_out)
@@ -335,6 +385,7 @@ def _fit(params, train_store: SeriesStore, val_store: SeriesStore, config: Train
     best_mse = np.inf
     best = params.flat.copy()
     step_buffers = {}
+    grad_sum = np.empty_like(params.flat)
     reports = []
     for epoch in range(config.epochs):
         started = time.perf_counter()
@@ -348,12 +399,13 @@ def _fit(params, train_store: SeriesStore, val_store: SeriesStore, config: Train
             x_rows, y_rows = _sample_minibatch(windows, batch.node_index, config.minibatch,
                                                erng.child("minibatch", step))
             try:
-                losses, grads = md.train_step(params, x_rows, y_rows, dcfg, config.lam,
-                                              erng.child("dropout", step), step_buffers)
+                losses, grads = _blocked_step(params, x_rows, y_rows, dcfg, config.lam,
+                                              erng.child("dropout", step), step_buffers,
+                                              grad_sum)
             except NumericError as err:
                 raise NumericError(f"epoch {epoch}, subgraph {step}: {err}") from err
             md.adam_step(params, grads, adam, config.lr)
-            sums += (losses.total, losses.cbn, losses.cpn)
+            sums += losses
         step_buffers.clear()
         val = evaluate(params, val_store, config, val_split)
         reports.append(EpochReport(

@@ -33,21 +33,24 @@ def series(tmp_path_factory):
     return out / "series.csv"
 
 
-@pytest.mark.parametrize("kind,mode", [
-    ("mvd", "separate"),
-    ("mvd", "merged"),
-    ("stl", "separate"),
-    pytest.param("stl", "merged", marks=pytest.mark.xfail(
+@pytest.mark.parametrize("kind,mode,extra", [
+    ("mvd", "separate", ()),
+    ("mvd", "merged", ()),
+    ("stl", "separate", ()),
+    pytest.param("stl", "merged", (), marks=pytest.mark.xfail(
         raises=AssertionError,
         reason="the merged stl head's h2 @ wp.T at 64 rows, (64, 384) @ (384, 108), "
                "rounds differently under 1 and 2 OpenBLAS threads")),
-])
-def test_artifacts_do_not_depend_on_blas_threads(series, tmp_path, kind, mode):
+    # one subgraph: 64 nodes x 32 windows = 2048-row steps, each run as two
+    # row blocks (training.STEP_ROWS)
+    ("mvd", "separate", ("--n-sub", "1")),
+], ids=["mvd-separate", "mvd-merged", "stl-separate", "stl-merged", "mvd-separate-n-sub-1"])
+def test_artifacts_do_not_depend_on_blas_threads(series, tmp_path, kind, mode, extra):
     outs = []
     for threads in (1, 2):
         out = tmp_path / f"threads-{threads}"
         _psld("train", "--data", str(series), "--out", str(out), "--decomposer", kind,
-              "--mode", mode, *TRAIN_ARGS, threads=threads)
+              "--mode", mode, *TRAIN_ARGS, *extra, threads=threads)
         outs.append(out)
     for name in ("checkpoint.psld", "metrics.json"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name

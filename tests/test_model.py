@@ -480,10 +480,11 @@ class TestStepMemory:
     # (rows, width) float64 array, width the component heads' hidden width:
     # the first step allocates the buffers, a warm step adds only transients;
     # backward writes its hidden gradients over the cache arrays it has read,
-    # and dropout draws its uniforms into the h2 buffer
+    # and dropout draws its uniforms into the h2 buffer. Training passes at
+    # most training.STEP_ROWS rows per call and runs larger steps as row blocks
     @pytest.mark.parametrize("kind,mode,rows,first,warm", [
-        # a train-large step: 1024 nodes in 24 subgraphs, minibatch 32
-        # (measured 10.8 and 2.2)
+        # a whole train-large step, 1024 nodes in 24 subgraphs at minibatch 32,
+        # which training runs as two 672-row blocks (measured 10.8 and 2.2)
         ("mvd", "separate", 1344, 11.5, 2.5),
         # the largest train-small-stl-merged step: the 18-node remainder chunk
         # (measured 4.7 and 1.7)

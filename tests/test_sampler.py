@@ -228,19 +228,19 @@ class TestPartition:
         store = generate_synthetic(12, 64, Rng(3))
         assert len(store.adjacency)
         built = {"windows": [], "blocks": []}
-        real_windows, real_block = sampler._windows, sampler._adjacency_block
+        real_windows, real_block = sampler._windows, SeriesStore._adjacency_block
 
         def windows(values, l_in, l_out):
             if values is not store.values:  # not the length check
                 built["windows"].append(values.shape)
             return real_windows(values, l_in, l_out)
 
-        def block(edges, n_nodes, node_index):
+        def block(self, node_index):
             built["blocks"].append(tuple(node_index))
-            return real_block(edges, n_nodes, node_index)
+            return real_block(self, node_index)
 
         monkeypatch.setattr(sampler, "_windows", windows)
-        monkeypatch.setattr(sampler, "_adjacency_block", block)
+        monkeypatch.setattr(SeriesStore, "_adjacency_block", block)
         batches = rss_partition(store, 4, 5, 3, training=True, rng=Rng(0))
         assert built == {"windows": [], "blocks": []}
         assert batches[2].adjacency.shape == (3, 3)
@@ -267,6 +267,20 @@ class TestPartition:
         batch = rss_partition(six_node_store(), 2, 3, 2, training=True, rng=Rng(0))[1]
         for name in ("x", "y", "adjacency"):
             assert getattr(batch, name) is getattr(batch, name), name
+
+    def test_edges_grouped_by_source_once_per_store(self):
+        # the grouping is made by the first block read, not by the partition
+        # or the windows, and every later block of any partition reuses it
+        store = generate_synthetic(12, 64, Rng(3))
+        batches = rss_partition(store, 4, 5, 3, training=True, rng=Rng(0))
+        for b in batches:
+            b.x, b.y
+        assert "_edges_by_source" not in vars(store)
+        batches[1].adjacency
+        index = store._edges_by_source
+        for b in batches + rss_partition(store, 3, 5, 3, training=True, rng=Rng(1)):
+            b.adjacency
+        assert store._edges_by_source is index
 
     def test_too_many_subgraphs_rejected(self):
         store = six_node_store()

@@ -498,7 +498,8 @@ class TestTrainingReadsNodeIndicesOnly:
     """Training gathers its minibatches from the train store by node index."""
 
     def test_train_builds_no_partition_arrays(self, monkeypatch):
-        # no batch's series copy or adjacency block is ever built
+        # no batch's series copy or adjacency block, nor the store's edge
+        # grouping, is ever built
         store = generate_synthetic(12, 150, Rng(8))
         assert len(store.adjacency)
         cfg = small_config(epochs=2, n_subgraphs=3)
@@ -507,8 +508,9 @@ class TestTrainingReadsNodeIndicesOnly:
         def unread(*args):
             raise AssertionError("training read a partition array")
 
-        monkeypatch.setattr(sampler, "_adjacency_block", unread)
+        monkeypatch.setattr(SeriesStore, "_adjacency_block", unread)
         monkeypatch.setattr(sampler.SubgraphBatch, "_views", property(unread))
+        monkeypatch.setattr(SeriesStore, "_edges_by_source", property(unread))
         params, reports = train(store, cfg)
         assert reports == want_reports
         assert np.array_equal(params.flat.view(np.uint64), want_params.flat.view(np.uint64))
@@ -533,6 +535,115 @@ class TestTrainingReadsNodeIndicesOnly:
         finally:
             tracemalloc.stop()
         assert live == [1] * (cfg.epochs * cfg.n_subgraphs)
+
+
+class TestBlockedStep:
+    """A step of more than STEP_ROWS rows runs as balanced row blocks."""
+
+    @pytest.mark.parametrize("kind,mode", [("mvd", "separate"), ("mvd", "merged"),
+                                           ("stl", "separate"), ("stl", "merged"),
+                                           ("plain", "separate")])
+    def test_blocks_give_the_one_pass_gradient(self, kind, mode, monkeypatch):
+        # without dropout every loss term is a row mean, so the blocks'
+        # share-weighted sums are the whole step's losses and gradient
+        cfg = small_config(decomposer="mvd" if kind == "plain" else kind, mode=mode,
+                           dropout=0.0)
+        params = _eval_params(kind, cfg)
+        dcfg = cfg.decomposer_config()
+        g = Rng(4).gen
+        x, y = g.standard_normal((50, cfg.l_in)), g.standard_normal((50, cfg.l_out))
+        part, grads = md.train_step(params, x, y, dcfg, 0.5, Rng(2))
+        want = (part.total, part.cbn, part.cpn), grads.flat.copy()
+        monkeypatch.setattr(tr, "STEP_ROWS", 16)  # blocks of 12, 13, 12 and 13 rows
+        real_step, sizes = md.train_step, []
+
+        def step(params, x_rows, *args):
+            sizes.append(len(x_rows))
+            return real_step(params, x_rows, *args)
+
+        monkeypatch.setattr(md, "train_step", step)
+        grad_sum = np.empty_like(params.flat)
+        losses, got = tr._blocked_step(params, x, y, dcfg, 0.5, Rng(2), {}, grad_sum)
+        assert sizes == [12, 13, 12, 13]
+        assert got is params.grads
+        np.testing.assert_allclose(losses, want[0], rtol=1e-12, atol=0)
+        np.testing.assert_allclose(got.flat, want[1], rtol=1e-12,
+                                   atol=1e-12 * np.abs(want[1]).max())
+
+    def test_one_block_step_has_the_one_pass_bits(self):
+        # a step of at most STEP_ROWS rows is one block of share 1.0: its
+        # losses and gradient are one train_step's, to the bit
+        cfg = small_config(decomposer="stl", mode="merged")
+        params = _eval_params("stl", cfg)
+        dcfg = cfg.decomposer_config()
+        g = Rng(4).gen
+        x, y = g.standard_normal((50, cfg.l_in)), g.standard_normal((50, cfg.l_out))
+        part, grads = md.train_step(params, x, y, dcfg, 0.5, Rng(2))
+        want = np.array([part.total, part.cbn, part.cpn]), grads.flat.copy()
+        untouched = np.full_like(params.flat, np.nan)
+        grad_sum = untouched.copy()
+        losses, got = tr._blocked_step(params, x, y, dcfg, 0.5, Rng(2), {}, grad_sum)
+        assert np.array_equal(np.array(losses).view(np.uint64), want[0].view(np.uint64))
+        assert np.array_equal(got.flat.view(np.uint64), want[1].view(np.uint64))
+        assert np.array_equal(grad_sum, untouched, equal_nan=True)
+
+    def test_fit_passes_balanced_blocks_in_order(self, train_store, monkeypatch):
+        # 6 nodes in 2 subgraphs, minibatch 32: 96-row steps in 5 blocks of 19 or 20 rows
+        monkeypatch.setattr(tr, "STEP_ROWS", 20)
+        cfg = small_config(epochs=2)
+        real_sample, real_step = tr._sample_minibatch, md.train_step
+        steps, blocks = [], []
+
+        def sample(*args):
+            steps.append(real_sample(*args))
+            blocks.append([])
+            return steps[-1]
+
+        def step(params, x_rows, y_rows, dcfg, lam, rng, buffers):
+            blocks[-1].append((x_rows, y_rows, rng))
+            return real_step(params, x_rows, y_rows, dcfg, lam, rng, buffers)
+
+        monkeypatch.setattr(tr, "_sample_minibatch", sample)
+        monkeypatch.setattr(md, "train_step", step)
+        want_params, want_reports = train(train_store, cfg)
+        assert len(steps) == cfg.epochs * cfg.n_subgraphs
+        for (x_rows, y_rows), parts in zip(steps, blocks):
+            sizes = [len(b[0]) for b in parts]
+            assert len(x_rows) == 96 and len(parts) == 5, sizes
+            assert max(sizes) <= tr.STEP_ROWS and max(sizes) - min(sizes) <= 1
+            assert len({id(b[2]) for b in parts}) == 1  # one dropout stream per step
+            for whole, at in ((x_rows, 0), (y_rows, 1)):
+                assert np.array_equal(np.concatenate([b[at] for b in parts]), whole)
+        params, reports = train(train_store, cfg)
+        assert reports == want_reports
+        assert np.array_equal(params.flat.view(np.uint64), want_params.flat.view(np.uint64))
+
+    # At hidden 64 and 128-row blocks one (rows, hidden) array is 64 KiB:
+    # measured 0.65 MiB at both node counts, about 10 such arrays of buffers
+    # and transients. Unblocked, the 768-row steps alone trace 3.5 MiB.
+    STEP_PEAK = 2**20
+
+    def test_peak_memory_does_not_grow_with_nodes(self, monkeypatch):
+        # the traced peak of every train_step call of an epoch, above what was
+        # live before it, stays within one bound at 768- and 3840-row steps
+        monkeypatch.setattr(tr, "STEP_ROWS", 128)
+        cfg = small_config(epochs=1, hidden=64)
+        real_step, peaks = md.train_step, []
+
+        def step(*args):
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out = real_step(*args)
+            peaks.append(tracemalloc.get_traced_memory()[1] - held)
+            return out
+
+        monkeypatch.setattr(md, "train_step", step)
+        for n_nodes, n_calls in ((48, 2 * 6), (240, 2 * 30)):
+            store = generate_synthetic(n_nodes, 150, Rng(5))
+            peaks.clear()
+            _traced_peak(lambda: train(store, cfg))
+            assert len(peaks) == n_calls
+            assert max(peaks) <= self.STEP_PEAK, (n_nodes, max(peaks))
 
 
 class TestTrain:
