@@ -18,7 +18,11 @@ matrix, on one 64-node ``psld synth`` series (seed 3) and its adjacency:
   row blocks (``training.STEP_ROWS``);
 - ``psld eval`` of each of those checkpoints on val and test, with and
   without ``--denormalize``, each with ``--dump-predictions``;
-- ``psld gradcheck --n-seeds 20`` for each decomposer/mode pair.
+- ``psld gradcheck --n-seeds 20`` for each decomposer/mode pair;
+- on a 1024-node ``psld synth`` series (seed 0, no adjacency), the
+  benchmark's ``train-large`` shape: ``psld train`` mvd/separate, seed 0,
+  2 epochs, whose steps run as row blocks, and ``psld eval`` of its val
+  split with ``--dump-predictions``.
 
 To check that a change keeps every byte, run the first form once with
 ``--src`` at the parent's source and once at the change's, then compare.
@@ -71,6 +75,15 @@ def run_matrix(work: Path, src: Path, threads: int) -> None:
     for kind, mode in COMBOS:
         _psld(["gradcheck", "--decomposer", kind, "--mode", mode, "--n-seeds", "20"],
               work / f"gradcheck-{kind}-{mode}", src, threads)
+    large = work / "data-1024"
+    _psld(["synth", "--nodes", "1024", "--seed", "0", "--out", str(large)], large, src, threads)
+    run = work / "mvd-separate-1024"
+    _psld(["train", "--data", str(large / "series.csv"), "--out", str(run),
+           "--seed", "0", "--epochs", "2"], run, src, threads)
+    out = run / "eval-val"
+    _psld(["eval", "--checkpoint", str(run / "checkpoint.psld"), "--data",
+           str(large / "series.csv"), "--split", "val",
+           "--dump-predictions", str(out / "predictions.csv")], out, src, threads)
 
 
 def digests(root: Path) -> dict:

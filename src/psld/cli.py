@@ -36,10 +36,10 @@ from .sampler import NORM_MODES, SampleDesign, random_graph, unbiasedness_mc_che
 from .training import (
     TrainConfig,
     _n_rows,
+    _split_stats,
     baseline_last_value,
     baseline_plain_mlp,
     evaluate,
-    prepare_store,
     train,
 )
 
@@ -218,10 +218,9 @@ def cmd_train(args) -> int:
     )
 
     params, reports = train(store, config)
-    parts, _, _ = prepare_store(store, config, ("test",))
-    test_split = (0, parts["test"].l_data)
-    test = evaluate(params, parts["test"], config, test_split)
-    baselines = {"last_value": baseline_last_value(parts["test"], config, test_split)}
+    ranges, stats = _split_stats(store, config)
+    test = evaluate(params, store, config, ranges["test"], norm_stats=stats)
+    baselines = {"last_value": baseline_last_value(store, config, ranges["test"], stats)}
     if args.baseline_mlp:
         baselines["plain_mlp"] = baseline_plain_mlp(store, config)
 
@@ -266,18 +265,16 @@ def cmd_eval(args) -> int:
     params, sidecar = load_checkpoint(args.checkpoint)
     config = _sidecar_config(args.checkpoint, sidecar)
     store = load_csv(args.data, args.adjacency)
-    # the split's columns alone; a split too short for a window fails here,
-    # before a dump file is created
-    parts, ranges, stats = prepare_store(store, config, (args.split,))
-    normed = parts[args.split]
-    split = (0, normed.l_data)
+    # a split too short for a window fails here, before a dump file is created
+    ranges, stats = _split_stats(store, config, (args.split,))
+    split = ranges[args.split]
     denorm = stats if args.denormalize else None
     if args.dump_predictions:
         with _atomic_write(args.dump_predictions) as f:
-            sink = _prediction_writer(f, normed, config, ranges[args.split][0])
-            metrics = evaluate(params, normed, config, split, denorm, sink=sink)
+            sink = _prediction_writer(f, store, config, split[0])
+            metrics = evaluate(params, store, config, split, denorm, sink=sink, norm_stats=stats)
     else:
-        metrics = evaluate(params, normed, config, split, denorm)
+        metrics = evaluate(params, store, config, split, denorm, norm_stats=stats)
     _dump_json({"split": args.split, "mse": metrics["mse"], "mae": metrics["mae"]})
     return EXIT_OK
 
@@ -285,7 +282,7 @@ def cmd_eval(args) -> int:
 def _prediction_writer(f, store, config, t0: int):
     """Write the CSV header to f, return an ``evaluate`` sink writing each chunk's rows.
 
-    ``store`` holds the scored split's columns, the first of them time step ``t0``.
+    ``t0`` is the time step of the scored split's first column.
     """
     ids, l_out = store.node_ids, config.l_out
     f.write("t0,node,h,y,y_hat\n")

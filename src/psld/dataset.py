@@ -41,7 +41,9 @@ class SeriesStore:
     array-like of that shape, copied once unless it is a read-only float64
     array, and checked once: node indices are integers in [0, n_nodes)
     without self-loops (exact below 2**53), weights finite. Stores derived
-    by ``apply_norm`` and ``restrict_time`` share it unchecked.
+    by ``apply_norm`` and ``restrict_time`` share it unchecked. ``values``
+    is kept as given when it is float64 with contiguous rows, so a column
+    slice is not copied; anything else is copied C-contiguous.
     """
 
     values: np.ndarray
@@ -49,9 +51,11 @@ class SeriesStore:
     adjacency: np.ndarray | None = None
 
     def __post_init__(self):
-        v = np.ascontiguousarray(np.asarray(self.values, dtype=np.float64))
+        v = np.asarray(self.values, dtype=np.float64)
         if v.ndim != 2:
             raise ShapeError(f"series values must be 2-D, got shape {v.shape}")
+        if v.strides[1] != v.itemsize:
+            v = np.ascontiguousarray(v)
         if v.shape[0] < 1 or v.shape[1] < 2:
             raise ShapeError(f"need at least 1 node and 2 timesteps, got {v.shape}")
         object.__setattr__(self, "values", v)
@@ -429,34 +433,41 @@ def fit_norm_stats(store: SeriesStore, train_len: int) -> NormStats:
     return NormStats(head.mean(axis=1), head.std(axis=1))
 
 
-def apply_norm(store: SeriesStore, stats: NormStats, sigma_floor: float = SIGMA_FLOOR,
-               span: tuple | None = None) -> SeriesStore:
+def _norm_columns(stats: NormStats, sigma_floor: float) -> tuple:
+    """(mu, scale) as (n_nodes, 1) columns: a node's value x normalizes to (x - mu) / scale.
+
+    ``scale`` is ``max(sigma, sigma_floor)``. ``apply_norm`` and the
+    training and scoring gathers apply these two per-element ops in this
+    order, so a value normalizes to the same bits wherever it is read.
+    """
+    return stats.mu[:, None], np.maximum(stats.sigma, sigma_floor)[:, None]
+
+
+def apply_norm(store: SeriesStore, stats: NormStats,
+               sigma_floor: float = SIGMA_FLOOR) -> SeriesStore:
     """Return a store with values (x - mu) / max(sigma, sigma_floor).
 
-    With ``span`` = (t0, t1) only timesteps [t0, t1) are normalized, into a
-    store of their own, bit for bit ``restrict_time`` of the whole result.
     The difference is divided in place, so the output is the one array
     allocated.
     """
     if stats.mu.shape[0] != store.n_nodes:
         raise ShapeError(f"stats cover {stats.mu.shape[0]} nodes, store has {store.n_nodes}")
-    t0, t1 = (0, store.l_data) if span is None else _checked_span(store, *span)
-    scale = np.maximum(stats.sigma, sigma_floor)
-    normed = store.values[:, t0:t1] - stats.mu[:, None]
-    normed /= scale[:, None]
+    mu, scale = _norm_columns(stats, sigma_floor)
+    normed = store.values - mu
+    normed /= scale
     return _with_edges(SeriesStore(normed, store.node_ids), store.adjacency)
 
 
-def _checked_span(store: SeriesStore, t0: int, t1: int) -> tuple:
+def restrict_time(store: SeriesStore, t0: int, t1: int) -> SeriesStore:
+    """The store's timesteps [t0, t1), keeping ids and adjacency.
+
+    Its values are a read-only view of those columns: nothing is copied.
+    """
     if not (0 <= t0 < t1 <= store.l_data):
         raise ValueError(f"invalid time range [{t0}, {t1}) for length {store.l_data}")
-    return t0, t1
-
-
-def restrict_time(store: SeriesStore, t0: int, t1: int) -> SeriesStore:
-    """Slice the store to timesteps [t0, t1), keeping ids and adjacency."""
-    t0, t1 = _checked_span(store, t0, t1)
-    return _with_edges(SeriesStore(store.values[:, t0:t1].copy(), store.node_ids), store.adjacency)
+    columns = store.values[:, t0:t1]
+    columns.flags.writeable = False
+    return _with_edges(SeriesStore(columns, store.node_ids), store.adjacency)
 
 
 def _windows(values: np.ndarray, l_in: int, l_out: int) -> tuple:

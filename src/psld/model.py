@@ -259,13 +259,30 @@ class HeadCache:
 
 
 def _buffer(buffers: dict | None, key: str, shape: tuple) -> np.ndarray:
-    """The array kept under ``key`` (made anew for a new shape), or a fresh one without buffers."""
+    """A (rows, width) array: a fresh one without buffers, else the first rows of the one kept.
+
+    The array kept under ``key`` has the most rows asked for so far; it is
+    made anew only for more rows or another width, and the C-contiguous
+    view of its first ``rows`` is returned. So row blocks whose sizes
+    differ by one row share one array.
+    """
     if buffers is None:
         return np.empty(shape)
     buf = buffers.get(key)
-    if buf is None or buf.shape != shape:
+    if buf is None or buf.shape[0] < shape[0] or buf.shape[1:] != shape[1:]:
         buf = buffers[key] = np.empty(shape)
-    return buf
+    return buf[:shape[0]]
+
+
+def _product(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``a @ b`` written into ``out``.
+
+    numpy's matmul runs a one-column ``a`` (the mvd m and v heads' input
+    and output) through its own loop, about twice as slow as ``np.dot``,
+    which hands it to BLAS with the same bits, zero signs included. For
+    wider ``a``, matmul is the faster.
+    """
+    return (np.dot if a.shape[1] == 1 else np.matmul)(a, b, out=out)
 
 
 def _head_forward(head: Head, z: np.ndarray, dropout: float, rng: Rng | None,
@@ -280,7 +297,7 @@ def _head_forward(head: Head, z: np.ndarray, dropout: float, rng: Rng | None,
     if z.ndim != 2 or z.shape[1] != in_len:
         raise ShapeError(f"head '{name}': expected input (rows, {in_len}), got {z.shape}")
     hidden = (z.shape[0], head.w1.shape[0])
-    a = np.matmul(z, head.w1.T, out=_buffer(buffers, f"{name}.h1", hidden))
+    a = _product(z, head.w1.T, _buffer(buffers, f"{name}.h1", hidden))
     a += head.b1
     np.maximum(a, 0.0, out=a)
     h2 = _buffer(buffers, f"{name}.h2", hidden)
@@ -316,7 +333,7 @@ def _head_backward(head: Head, cache: HeadCache, g_out: np.ndarray, grads: Tenso
     name = head.name
     np.matmul(g_out.T, cache.h2, out=grads[f"{name}.p.w"])
     np.sum(g_out, axis=0, out=grads[f"{name}.p.b"])
-    d_h2 = np.matmul(g_out, head.wp, out=cache.h2)
+    d_h2 = _product(g_out, head.wp, cache.h2)
     np.matmul(d_h2.T, cache.ad, out=grads[f"{name}.l2.w"])
     np.sum(d_h2, axis=0, out=grads[f"{name}.l2.b"])
     gate = cache.ad > 0.0

@@ -11,10 +11,12 @@ every epoch picks the returned parameters; there is no early stopping.
 Everything is a pure function of the config and seed: rerunning with
 identical inputs reproduces reports and parameters bit for bit.
 
-``train`` and ``baseline_plain_mlp`` take the raw store and normalize
-only the split columns they read. ``evaluate`` and ``baseline_last_value``
-score the store they are given, on whatever scale it carries; callers
-normalize it themselves (``prepare_store``).
+``train`` and ``baseline_plain_mlp`` take the raw store and keep no
+normalized copy of it: every row they train or score on is normalized as
+it is gathered from the raw columns (``_gather``), with the train split's
+stats. ``evaluate`` and ``baseline_last_value`` score the store they are
+given, normalized by the caller (``prepare_store``) or, with
+``norm_stats``, row by row as they gather it.
 """
 
 from __future__ import annotations
@@ -34,9 +36,11 @@ from .dataset import (
     SPLIT_RATIOS,
     NormStats,
     SeriesStore,
+    _norm_columns,
     _windows,
     apply_norm,
     fit_norm_stats,
+    restrict_time,
     split_ranges,
 )
 from .exceptions import NumericError, ShapeError
@@ -163,22 +167,21 @@ class EpochReport:
         return {f.name: getattr(self, f.name) for f in fields(self) if f.compare}
 
 
-def prepare_store(store: SeriesStore, config: TrainConfig, splits: tuple = ()):
-    """Normalize with train-split stats; returns (store, ranges, stats).
+def _split_stats(store: SeriesStore, config: TrainConfig, windowed: tuple = ()) -> tuple:
+    """(ranges, stats): the store's split ranges and its train split's norm stats.
 
-    With ``splits`` (names of ``ranges``) the first item is instead a dict
-    from each name to a store of that split's columns alone, bit for bit
-    those columns of the whole normalized store, which is then not made.
-    A split too short for one window raises the ``ValueError`` that
-    windowing it would, before anything is normalized.
+    A split named in ``windowed`` that is too short for one window raises
+    the ``ValueError`` that windowing it would, before the stats are fitted.
     """
     ranges = split_ranges(store.l_data, config.split)
-    for name in splits:
+    for name in windowed:
         _n_rows(store, config.l_in, config.l_out, ranges[name])
-    stats = fit_norm_stats(store, ranges["train"][1])
-    if splits:
-        return ({name: apply_norm(store, stats, config.sigma_floor, ranges[name])
-                 for name in splits}, ranges, stats)
+    return ranges, fit_norm_stats(store, ranges["train"][1])
+
+
+def prepare_store(store: SeriesStore, config: TrainConfig):
+    """Normalize the whole store with train-split stats; returns (store, ranges, stats)."""
+    ranges, stats = _split_stats(store, config)
     return apply_norm(store, stats, config.sigma_floor), ranges, stats
 
 
@@ -187,8 +190,24 @@ def _n_rows(store: SeriesStore, l_in: int, l_out: int, split: tuple) -> int:
     return math.prod(_windows(store.values[:, split[0]:split[1]], l_in, l_out)[0].shape[:2])
 
 
+def _gather(view: np.ndarray, node: np.ndarray, win: np.ndarray, norm: tuple | None):
+    """Rows ``view[node[i], win[i]]`` of a node-major window view, as a C-contiguous copy.
+
+    With ``norm``, the (mu, scale) columns of ``dataset._norm_columns``,
+    each row is normalized in place by its node's, as ``apply_norm`` would
+    normalize the values it holds: so a row gathered from raw columns has
+    the bits of the same row gathered from the normalized store.
+    """
+    rows = view[node, win]
+    if norm is not None:
+        mu, scale = norm
+        rows -= mu[node]
+        rows /= scale[node]
+    return rows
+
+
 def _forecast_chunks(store: SeriesStore, config: TrainConfig, split: tuple, forecast,
-                     denorm_stats: NormStats | None = None):
+                     denorm_stats: NormStats | None = None, norm_stats: NormStats | None = None):
     """Yield (lo, pred, y): ``forecast(x)`` and truth of the split rows [lo, lo + len(pred)).
 
     The split has one row per (window, node), window-major: row
@@ -205,26 +224,28 @@ def _forecast_chunks(store: SeriesStore, config: TrainConfig, split: tuple, fore
     once each, in order: of the rows the shifted last chunk repeats, its
     forecasts are the ones yielded, so the chunk before it stops where it
     starts. ``pred`` may be a buffer ``forecast`` reuses, so it is valid
-    only until the next chunk. With ``denorm_stats`` forecast and truth are
-    mapped back to the raw scale.
+    only until the next chunk. With ``norm_stats`` the store holds raw
+    values, and each chunk's inputs and truth are normalized with them as
+    they are gathered (``_gather``). With ``denorm_stats`` forecast and
+    (normalized) truth are mapped back to the raw scale.
     """
     xv, yv = _windows(store.values[:, split[0]:split[1]], config.l_in, config.l_out)
     n_nodes, n_rows = xv.shape[0], math.prod(xv.shape[:2])
     size = min(EVAL_CHUNK_ROWS, n_rows)
     last = n_rows - size  # where the shifted last chunk starts
+    norm = None if norm_stats is None else _norm_columns(norm_stats, config.sigma_floor)
     if denorm_stats is not None:
-        mu = denorm_stats.mu[:, None]
-        sigma = np.maximum(denorm_stats.sigma, config.sigma_floor)[:, None]
+        mu, scale = _norm_columns(denorm_stats, config.sigma_floor)
     for start in range(0, n_rows, size):
         lo = min(start, last)
         keep = (n_rows if lo == last else min(lo + size, last)) - lo
         win, node = np.divmod(np.arange(lo, lo + size), n_nodes)
-        pred = forecast(xv[node, win])[:keep]
+        pred = forecast(_gather(xv, node, win, norm))[:keep]
         win, node = win[:keep], node[:keep]
-        y = yv[node, win]
+        y = _gather(yv, node, win, norm)
         if denorm_stats is not None:
-            pred = pred * sigma[node] + mu[node]
-            y = y * sigma[node] + mu[node]
+            pred = pred * scale[node] + mu[node]
+            y = y * scale[node] + mu[node]
         yield lo, pred, y
 
 
@@ -280,7 +301,8 @@ def _metrics(chunks, shape: tuple, sink=None) -> dict:
 
 
 def evaluate(params, store: SeriesStore, config: TrainConfig, split: tuple,
-             denorm_stats: NormStats | None = None, sink=None) -> dict:
+             denorm_stats: NormStats | None = None, sink=None,
+             norm_stats: NormStats | None = None) -> dict:
     """MSE and MAE over all windows, horizon steps, and nodes of the split.
 
     The forecast is made in chunks of ``EVAL_CHUNK_ROWS`` rows (see
@@ -290,58 +312,69 @@ def evaluate(params, store: SeriesStore, config: TrainConfig, split: tuple,
     set of buffers, made afresh for each call: fresh ones per chunk (about
     4 MiB at hidden 128) are handed back to the OS by glibc's heap trimming
     whenever nothing live sits above them, and page-faulted in again by the
-    next chunk. With ``denorm_stats`` both forecast and truth are
-    mapped back to the raw scale before the metrics. ``sink(lo, pred, y)``,
-    if given, sees every chunk ``_forecast_chunks`` yields, so one pass
-    can both score and write the forecast.
+    next chunk. With ``norm_stats`` the store holds raw values, which are
+    normalized chunk by chunk as they are gathered; the metrics equal those
+    of the store ``apply_norm`` makes with the same stats, to the bit. With
+    ``denorm_stats`` both forecast and truth are mapped back to the raw
+    scale before the metrics. ``sink(lo, pred, y)``, if given, sees every
+    chunk ``_forecast_chunks`` yields, so one pass can both score and write
+    the forecast.
     """
     shape = (_n_rows(store, config.l_in, config.l_out, split), config.l_out)
     dcfg, buffers = config.decomposer_config(), {}
     chunks = _forecast_chunks(store, config, split,
-                              lambda x: md.predict(params, x, dcfg, buffers), denorm_stats)
+                              lambda x: md.predict(params, x, dcfg, buffers), denorm_stats,
+                              norm_stats)
     return _metrics(chunks, shape, sink)
 
 
-def _sample_minibatch(windows: tuple, node_index: np.ndarray, k: int, rng: Rng):
-    """Up to k windows of the nodes in ``node_index``, stacked into head-layout rows.
+def _sample_minibatch(windows: tuple, node_index: np.ndarray, k: int, rng: Rng,
+                      norm: tuple | None) -> tuple:
+    """Up to k windows of the nodes in ``node_index``, as (n_rows, rows).
 
-    ``windows`` are the node-major (x, y) views of the train store
-    (``_windows``). One fancy index per view copies the sampled windows,
-    window-major and in ``node_index`` order, as C-contiguous rows: the
-    reshapes copy nothing.
+    One ``choice`` draw picks the windows. The minibatch has one row per
+    (window, node), window-major and in ``node_index`` order;
+    ``rows(lo, hi)`` gathers its rows [lo, hi) as (x, y) from the
+    node-major views ``windows`` (``_windows`` of the train columns),
+    normalized with ``norm`` (see ``_gather``). So nothing the size of the
+    step is made, only the block asked for.
     """
     xv, yv = windows
-    take = min(k, xv.shape[1])
-    idx = rng.gen.choice(xv.shape[1], size=take, replace=False)
-    rows = (node_index[None, :], idx[:, None])
-    return xv[rows].reshape(-1, xv.shape[2]), yv[rows].reshape(-1, yv.shape[2])
+    idx = rng.gen.choice(xv.shape[1], size=min(k, xv.shape[1]), replace=False)
+
+    def rows(lo: int, hi: int) -> tuple:
+        at, pos = np.divmod(np.arange(lo, hi), len(node_index))
+        node, win = node_index[pos], idx[at]
+        return _gather(xv, node, win, norm), _gather(yv, node, win, norm)
+
+    return len(idx) * len(node_index), rows
 
 
-def _blocked_step(params, x_rows: np.ndarray, y_rows: np.ndarray, dcfg, lam: float, rng: Rng,
-                  buffers: dict, grad_sum: np.ndarray):
+def _blocked_step(params, n_rows: int, rows, dcfg, lam: float, rng: Rng, buffers: dict,
+                  grad_sum: np.ndarray):
     """Losses (total, cbn, cpn) and gradients of one step, in row blocks of at most STEP_ROWS.
 
-    The k = ceil(rows / STEP_ROWS) blocks are rows [rows * i // k,
-    rows * (i + 1) // k), so their sizes differ by at most one row. Each
-    runs through ``md.train_step`` with the same ``rng`` and ``buffers``,
-    in order, so dropout draws from the step's one stream. Every loss term
+    The step has ``n_rows`` rows, and ``rows(lo, hi)`` gives its rows
+    [lo, hi) as (x, y). The k = ceil(n_rows / STEP_ROWS) blocks are rows
+    [n_rows * i // k, n_rows * (i + 1) // k), so their sizes differ by at
+    most one row; each is gathered only when its pass runs. Each runs
+    through ``md.train_step`` with the same ``rng`` and ``buffers``, in
+    order, so dropout draws from the step's one stream. Every loss term
     is a mean over the rows, so the step's losses and gradient are the
     blocks' weighted by their share of the rows. The scaled gradients are
     added up in ``params.grads``, which is returned; ``grad_sum``, laid
     out like ``params.flat``, keeps the blocks so far while the next
-    block's pass overwrites ``params.grads``. A step of at most STEP_ROWS rows is one
-    block of share 1.0: it neither scales ``params.grads`` nor touches
-    ``grad_sum``, and its losses and gradient have the bits of one
+    block's pass overwrites ``params.grads``. A step of at most STEP_ROWS
+    rows is one block of share 1.0: it neither scales ``params.grads`` nor
+    touches ``grad_sum``, and its losses and gradient have the bits of one
     ``md.train_step``.
     """
-    rows = len(x_rows)
-    k = -(-rows // STEP_ROWS)
+    k = -(-n_rows // STEP_ROWS)
     losses = np.zeros(3)
     for i in range(k):
-        lo, hi = rows * i // k, rows * (i + 1) // k
-        part, grads = md.train_step(params, x_rows[lo:hi], y_rows[lo:hi], dcfg, lam, rng,
-                                    buffers)
-        share = (hi - lo) / rows
+        lo, hi = n_rows * i // k, n_rows * (i + 1) // k
+        part, grads = md.train_step(params, *rows(lo, hi), dcfg, lam, rng, buffers)
+        share = (hi - lo) / n_rows
         losses += (share * part.total, share * part.cbn, share * part.cpn)
         if k > 1:  # a pass over every parameter, which share 1.0 would leave as it is
             grads.flat *= share
@@ -352,13 +385,16 @@ def _blocked_step(params, x_rows: np.ndarray, y_rows: np.ndarray, dcfg, lam: flo
     return tuple(losses), grads
 
 
-def _fit(params, train_store: SeriesStore, val_store: SeriesStore, config: TrainConfig):
-    """The epoch loop of train() and the plain baseline, on normalized split stores.
+def _fit(params, store: SeriesStore, config: TrainConfig, ranges: dict, stats: NormStats):
+    """The epoch loop of train() and the plain baseline, on the raw store.
 
-    ``train_store`` and ``val_store`` hold the train and val columns alone
-    (``prepare_store`` with ``splits``): each epoch partitions the first's
-    nodes, gathers every step's minibatch from its window views, and
-    validates on the whole of the second. Trains ``params`` in place and
+    ``ranges`` and ``stats`` are the store's (``_split_stats``). Each
+    epoch partitions the nodes of the train columns (``restrict_time``, a
+    view), gathers every step's minibatch from their window views block by
+    block, normalized with ``stats`` as it is gathered, and validates on
+    the whole val split, normalized chunk by chunk as evaluation gathers
+    it. So no normalized copy of a split is made, and nothing the size of
+    a split or of a whole step is held. Trains ``params`` in place and
     returns (best_params, reports) as train() does; ``md.train_step`` is
     the only model-specific call. The best parameters are kept in one
     preallocated vector, refilled with ``np.copyto`` whenever validation
@@ -376,8 +412,9 @@ def _fit(params, train_store: SeriesStore, val_store: SeriesStore, config: Train
     vector, like the best parameters, which only steps of more than one
     block write.
     """
-    val_split = (0, val_store.l_data)
+    train_store = restrict_time(store, *ranges["train"])
     windows = _windows(train_store.values, config.l_in, config.l_out)
+    norm = _norm_columns(stats, config.sigma_floor)
     root = Rng(config.seed)
     adam = md.AdamState.for_params(params)
     dcfg = config.decomposer_config()
@@ -396,10 +433,10 @@ def _fit(params, train_store: SeriesStore, val_store: SeriesStore, config: Train
         )
         sums = np.zeros(3)
         for step, batch in enumerate(batches):
-            x_rows, y_rows = _sample_minibatch(windows, batch.node_index, config.minibatch,
-                                               erng.child("minibatch", step))
+            n_rows, rows = _sample_minibatch(windows, batch.node_index, config.minibatch,
+                                             erng.child("minibatch", step), norm)
             try:
-                losses, grads = _blocked_step(params, x_rows, y_rows, dcfg, config.lam,
+                losses, grads = _blocked_step(params, n_rows, rows, dcfg, config.lam,
                                               erng.child("dropout", step), step_buffers,
                                               grad_sum)
             except NumericError as err:
@@ -407,7 +444,7 @@ def _fit(params, train_store: SeriesStore, val_store: SeriesStore, config: Train
             md.adam_step(params, grads, adam, config.lr)
             sums += losses
         step_buffers.clear()
-        val = evaluate(params, val_store, config, val_split)
+        val = evaluate(params, store, config, ranges["val"], norm_stats=stats)
         reports.append(EpochReport(
             epoch=epoch,
             train_total=float(sums[0] / len(batches)),
@@ -427,31 +464,34 @@ def train(store: SeriesStore, config: TrainConfig):
     """Train on the store's train split, validating after each epoch.
 
     Returns (best_params, reports) where best_params minimizes validation
-    MSE over epochs (earliest epoch wins ties). Only the train and val
-    columns are normalized, each into a store of its own.
+    MSE over epochs (earliest epoch wins ties). The store keeps its raw
+    values: rows are normalized as they are gathered (see ``_fit``).
     """
-    parts, _, _ = prepare_store(store, config, ("train", "val"))
+    ranges, stats = _split_stats(store, config, ("train", "val"))
     params = md.init_params(
         config.decomposer, config.l_in, config.l_out, config.hidden,
         config.dropout, config.mode, Rng(config.seed).child("init"),
     )
-    return _fit(params, parts["train"], parts["val"], config)
+    return _fit(params, store, config, ranges, stats)
 
 
-def baseline_last_value(store: SeriesStore, config: TrainConfig, split: tuple) -> dict:
+def baseline_last_value(store: SeriesStore, config: TrainConfig, split: tuple,
+                        norm_stats: NormStats | None = None) -> dict:
     """Repeat the last observed input value across the whole horizon.
 
     Scored through ``_forecast_chunks`` as ``evaluate`` scores the model,
-    on the same rows in the same chunks.
+    on the same rows in the same chunks, normalized with ``norm_stats`` as
+    they are gathered if given.
     """
     shape = (_n_rows(store, config.l_in, config.l_out, split), config.l_out)
-    return _metrics(_forecast_chunks(store, config, split, lambda x: x[:, -1:]), shape)
+    chunks = _forecast_chunks(store, config, split, lambda x: x[:, -1:], norm_stats=norm_stats)
+    return _metrics(chunks, shape)
 
 
 def baseline_plain_mlp(store: SeriesStore, config: TrainConfig) -> dict:
     """Test metrics of the plain single-head model under the same budget."""
-    parts, _, _ = prepare_store(store, config, ("train", "val", "test"))
+    ranges, stats = _split_stats(store, config, ("train", "val", "test"))
     params = md.init_plain_params(config.l_in, config.l_out, config.hidden,
                                   config.dropout, Rng(config.seed).child("init"))
-    params, _ = _fit(params, parts["train"], parts["val"], config)
-    return evaluate(params, parts["test"], config, (0, parts["test"].l_data))
+    params, _ = _fit(params, store, config, ranges, stats)
+    return evaluate(params, store, config, ranges["test"], norm_stats=stats)

@@ -124,30 +124,37 @@ class TestTrain:
         for row in metrics["epochs"]:
             assert abs(row["train_total"] - row["train_cbn"]) <= 1e-12
 
-    def test_normalizes_once_per_model(self, dataset, tmp_path, capsys, monkeypatch):
-        # train, the test metrics and the plain baseline each fit the stats
-        # once and normalize each column they read once: train its train
-        # and val columns, the test metrics the test columns, the baseline
-        # its three splits
-        fits, spans = [], {}
-        real_fit, real_norm = training.fit_norm_stats, training.apply_norm
+    def test_scores_as_the_normalized_store_without_normalizing_one(self, dataset, tmp_path,
+                                                                     capsys, monkeypatch):
+        # train, the test metrics and the plain baseline normalize rows as
+        # they gather them, so apply_norm is never called; every figure is
+        # the one scored on prepare_store's whole normalized series
+        def no_copy(*args):
+            raise AssertionError("a normalized copy of the series was made")
 
-        def fit(store, train_len):
-            fits.append(real_fit(store, train_len))
-            return fits[-1]
-
-        def norm(store, stats, sigma_floor, span=None):
-            spans.setdefault(id(stats), []).append(span)
-            return real_norm(store, stats, sigma_floor, span)
-
-        monkeypatch.setattr(training, "fit_norm_stats", fit)
-        monkeypatch.setattr(training, "apply_norm", norm)
-        code, _, _ = run_cli(capsys, *train_args(dataset, tmp_path / "run", "--baseline-mlp"))
+        out = tmp_path / "run"
+        monkeypatch.setattr(training, "apply_norm", no_copy)
+        code, _, _ = run_cli(capsys, *train_args(dataset, out, "--baseline-mlp"))
         assert code == EXIT_OK
-        assert len(fits) == 3
-        ranges = training.split_ranges(psld.load_csv(dataset / "series.csv").l_data)
-        splits = [ranges[name] for name in ("train", "val", "test")]
-        assert [spans[id(stats)] for stats in fits] == [splits[:2], splits[2:], splits]
+        monkeypatch.undo()
+        metrics = json.loads((out / "metrics.json").read_text())
+        params, sidecar = psld.load_checkpoint(out / "checkpoint.psld")
+        config = TrainConfig.from_dict(sidecar["config"])
+        store = psld.load_csv(dataset / "series.csv")
+        normed, ranges, _ = training.prepare_store(store, config)
+        assert metrics["test"] == training.evaluate(params, normed, config, ranges["test"])
+        assert metrics["baselines"]["last_value"] == training.baseline_last_value(
+            normed, config, ranges["test"])
+        best = min(e["val_mse"] for e in metrics["epochs"])
+        assert training.evaluate(params, normed, config, ranges["val"])["mse"] == best
+        # the plain baseline trained on the normalized series, which the
+        # identity stats leave as it is
+        identity = psld.NormStats(np.zeros(store.n_nodes), np.ones(store.n_nodes))
+        plain = psld.init_plain_params(config.l_in, config.l_out, config.hidden,
+                                       config.dropout, Rng(config.seed).child("init"))
+        plain, _ = training._fit(plain, normed, config, ranges, identity)
+        assert metrics["baselines"]["plain_mlp"] == training.evaluate(plain, normed, config,
+                                                                      ranges["test"])
 
     @pytest.mark.parametrize("extra", [(), ("--baseline-mlp",)], ids=["plain", "baseline-mlp"])
     def test_edges_are_checked_once_per_run(self, dataset, tmp_path, capsys, monkeypatch,
@@ -576,10 +583,11 @@ class TestEval:
 
     @pytest.mark.parametrize("split", ["val", "test"])
     @pytest.mark.parametrize("denormalize", [False, True])
-    def test_normalizes_only_the_scored_split(self, dataset, tmp_path, capsys, monkeypatch,
-                                             split, denormalize):
-        # the split's columns are normalized once, alone, and score and dump
-        # as that range of the whole normalized series does, t0 absolute
+    def test_scores_and_dumps_as_the_normalized_store(self, dataset, tmp_path, capsys,
+                                                      monkeypatch, split, denormalize):
+        # no normalized copy is made: the split's rows are normalized as they
+        # are gathered, and score and dump as the whole normalized series
+        # does, bit for bit, t0 absolute
         out = tmp_path / "run"
         run_cli(capsys, *train_args(dataset, out))
         params, sidecar = psld.load_checkpoint(out / "checkpoint.psld")
@@ -591,20 +599,17 @@ class TestEval:
             metrics = training.evaluate(
                 params, normed, config, ranges[split], stats if denormalize else None,
                 sink=cli._prediction_writer(f, normed, config, ranges[split][0]))
-        spans, real_norm = [], training.apply_norm
 
-        def norm(store, stats, sigma_floor, span=None):
-            spans.append(span)
-            return real_norm(store, stats, sigma_floor, span)
+        def no_copy(*args):
+            raise AssertionError("a normalized copy of the series was made")
 
-        monkeypatch.setattr(training, "apply_norm", norm)
+        monkeypatch.setattr(training, "apply_norm", no_copy)
         preds = tmp_path / "preds.csv"
         code, stdout, _ = run_cli(capsys, "eval", "--checkpoint", str(out / "checkpoint.psld"),
                                   "--data", str(dataset / "series.csv"), "--split", split,
                                   "--dump-predictions", str(preds),
                                   *(["--denormalize"] if denormalize else []))
         assert code == EXIT_OK
-        assert spans == [ranges[split]]
         assert json.loads(stdout) == {"split": split, **metrics}
         assert preds.read_bytes() == want.read_bytes()
         t0 = {int(line.split(",")[0]) for line in want.read_text().splitlines()[1:]}

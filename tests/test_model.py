@@ -475,6 +475,53 @@ class TestKeptActivationGate:
             assert np.array_equal(bits(grads[name]), bits(want_grads[name])), name
 
 
+class TestRankOneProducts:
+    # the mvd m and v heads have one input and one output column; their
+    # first forward product and their backward g_out @ Wp run through
+    # np.dot, which must give np.matmul's bits, zero signs included
+    @pytest.mark.parametrize("rows,width", [(512, 128), (7, 16), (1024, 384)])
+    def test_dot_has_the_matmul_bits(self, rows, width):
+        g = Rng(6).gen
+        a = g.standard_normal((rows, 1))
+        w = g.standard_normal((width, 1))
+        a[::3], a[1::3] = 0.0, -0.0
+        w[::5], w[1::5] = -0.0, 0.0
+        for right in (w.T, np.ascontiguousarray(w.T)):  # forward's W1.T, backward's Wp
+            want = np.matmul(a, right)
+            got = md._product(a, right, np.empty((rows, width)))
+            assert np.any(want == 0.0)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+            assert np.array_equal(bits(got), bits(want))
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.5])
+    def test_one_column_head_matches_the_reference(self, dropout):
+        # a one-column head with +0.0 / -0.0 inputs and weights, forward and
+        # backward, against the reference head's @ products
+        g = Rng(7).gen
+        p = init_params("mvd", 8, 4, 16, dropout, "separate", Rng(1))
+        head = p.heads["m"]
+        assert head.w1.shape[1] == 1 and head.wp.shape[0] == 1
+        head.w1[::4], head.w1[1::4] = 0.0, -0.0
+        head.wp[0, ::3] = -0.0
+        z = g.standard_normal((9, 1))
+        z[::3], z[1::3] = 0.0, -0.0
+        g_out = g.standard_normal((9, 1))
+        g_out[::2] = -0.0
+        out, cache = md._head_forward(head, z, dropout, Rng(2))
+        want_out, want = reference_head_forward(head, z, dropout, Rng(2))
+        assert np.array_equal(bits(out), bits(want_out))
+        assert np.array_equal(bits(cache.h2), bits(want.h2))
+        grads = {f"m.{s}": np.empty(t.shape) for s, t in
+                 zip(md._SUFFIXES, (head.w1, head.b1, head.w2, head.b2, head.wp, head.bp))}
+        d_h1 = md._head_backward(head, cache, g_out, grads)
+        want_grads = {}
+        want_d_h1 = reference_head_backward(head, want, g_out, want_grads)
+        assert np.array_equal(np.signbit(d_h1), np.signbit(want_d_h1))
+        assert np.array_equal(bits(d_h1), bits(want_d_h1))
+        for name in grads:
+            assert np.array_equal(bits(grads[name]), bits(want_grads[name])), name
+
+
 class TestStepMemory:
     # traced bytes of one training step with step buffers, in units of one
     # (rows, width) float64 array, width the component heads' hidden width:
@@ -553,7 +600,27 @@ class TestFlatBuffers:
             assert got_loss == loss
             for name in want:
                 assert np.array_equal(bits(got[name]), bits(want[name])), name
-        assert buffers and all(b.shape[0] == 6 for b in buffers.values())
+        # each buffer keeps the most rows asked for, 9, and serves 6 as a view
+        assert buffers and all(b.shape[0] == 9 for b in buffers.values())
+
+    def test_alternating_block_sizes_share_one_array_per_buffer(self):
+        # balanced row blocks alternate between 906 and 907 rows: each key's
+        # array is made for the first 906-row block and again for the first
+        # 907-row one, then serves every block as a view of its first rows
+        p, cfg = variant_model("mvd", "separate")
+        buffers, seen = {}, []
+        for step, rows in enumerate([906, 907] * 4):
+            g = Rng(9).child(step).gen
+            x, y = g.standard_normal((rows, 8)), g.standard_normal((rows, 4))
+            md.train_step(p, x, y, cfg, 0.5, Rng(5).child(step), buffers)
+            seen.append(dict(buffers))  # holds every array made, so no id is reused
+        made = {id(b) for kept in seen for b in kept.values()}
+        assert buffers and len(made) == 2 * len(buffers)
+        assert all(b.shape[0] == 907 for b in buffers.values())
+        key, kept = next(iter(buffers.items()))
+        view = md._buffer(buffers, key, (906, kept.shape[1]))
+        assert view.shape == (906, kept.shape[1]) and view.flags.c_contiguous
+        assert np.shares_memory(view, kept) and buffers[key] is kept
 
     def test_in_place_dropout_matches_product(self):
         head = init_params("stl", 8, 4, 16, 0.3, "separate", Rng(1)).heads["t"]

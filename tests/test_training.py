@@ -9,7 +9,16 @@ from psld import model as md
 from psld import numerics
 from psld import sampler
 from psld import training as tr
-from psld.dataset import SeriesStore, _windows, generate_synthetic, restrict_time, split_ranges
+from psld.dataset import (
+    NormStats,
+    SeriesStore,
+    _norm_columns,
+    _windows,
+    apply_norm,
+    fit_norm_stats,
+    generate_synthetic,
+    split_ranges,
+)
 from psld.exceptions import ShapeError
 from psld.model import init_params, init_plain_params, named_tensors
 from psld.numerics import Rng
@@ -190,20 +199,30 @@ class TestEvaluate:
         assert got["mse"] == pytest.approx(se / pred.size, rel=1e-12)
         assert got["mae"] == pytest.approx(ae / pred.size, rel=1e-12)
 
-    def test_split_stores_are_the_normalized_columns_bit_for_bit(self, train_store):
-        # train and the plain baseline normalize each split into its own
-        # store; each equals those columns of prepare_store's whole series
-        cfg = small_config()
-        normed, ranges, stats = prepare_store(train_store, cfg)
-        names = ("train", "val", "test")
-        parts, part_ranges, part_stats = prepare_store(train_store, cfg, names)
-        assert list(parts) == list(names) and part_ranges == ranges
-        assert np.array_equal(part_stats.mu, stats.mu) and np.array_equal(part_stats.sigma,
-                                                                           stats.sigma)
-        for name in names:
-            got, want = parts[name], restrict_time(normed, *ranges[name])
-            assert got.values.flags.c_contiguous, name
-            assert np.array_equal(got.values.view(np.uint64), want.values.view(np.uint64)), name
+    @pytest.mark.parametrize("floor", [1e-300, 1e-8, 1e300])
+    def test_gathered_rows_are_the_normalized_store_rows_bit_for_bit(self, floor):
+        # rows gathered from raw windows and normalized as gathered equal
+        # the same rows of apply_norm's store, zero signs, tiny and huge
+        # values and the sigma floor included
+        tiny = 5e-324
+        values = np.array([
+            [0.0, -0.0, 0.0, -0.0, 1.0, -1.0, 2.5],
+            [tiny, -tiny, 3 * tiny, 2.2250738585072014e-308, -tiny, 0.0, 7.0],
+            [1e300, -1e300, 1e300, -1e300, 0.0, 5e299, -3.0],
+            [1.0, 2.0, -0.0, 0.0, tiny, -3.5, 0.25],
+        ])
+        store = SeriesStore(values, ("a", "b", "c", "d"))
+        stats = NormStats(np.array([0.0, -0.0, -1e300, tiny]),
+                          np.array([1.0, tiny, 1e300, 1e-9]))
+        normed = apply_norm(store, stats, floor)
+        node, win = np.array([3, 0, 1, 2, 2, 0, 1]), np.array([0, 3, 2, 1, 3, 2, 0])
+        for at in range(2):
+            view = _windows(store.values, 3, 1)[at]
+            want = _windows(normed.values, 3, 1)[at][node, win]
+            got = tr._gather(view, node, win, _norm_columns(stats, floor))
+            assert got.flags.c_contiguous and got.flags.writeable
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), floor
+            assert np.array_equal(tr._gather(view, node, win, None), view[node, win])
 
     @pytest.mark.parametrize("val_len", [1, 17])
     @pytest.mark.parametrize("fit", [train, baseline_plain_mlp], ids=["train", "plain"])
@@ -220,20 +239,31 @@ class TestEvaluate:
                                   "needs at least 18")
 
     @pytest.mark.parametrize("kind,mode", [("mvd", "separate"), ("stl", "merged")])
-    def test_split_store_scores_as_its_range_of_the_whole(self, kind, mode):
-        # validation on the val store alone, over several 512-row chunks and
-        # a shifted last one, gives the metrics of the whole series' val range
+    def test_raw_store_scores_as_the_normalized_one(self, kind, mode):
+        # the raw store, normalized chunk by chunk as it is gathered, over
+        # several 512-row chunks and a shifted last one, gives the metrics
+        # and the dumped rows of apply_norm's whole store, to the bit
         store = generate_synthetic(64, 400, Rng(4))
         cfg = small_config(decomposer=kind, mode=mode, kappa_t=5, kappa_s=3)
         params = init_params(kind, cfg.l_in, cfg.l_out, cfg.hidden, cfg.dropout, mode,
                              Rng(9).child("init"))
         normed, ranges, stats = prepare_store(store, cfg)
-        parts, _, _ = prepare_store(store, cfg, ("val", "test"))
-        for name, alone in parts.items():
-            assert tr._n_rows(alone, cfg.l_in, cfg.l_out, (0, alone.l_data)) > 2 * tr.EVAL_CHUNK_ROWS
+        for name in ("val", "test"):
+            split = ranges[name]
+            assert tr._n_rows(store, cfg.l_in, cfg.l_out, split) > 2 * tr.EVAL_CHUNK_ROWS
+            assert (baseline_last_value(store, cfg, split, stats)
+                    == baseline_last_value(normed, cfg, split)), name
             for denorm in (None, stats):
-                got = evaluate(params, alone, cfg, (0, alone.l_data), denorm)
-                assert got == evaluate(params, normed, cfg, ranges[name], denorm), name
+                rows = {}
+                got = evaluate(params, store, cfg, split, denorm, norm_stats=stats,
+                               sink=lambda lo, p, y: rows.setdefault("got", []).append(
+                                   np.hstack([p, y])))
+                want = evaluate(params, normed, cfg, split, denorm,
+                                sink=lambda lo, p, y: rows.setdefault("want", []).append(
+                                    np.hstack([p, y])))
+                assert got == want, name
+                assert np.array_equal(np.concatenate(rows["got"]).view(np.uint64),
+                                      np.concatenate(rows["want"]).view(np.uint64)), name
 
     def test_constant_offset_metrics(self):
         # forecasting y + c with truth y gives mse c^2 and mae |c|
@@ -468,27 +498,43 @@ class TestSampleMinibatch:
     @pytest.mark.parametrize("k", [1, 7, 500])
     def test_rows_equal_window_gather(self, k):
         # reference: gather the windows of the partition's shuffled copy, then
-        # put each window's nodes in rows
+        # put each window's nodes in rows; any block of rows is that block
+        # of the whole, and normalized rows are the normalized store's
         store = generate_synthetic(10, 80, Rng(5))
+        stats = fit_norm_stats(store, 80)
+        norm = _norm_columns(stats, 1e-8)
         windows = _windows(store.values, 12, 6)
+        normed = _windows(apply_norm(store, stats).values, 12, 6)
         for b in rss_partition(store, 3, 12, 6, training=True, rng=Rng(2)):
-            x_rows, y_rows = tr._sample_minibatch(windows, b.node_index, k, Rng(7))
+            n_rows, rows = tr._sample_minibatch(windows, b.node_index, k, Rng(7), None)
+            x_rows, y_rows = rows(0, n_rows)
             n_win, _, n_sub = b.x.shape
             idx = Rng(7).gen.choice(n_win, size=min(k, n_win), replace=False)
+            assert n_rows == len(idx) * n_sub
             for got, win in ((x_rows, b.x), (y_rows, b.y)):
                 want = win[idx].transpose(0, 2, 1).reshape(len(idx) * n_sub, -1)
                 assert got.shape == want.shape and got.flags.c_contiguous
                 assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+            lo, hi = n_rows // 3, n_rows - n_rows // 4
+            assert all(np.array_equal(part, whole[lo:hi])
+                       for part, whole in zip(rows(lo, hi), (x_rows, y_rows)))
+            n_normed, normed_rows = tr._sample_minibatch(windows, b.node_index, k, Rng(7), norm)
+            want_rows = tr._sample_minibatch(normed, b.node_index, k, Rng(7), None)[1](0, n_rows)
+            assert n_normed == n_rows
+            for got, want in zip(normed_rows(0, n_rows), want_rows):
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_gather_copies_each_row_once(self):
-        # one copy of the sampled windows, already in row order: neither the
-        # gather nor the reshapes may hold a second one
+        # one copy of the rows asked for, already in row order: neither the
+        # gather nor the normalization may hold a second one
         store = generate_synthetic(64, 200, Rng(5))
         batch = rss_partition(store, 1, 36, 36, training=True, rng=Rng(2))[0]
         windows = _windows(store.values, 36, 36)
+        norm = _norm_columns(fit_norm_stats(store, 200), 1e-8)
+        n_rows, gather = tr._sample_minibatch(windows, batch.node_index, 32, Rng(7), norm)
+        assert n_rows == 32 * 64
         rows = []
-        peak = _traced_peak(lambda: rows.extend(
-            tr._sample_minibatch(windows, batch.node_index, 32, Rng(7))))
+        peak = _traced_peak(lambda: rows.extend(gather(0, n_rows)))
         held = sum(r.nbytes for r in rows)
         assert held == 2 * 32 * 64 * 36 * 8
         assert peak <= 1.5 * held
@@ -516,8 +562,9 @@ class TestTrainingReadsNodeIndicesOnly:
         assert np.array_equal(params.flat.view(np.uint64), want_params.flat.view(np.uint64))
 
     def test_no_train_sized_copy_is_live_at_any_step(self, monkeypatch):
-        # at every step the only live traced array of the train store's size
-        # is the normalized train store itself: no shuffled copy of it
+        # at every step no traced array of the train split's size is live:
+        # training reads the raw store, made before tracing starts, and holds
+        # no normalized or shuffled copy of its train columns
         store = generate_synthetic(64, 600, Rng(3))
         cfg = small_config(epochs=2, n_subgraphs=4)
         t0, t1 = split_ranges(store.l_data, cfg.split)["train"]
@@ -534,7 +581,32 @@ class TestTrainingReadsNodeIndicesOnly:
             train(store, cfg)
         finally:
             tracemalloc.stop()
-        assert live == [1] * (cfg.epochs * cfg.n_subgraphs)
+        assert live == [0] * (cfg.epochs * cfg.n_subgraphs)
+
+    def test_partition_batches_hold_the_train_columns_alone(self, monkeypatch):
+        # each epoch partitions a store of the raw train columns, a view of
+        # the caller's store: its batches expose the train split's windows only
+        store = generate_synthetic(12, 150, Rng(8))
+        cfg = small_config(epochs=2, n_subgraphs=3)
+        t0, t1 = split_ranges(store.l_data, cfg.split)["train"]
+        real, partitioned = tr.rss_partition, []
+
+        def partition(part_store, *args, **kwargs):
+            partitioned.append((part_store, real(part_store, *args, **kwargs)))
+            return partitioned[-1][1]
+
+        monkeypatch.setattr(tr, "rss_partition", partition)
+        train(store, cfg)
+        assert len(partitioned) == cfg.epochs
+        xv, yv = _windows(store.values[:, t0:t1], cfg.l_in, cfg.l_out)
+        for part_store, batches in partitioned:
+            assert part_store.l_data == t1 - t0 and part_store.adjacency is store.adjacency
+            assert np.shares_memory(part_store.values, store.values)
+            assert not part_store.values.flags.writeable
+            for b in batches:
+                assert b.x.shape[0] == xv.shape[1] == t1 - t0 - cfg.l_in - cfg.l_out + 1
+                assert np.array_equal(b.x, xv[b.node_index].transpose(1, 2, 0))
+                assert np.array_equal(b.y, yv[b.node_index].transpose(1, 2, 0))
 
 
 class TestBlockedStep:
@@ -563,7 +635,8 @@ class TestBlockedStep:
 
         monkeypatch.setattr(md, "train_step", step)
         grad_sum = np.empty_like(params.flat)
-        losses, got = tr._blocked_step(params, x, y, dcfg, 0.5, Rng(2), {}, grad_sum)
+        losses, got = tr._blocked_step(params, 50, lambda lo, hi: (x[lo:hi], y[lo:hi]), dcfg,
+                                       0.5, Rng(2), {}, grad_sum)
         assert sizes == [12, 13, 12, 13]
         assert got is params.grads
         np.testing.assert_allclose(losses, want[0], rtol=1e-12, atol=0)
@@ -582,7 +655,8 @@ class TestBlockedStep:
         want = np.array([part.total, part.cbn, part.cpn]), grads.flat.copy()
         untouched = np.full_like(params.flat, np.nan)
         grad_sum = untouched.copy()
-        losses, got = tr._blocked_step(params, x, y, dcfg, 0.5, Rng(2), {}, grad_sum)
+        losses, got = tr._blocked_step(params, 50, lambda lo, hi: (x[lo:hi], y[lo:hi]), dcfg,
+                                       0.5, Rng(2), {}, grad_sum)
         assert np.array_equal(np.array(losses).view(np.uint64), want[0].view(np.uint64))
         assert np.array_equal(got.flat.view(np.uint64), want[1].view(np.uint64))
         assert np.array_equal(grad_sum, untouched, equal_nan=True)
@@ -595,9 +669,10 @@ class TestBlockedStep:
         steps, blocks = [], []
 
         def sample(*args):
-            steps.append(real_sample(*args))
+            n_rows, rows = real_sample(*args)
+            steps.append(rows(0, n_rows))
             blocks.append([])
-            return steps[-1]
+            return n_rows, rows
 
         def step(params, x_rows, y_rows, dcfg, lam, rng, buffers):
             blocks[-1].append((x_rows, y_rows, rng))
@@ -617,6 +692,22 @@ class TestBlockedStep:
         params, reports = train(train_store, cfg)
         assert reports == want_reports
         assert np.array_equal(params.flat.view(np.uint64), want_params.flat.view(np.uint64))
+
+    def test_no_gather_copies_more_than_one_block(self, train_store, monkeypatch):
+        # a step's rows are gathered block by block, and validation's chunk
+        # by chunk: no gather of the run copies more than one block's rows
+        monkeypatch.setattr(tr, "STEP_ROWS", 20)
+        monkeypatch.setattr(tr, "EVAL_CHUNK_ROWS", 20)
+        real, sizes = tr._gather, []
+
+        def gather(view, node, win, norm):
+            sizes.append(len(node))
+            return real(view, node, win, norm)
+
+        monkeypatch.setattr(tr, "_gather", gather)
+        train(train_store, small_config(epochs=2))
+        # 2 epochs of 2 steps of 96 rows in 5 blocks, x and y, then validation
+        assert len(sizes) > 2 * 2 * 5 * 2 and max(sizes) <= 20
 
     # At hidden 64 and 128-row blocks one (rows, hidden) array is 64 KiB:
     # measured 0.65 MiB at both node counts, about 10 such arrays of buffers
@@ -736,41 +827,22 @@ class TestTrain:
         assert len(states) == 2 * 2  # two subgraphs per epoch
         assert alive == [0, 0]
 
-    def test_no_full_series_array_during_train(self, monkeypatch):
-        # train normalizes its train and val columns into arrays of their
-        # own: at no step and no validation is an array the size of the
-        # whole series live (the raw store is made before tracing starts)
-        store = generate_synthetic(64, 400, Rng(3))
-        cfg = small_config(epochs=2, n_subgraphs=8)
-        largest = []
-        real_step, real_evaluate = md.train_step, tr.evaluate
-
-        def note_largest():
-            numpy_only = tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)
-            traces = tracemalloc.take_snapshot().filter_traces([numpy_only]).traces
-            largest.append(max(t.size for t in traces))
-
-        def step(*args):
-            note_largest()
-            return real_step(*args)
-
-        def checking_evaluate(*args):
-            note_largest()
-            return real_evaluate(*args)
-
-        monkeypatch.setattr(md, "train_step", step)
-        monkeypatch.setattr(tr, "evaluate", checking_evaluate)
-        tracing = tracemalloc.is_tracing()
-        tracemalloc.start()
-        try:
-            train(store, cfg)
-        finally:
-            if not tracing:
-                tracemalloc.stop()
-        assert len(largest) == 2 * (8 + 1)
-        # the train columns and their shuffled copy are the largest arrays held
-        assert max(largest) == store.n_nodes * split_ranges(400)["train"][1] * 8
-        assert max(largest) < store.values.nbytes
+    # lengths whose train splits differ by 1.03 MiB at 64 nodes
+    @pytest.mark.parametrize("kind", ["mvd", "plain"])
+    def test_epoch_memory_does_not_grow_with_the_series_length(self, kind):
+        # the traced peak of one epoch of _fit, above what was live before
+        # it, is the same at both lengths: the epoch gathers step blocks and
+        # validation chunks from the raw store, never a normalized split
+        cfg = small_config(epochs=1, n_subgraphs=4)
+        peaks, split_bytes = [], []
+        for l_data in (500, 4000):
+            store = generate_synthetic(64, l_data, Rng(3))
+            ranges, stats = tr._split_stats(store, cfg, ("train", "val"))
+            params = _eval_params(kind, cfg)
+            peaks.append(_traced_peak(lambda: tr._fit(params, store, cfg, ranges, stats)))
+            split_bytes.append(store.n_nodes * ranges["train"][1] * 8)
+        assert split_bytes[1] - split_bytes[0] >= 2**20
+        assert abs(peaks[1] - peaks[0]) <= 2**15, peaks
 
     def test_n_subgraphs_capped_by_nodes(self, train_store):
         cfg = small_config(n_subgraphs=7)  # store has 6 nodes
