@@ -14,8 +14,10 @@ matrix, on one 64-node ``psld synth`` series (seed 3) and its adjacency:
 
 - ``psld train`` for mvd/stl x separate/merged, seed 3, 3 epochs,
   ``--baseline-mlp``; stl/merged again with ``--kappa-t 131 --kappa-s 9``;
-  and mvd/separate again with ``--n-sub 1``, whose 2048-row steps run as
-  row blocks (``training.STEP_ROWS``);
+  mvd/separate again with ``--n-sub 1``, whose 2048-row steps run as two
+  equal row blocks (``training.STEP_ROWS``); and mvd/separate with
+  ``--n-sub 1 --minibatch 47``, whose 3008-row steps run as uneven blocks
+  of 1002, 1003 and 1003 rows;
 - ``psld eval`` of each of those checkpoints on val and test, with and
   without ``--denormalize``, each with ``--dump-predictions``;
 - ``psld gradcheck --n-seeds 20`` for each decomposer/mode pair;
@@ -62,6 +64,8 @@ def run_matrix(work: Path, src: Path, threads: int) -> None:
     runs = {f"{kind}-{mode}": ["--decomposer", kind, "--mode", mode] for kind, mode in COMBOS}
     runs["stl-merged-wide-kernel"] = runs["stl-merged"] + ["--kappa-t", "131", "--kappa-s", "9"]
     runs["mvd-separate-one-subgraph"] = runs["mvd-separate"] + ["--n-sub", "1"]
+    runs["mvd-separate-uneven-blocks"] = runs["mvd-separate"] + ["--n-sub", "1",
+                                                                 "--minibatch", "47"]
     for name, flags in runs.items():
         run = work / name
         _psld(["train", "--data", series, "--adjacency", adjacency, "--out", str(run),

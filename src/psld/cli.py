@@ -10,6 +10,7 @@ byte-identical outputs, with timestamps confined to the manifest.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import math
@@ -26,7 +27,6 @@ from .dataset import (
     load_csv,
     save_adjacency_csv,
     save_csv,
-    split_ranges,
 )
 from .decomposition import KINDS
 from .exceptions import CheckpointError, PsldError
@@ -35,7 +35,6 @@ from .numerics import Rng
 from .sampler import NORM_MODES, SampleDesign, random_graph, unbiasedness_mc_check
 from .training import (
     TrainConfig,
-    _n_rows,
     _split_stats,
     baseline_last_value,
     baseline_plain_mlp,
@@ -197,14 +196,9 @@ def cmd_train(args) -> int:
             f"--n-sub {config.n_subgraphs} exceeds the {store.n_nodes} nodes in --data"
         )
     try:
-        ranges = split_ranges(store.l_data, config.split)
+        ranges, stats = _split_stats(store, config, ("train", "val", "test"))
     except ValueError as err:
         raise _UsageError(str(err)) from None
-    for name, split in ranges.items():
-        try:
-            _n_rows(store, config.l_in, config.l_out, split)
-        except ValueError as err:
-            raise _UsageError(f"{name} split: {err}") from None
 
     out_dir = Path(args.out)
     checkpoint = out_dir / "checkpoint.psld"
@@ -218,7 +212,6 @@ def cmd_train(args) -> int:
     )
 
     params, reports = train(store, config)
-    ranges, stats = _split_stats(store, config)
     test = evaluate(params, store, config, ranges["test"], norm_stats=stats)
     baselines = {"last_value": baseline_last_value(store, config, ranges["test"], stats)}
     if args.baseline_mlp:
@@ -269,12 +262,10 @@ def cmd_eval(args) -> int:
     ranges, stats = _split_stats(store, config, (args.split,))
     split = ranges[args.split]
     denorm = stats if args.denormalize else None
-    if args.dump_predictions:
-        with _atomic_write(args.dump_predictions) as f:
-            sink = _prediction_writer(f, store, config, split[0])
-            metrics = evaluate(params, store, config, split, denorm, sink=sink, norm_stats=stats)
-    else:
-        metrics = evaluate(params, store, config, split, denorm, norm_stats=stats)
+    dump = args.dump_predictions
+    with _atomic_write(dump) if dump else contextlib.nullcontext() as f:
+        sink = _prediction_writer(f, store, config, split[0]) if dump else None
+        metrics = evaluate(params, store, config, split, denorm, sink=sink, norm_stats=stats)
     _dump_json({"split": args.split, "mse": metrics["mse"], "mae": metrics["mae"]})
     return EXIT_OK
 

@@ -13,8 +13,9 @@ identical inputs reproduces reports and parameters bit for bit.
 
 ``train`` and ``baseline_plain_mlp`` take the raw store and keep no
 normalized copy of it: every row they train or score on is normalized as
-it is gathered from the raw columns (``_gather``), with the train split's
-stats. ``evaluate`` and ``baseline_last_value`` score the store they are
+it is gathered from the raw columns, with the train split's stats. One
+gather, ``_rows``, reads the rows of both training steps and scoring
+chunks. ``evaluate`` and ``baseline_last_value`` score the store they are
 given, normalized by the caller (``prepare_store``) or, with
 ``norm_stats``, row by row as they gather it.
 """
@@ -171,11 +172,16 @@ def _split_stats(store: SeriesStore, config: TrainConfig, windowed: tuple = ()) 
     """(ranges, stats): the store's split ranges and its train split's norm stats.
 
     A split named in ``windowed`` that is too short for one window raises
-    the ``ValueError`` that windowing it would, before the stats are fitted.
+    windowing's ``ValueError`` prefixed with the split's name (``"val split:
+    series of length ..."``), before the stats are fitted.
     """
     ranges = split_ranges(store.l_data, config.split)
     for name in windowed:
-        _n_rows(store, config.l_in, config.l_out, ranges[name])
+        t0, t1 = ranges[name]
+        try:
+            _windows(store.values[:, t0:t1], config.l_in, config.l_out)
+        except ValueError as err:
+            raise ValueError(f"{name} split: {err}") from None
     return ranges, fit_norm_stats(store, ranges["train"][1])
 
 
@@ -185,37 +191,39 @@ def prepare_store(store: SeriesStore, config: TrainConfig):
     return apply_norm(store, stats, config.sigma_floor), ranges, stats
 
 
-def _n_rows(store: SeriesStore, l_in: int, l_out: int, split: tuple) -> int:
-    """Rows of the split: one per (window, node)."""
-    return math.prod(_windows(store.values[:, split[0]:split[1]], l_in, l_out)[0].shape[:2])
+def _rows(windows: tuple, win: np.ndarray, node: np.ndarray, norm: tuple | None):
+    """``rows(lo, hi) -> (x, y, node)``: rows [lo, hi) of the window-major rows ``win × node``.
 
-
-def _gather(view: np.ndarray, node: np.ndarray, win: np.ndarray, norm: tuple | None):
-    """Rows ``view[node[i], win[i]]`` of a node-major window view, as a C-contiguous copy.
-
-    With ``norm``, the (mu, scale) columns of ``dataset._norm_columns``,
-    each row is normalized in place by its node's, as ``apply_norm`` would
-    normalize the values it holds: so a row gathered from raw columns has
-    the bits of the same row gathered from the normalized store.
+    ``windows`` are the node-major views (x, y) of a split's columns
+    (``_windows``), and row ``i * len(node) + j`` is window ``win[i]`` of
+    node ``node[j]``; the returned ``node`` holds each gathered row's node.
+    x and y are C-contiguous copies of the rows asked for, and nothing else
+    the size of the rows is made. With ``norm``, the (mu, scale) columns of
+    ``dataset._norm_columns``, each row is normalized in place by its
+    node's, as ``apply_norm`` would normalize the values it holds: so a row
+    gathered from raw columns has the bits of the same row gathered from
+    the normalized store.
     """
-    rows = view[node, win]
-    if norm is not None:
-        mu, scale = norm
-        rows -= mu[node]
-        rows /= scale[node]
+    def rows(lo: int, hi: int) -> tuple:
+        at, pos = np.divmod(np.arange(lo, hi), len(node))
+        w, d = win[at], node[pos]
+        x, y = windows[0][d, w], windows[1][d, w]
+        if norm is not None:
+            mu, scale = norm[0][d], norm[1][d]
+            for r in (x, y):
+                r -= mu
+                r /= scale
+        return x, y, d
+
     return rows
 
 
-def _forecast_chunks(store: SeriesStore, config: TrainConfig, split: tuple, forecast,
-                     denorm_stats: NormStats | None = None, norm_stats: NormStats | None = None):
-    """Yield (lo, pred, y): ``forecast(x)`` and truth of the split rows [lo, lo + len(pred)).
+def _forecast_chunks(n_rows: int, rows, forecast, denorm: tuple | None):
+    """Yield (lo, pred, y): ``forecast(x)`` and truth of the rows [lo, lo + len(pred)).
 
-    The split has one row per (window, node), window-major: row
-    ``w * n_nodes + d`` is node d's window starting at step ``split[0] + w``.
-    Each chunk's input rows are gathered by index from sliding-window views
-    of the split, so nothing the size of the split is allocated, and
-    ``forecast`` is called once per chunk. Every chunk has
-    ``EVAL_CHUNK_ROWS`` rows, or all rows if the split has fewer: the last
+    ``rows(lo, hi)`` gives rows [lo, hi) of ``n_rows`` as (x, y, node)
+    (``_rows``), and ``forecast`` is called once per chunk. Every chunk has
+    ``EVAL_CHUNK_ROWS`` rows, or all rows if there are fewer: the last
     one is shifted back to end at the last row, so its forecast is made in
     a call of the same size as every other. Rows are independent, but BLAS
     may round a product of a few rows differently in the last bit from the
@@ -224,26 +232,19 @@ def _forecast_chunks(store: SeriesStore, config: TrainConfig, split: tuple, fore
     once each, in order: of the rows the shifted last chunk repeats, its
     forecasts are the ones yielded, so the chunk before it stops where it
     starts. ``pred`` may be a buffer ``forecast`` reuses, so it is valid
-    only until the next chunk. With ``norm_stats`` the store holds raw
-    values, and each chunk's inputs and truth are normalized with them as
-    they are gathered (``_gather``). With ``denorm_stats`` forecast and
-    (normalized) truth are mapped back to the raw scale.
+    only until the next chunk. With ``denorm``, (mu, scale) columns as
+    ``dataset._norm_columns`` gives them, forecast and truth are mapped
+    back to the raw scale by each row's node.
     """
-    xv, yv = _windows(store.values[:, split[0]:split[1]], config.l_in, config.l_out)
-    n_nodes, n_rows = xv.shape[0], math.prod(xv.shape[:2])
     size = min(EVAL_CHUNK_ROWS, n_rows)
     last = n_rows - size  # where the shifted last chunk starts
-    norm = None if norm_stats is None else _norm_columns(norm_stats, config.sigma_floor)
-    if denorm_stats is not None:
-        mu, scale = _norm_columns(denorm_stats, config.sigma_floor)
     for start in range(0, n_rows, size):
         lo = min(start, last)
         keep = (n_rows if lo == last else min(lo + size, last)) - lo
-        win, node = np.divmod(np.arange(lo, lo + size), n_nodes)
-        pred = forecast(_gather(xv, node, win, norm))[:keep]
-        win, node = win[:keep], node[:keep]
-        y = _gather(yv, node, win, norm)
-        if denorm_stats is not None:
+        x, y, node = rows(lo, lo + size)
+        pred, y, node = forecast(x)[:keep], y[:keep], node[:keep]
+        if denorm is not None:
+            mu, scale = denorm
             pred = pred * scale[node] + mu[node]
             y = y * scale[node] + mu[node]
         yield lo, pred, y
@@ -305,6 +306,8 @@ def evaluate(params, store: SeriesStore, config: TrainConfig, split: tuple,
              norm_stats: NormStats | None = None) -> dict:
     """MSE and MAE over all windows, horizon steps, and nodes of the split.
 
+    The split has one row per (window, node), window-major: row
+    ``w * n_nodes + d`` is node d's window starting at step ``split[0] + w``.
     The forecast is made in chunks of ``EVAL_CHUNK_ROWS`` rows (see
     ``_forecast_chunks``) and scored as it comes (see ``_metrics``): no
     array the size of the split is kept, so memory does not grow with the
@@ -320,34 +323,22 @@ def evaluate(params, store: SeriesStore, config: TrainConfig, split: tuple,
     chunk ``_forecast_chunks`` yields, so one pass can both score and write
     the forecast.
     """
-    shape = (_n_rows(store, config.l_in, config.l_out, split), config.l_out)
     dcfg, buffers = config.decomposer_config(), {}
-    chunks = _forecast_chunks(store, config, split,
-                              lambda x: md.predict(params, x, dcfg, buffers), denorm_stats,
-                              norm_stats)
-    return _metrics(chunks, shape, sink)
+    return _score(store, config, split, lambda x: md.predict(params, x, dcfg, buffers),
+                  denorm_stats, norm_stats, sink)
 
 
-def _sample_minibatch(windows: tuple, node_index: np.ndarray, k: int, rng: Rng,
-                      norm: tuple | None) -> tuple:
-    """Up to k windows of the nodes in ``node_index``, as (n_rows, rows).
-
-    One ``choice`` draw picks the windows. The minibatch has one row per
-    (window, node), window-major and in ``node_index`` order;
-    ``rows(lo, hi)`` gathers its rows [lo, hi) as (x, y) from the
-    node-major views ``windows`` (``_windows`` of the train columns),
-    normalized with ``norm`` (see ``_gather``). So nothing the size of the
-    step is made, only the block asked for.
-    """
-    xv, yv = windows
-    idx = rng.gen.choice(xv.shape[1], size=min(k, xv.shape[1]), replace=False)
-
-    def rows(lo: int, hi: int) -> tuple:
-        at, pos = np.divmod(np.arange(lo, hi), len(node_index))
-        node, win = node_index[pos], idx[at]
-        return _gather(xv, node, win, norm), _gather(yv, node, win, norm)
-
-    return len(idx) * len(node_index), rows
+def _score(store: SeriesStore, config: TrainConfig, split: tuple, forecast,
+           denorm_stats: NormStats | None = None, norm_stats: NormStats | None = None,
+           sink=None) -> dict:
+    """Metrics of ``forecast`` over the split's (window, node) rows, as ``evaluate`` scores."""
+    windows = _windows(store.values[:, split[0]:split[1]], config.l_in, config.l_out)
+    n_nodes, n_win = windows[0].shape[:2]
+    norm, denorm = (None if s is None else _norm_columns(s, config.sigma_floor)
+                    for s in (norm_stats, denorm_stats))
+    rows = _rows(windows, np.arange(n_win), np.arange(n_nodes), norm)
+    chunks = _forecast_chunks(n_win * n_nodes, rows, forecast, denorm)
+    return _metrics(chunks, (n_win * n_nodes, config.l_out), sink)
 
 
 def _blocked_step(params, n_rows: int, rows, dcfg, lam: float, rng: Rng, buffers: dict,
@@ -355,7 +346,8 @@ def _blocked_step(params, n_rows: int, rows, dcfg, lam: float, rng: Rng, buffers
     """Losses (total, cbn, cpn) and gradients of one step, in row blocks of at most STEP_ROWS.
 
     The step has ``n_rows`` rows, and ``rows(lo, hi)`` gives its rows
-    [lo, hi) as (x, y). The k = ceil(n_rows / STEP_ROWS) blocks are rows
+    [lo, hi) as (x, y, node) (``_rows``); the nodes are not read. The
+    k = ceil(n_rows / STEP_ROWS) blocks are rows
     [n_rows * i // k, n_rows * (i + 1) // k), so their sizes differ by at
     most one row; each is gathered only when its pass runs. Each runs
     through ``md.train_step`` with the same ``rng`` and ``buffers``, in
@@ -373,7 +365,8 @@ def _blocked_step(params, n_rows: int, rows, dcfg, lam: float, rng: Rng, buffers
     losses = np.zeros(3)
     for i in range(k):
         lo, hi = n_rows * i // k, n_rows * (i + 1) // k
-        part, grads = md.train_step(params, *rows(lo, hi), dcfg, lam, rng, buffers)
+        x, y, _ = rows(lo, hi)
+        part, grads = md.train_step(params, x, y, dcfg, lam, rng, buffers)
         share = (hi - lo) / n_rows
         losses += (share * part.total, share * part.cbn, share * part.cpn)
         if k > 1:  # a pass over every parameter, which share 1.0 would leave as it is
@@ -390,10 +383,12 @@ def _fit(params, store: SeriesStore, config: TrainConfig, ranges: dict, stats: N
 
     ``ranges`` and ``stats`` are the store's (``_split_stats``). Each
     epoch partitions the nodes of the train columns (``restrict_time``, a
-    view), gathers every step's minibatch from their window views block by
-    block, normalized with ``stats`` as it is gathered, and validates on
-    the whole val split, normalized chunk by chunk as evaluation gathers
-    it. So no normalized copy of a split is made, and nothing the size of
+    view), and each step draws up to ``minibatch`` of their windows with
+    one ``choice`` draw. The step's rows are those windows of its batch's
+    nodes, window-major and in ``node_index`` order, gathered from the
+    columns' window views block by block (``_rows``), normalized with
+    ``stats`` as they are gathered. Each epoch validates on the whole val
+    split, normalized chunk by chunk as evaluation gathers it. So no normalized copy of a split is made, and nothing the size of
     a split or of a whole step is held. Trains ``params`` in place and
     returns (best_params, reports) as train() does; ``md.train_step`` is
     the only model-specific call. The best parameters are kept in one
@@ -415,6 +410,8 @@ def _fit(params, store: SeriesStore, config: TrainConfig, ranges: dict, stats: N
     train_store = restrict_time(store, *ranges["train"])
     windows = _windows(train_store.values, config.l_in, config.l_out)
     norm = _norm_columns(stats, config.sigma_floor)
+    n_win = windows[0].shape[1]
+    k = min(config.minibatch, n_win)
     root = Rng(config.seed)
     adam = md.AdamState.for_params(params)
     dcfg = config.decomposer_config()
@@ -433,12 +430,12 @@ def _fit(params, store: SeriesStore, config: TrainConfig, ranges: dict, stats: N
         )
         sums = np.zeros(3)
         for step, batch in enumerate(batches):
-            n_rows, rows = _sample_minibatch(windows, batch.node_index, config.minibatch,
-                                             erng.child("minibatch", step), norm)
+            win = erng.child("minibatch", step).gen.choice(n_win, size=k, replace=False)
+            rows = _rows(windows, win, batch.node_index, norm)
             try:
-                losses, grads = _blocked_step(params, n_rows, rows, dcfg, config.lam,
-                                              erng.child("dropout", step), step_buffers,
-                                              grad_sum)
+                losses, grads = _blocked_step(params, k * len(batch.node_index), rows, dcfg,
+                                              config.lam, erng.child("dropout", step),
+                                              step_buffers, grad_sum)
             except NumericError as err:
                 raise NumericError(f"epoch {epoch}, subgraph {step}: {err}") from err
             md.adam_step(params, grads, adam, config.lr)
@@ -479,13 +476,10 @@ def baseline_last_value(store: SeriesStore, config: TrainConfig, split: tuple,
                         norm_stats: NormStats | None = None) -> dict:
     """Repeat the last observed input value across the whole horizon.
 
-    Scored through ``_forecast_chunks`` as ``evaluate`` scores the model,
-    on the same rows in the same chunks, normalized with ``norm_stats`` as
-    they are gathered if given.
+    Scored as ``evaluate`` scores the model, on the same rows in the same
+    chunks, normalized with ``norm_stats`` as they are gathered if given.
     """
-    shape = (_n_rows(store, config.l_in, config.l_out, split), config.l_out)
-    chunks = _forecast_chunks(store, config, split, lambda x: x[:, -1:], norm_stats=norm_stats)
-    return _metrics(chunks, shape)
+    return _score(store, config, split, lambda x: x[:, -1:], norm_stats=norm_stats)
 
 
 def baseline_plain_mlp(store: SeriesStore, config: TrainConfig) -> dict:

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
-# 64 nodes, seed 3, 3 epochs: the config of the thread-count defect's first report
+# seed 3, 3 epochs: the config of the thread-count defect's first report
 TRAIN_ARGS = ("--epochs", "3", "--seed", "3")
 
 
@@ -28,28 +28,43 @@ def _psld(*args, threads: int = 1) -> None:
 
 @pytest.fixture(scope="module")
 def series(tmp_path_factory):
-    out = tmp_path_factory.mktemp("blas") / "data"
-    _psld("synth", "--nodes", "64", "--seed", "3", "--out", str(out))
-    return out / "series.csv"
+    """``series(nodes)``: the series CSV of ``psld synth --seed 3``, made once per node count."""
+    made = {}
+
+    def make(nodes: int) -> Path:
+        if nodes not in made:
+            out = tmp_path_factory.mktemp(f"blas-{nodes}") / "data"
+            _psld("synth", "--nodes", str(nodes), "--seed", "3", "--out", str(out))
+            made[nodes] = out / "series.csv"
+        return made[nodes]
+
+    return make
 
 
-@pytest.mark.parametrize("kind,mode,extra", [
-    ("mvd", "separate", ()),
-    ("mvd", "merged", ()),
-    ("stl", "separate", ()),
-    pytest.param("stl", "merged", (), marks=pytest.mark.xfail(
+@pytest.mark.parametrize("nodes,kind,mode,extra", [
+    (64, "mvd", "separate", ()),
+    (64, "mvd", "merged", ()),
+    (64, "stl", "separate", ()),
+    pytest.param(64, "stl", "merged", (), marks=pytest.mark.xfail(
         raises=AssertionError,
         reason="the merged stl head's h2 @ wp.T at 64 rows, (64, 384) @ (384, 108), "
                "rounds differently under 1 and 2 OpenBLAS threads")),
     # one subgraph: 64 nodes x 32 windows = 2048-row steps, each run as two
     # row blocks (training.STEP_ROWS)
-    ("mvd", "separate", ("--n-sub", "1")),
-], ids=["mvd-separate", "mvd-merged", "stl-separate", "stl-merged", "mvd-separate-n-sub-1"])
-def test_artifacts_do_not_depend_on_blas_threads(series, tmp_path, kind, mode, extra):
+    (64, "mvd", "separate", ("--n-sub", "1")),
+    # one subgraph: 57 nodes x 32 windows = 1824-row steps, each run as two
+    # 912-row blocks, a length that is not 0 or 31 mod 32
+    pytest.param(57, "mvd", "separate", ("--n-sub", "1"), marks=pytest.mark.xfail(
+        raises=AssertionError,
+        reason="the weight-gradient sums over a 912-row block, such as "
+               "(128, 912) @ (912, 36), round differently under 1 and 2 OpenBLAS threads")),
+], ids=["mvd-separate", "mvd-merged", "stl-separate", "stl-merged", "mvd-separate-n-sub-1",
+        "mvd-separate-57-nodes-n-sub-1"])
+def test_artifacts_do_not_depend_on_blas_threads(series, tmp_path, nodes, kind, mode, extra):
     outs = []
     for threads in (1, 2):
         out = tmp_path / f"threads-{threads}"
-        _psld("train", "--data", str(series), "--out", str(out), "--decomposer", kind,
+        _psld("train", "--data", str(series(nodes)), "--out", str(out), "--decomposer", kind,
               "--mode", mode, *TRAIN_ARGS, *extra, threads=threads)
         outs.append(out)
     for name in ("checkpoint.psld", "metrics.json"):

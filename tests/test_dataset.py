@@ -42,19 +42,22 @@ def has_row(edges, row):
 
 
 def echo_chunks(store, l_in, l_out, split):
-    """``_forecast_chunks`` with a forecast that returns its input.
+    """The chunks scoring the split yields, with a forecast that returns its input.
 
     Returns (calls, yielded): the (lo, x) each forecast call saw, and the
-    (lo, pred, y) chunks yielded, whose ``pred`` are input rows.
+    (lo, pred, y) chunks ``training._score`` hands to its metrics, whose
+    ``pred`` are input rows.
     """
-    calls = []
+    calls, yielded = [], []
 
     def echo(x):
         calls.append(x)
         return x
 
     config = tr.TrainConfig(l_in=l_in, l_out=l_out)
-    yielded = list(tr._forecast_chunks(store, config, split, echo))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tr, "_metrics", lambda chunks, shape, sink=None: yielded.extend(chunks))
+        tr._score(store, config, split, echo)
     return [(lo, x) for (lo, _, _), x in zip(yielded, calls)], yielded
 
 

@@ -1,4 +1,5 @@
 import gc
+import math
 import tracemalloc
 import weakref
 
@@ -165,19 +166,21 @@ def one_shot_metrics(pred, truth):
     }
 
 
+def split_rows(store, l_in, l_out, split):
+    """Rows of the split: one per (window, node)."""
+    return math.prod(_windows(store.values[:, split[0]:split[1]], l_in, l_out)[0].shape[:2])
+
+
 def assembled_forecast(params, store, cfg, split, denorm_stats=None):
-    """Forecast and truth rows from _forecast_chunks; each row once, in order."""
-    preds, truths, covered = [], [], 0
-    dcfg, buffers = cfg.decomposer_config(), {}
+    """Forecast and truth rows of the chunks evaluate scores; each row once, in order."""
+    preds, truths = [], []
 
-    def forecast(x):  # as evaluate's
-        return md.predict(params, x, dcfg, buffers)
-
-    for lo, pred, y in tr._forecast_chunks(store, cfg, split, forecast, denorm_stats):
-        assert lo == covered
+    def sink(lo, pred, y):
+        assert lo == sum(map(len, preds))
         preds.append(pred.copy())
         truths.append(y.copy())
-        covered += len(pred)
+
+    evaluate(params, store, cfg, split, denorm_stats, sink=sink)
     return np.concatenate(preds), np.concatenate(truths)
 
 
@@ -203,7 +206,8 @@ class TestEvaluate:
     def test_gathered_rows_are_the_normalized_store_rows_bit_for_bit(self, floor):
         # rows gathered from raw windows and normalized as gathered equal
         # the same rows of apply_norm's store, zero signs, tiny and huge
-        # values and the sigma floor included
+        # values and the sigma floor included; rows are window-major over
+        # win x node, repeated nodes and windows included
         tiny = 5e-324
         values = np.array([
             [0.0, -0.0, 0.0, -0.0, 1.0, -1.0, 2.5],
@@ -215,28 +219,31 @@ class TestEvaluate:
         stats = NormStats(np.array([0.0, -0.0, -1e300, tiny]),
                           np.array([1.0, tiny, 1e300, 1e-9]))
         normed = apply_norm(store, stats, floor)
-        node, win = np.array([3, 0, 1, 2, 2, 0, 1]), np.array([0, 3, 2, 1, 3, 2, 0])
-        for at in range(2):
-            view = _windows(store.values, 3, 1)[at]
-            want = _windows(normed.values, 3, 1)[at][node, win]
-            got = tr._gather(view, node, win, _norm_columns(stats, floor))
-            assert got.flags.c_contiguous and got.flags.writeable
-            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), floor
-            assert np.array_equal(tr._gather(view, node, win, None), view[node, win])
+        node, win = np.array([3, 0, 1, 2, 2]), np.array([0, 3, 2, 1, 3, 2, 0])
+        d, w = np.tile(node, len(win)), np.repeat(win, len(node))
+        raw = _windows(store.values, 3, 1)
+        got = tr._rows(raw, win, node, _norm_columns(stats, floor))(0, len(d))
+        plain = tr._rows(raw, win, node, None)(0, len(d))
+        for at, want in enumerate(_windows(normed.values, 3, 1)):
+            assert got[at].flags.c_contiguous and got[at].flags.writeable
+            assert np.array_equal(got[at].view(np.uint64), want[d, w].view(np.uint64)), floor
+            assert np.array_equal(plain[at], raw[at][d, w])
+        assert np.array_equal(got[2], d) and np.array_equal(plain[2], d)
 
     @pytest.mark.parametrize("val_len", [1, 17])
     @pytest.mark.parametrize("fit", [train, baseline_plain_mlp], ids=["train", "plain"])
     def test_short_val_split_raises_the_window_error_before_training(self, train_store,
                                                                        monkeypatch, fit, val_len):
         # l_in + l_out = 18: a val split of 1 or 17 columns has no window;
-        # the error is windowing's own, raised before the first epoch
+        # the error is windowing's own, named for the split and raised
+        # before the first epoch
         cfg = small_config(split=(75, val_len, 75 - val_len))
         assert split_ranges(train_store.l_data, cfg.split)["val"] == (75, 75 + val_len)
         monkeypatch.setattr(tr, "rss_partition", None)
         with pytest.raises(ValueError) as exc:
             fit(train_store, cfg)
-        assert str(exc.value) == (f"series of length {val_len} too short for windows; "
-                                  "needs at least 18")
+        assert str(exc.value) == (f"val split: series of length {val_len} too short for "
+                                  "windows; needs at least 18")
 
     @pytest.mark.parametrize("kind,mode", [("mvd", "separate"), ("stl", "merged")])
     def test_raw_store_scores_as_the_normalized_one(self, kind, mode):
@@ -250,7 +257,7 @@ class TestEvaluate:
         normed, ranges, stats = prepare_store(store, cfg)
         for name in ("val", "test"):
             split = ranges[name]
-            assert tr._n_rows(store, cfg.l_in, cfg.l_out, split) > 2 * tr.EVAL_CHUNK_ROWS
+            assert split_rows(store, cfg.l_in, cfg.l_out, split) > 2 * tr.EVAL_CHUNK_ROWS
             assert (baseline_last_value(store, cfg, split, stats)
                     == baseline_last_value(normed, cfg, split)), name
             for denorm in (None, stats):
@@ -471,7 +478,7 @@ class TestChunkedEvaluate:
     def _split_at(n_nodes, cfg):
         store = generate_synthetic(n_nodes, 300, Rng(5))
         normed, ranges, stats = prepare_store(store, cfg)
-        assert tr._n_rows(normed, cfg.l_in, cfg.l_out, ranges["test"]) > tr.EVAL_CHUNK_ROWS
+        assert split_rows(normed, cfg.l_in, cfg.l_out, ranges["test"]) > tr.EVAL_CHUNK_ROWS
         return normed, ranges["test"], stats
 
     def test_peak_memory_does_not_grow_with_nodes(self):
@@ -494,34 +501,35 @@ class TestChunkedEvaluate:
             assert peak <= self.BASELINE_PEAK, (n_nodes, peak)
 
 
-class TestSampleMinibatch:
+class TestRows:
+    """``_rows`` gathers the window-major rows of training steps and scoring chunks."""
+
     @pytest.mark.parametrize("k", [1, 7, 500])
     def test_rows_equal_window_gather(self, k):
-        # reference: gather the windows of the partition's shuffled copy, then
-        # put each window's nodes in rows; any block of rows is that block
-        # of the whole, and normalized rows are the normalized store's
+        # reference: the drawn windows of each partition batch's window
+        # views, each window's nodes in rows; any block of rows is that
+        # block of the whole, and normalized rows are the normalized store's
         store = generate_synthetic(10, 80, Rng(5))
         stats = fit_norm_stats(store, 80)
         norm = _norm_columns(stats, 1e-8)
         windows = _windows(store.values, 12, 6)
         normed = _windows(apply_norm(store, stats).values, 12, 6)
         for b in rss_partition(store, 3, 12, 6, training=True, rng=Rng(2)):
-            n_rows, rows = tr._sample_minibatch(windows, b.node_index, k, Rng(7), None)
-            x_rows, y_rows = rows(0, n_rows)
             n_win, _, n_sub = b.x.shape
             idx = Rng(7).gen.choice(n_win, size=min(k, n_win), replace=False)
-            assert n_rows == len(idx) * n_sub
+            n_rows, rows = len(idx) * n_sub, tr._rows(windows, idx, b.node_index, None)
+            x_rows, y_rows, node = rows(0, n_rows)
+            assert np.array_equal(node, np.tile(b.node_index, len(idx)))
             for got, win in ((x_rows, b.x), (y_rows, b.y)):
-                want = win[idx].transpose(0, 2, 1).reshape(len(idx) * n_sub, -1)
+                want = win[idx].transpose(0, 2, 1).reshape(n_rows, -1)
                 assert got.shape == want.shape and got.flags.c_contiguous
                 assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
             lo, hi = n_rows // 3, n_rows - n_rows // 4
             assert all(np.array_equal(part, whole[lo:hi])
-                       for part, whole in zip(rows(lo, hi), (x_rows, y_rows)))
-            n_normed, normed_rows = tr._sample_minibatch(windows, b.node_index, k, Rng(7), norm)
-            want_rows = tr._sample_minibatch(normed, b.node_index, k, Rng(7), None)[1](0, n_rows)
-            assert n_normed == n_rows
-            for got, want in zip(normed_rows(0, n_rows), want_rows):
+                       for part, whole in zip(rows(lo, hi), (x_rows, y_rows, node)))
+            normed_rows = tr._rows(windows, idx, b.node_index, norm)(0, n_rows)
+            want_rows = tr._rows(normed, idx, b.node_index, None)(0, n_rows)
+            for got, want in zip(normed_rows, want_rows):
                 assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_gather_copies_each_row_once(self):
@@ -531,10 +539,10 @@ class TestSampleMinibatch:
         batch = rss_partition(store, 1, 36, 36, training=True, rng=Rng(2))[0]
         windows = _windows(store.values, 36, 36)
         norm = _norm_columns(fit_norm_stats(store, 200), 1e-8)
-        n_rows, gather = tr._sample_minibatch(windows, batch.node_index, 32, Rng(7), norm)
-        assert n_rows == 32 * 64
+        win = Rng(7).gen.choice(windows[0].shape[1], size=32, replace=False)
+        gather, n_rows = tr._rows(windows, win, batch.node_index, norm), 32 * 64
         rows = []
-        peak = _traced_peak(lambda: rows.extend(gather(0, n_rows)))
+        peak = _traced_peak(lambda: rows.extend(gather(0, n_rows)[:2]))
         held = sum(r.nbytes for r in rows)
         assert held == 2 * 32 * 64 * 36 * 8
         assert peak <= 1.5 * held
@@ -635,8 +643,8 @@ class TestBlockedStep:
 
         monkeypatch.setattr(md, "train_step", step)
         grad_sum = np.empty_like(params.flat)
-        losses, got = tr._blocked_step(params, 50, lambda lo, hi: (x[lo:hi], y[lo:hi]), dcfg,
-                                       0.5, Rng(2), {}, grad_sum)
+        losses, got = tr._blocked_step(params, 50, lambda lo, hi: (x[lo:hi], y[lo:hi], None),
+                                       dcfg, 0.5, Rng(2), {}, grad_sum)
         assert sizes == [12, 13, 12, 13]
         assert got is params.grads
         np.testing.assert_allclose(losses, want[0], rtol=1e-12, atol=0)
@@ -655,40 +663,45 @@ class TestBlockedStep:
         want = np.array([part.total, part.cbn, part.cpn]), grads.flat.copy()
         untouched = np.full_like(params.flat, np.nan)
         grad_sum = untouched.copy()
-        losses, got = tr._blocked_step(params, 50, lambda lo, hi: (x[lo:hi], y[lo:hi]), dcfg,
-                                       0.5, Rng(2), {}, grad_sum)
+        losses, got = tr._blocked_step(params, 50, lambda lo, hi: (x[lo:hi], y[lo:hi], None),
+                                       dcfg, 0.5, Rng(2), {}, grad_sum)
         assert np.array_equal(np.array(losses).view(np.uint64), want[0].view(np.uint64))
         assert np.array_equal(got.flat.view(np.uint64), want[1].view(np.uint64))
         assert np.array_equal(grad_sum, untouched, equal_nan=True)
 
     def test_fit_passes_balanced_blocks_in_order(self, train_store, monkeypatch):
-        # 6 nodes in 2 subgraphs, minibatch 32: 96-row steps in 5 blocks of 19 or 20 rows
+        # 6 nodes in 2 subgraphs, minibatch 32: 96-row steps in 5 blocks of 19 or 20 rows,
+        # of the windows one choice draw per step picks
         monkeypatch.setattr(tr, "STEP_ROWS", 20)
         cfg = small_config(epochs=2)
-        real_sample, real_step = tr._sample_minibatch, md.train_step
-        steps, blocks = [], []
+        real_rows, real_step = tr._rows, md.train_step
+        gathers = []  # (n_win, win, rows, blocks) per _rows call; validation's get no blocks
 
-        def sample(*args):
-            n_rows, rows = real_sample(*args)
-            steps.append(rows(0, n_rows))
-            blocks.append([])
-            return n_rows, rows
+        def rows(windows, win, node, norm):
+            out = real_rows(windows, win, node, norm)
+            gathers.append((windows[0].shape[1], win, out(0, len(win) * len(node)), []))
+            return out
 
         def step(params, x_rows, y_rows, dcfg, lam, rng, buffers):
-            blocks[-1].append((x_rows, y_rows, rng))
+            gathers[-1][3].append((x_rows, y_rows, rng))
             return real_step(params, x_rows, y_rows, dcfg, lam, rng, buffers)
 
-        monkeypatch.setattr(tr, "_sample_minibatch", sample)
+        monkeypatch.setattr(tr, "_rows", rows)
         monkeypatch.setattr(md, "train_step", step)
         want_params, want_reports = train(train_store, cfg)
+        steps = [g for g in gathers if g[3]]
         assert len(steps) == cfg.epochs * cfg.n_subgraphs
-        for (x_rows, y_rows), parts in zip(steps, blocks):
+        for i, (n_win, win, whole, parts) in enumerate(steps):
+            erng = Rng(cfg.seed).child("epoch", i // cfg.n_subgraphs)
+            want = erng.child("minibatch", i % cfg.n_subgraphs).gen.choice(
+                n_win, size=cfg.minibatch, replace=False)
+            assert np.array_equal(win, want), i
             sizes = [len(b[0]) for b in parts]
-            assert len(x_rows) == 96 and len(parts) == 5, sizes
+            assert len(whole[0]) == 96 and len(parts) == 5, sizes
             assert max(sizes) <= tr.STEP_ROWS and max(sizes) - min(sizes) <= 1
             assert len({id(b[2]) for b in parts}) == 1  # one dropout stream per step
-            for whole, at in ((x_rows, 0), (y_rows, 1)):
-                assert np.array_equal(np.concatenate([b[at] for b in parts]), whole)
+            for at in (0, 1):
+                assert np.array_equal(np.concatenate([b[at] for b in parts]), whole[at])
         params, reports = train(train_store, cfg)
         assert reports == want_reports
         assert np.array_equal(params.flat.view(np.uint64), want_params.flat.view(np.uint64))
@@ -698,16 +711,22 @@ class TestBlockedStep:
         # by chunk: no gather of the run copies more than one block's rows
         monkeypatch.setattr(tr, "STEP_ROWS", 20)
         monkeypatch.setattr(tr, "EVAL_CHUNK_ROWS", 20)
-        real, sizes = tr._gather, []
+        real, sizes = tr._rows, []
 
-        def gather(view, node, win, norm):
-            sizes.append(len(node))
-            return real(view, node, win, norm)
+        def rows(*args):
+            gather = real(*args)
 
-        monkeypatch.setattr(tr, "_gather", gather)
+            def counted(lo, hi):
+                out = gather(lo, hi)
+                sizes.append(len(out[0]))
+                return out
+
+            return counted
+
+        monkeypatch.setattr(tr, "_rows", rows)
         train(train_store, small_config(epochs=2))
-        # 2 epochs of 2 steps of 96 rows in 5 blocks, x and y, then validation
-        assert len(sizes) > 2 * 2 * 5 * 2 and max(sizes) <= 20
+        # 2 epochs of 2 steps of 96 rows in 5 blocks, then validation
+        assert len(sizes) > 2 * 2 * 5 and max(sizes) <= 20
 
     # At hidden 64 and 128-row blocks one (rows, hidden) array is 64 KiB:
     # measured 0.65 MiB at both node counts, about 10 such arrays of buffers
