@@ -21,6 +21,8 @@ matrix, on one 64-node ``psld synth`` series (seed 3) and its adjacency:
 - ``psld eval`` of each of those checkpoints on val and test, with and
   without ``--denormalize``, each with ``--dump-predictions``;
 - ``psld gradcheck --n-seeds 20`` for each decomposer/mode pair;
+- ``psld rss-check`` with its defaults, with ``--norm-mode symmetric_sqrt``,
+  with ``--norm-mode unit`` and with ``--prob 1.0``;
 - on a 1024-node ``psld synth`` series (seed 0, no adjacency), the
   benchmark's ``train-large`` shape: ``psld train`` mvd/separate, seed 0,
   2 epochs, whose steps run as row blocks, and ``psld eval`` of its val
@@ -46,6 +48,8 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src"
 COMBOS = [(kind, mode) for kind in ("mvd", "stl") for mode in ("separate", "merged")]
 TRAIN_ARGS = ("--seed", "3", "--epochs", "3", "--baseline-mlp")
+RSS_CHECKS = {"default": [], "symmetric-sqrt": ["--norm-mode", "symmetric_sqrt"],
+              "unit": ["--norm-mode", "unit"], "prob-1": ["--prob", "1.0"]}
 
 
 def _psld(args: list, out: Path, src: Path, threads: int) -> None:
@@ -79,6 +83,8 @@ def run_matrix(work: Path, src: Path, threads: int) -> None:
     for kind, mode in COMBOS:
         _psld(["gradcheck", "--decomposer", kind, "--mode", mode, "--n-seeds", "20"],
               work / f"gradcheck-{kind}-{mode}", src, threads)
+    for name, flags in RSS_CHECKS.items():
+        _psld(["rss-check", *flags], work / f"rss-check-{name}", src, threads)
     large = work / "data-1024"
     _psld(["synth", "--nodes", "1024", "--seed", "0", "--out", str(large)], large, src, threads)
     run = work / "mvd-separate-1024"

@@ -278,10 +278,9 @@ def _prediction_writer(f, store, config, t0: int):
     ids, l_out = store.node_ids, config.l_out
     f.write("t0,node,h,y,y_hat\n")
 
-    def write(lo, pred, y):
-        for row, y_row, p_row in zip(range(lo, lo + len(y)), y.tolist(), pred.tolist()):
-            w, d = divmod(row, store.n_nodes)
-            prefix = f"{t0 + w},{ids[d]},"
+    def write(w, node, pred, y):
+        for w_row, d, y_row, p_row in zip(w.tolist(), node.tolist(), y.tolist(), pred.tolist()):
+            prefix = f"{t0 + w_row},{ids[d]},"
             for h in range(l_out):
                 f.write(f"{prefix}{h + 1},{y_row[h]!r},{p_row[h]!r}\n")
 

@@ -29,6 +29,8 @@ _EDGE_PAIR = struct.Struct("6d").pack
 _OUT_OF_RANGE = "edge ({}, {}) out of range for {} nodes".format
 # Rows per block of the edge check in ``_edge_array``.
 _EDGE_BLOCK = 16384
+# Values per block of the deviations ``fit_norm_stats`` takes the std of.
+_FIT_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -424,22 +426,36 @@ def generate_synthetic(
 
 
 def fit_norm_stats(store: SeriesStore, train_len: int) -> NormStats:
-    """Per-node mean and population std over timesteps [0, train_len)."""
+    """Per-node mean and population std over timesteps [0, train_len).
+
+    numpy's ``std`` makes the deviations from the mean as one temporary the
+    size of its input, so sigma is taken over blocks of rows that hold at
+    most ``_FIT_BLOCK`` values (or one row), into one preallocated vector.
+    Each row is reduced on its own, so the bits are those of
+    ``head.std(axis=1)``, and the temporary does not grow with the nodes.
+    """
     if not 2 <= train_len <= store.l_data:
         raise ValueError(
             f"train_len must be in [2, {store.l_data}] to fit a scale, got {train_len}"
         )
     head = store.values[:, :train_len]
-    return NormStats(head.mean(axis=1), head.std(axis=1))
+    sigma = np.empty(store.n_nodes)
+    step = max(1, _FIT_BLOCK // train_len)
+    for lo in range(0, store.n_nodes, step):
+        head[lo:lo + step].std(axis=1, out=sigma[lo:lo + step])
+    return NormStats(head.mean(axis=1), sigma)
 
 
-def _norm_columns(stats: NormStats, sigma_floor: float) -> tuple:
+def _norm_columns(stats: NormStats, n_nodes: int, sigma_floor: float) -> tuple:
     """(mu, scale) as (n_nodes, 1) columns: a node's value x normalizes to (x - mu) / scale.
 
     ``scale`` is ``max(sigma, sigma_floor)``. ``apply_norm`` and the
     training and scoring gathers apply these two per-element ops in this
     order, so a value normalizes to the same bits wherever it is read.
+    Stats that do not cover ``n_nodes`` nodes raise ``ShapeError``.
     """
+    if stats.mu.shape[0] != n_nodes:
+        raise ShapeError(f"stats cover {stats.mu.shape[0]} nodes, store has {n_nodes}")
     return stats.mu[:, None], np.maximum(stats.sigma, sigma_floor)[:, None]
 
 
@@ -450,9 +466,7 @@ def apply_norm(store: SeriesStore, stats: NormStats,
     The difference is divided in place, so the output is the one array
     allocated.
     """
-    if stats.mu.shape[0] != store.n_nodes:
-        raise ShapeError(f"stats cover {stats.mu.shape[0]} nodes, store has {store.n_nodes}")
-    mu, scale = _norm_columns(stats, sigma_floor)
+    mu, scale = _norm_columns(stats, store.n_nodes, sigma_floor)
     normed = store.values - mu
     normed /= scale
     return _with_edges(SeriesStore(normed, store.node_ids), store.adjacency)

@@ -39,10 +39,6 @@ class MvdConfig:
         if not 0.0 < self.epsilon < np.inf:
             raise ValueError(f"epsilon must be finite and > 0, got {self.epsilon}")
 
-    @property
-    def kind(self) -> str:
-        return "mvd"
-
 
 @dataclass(frozen=True)
 class StlConfig:
@@ -56,12 +52,9 @@ class StlConfig:
             if k < 1 or k % 2 == 0:
                 raise ValueError(f"{name} must be odd and >= 1, got {k}")
 
-    @property
-    def kind(self) -> str:
-        return "stl"
 
-
-def make_config(kind: str, epsilon: float = 1e-5, kappa_t: int = 25, kappa_s: int = 7):
+def make_config(kind: str, epsilon: float = MvdConfig.epsilon,
+                kappa_t: int = StlConfig.kappa_t, kappa_s: int = StlConfig.kappa_s):
     if kind == "mvd":
         return MvdConfig(epsilon)
     if kind == "stl":

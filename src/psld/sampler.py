@@ -252,8 +252,6 @@ def unbiasedness_mc_check(
 def random_graph(
     n_nodes: int,
     rng: Rng,
-    d_in: int = 3,
-    d_out: int = 2,
     edge_prob: float = 0.2,
     norm_mode: str = "target_degree",
 ) -> GraphSpec:
@@ -261,7 +259,7 @@ def random_graph(
 
     Pair i < j is linked when its entry of one uniform (n, n) draw is below
     edge_prob; then each node still isolated, in index order, is linked to
-    the next node (mod n).
+    the next node (mod n). Features are (n, 3) and the weight (3, 2).
     """
     if n_nodes < 2:
         raise ValueError(f"need at least two nodes, got {n_nodes}")
@@ -276,5 +274,5 @@ def random_graph(
     lonely = np.array(lonely, dtype=np.intp)
     src, dst = np.append(src, lonely), np.append(dst, (lonely + 1) % n_nodes)
     edges = _both_directions(src, dst, np.ones(len(src)))
-    return GraphSpec(edges, g.standard_normal((n_nodes, d_in)),
-                     g.standard_normal((d_in, d_out)), norm_mode)
+    return GraphSpec(edges, g.standard_normal((n_nodes, 3)), g.standard_normal((3, 2)),
+                     norm_mode)

@@ -44,7 +44,7 @@ from .dataset import (
     restrict_time,
     split_ranges,
 )
-from .exceptions import NumericError, ShapeError
+from .exceptions import NumericError
 from .numerics import Rng
 from .sampler import rss_partition
 
@@ -81,9 +81,9 @@ class TrainConfig:
     l_in: int = 36
     l_out: int = 36
     decomposer: str = "mvd"
-    epsilon: float = 1e-5
-    kappa_t: int = 25
-    kappa_s: int = 7
+    epsilon: float = dc.MvdConfig.epsilon
+    kappa_t: int = dc.StlConfig.kappa_t
+    kappa_s: int = dc.StlConfig.kappa_s
     hidden: int = 128
     dropout: float = 0.05
     lr: float = 1e-4
@@ -192,17 +192,18 @@ def prepare_store(store: SeriesStore, config: TrainConfig):
 
 
 def _rows(windows: tuple, win: np.ndarray, node: np.ndarray, norm: tuple | None):
-    """``rows(lo, hi) -> (x, y, node)``: rows [lo, hi) of the window-major rows ``win × node``.
+    """``rows(lo, hi) -> (x, y, w, node)``: rows [lo, hi) of the window-major rows ``win × node``.
 
     ``windows`` are the node-major views (x, y) of a split's columns
     (``_windows``), and row ``i * len(node) + j`` is window ``win[i]`` of
-    node ``node[j]``; the returned ``node`` holds each gathered row's node.
-    x and y are C-contiguous copies of the rows asked for, and nothing else
-    the size of the rows is made. With ``norm``, the (mu, scale) columns of
-    ``dataset._norm_columns``, each row is normalized in place by its
-    node's, as ``apply_norm`` would normalize the values it holds: so a row
-    gathered from raw columns has the bits of the same row gathered from
-    the normalized store.
+    node ``node[j]``; the returned ``w`` and ``node`` hold each gathered
+    row's window and node. This is the one place a row index maps to a
+    (window, node) pair. x and y are C-contiguous copies of the rows asked
+    for, and nothing else the size of the rows is made. With ``norm``, the
+    (mu, scale) columns of ``dataset._norm_columns``, each row is
+    normalized in place by its node's, as ``apply_norm`` would normalize
+    the values it holds: so a row gathered from raw columns has the bits
+    of the same row gathered from the normalized store.
     """
     def rows(lo: int, hi: int) -> tuple:
         at, pos = np.divmod(np.arange(lo, hi), len(node))
@@ -213,56 +214,56 @@ def _rows(windows: tuple, win: np.ndarray, node: np.ndarray, norm: tuple | None)
             for r in (x, y):
                 r -= mu
                 r /= scale
-        return x, y, d
+        return x, y, w, d
 
     return rows
 
 
-def _forecast_chunks(n_rows: int, rows, forecast, denorm: tuple | None):
-    """Yield (lo, pred, y): ``forecast(x)`` and truth of the rows [lo, lo + len(pred)).
+def _forecast_chunks(n_rows: int, rows, forecast, denorm: tuple | None, sink):
+    """Yield (pred, y): ``forecast(x)`` and truth of the rows, each once, in order.
 
-    ``rows(lo, hi)`` gives rows [lo, hi) of ``n_rows`` as (x, y, node)
+    ``rows(lo, hi)`` gives rows [lo, hi) of ``n_rows`` as (x, y, w, node)
     (``_rows``), and ``forecast`` is called once per chunk. Every chunk has
     ``EVAL_CHUNK_ROWS`` rows, or all rows if there are fewer: the last
     one is shifted back to end at the last row, so its forecast is made in
     a call of the same size as every other. Rows are independent, but BLAS
     may round a product of a few rows differently in the last bit from the
     same rows inside a larger product; with every call the same size, no
-    short remainder call depends on where the split ends. Rows are yielded
-    once each, in order: of the rows the shifted last chunk repeats, its
-    forecasts are the ones yielded, so the chunk before it stops where it
-    starts. ``pred`` may be a buffer ``forecast`` reuses, so it is valid
-    only until the next chunk. With ``denorm``, (mu, scale) columns as
-    ``dataset._norm_columns`` gives them, forecast and truth are mapped
-    back to the raw scale by each row's node.
+    short remainder call depends on where the split ends. Of the rows the
+    shifted last chunk repeats, its forecasts are the ones yielded, so the
+    chunk before it stops where it starts. ``pred`` may be a buffer
+    ``forecast`` reuses, so it is valid only until the next chunk. With
+    ``denorm``, (mu, scale) columns as ``dataset._norm_columns`` gives
+    them, forecast and truth are mapped back to the raw scale by each
+    row's node. ``sink(w, node, pred, y)``, if given, is called with each
+    chunk's rows and their windows and nodes before the chunk is yielded.
     """
     size = min(EVAL_CHUNK_ROWS, n_rows)
     last = n_rows - size  # where the shifted last chunk starts
     for start in range(0, n_rows, size):
         lo = min(start, last)
         keep = (n_rows if lo == last else min(lo + size, last)) - lo
-        x, y, node = rows(lo, lo + size)
-        pred, y, node = forecast(x)[:keep], y[:keep], node[:keep]
+        x, y, w, node = rows(lo, lo + size)
+        pred, y, w, node = forecast(x)[:keep], y[:keep], w[:keep], node[:keep]
         if denorm is not None:
             mu, scale = denorm
             pred = pred * scale[node] + mu[node]
             y = y * scale[node] + mu[node]
-        yield lo, pred, y
+        if sink is not None:
+            sink(w, node, pred, y)
+        yield pred, y
 
 
-def _metrics(chunks, shape: tuple, sink=None) -> dict:
-    """MSE and MAE of (lo, pred, y) chunks that cover the rows of ``shape`` once, in order.
+def _metrics(chunks, shape: tuple) -> dict:
+    """MSE and MAE of the (pred, y) chunks that hold the rows of ``shape`` in order.
 
-    A chunk that does not start where the one before it ended, or runs past
-    the last row, raises ``ShapeError`` naming its ``lo``; chunks that stop
-    short of the last row raise it naming the first row left out. ``|pred - y|`` and its square are
-    streamed into two buffers of at most ``numerics.SUM_LEAF`` values (plus one
-    row). Each buffer is summed by ``np.add.reduce`` whenever it holds a
-    whole node of the pairwise tree numpy sums a contiguous array of
-    ``shape`` with, and those sums are added up in the tree's order. So
-    the metrics equal ``np.mean`` of full-split temporaries to the bit,
-    and nothing the size of the split is allocated. ``sink``, if given,
-    is called with each chunk before it is scored.
+    ``|pred - y|`` and its square are streamed into two buffers of at
+    most ``numerics.SUM_LEAF`` values (plus one row). Each buffer is
+    summed by ``np.add.reduce`` whenever it holds a whole node of the
+    pairwise tree numpy sums a contiguous array of ``shape`` with, and
+    those sums are added up in the tree's order. So the metrics equal
+    ``np.mean`` of full-split temporaries to the bit, and nothing the size
+    of the split is allocated.
     """
     n_rows, width = shape
     n = n_rows * width
@@ -270,13 +271,8 @@ def _metrics(chunks, shape: tuple, sink=None) -> dict:
     leaf = next(leaves)
     err, sq = np.empty((2, min(n, nx.SUM_LEAF) + width))
     err_sums, sq_sums = [], []
-    fill = covered = 0
-    for lo, pred, y in chunks:
-        if lo != covered or lo + len(y) > n_rows:
-            raise ShapeError(f"chunk at row lo={lo} of {len(y)} rows does not continue "
-                             f"rows [0, {covered}) of {n_rows}")
-        if sink is not None:
-            sink(lo, pred, y)
+    fill = 0
+    for pred, y in chunks:
         row = 0
         while row < len(y):
             # whole rows up to the first that reaches the end of the leaf
@@ -293,10 +289,6 @@ def _metrics(chunks, shape: tuple, sink=None) -> dict:
                 fill -= leaf
                 err[:fill], sq[:fill] = err[leaf:leaf + fill], sq[leaf:leaf + fill]
                 leaf = next(leaves, None)
-        covered = lo + len(y)
-    if covered != n_rows:
-        raise ShapeError(f"no chunk at row lo={covered}: chunks stop before the last "
-                         f"of {n_rows} rows")
     return {"mse": float(nx._pairwise_join(n, iter(sq_sums)) / n),
             "mae": float(nx._pairwise_join(n, iter(err_sums)) / n)}
 
@@ -306,8 +298,7 @@ def evaluate(params, store: SeriesStore, config: TrainConfig, split: tuple,
              norm_stats: NormStats | None = None) -> dict:
     """MSE and MAE over all windows, horizon steps, and nodes of the split.
 
-    The split has one row per (window, node), window-major: row
-    ``w * n_nodes + d`` is node d's window starting at step ``split[0] + w``.
+    The split has one row per (window, node), window-major (see ``_rows``).
     The forecast is made in chunks of ``EVAL_CHUNK_ROWS`` rows (see
     ``_forecast_chunks``) and scored as it comes (see ``_metrics``): no
     array the size of the split is kept, so memory does not grow with the
@@ -319,9 +310,10 @@ def evaluate(params, store: SeriesStore, config: TrainConfig, split: tuple,
     normalized chunk by chunk as they are gathered; the metrics equal those
     of the store ``apply_norm`` makes with the same stats, to the bit. With
     ``denorm_stats`` both forecast and truth are mapped back to the raw
-    scale before the metrics. ``sink(lo, pred, y)``, if given, sees every
-    chunk ``_forecast_chunks`` yields, so one pass can both score and write
-    the forecast.
+    scale before the metrics. ``sink(w, node, pred, y)``, if given, sees
+    every chunk ``_forecast_chunks`` yields, with each row's window ``w``
+    (its first input step is ``split[0] + w``) and node index, so one pass
+    can both score and write the forecast.
     """
     dcfg, buffers = config.decomposer_config(), {}
     return _score(store, config, split, lambda x: md.predict(params, x, dcfg, buffers),
@@ -334,11 +326,11 @@ def _score(store: SeriesStore, config: TrainConfig, split: tuple, forecast,
     """Metrics of ``forecast`` over the split's (window, node) rows, as ``evaluate`` scores."""
     windows = _windows(store.values[:, split[0]:split[1]], config.l_in, config.l_out)
     n_nodes, n_win = windows[0].shape[:2]
-    norm, denorm = (None if s is None else _norm_columns(s, config.sigma_floor)
+    norm, denorm = (None if s is None else _norm_columns(s, n_nodes, config.sigma_floor)
                     for s in (norm_stats, denorm_stats))
     rows = _rows(windows, np.arange(n_win), np.arange(n_nodes), norm)
-    chunks = _forecast_chunks(n_win * n_nodes, rows, forecast, denorm)
-    return _metrics(chunks, (n_win * n_nodes, config.l_out), sink)
+    chunks = _forecast_chunks(n_win * n_nodes, rows, forecast, denorm, sink)
+    return _metrics(chunks, (n_win * n_nodes, config.l_out))
 
 
 def _blocked_step(params, n_rows: int, rows, dcfg, lam: float, rng: Rng, buffers: dict,
@@ -346,7 +338,7 @@ def _blocked_step(params, n_rows: int, rows, dcfg, lam: float, rng: Rng, buffers
     """Losses (total, cbn, cpn) and gradients of one step, in row blocks of at most STEP_ROWS.
 
     The step has ``n_rows`` rows, and ``rows(lo, hi)`` gives its rows
-    [lo, hi) as (x, y, node) (``_rows``); the nodes are not read. The
+    [lo, hi) as (x, y, w, node) (``_rows``); windows and nodes are not read. The
     k = ceil(n_rows / STEP_ROWS) blocks are rows
     [n_rows * i // k, n_rows * (i + 1) // k), so their sizes differ by at
     most one row; each is gathered only when its pass runs. Each runs
@@ -365,7 +357,7 @@ def _blocked_step(params, n_rows: int, rows, dcfg, lam: float, rng: Rng, buffers
     losses = np.zeros(3)
     for i in range(k):
         lo, hi = n_rows * i // k, n_rows * (i + 1) // k
-        x, y, _ = rows(lo, hi)
+        x, y = rows(lo, hi)[:2]
         part, grads = md.train_step(params, x, y, dcfg, lam, rng, buffers)
         share = (hi - lo) / n_rows
         losses += (share * part.total, share * part.cbn, share * part.cpn)
@@ -409,7 +401,7 @@ def _fit(params, store: SeriesStore, config: TrainConfig, ranges: dict, stats: N
     """
     train_store = restrict_time(store, *ranges["train"])
     windows = _windows(train_store.values, config.l_in, config.l_out)
-    norm = _norm_columns(stats, config.sigma_floor)
+    norm = _norm_columns(stats, train_store.n_nodes, config.sigma_floor)
     n_win = windows[0].shape[1]
     k = min(config.minibatch, n_win)
     root = Rng(config.seed)

@@ -471,6 +471,37 @@ class TestEval:
         y, y_hat = values[:, 0].reshape(-1, 6), values[:, 1].reshape(-1, 6)
         assert float(np.mean((y_hat - y) ** 2)) == json.loads(stdout)["mse"]
 
+    @pytest.mark.parametrize("split,t_start", [("val", 96), ("test", 128)])
+    def test_dump_rows_are_labelled_with_their_series_values(self, dataset, tmp_path, capsys,
+                                                            split, t_start):
+        # the labels are checked against the series itself: a row
+        # (t0, node, h) holds the normalized value of node at step
+        # t0 + l_in + h - 1, with train-split stats (steps 0..95 of 160)
+        out = tmp_path / "run"
+        run_cli(capsys, *train_args(dataset, out))
+        preds = tmp_path / "preds.csv"
+        code, _, _ = run_cli(capsys, "eval", "--checkpoint", str(out / "checkpoint.psld"),
+                             "--data", str(dataset / "series.csv"), "--split", split,
+                             "--dump-predictions", str(preds))
+        assert code == EXIT_OK
+        lines = preds.read_text().splitlines()
+        assert lines[0] == "t0,node,h,y,y_hat"
+        rows = [line.split(",") for line in lines[1:]]
+        series = [line.split(",") for line in (dataset / "series.csv").read_text().splitlines()]
+        ids = [r[0] for r in series]
+        values = np.array([[float(v) for v in r[1:]] for r in series])
+        l_in, l_out, n_win = 12, 6, 32 - 12 - 6 + 1
+        want = [(t0, node, h) for t0 in range(t_start, t_start + n_win)
+                for node in ids for h in range(1, l_out + 1)]
+        assert [(int(t0), node, int(h)) for t0, node, h, _, _ in rows] == want
+        mu = values[:, :96].mean(axis=1)
+        scale = np.maximum(values[:, :96].std(axis=1), 1e-8)
+        at = {node: d for d, node in enumerate(ids)}
+        for (t0, node, h), (_, _, _, y, _) in zip(want, rows):
+            d = at[node]
+            normed = (values[d, t0 + l_in + h - 1] - mu[d]) / scale[d]
+            assert float(y).hex() == normed.hex(), (t0, node, h)
+
     def test_corrupted_checkpoint_is_runtime_error(self, dataset, tmp_path,
                                                    capsys):
         out = tmp_path / "run"

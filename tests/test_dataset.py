@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from psld import dataset
 from psld import training as tr
 from psld.dataset import (
     _EDGE_BLOCK,
@@ -44,9 +45,9 @@ def has_row(edges, row):
 def echo_chunks(store, l_in, l_out, split):
     """The chunks scoring the split yields, with a forecast that returns its input.
 
-    Returns (calls, yielded): the (lo, x) each forecast call saw, and the
-    (lo, pred, y) chunks ``training._score`` hands to its metrics, whose
-    ``pred`` are input rows.
+    Returns (calls, yielded): the x of each forecast call, and the
+    (w, node, pred, y) of each chunk ``training._score`` hands to its
+    metrics, whose ``pred`` are input rows.
     """
     calls, yielded = [], []
 
@@ -56,24 +57,25 @@ def echo_chunks(store, l_in, l_out, split):
 
     config = tr.TrainConfig(l_in=l_in, l_out=l_out)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(tr, "_metrics", lambda chunks, shape, sink=None: yielded.extend(chunks))
-        tr._score(store, config, split, echo)
-    return [(lo, x) for (lo, _, _), x in zip(yielded, calls)], yielded
+        patch.setattr(tr, "_metrics", lambda chunks, shape: list(chunks))
+        tr._score(store, config, split, echo, sink=lambda *chunk: yielded.append(chunk))
+    return calls, yielded
 
 
 def split_rows(store, l_in, l_out, split):
-    """The (lo, x) chunks forecast over the split and the rows they assemble.
+    """The forecast calls over the split and the rows the scored chunks assemble.
 
-    Checks that one forecast call is made per yielded chunk and that the
-    yielded rows start at row 0, leave no gap and repeat none.
+    Checks that one forecast call is made per scored chunk and that the
+    chunks' rows are every (window, node) pair once, window-major: every
+    node of window 0, then of window 1, and so on.
     """
-    chunks, yielded = echo_chunks(store, l_in, l_out, split)
-    assert len(chunks) == len(yielded)
-    x = np.concatenate([pred for _, pred, _ in yielded])
-    y = np.concatenate([cy for _, _, cy in yielded])
-    assert [lo for lo, _, _ in yielded] == \
-        np.cumsum([0] + [len(pred) for _, pred, _ in yielded[:-1]]).tolist()
-    return chunks, x, y
+    calls, yielded = echo_chunks(store, l_in, l_out, split)
+    assert len(calls) == len(yielded)
+    w, node, x, y = (np.concatenate(part) for part in zip(*yielded))
+    n_win = len(w) // store.n_nodes
+    assert np.array_equal(w, np.repeat(np.arange(n_win), store.n_nodes))
+    assert np.array_equal(node, np.tile(np.arange(store.n_nodes), n_win))
+    return calls, x, y
 
 
 class TestSeriesStore:
@@ -223,6 +225,40 @@ class TestNormalization:
         back = normed.values * scale + stats.mu[:, None]
         assert np.max(np.abs(back - synth_store.values)) <= 1e-10
 
+    # blocks of 1 row, of 7, 64 and 256 rows with a shorter last block,
+    # and one block of all 999 rows
+    @pytest.mark.parametrize("block_rows", [1, 7, 64, 256, 999])
+    @pytest.mark.parametrize("train_len", [2, 37, 360])
+    def test_blocked_fit_has_the_whole_array_bits(self, monkeypatch, block_rows, train_len):
+        values = Rng(train_len).gen.standard_normal((999, 400)) * 1e3 + 7.0
+        values[::5] = -values[::5] * 1e-200
+        values[3] = 4.0  # sigma 0
+        store = SeriesStore(values, [f"n{i}" for i in range(999)])
+        monkeypatch.setattr(dataset, "_FIT_BLOCK", block_rows * train_len)
+        stats = fit_norm_stats(store, train_len)
+        head = values[:, :train_len]
+        for got, want in ((stats.mu, head.mean(axis=1)), (stats.sigma, head.std(axis=1))):
+            assert got.shape == (999,)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_fit_memory_does_not_grow_with_nodes(self):
+        # the train split of a 1024-node series is 2.9 MiB, and one
+        # whole-array std makes a temporary that size; the blocked fit's
+        # traced peak stays within one bound at 64 and at 1024 nodes: one
+        # block's deviations plus numpy's ufunc buffers (measured 0.31 and
+        # 0.39 MB)
+        for n_nodes in (64, 1024):
+            store = SeriesStore(Rng(n_nodes).gen.standard_normal((n_nodes, 600)),
+                                [f"n{i}" for i in range(n_nodes)])
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                fit_norm_stats(store, 360)
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            assert peak <= 8 * dataset._FIT_BLOCK + 2**18, (n_nodes, peak)
+
     def test_train_len_too_small(self, tiny_store):
         with pytest.raises(ValueError):
             fit_norm_stats(tiny_store, 1)
@@ -321,11 +357,11 @@ class TestSplitsAndWindows:
             for l_in in range(1, 9):
                 for l_out in range(1, 10 - l_in):
                     n_win = 10 - l_in - l_out + 1
-                    chunks, x, y = split_rows(tiny_store, l_in, l_out, (0, 10))
+                    calls, x, y = split_rows(tiny_store, l_in, l_out, (0, 10))
                     assert x.shape == (n_win * 3, l_in)
                     assert y.shape == (n_win * 3, l_out)
                     size = min(chunk_rows, n_win * 3)
-                    assert all(len(cx) == size for _, cx in chunks)
+                    assert all(len(cx) == size for cx in calls)
                     for row in range(n_win * 3):
                         w, d = divmod(row, 3)
                         assert np.array_equal(x[row], v[d, w:w + l_in])
@@ -341,23 +377,26 @@ class TestSplitsAndWindows:
         assert np.array_equal(x[:3, 1:], x[3:6, :-1])
 
     def test_boundary_single_window(self, tiny_store):
-        chunks, x, y = split_rows(tiny_store, 6, 4, (0, 10))
-        assert len(chunks) == 1
+        calls, x, y = split_rows(tiny_store, 6, 4, (0, 10))
+        assert len(calls) == 1
         assert np.array_equal(x, tiny_store.values[:, :6])
         assert np.array_equal(y, tiny_store.values[:, 6:])
 
     def test_last_chunk_is_shifted_back_to_the_end(self, tiny_store, monkeypatch):
-        # 7 windows of 3 nodes in chunks of 5: starts 0, 5, 10, 15, then 16
+        # 7 windows of 3 nodes in chunks of 5: starts 0, 5, 10, 15, then 16,
+        # of which the chunk at 15 keeps the one row the last does not repeat
         monkeypatch.setattr(tr, "EVAL_CHUNK_ROWS", 5)
-        chunks, x, _ = split_rows(tiny_store, 2, 2, (0, 10))
-        assert [lo for lo, _ in chunks] == [0, 5, 10, 15, 16]
-        for lo, cx in chunks:
+        calls, x, _ = split_rows(tiny_store, 2, 2, (0, 10))
+        assert len(calls) == 5
+        for lo, cx in zip([0, 5, 10, 15, 16], calls):
             assert np.array_equal(cx, x[lo:lo + 5])
+        _, yielded = echo_chunks(tiny_store, 2, 2, (0, 10))
+        assert [len(pred) for _, _, pred, _ in yielded] == [5, 5, 5, 1, 5]
 
     def test_chunks_are_contiguous_copies(self, tiny_store, monkeypatch):
         monkeypatch.setattr(tr, "EVAL_CHUNK_ROWS", 4)
-        chunks, yielded = echo_chunks(tiny_store, 3, 2, (1, 10))
-        for (_, cx), (_, _, cy) in zip(chunks, yielded):
+        calls, yielded = echo_chunks(tiny_store, 3, 2, (1, 10))
+        for cx, (_, _, _, cy) in zip(calls, yielded):
             assert cx.flags.c_contiguous and cy.flags.c_contiguous
             assert not np.shares_memory(cx, tiny_store.values)
             assert not np.shares_memory(cy, tiny_store.values)

@@ -175,8 +175,9 @@ def assembled_forecast(params, store, cfg, split, denorm_stats=None):
     """Forecast and truth rows of the chunks evaluate scores; each row once, in order."""
     preds, truths = [], []
 
-    def sink(lo, pred, y):
-        assert lo == sum(map(len, preds))
+    def sink(w, node, pred, y):
+        done = sum(map(len, preds))
+        assert np.array_equal(w * store.n_nodes + node, np.arange(done, done + len(pred)))
         preds.append(pred.copy())
         truths.append(y.copy())
 
@@ -222,13 +223,14 @@ class TestEvaluate:
         node, win = np.array([3, 0, 1, 2, 2]), np.array([0, 3, 2, 1, 3, 2, 0])
         d, w = np.tile(node, len(win)), np.repeat(win, len(node))
         raw = _windows(store.values, 3, 1)
-        got = tr._rows(raw, win, node, _norm_columns(stats, floor))(0, len(d))
+        got = tr._rows(raw, win, node, _norm_columns(stats, 4, floor))(0, len(d))
         plain = tr._rows(raw, win, node, None)(0, len(d))
         for at, want in enumerate(_windows(normed.values, 3, 1)):
             assert got[at].flags.c_contiguous and got[at].flags.writeable
             assert np.array_equal(got[at].view(np.uint64), want[d, w].view(np.uint64)), floor
             assert np.array_equal(plain[at], raw[at][d, w])
-        assert np.array_equal(got[2], d) and np.array_equal(plain[2], d)
+        for rows in (got, plain):
+            assert np.array_equal(rows[2], w) and np.array_equal(rows[3], d)
 
     @pytest.mark.parametrize("val_len", [1, 17])
     @pytest.mark.parametrize("fit", [train, baseline_plain_mlp], ids=["train", "plain"])
@@ -263,20 +265,41 @@ class TestEvaluate:
             for denorm in (None, stats):
                 rows = {}
                 got = evaluate(params, store, cfg, split, denorm, norm_stats=stats,
-                               sink=lambda lo, p, y: rows.setdefault("got", []).append(
-                                   np.hstack([p, y])))
+                               sink=lambda w, d, p, y: rows.setdefault("got", []).append(
+                                   np.hstack([w[:, None], d[:, None], p, y])))
                 want = evaluate(params, normed, cfg, split, denorm,
-                                sink=lambda lo, p, y: rows.setdefault("want", []).append(
-                                    np.hstack([p, y])))
+                                sink=lambda w, d, p, y: rows.setdefault("want", []).append(
+                                    np.hstack([w[:, None], d[:, None], p, y])))
                 assert got == want, name
                 assert np.array_equal(np.concatenate(rows["got"]).view(np.uint64),
                                       np.concatenate(rows["want"]).view(np.uint64)), name
+
+    @pytest.mark.parametrize("fit_nodes,store_nodes", [(9, 6), (6, 9)])
+    def test_stats_for_other_nodes_raise_shape_error(self, fit_nodes, store_nodes):
+        # stats of more nodes than the store has would score silently, and
+        # of fewer would fail as a bare IndexError: each stats parameter of
+        # each scorer names both counts
+        cfg = small_config()
+        store = generate_synthetic(store_nodes, 150, Rng(3))
+        stats = fit_norm_stats(generate_synthetic(fit_nodes, 150, Rng(3)), 90)
+        params = _eval_params("mvd", cfg)
+        split = split_ranges(store.l_data, cfg.split)["test"]
+        scorers = [
+            lambda: evaluate(params, store, cfg, split, norm_stats=stats),
+            lambda: evaluate(params, store, cfg, split, denorm_stats=stats),
+            lambda: baseline_last_value(store, cfg, split, norm_stats=stats),
+            lambda: apply_norm(store, stats),
+        ]
+        for score in scorers:
+            with pytest.raises(ShapeError) as exc:
+                score()
+            assert str(exc.value) == f"stats cover {fit_nodes} nodes, store has {store_nodes}"
 
     def test_constant_offset_metrics(self):
         # forecasting y + c with truth y gives mse c^2 and mae |c|
         y = Rng(0).gen.standard_normal((7, 5))
         c = 0.75
-        m = tr._metrics([(0, y + c, y)], y.shape)
+        m = tr._metrics([(y + c, y)], y.shape)
         assert m["mse"] == pytest.approx(c * c, rel=1e-12)
         assert m["mae"] == pytest.approx(c, rel=1e-12)
 
@@ -286,8 +309,7 @@ class TestEvaluate:
         g = Rng(3).gen
         pred, truth = g.standard_normal((50176, 36)), g.standard_normal((50176, 36))
         pred[::97] = truth[::97]
-        chunks = ((lo, pred[lo:lo + 512], truth[lo:lo + 512])
-                  for lo in range(0, len(pred), 512))
+        chunks = ((pred[lo:lo + 512], truth[lo:lo + 512]) for lo in range(0, len(pred), 512))
         assert tr._metrics(chunks, pred.shape) == one_shot_metrics(pred, truth)
 
     # lengths around numpy's 128-value block and around SUM_LEAF, several
@@ -307,29 +329,16 @@ class TestEvaluate:
         for size in sorted({1, 5, 512, rows}):
             if rows // size > 2000:
                 continue
-            chunks = ((lo, pred[lo:lo + size], truth[lo:lo + size])
-                      for lo in range(0, rows, size))
+            chunks = ((pred[lo:lo + size], truth[lo:lo + size]) for lo in range(0, rows, size))
             assert tr._metrics(chunks, pred.shape) == want, size
 
     def test_metrics_memory_does_not_grow_with_rows(self):
         # a 1024-node split's (50176, 36) error array would be 13.8 MiB: the
         # traced peak is the two leaf buffers plus the sums' bookkeeping
         pred, truth = Rng(4).gen.standard_normal((2, 50176, 36))
-        chunks = ((lo, pred[lo:lo + 512], truth[lo:lo + 512]) for lo in range(0, 50176, 512))
+        chunks = ((pred[lo:lo + 512], truth[lo:lo + 512]) for lo in range(0, 50176, 512))
         peak = _traced_peak(lambda: tr._metrics(chunks, pred.shape))
         assert peak <= 2 * (numerics.SUM_LEAF + 36) * 8 + 2**16, peak
-
-    @pytest.mark.parametrize("los", [(0, 3, 4), (0, 3, 2), (0, 3, 6), (1,)],
-                             ids=["gap", "overlap", "past-the-end", "gap-at-start"])
-    def test_chunks_that_skip_or_repeat_rows_name_lo(self, los):
-        y = np.zeros((3, 2))
-        with pytest.raises(ShapeError, match=f"lo={los[-1]}"):
-            tr._metrics([(lo, y, y) for lo in los], (8, 2))
-
-    def test_chunks_that_stop_short_name_where(self):
-        y = np.zeros((8, 2))
-        with pytest.raises(ShapeError, match="lo=6"):
-            tr._metrics([(0, y[:3], y[:3]), (3, y[3:6], y[3:6])], y.shape)
 
 
 def _eval_params(kind, cfg):
@@ -511,14 +520,15 @@ class TestRows:
         # block of the whole, and normalized rows are the normalized store's
         store = generate_synthetic(10, 80, Rng(5))
         stats = fit_norm_stats(store, 80)
-        norm = _norm_columns(stats, 1e-8)
+        norm = _norm_columns(stats, store.n_nodes, 1e-8)
         windows = _windows(store.values, 12, 6)
         normed = _windows(apply_norm(store, stats).values, 12, 6)
         for b in rss_partition(store, 3, 12, 6, training=True, rng=Rng(2)):
             n_win, _, n_sub = b.x.shape
             idx = Rng(7).gen.choice(n_win, size=min(k, n_win), replace=False)
             n_rows, rows = len(idx) * n_sub, tr._rows(windows, idx, b.node_index, None)
-            x_rows, y_rows, node = rows(0, n_rows)
+            x_rows, y_rows, w, node = rows(0, n_rows)
+            assert np.array_equal(w, np.repeat(idx, n_sub))
             assert np.array_equal(node, np.tile(b.node_index, len(idx)))
             for got, win in ((x_rows, b.x), (y_rows, b.y)):
                 want = win[idx].transpose(0, 2, 1).reshape(n_rows, -1)
@@ -526,7 +536,7 @@ class TestRows:
                 assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
             lo, hi = n_rows // 3, n_rows - n_rows // 4
             assert all(np.array_equal(part, whole[lo:hi])
-                       for part, whole in zip(rows(lo, hi), (x_rows, y_rows, node)))
+                       for part, whole in zip(rows(lo, hi), (x_rows, y_rows, w, node)))
             normed_rows = tr._rows(windows, idx, b.node_index, norm)(0, n_rows)
             want_rows = tr._rows(normed, idx, b.node_index, None)(0, n_rows)
             for got, want in zip(normed_rows, want_rows):
@@ -538,7 +548,7 @@ class TestRows:
         store = generate_synthetic(64, 200, Rng(5))
         batch = rss_partition(store, 1, 36, 36, training=True, rng=Rng(2))[0]
         windows = _windows(store.values, 36, 36)
-        norm = _norm_columns(fit_norm_stats(store, 200), 1e-8)
+        norm = _norm_columns(fit_norm_stats(store, 200), store.n_nodes, 1e-8)
         win = Rng(7).gen.choice(windows[0].shape[1], size=32, replace=False)
         gather, n_rows = tr._rows(windows, win, batch.node_index, norm), 32 * 64
         rows = []
