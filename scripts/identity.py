@@ -28,10 +28,16 @@ matrix, on one 64-node ``psld synth`` series (seed 3) and its adjacency:
   2 epochs, whose steps run as row blocks, and ``psld eval`` of its val
   split with ``--dump-predictions``.
 
+The JSON also names, under ``openblas_core``, the OpenBLAS core the runs
+used (``scripts/blas_core.py``): float64 products, so artifact bytes, can
+differ between cores, and that key is not an artifact.
+
 To check that a change keeps every byte, run the first form once with
 ``--src`` at the parent's source and once at the change's, then compare.
 ``--compare`` prints every artifact whose digest differs or that only one
 file has, and exits 1 if there is any; else it prints the count and exits 0.
+When both files name their core and the two differ, it first prints a note
+naming both.
 """
 
 from __future__ import annotations
@@ -46,19 +52,25 @@ import tempfile
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+BLAS_CORE = Path(__file__).resolve().with_name("blas_core.py")
+CORE_KEY = "openblas_core"
 COMBOS = [(kind, mode) for kind in ("mvd", "stl") for mode in ("separate", "merged")]
 TRAIN_ARGS = ("--seed", "3", "--epochs", "3", "--baseline-mlp")
 RSS_CHECKS = {"default": [], "symmetric-sqrt": ["--norm-mode", "symmetric_sqrt"],
               "unit": ["--norm-mode", "unit"], "prob-1": ["--prob", "1.0"]}
 
 
+def _run(argv: list, src: Path, threads: int) -> bytes:
+    """The stdout of ``python ARGV``, run as every command of the matrix runs."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), PYTHONPATH=str(src))
+    return subprocess.run([sys.executable, *argv], env=env, stdout=subprocess.PIPE,
+                          check=True).stdout
+
+
 def _psld(args: list, out: Path, src: Path, threads: int) -> None:
     """Run ``python -m psld ARGS`` with its stdout saved to ``out/stdout``."""
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), PYTHONPATH=str(src))
     out.mkdir(parents=True, exist_ok=True)
-    proc = subprocess.run([sys.executable, "-m", "psld", *args], env=env,
-                          stdout=subprocess.PIPE, check=True)
-    (out / "stdout").write_bytes(proc.stdout)
+    (out / "stdout").write_bytes(_run(["-m", "psld", *args], src, threads))
 
 
 def run_matrix(work: Path, src: Path, threads: int) -> None:
@@ -123,14 +135,21 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.compare:
         a, b = (json.loads(p.read_text()) for p in args.compare)
+        cores = a.pop(CORE_KEY, None), b.pop(CORE_KEY, None)
+        if None not in cores and cores[0] != cores[1]:
+            print(f"note: A ran on OpenBLAS core {cores[0]}, B on {cores[1]}; "
+                  "artifact bytes can differ between cores")
         lines = compare(a, b)
         print("\n".join(lines) if lines else f"identical: {len(a)} artifacts")
         return 1 if lines else 0
+    src = args.src.resolve()
     with tempfile.TemporaryDirectory() as work:
-        run_matrix(Path(work), args.src.resolve(), args.threads)
+        run_matrix(Path(work), src, args.threads)
         found = digests(Path(work))
-    args.out.write_text(json.dumps(found, indent=1, sort_keys=True) + "\n")
-    print(f"{len(found)} artifacts -> {args.out}")
+    core = _run([str(BLAS_CORE)], src, args.threads).decode().strip()
+    args.out.write_text(json.dumps({**found, CORE_KEY: core.removeprefix("OpenBLAS core: ")},
+                                   indent=1, sort_keys=True) + "\n")
+    print(f"{len(found)} artifacts -> {args.out} ({core})")
     return 0
 
 

@@ -257,15 +257,15 @@ def _sidecar_config(path, sidecar: dict) -> TrainConfig:
 def cmd_eval(args) -> int:
     params, sidecar = load_checkpoint(args.checkpoint)
     config = _sidecar_config(args.checkpoint, sidecar)
-    store = load_csv(args.data, args.adjacency)
+    store = load_csv(args.data)
     # a split too short for a window fails here, before a dump file is created
     ranges, stats = _split_stats(store, config, (args.split,))
     split = ranges[args.split]
-    denorm = stats if args.denormalize else None
     dump = args.dump_predictions
     with _atomic_write(dump) if dump else contextlib.nullcontext() as f:
         sink = _prediction_writer(f, store, config, split[0]) if dump else None
-        metrics = evaluate(params, store, config, split, denorm, sink=sink, norm_stats=stats)
+        metrics = evaluate(params, store, config, split, args.denormalize, sink=sink,
+                           norm_stats=stats)
     _dump_json({"split": args.split, "mse": metrics["mse"], "mae": metrics["mae"]})
     return EXIT_OK
 
@@ -376,7 +376,6 @@ def build_parser():
     p = subs.add_parser("eval", help="evaluate a checkpoint on a split")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--adjacency")
     p.add_argument("--split", choices=("train", "val", "test"), default="test")
     p.add_argument("--denormalize", action="store_true")
     p.add_argument("--dump-predictions", dest="dump_predictions")

@@ -62,6 +62,20 @@ EVAL_CHUNK_ROWS = 512
 STEP_ROWS = 1024
 
 
+def _is_number(value) -> bool:
+    return type(value) in (int, float)
+
+
+# check and description per annotated TrainConfig field type, checked before
+# the field's bound; bools are refused
+_FIELD_TYPES = {
+    "int": (lambda v: type(v) is int, "an integer"),
+    "float": (_is_number, "a number"),
+    "str": (lambda v: type(v) is str, "a string"),
+    "tuple": (lambda v: type(v) in (list, tuple) and all(map(_is_number, v)),
+              "a list of numbers"),
+}
+
 _COUNT = (lambda v: v >= 1, ">= 1")
 _FINITE_POSITIVE = (lambda v: 0.0 < v < math.inf, "finite and > 0")
 # (check, what it must be) per TrainConfig field, bar the split; epsilon, kappa_t
@@ -97,9 +111,13 @@ class TrainConfig:
     split: tuple = SPLIT_RATIOS
 
     def __post_init__(self):
-        for name, (check, want) in _FIELD_BOUNDS.items():
-            if not check(getattr(self, name)):
-                raise ValueError(f"{name} must be {want}, got {getattr(self, name)!r}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            check, want = _FIELD_TYPES[f.type]
+            if check(value) and f.name in _FIELD_BOUNDS:
+                check, want = _FIELD_BOUNDS[f.name]
+            if not check(value):
+                raise ValueError(f"{f.name} must be {want}, got {value!r}")
         dc.MvdConfig(self.epsilon), dc.StlConfig(self.kappa_t, self.kappa_s)
         ratios = tuple(float(r) for r in self.split)
         if len(ratios) != 3 or not all(0.0 < r < math.inf for r in ratios):
@@ -119,32 +137,12 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TrainConfig":
-        """The config ``to_dict`` wrote; an unknown or mistyped key raises ValueError naming it."""
-        by_key = {"lambda" if f.name == "lam" else f.name: f for f in fields(cls)}
-        kwargs = {}
-        for key, value in data.items():
+        """The config ``to_dict`` wrote; an unknown key raises ValueError naming it."""
+        by_key = {"lambda" if f.name == "lam" else f.name: f.name for f in fields(cls)}
+        for key in data:
             if key not in by_key:
                 raise ValueError(f"unknown config field {key!r}")
-            f = by_key[key]
-            check, want = _FIELD_TYPES[f.type]
-            if not check(value):
-                raise ValueError(f"config field {key!r} must be {want}, got {value!r}")
-            kwargs[f.name] = tuple(value) if f.name == "split" else value
-        return cls(**kwargs)
-
-
-def _is_number(value) -> bool:
-    return type(value) in (int, float)
-
-
-# check and description per annotated TrainConfig field type; bools are refused
-_FIELD_TYPES = {
-    "int": (lambda v: type(v) is int, "an integer"),
-    "float": (_is_number, "a number"),
-    "str": (lambda v: type(v) is str, "a string"),
-    "tuple": (lambda v: type(v) in (list, tuple) and all(map(_is_number, v)),
-              "a list of numbers"),
-}
+        return cls(**{by_key[key]: value for key, value in data.items()})
 
 
 @dataclass(frozen=True)
@@ -191,7 +189,7 @@ def prepare_store(store: SeriesStore, config: TrainConfig):
     return apply_norm(store, stats, config.sigma_floor), ranges, stats
 
 
-def _rows(windows: tuple, win: np.ndarray, node: np.ndarray, norm: tuple | None):
+def _rows(windows: tuple, win: np.ndarray, node: np.ndarray, norms: tuple):
     """``rows(lo, hi) -> (x, y, w, node)``: rows [lo, hi) of the window-major rows ``win × node``.
 
     ``windows`` are the node-major views (x, y) of a split's columns
@@ -199,21 +197,20 @@ def _rows(windows: tuple, win: np.ndarray, node: np.ndarray, norm: tuple | None)
     node ``node[j]``; the returned ``w`` and ``node`` hold each gathered
     row's window and node. This is the one place a row index maps to a
     (window, node) pair. x and y are C-contiguous copies of the rows asked
-    for, and nothing else the size of the rows is made. With ``norm``, the
-    (mu, scale) columns of ``dataset._norm_columns``, each row is
-    normalized in place by its node's, as ``apply_norm`` would normalize
-    the values it holds: so a row gathered from raw columns has the bits
-    of the same row gathered from the normalized store.
+    for, and nothing else the size of the rows is made. ``norms`` holds x's
+    and y's (mu, scale) columns of ``dataset._norm_columns``, or None. With
+    columns, each row is normalized in place by its node's, as ``apply_norm``
+    would normalize the values it holds: so a row gathered from raw columns
+    has the bits of the same row gathered from the normalized store.
     """
     def rows(lo: int, hi: int) -> tuple:
         at, pos = np.divmod(np.arange(lo, hi), len(node))
         w, d = win[at], node[pos]
         x, y = windows[0][d, w], windows[1][d, w]
-        if norm is not None:
-            mu, scale = norm[0][d], norm[1][d]
-            for r in (x, y):
-                r -= mu
-                r /= scale
+        for r, norm in zip((x, y), norms):
+            if norm is not None:
+                r -= norm[0][d]
+                r /= norm[1][d]
         return x, y, w, d
 
     return rows
@@ -234,8 +231,8 @@ def _forecast_chunks(n_rows: int, rows, forecast, denorm: tuple | None, sink):
     chunk before it stops where it starts. ``pred`` may be a buffer
     ``forecast`` reuses, so it is valid only until the next chunk. With
     ``denorm``, (mu, scale) columns as ``dataset._norm_columns`` gives
-    them, forecast and truth are mapped back to the raw scale by each
-    row's node. ``sink(w, node, pred, y)``, if given, is called with each
+    them, the forecast alone is mapped back to the raw scale by each row's
+    node. ``sink(w, node, pred, y)``, if given, is called with each
     chunk's rows and their windows and nodes before the chunk is yielded.
     """
     size = min(EVAL_CHUNK_ROWS, n_rows)
@@ -248,7 +245,6 @@ def _forecast_chunks(n_rows: int, rows, forecast, denorm: tuple | None, sink):
         if denorm is not None:
             mu, scale = denorm
             pred = pred * scale[node] + mu[node]
-            y = y * scale[node] + mu[node]
         if sink is not None:
             sink(w, node, pred, y)
         yield pred, y
@@ -294,7 +290,7 @@ def _metrics(chunks, shape: tuple) -> dict:
 
 
 def evaluate(params, store: SeriesStore, config: TrainConfig, split: tuple,
-             denorm_stats: NormStats | None = None, sink=None,
+             denormalize: bool = False, sink=None,
              norm_stats: NormStats | None = None) -> dict:
     """MSE and MAE over all windows, horizon steps, and nodes of the split.
 
@@ -309,26 +305,29 @@ def evaluate(params, store: SeriesStore, config: TrainConfig, split: tuple,
     next chunk. With ``norm_stats`` the store holds raw values, which are
     normalized chunk by chunk as they are gathered; the metrics equal those
     of the store ``apply_norm`` makes with the same stats, to the bit. With
-    ``denorm_stats`` both forecast and truth are mapped back to the raw
-    scale before the metrics. ``sink(w, node, pred, y)``, if given, sees
-    every chunk ``_forecast_chunks`` yields, with each row's window ``w``
-    (its first input step is ``split[0] + w``) and node index, so one pass
-    can both score and write the forecast.
+    ``denormalize`` too, the raw truth is scored against the forecast mapped
+    back by ``norm_stats``, which it needs (else ``ValueError``): a store the
+    caller normalized holds no raw truth. ``sink(w, node, pred, y)``, if
+    given, sees every chunk ``_forecast_chunks`` yields, with each row's
+    window ``w`` (its first input step is ``split[0] + w``) and node index,
+    so one pass can both score and write the forecast.
     """
     dcfg, buffers = config.decomposer_config(), {}
     return _score(store, config, split, lambda x: md.predict(params, x, dcfg, buffers),
-                  denorm_stats, norm_stats, sink)
+                  denormalize, norm_stats, sink)
 
 
 def _score(store: SeriesStore, config: TrainConfig, split: tuple, forecast,
-           denorm_stats: NormStats | None = None, norm_stats: NormStats | None = None,
+           denormalize: bool = False, norm_stats: NormStats | None = None,
            sink=None) -> dict:
     """Metrics of ``forecast`` over the split's (window, node) rows, as ``evaluate`` scores."""
+    if denormalize and norm_stats is None:
+        raise ValueError("denormalize needs the norm_stats of a raw store")
     windows = _windows(store.values[:, split[0]:split[1]], config.l_in, config.l_out)
     n_nodes, n_win = windows[0].shape[:2]
-    norm, denorm = (None if s is None else _norm_columns(s, n_nodes, config.sigma_floor)
-                    for s in (norm_stats, denorm_stats))
-    rows = _rows(windows, np.arange(n_win), np.arange(n_nodes), norm)
+    norm = None if norm_stats is None else _norm_columns(norm_stats, n_nodes, config.sigma_floor)
+    y_norm, denorm = (None, norm) if denormalize else (norm, None)
+    rows = _rows(windows, np.arange(n_win), np.arange(n_nodes), (norm, y_norm))
     chunks = _forecast_chunks(n_win * n_nodes, rows, forecast, denorm, sink)
     return _metrics(chunks, (n_win * n_nodes, config.l_out))
 
@@ -423,7 +422,7 @@ def _fit(params, store: SeriesStore, config: TrainConfig, ranges: dict, stats: N
         sums = np.zeros(3)
         for step, batch in enumerate(batches):
             win = erng.child("minibatch", step).gen.choice(n_win, size=k, replace=False)
-            rows = _rows(windows, win, batch.node_index, norm)
+            rows = _rows(windows, win, batch.node_index, (norm, norm))
             try:
                 losses, grads = _blocked_step(params, k * len(batch.node_index), rows, dcfg,
                                               config.lam, erng.child("dropout", step),

@@ -10,6 +10,7 @@ import pytest
 import psld
 from psld import cli, training
 from psld.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
+from psld.dataset import _norm_columns, _windows
 from psld.exceptions import NumericError
 from psld.model import init_params, save_checkpoint
 from psld.numerics import Rng
@@ -538,8 +539,8 @@ class TestEval:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("key,value,want", [
-        ("l_in", "abc", "config field 'l_in' must be an integer, got 'abc'"),
-        ("epochs", None, "config field 'epochs' must be an integer, got None"),
+        ("l_in", "abc", "l_in must be an integer, got 'abc'"),
+        ("epochs", None, "epochs must be an integer, got None"),
         ("epochs", 0, "epochs must be >= 1, got 0"),
         ("splitt", [0.5, 0.1, 0.4], "unknown config field 'splitt'"),
     ])
@@ -618,18 +619,31 @@ class TestEval:
                                                       monkeypatch, split, denormalize):
         # no normalized copy is made: the split's rows are normalized as they
         # are gathered, and score and dump as the whole normalized series
-        # does, bit for bit, t0 absolute
+        # does, bit for bit, t0 absolute; in raw units, the forecast is that
+        # one mapped back by its node's stats and the truth is the series'
         out = tmp_path / "run"
         run_cli(capsys, *train_args(dataset, out))
         params, sidecar = psld.load_checkpoint(out / "checkpoint.psld")
         config = TrainConfig.from_dict(sidecar["config"])
-        normed, ranges, stats = training.prepare_store(
-            psld.load_csv(dataset / "series.csv"), config)
-        want = tmp_path / "want.csv"
+        series = psld.load_csv(dataset / "series.csv")
+        normed, ranges, stats = training.prepare_store(series, config)
+        mu, scale = _norm_columns(stats, series.n_nodes, config.sigma_floor)
+        t0, t1 = ranges[split]
+        truth = _windows(series.values[:, t0:t1], config.l_in, config.l_out)[1]
+        want, errors = tmp_path / "want.csv", []
         with open(want, "w") as f:
-            metrics = training.evaluate(
-                params, normed, config, ranges[split], stats if denormalize else None,
-                sink=cli._prediction_writer(f, normed, config, ranges[split][0]))
+            write = cli._prediction_writer(f, normed, config, t0)
+
+            def sink(w, node, pred, y):
+                if denormalize:
+                    pred, y = pred * scale[node] + mu[node], truth[node, w]
+                    errors.append(pred - y)
+                write(w, node, pred, y)
+
+            metrics = training.evaluate(params, normed, config, ranges[split], sink=sink)
+        if denormalize:
+            err = np.concatenate(errors)
+            metrics = {"mse": float(np.mean(err ** 2)), "mae": float(np.mean(np.abs(err)))}
 
         def no_copy(*args):
             raise AssertionError("a normalized copy of the series was made")
@@ -643,8 +657,31 @@ class TestEval:
         assert code == EXIT_OK
         assert json.loads(stdout) == {"split": split, **metrics}
         assert preds.read_bytes() == want.read_bytes()
-        t0 = {int(line.split(",")[0]) for line in want.read_text().splitlines()[1:]}
-        assert t0 == set(range(ranges[split][0], ranges[split][1] - 12 - 6 + 1))
+        starts = {int(line.split(",")[0]) for line in want.read_text().splitlines()[1:]}
+        assert starts == set(range(t0, t1 - 12 - 6 + 1))
+
+    @pytest.mark.parametrize("split", ["val", "test"])
+    def test_denormalized_dump_is_the_input_series(self, dataset, tmp_path, capsys, split):
+        # each dumped y is the value load_csv reads at (node, t0 + l_in + h - 1),
+        # to the bit, and the printed metrics are np.mean over y_hat - y
+        out = tmp_path / "run"
+        run_cli(capsys, *train_args(dataset, out))
+        preds = tmp_path / "preds.csv"
+        code, stdout, _ = run_cli(capsys, "eval", "--checkpoint", str(out / "checkpoint.psld"),
+                                  "--data", str(dataset / "series.csv"), "--split", split,
+                                  "--denormalize", "--dump-predictions", str(preds))
+        assert code == EXIT_OK
+        series = psld.load_csv(dataset / "series.csv")
+        node_at = {node_id: d for d, node_id in enumerate(series.node_ids)}
+        rows = [line.split(",") for line in preds.read_text().splitlines()[1:]]
+        assert len(rows) > 0
+        d = np.array([node_at[r[1]] for r in rows])
+        t = np.array([int(r[0]) + 12 + int(r[2]) - 1 for r in rows])
+        y, y_hat = (np.array([float(r[k]) for r in rows]) for k in (3, 4))
+        assert np.array_equal(y.view(np.uint64), series.values[d, t].view(np.uint64))
+        err = y_hat - y
+        assert json.loads(stdout) == {"split": split, "mse": float(np.mean(err ** 2)),
+                                      "mae": float(np.mean(np.abs(err)))}
 
 
 class TestRssCheck:
@@ -774,6 +811,7 @@ EXIT_PATHS = [
     (f"train {SMALL} --out {{tmp}}/r", EXIT_RUNTIME, "json", {"train": _raise_numeric}),
     (f"eval {CKPT}", EXIT_OK, "out", {}),
     (f"eval {CKPT} --dump-predictions {{tmp}}/p.csv --denormalize", EXIT_OK, "out", {}),
+    (f"eval {CKPT} --adjacency {{data}}/adjacency.csv", EXIT_USAGE, "argparse", {}),
     ("eval --checkpoint {tmp}/absent.psld --data {data}/series.csv", EXIT_RUNTIME, "json", {}),
     ("eval --checkpoint {data}/series.csv --data {data}/series.csv", EXIT_RUNTIME, "json", {}),
     ("eval --checkpoint {ckpt} --data {tmp}/absent.csv", EXIT_RUNTIME, "json", {}),

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -100,6 +101,50 @@ class TestMvd:
     def test_requires_2d(self):
         with pytest.raises(ShapeError):
             mvd_decompose(np.zeros(5), MvdConfig())
+
+    @given(length=st.integers(2, 256), log_eps=st.floats(-12, 2),
+           log_scale=st.floats(-8, 8), log_ratio=st.floats(-3, 3),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_residual_stays_within_its_bound(self, length, log_eps, log_scale, log_ratio,
+                                             seed):
+        # random normal rows of any scale, and a spike row whose variance
+        # lies within three decades of epsilon on either side
+        eps = 10.0 ** log_eps
+        y = np.vstack([10.0 ** log_scale * Rng(seed).gen.standard_normal((8, length)),
+                       spike_row(length, eps * 10.0 ** log_ratio)])
+        r = mvd_decompose(y, MvdConfig(eps)).parts["r"]
+        assert np.max(np.abs(r)) <= residual_bound(length, eps) * (1 + 1e-12)
+
+    def test_spike_window_reaches_the_bound(self):
+        # at the defaults' window of 36 and epsilon 1e-5, a spike row of
+        # variance epsilon peaks at the bound, about 935.4
+        eps = MvdConfig().epsilon
+        bound = residual_bound(36, eps)
+        assert bound == pytest.approx(935.4143466934853, rel=1e-15)
+        r = mvd_decompose(spike_row(36, eps), MvdConfig(eps)).parts["r"]
+        assert np.max(np.abs(r)) == pytest.approx(bound, rel=1e-9)
+
+
+def residual_bound(length, epsilon):
+    """The most |r| an mvd window of ``length`` values reaches: sqrt(L - 1) / (2 sqrt(eps)).
+
+    A value lies at most sqrt((L - 1) v) from its row's mean, for population
+    variance v (Samuelson's inequality), and sqrt(v) / (v + eps) peaks at
+    1 / (2 sqrt(eps)), where v = eps.
+    """
+    return math.sqrt(length - 1) / (2.0 * math.sqrt(epsilon))
+
+
+def spike_row(length, variance):
+    """One row of zeros but a first value, of population variance ``variance``.
+
+    A spike a over L - 1 zeros has variance a^2 (L - 1) / L^2, and its
+    spike lies sqrt((L - 1) v) from the mean, as far as any value can.
+    """
+    row = np.zeros((1, length))
+    row[0, 0] = length * math.sqrt(variance / (length - 1))
+    return row
 
 
 class TestStl:

@@ -2,6 +2,8 @@
 
 import importlib.util
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -45,3 +47,36 @@ def test_digests_leave_out_manifests(tmp_path):
     (tmp_path / "run" / "stdout").write_bytes(b"")
     assert identity.digests(tmp_path) == {
         "run/stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"}
+
+
+SKYLAKE = "SkylakeX | config: OpenBLAS 0.3.31.188.0  USE64BITINT DYNAMIC_ARCH"
+HASWELL = "Haswell | config: OpenBLAS 0.3.31.188.0  USE64BITINT DYNAMIC_ARCH"
+
+
+def _with_core(core):
+    """DIGESTS as ``--out`` writes them on ``core``; None for a file that names none."""
+    return dict(DIGESTS) if core is None else {**DIGESTS, identity.CORE_KEY: core}
+
+
+@pytest.mark.parametrize("core_a,core_b,note", [
+    (SKYLAKE, SKYLAKE, ""),
+    (SKYLAKE, HASWELL, f"note: A ran on OpenBLAS core {SKYLAKE}, B on {HASWELL}; "
+                       "artifact bytes can differ between cores\n"),
+    (SKYLAKE, None, ""),  # a file written before the core was recorded
+], ids=["same-core", "other-core", "old-file"])
+def test_core_is_noted_when_it_differs_and_not_counted(tmp_path, capsys, core_a, core_b, note):
+    # the core key is no artifact: it never fails a comparison, and
+    # neither the count nor the exit code sees it
+    a = _write(tmp_path / "a.json", _with_core(core_a))
+    b = _write(tmp_path / "b.json", _with_core(core_b))
+    assert identity.main(["--compare", a, b]) == 0
+    assert capsys.readouterr().out == note + "identical: 3 artifacts\n"
+    b = _write(tmp_path / "b.json", {**_with_core(core_b), "gradcheck-stl-merged/stdout": "d" * 64})
+    assert identity.main(["--compare", a, b]) == 1
+    assert capsys.readouterr().out == note + "differs: gradcheck-stl-merged/stdout\n"
+
+
+def test_blas_core_script_prints_one_line():
+    proc = subprocess.run([sys.executable, str(identity.BLAS_CORE)], capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.startswith("OpenBLAS core: ") and proc.stdout.count("\n") == 1

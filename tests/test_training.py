@@ -86,6 +86,16 @@ class TestTrainConfig:
         ("l_out", 0, "l_out must be >= 1, got 0"),
         ("decomposer", "fft", "decomposer must be 'mvd' or 'stl', got 'fft'"),
         ("mode", "wide", "mode must be 'separate' or 'merged', got 'wide'"),
+        # a type is checked before its bound, so any config the constructor
+        # accepts is one to_dict writes as JSON and from_dict reads back
+        ("seed", 1.5, "seed must be an integer, got 1.5"),
+        ("seed", np.int64(3), f"seed must be an integer, got {np.int64(3)!r}"),
+        ("epochs", 2.0, "epochs must be an integer, got 2.0"),
+        ("l_in", 12.0, "l_in must be an integer, got 12.0"),
+        ("hidden", True, "hidden must be an integer, got True"),
+        ("lr", np.float32(1e-3), "lr must be a number"),
+        ("mode", None, "mode must be a string, got None"),
+        ("split", (0.6, 0.2, True), "split must be a list of numbers"),
     ])
     def test_bad_number_names_its_field(self, field, value, want):
         with pytest.raises(ValueError) as exc:
@@ -118,7 +128,7 @@ class TestTrainConfig:
     def test_from_dict_rejects_mistyped_field(self, key, value, want):
         with pytest.raises(ValueError) as exc:
             TrainConfig.from_dict({**TrainConfig().to_dict(), key: value})
-        assert f"config field {key!r} must be {want}" in str(exc.value)
+        assert f"{'lam' if key == 'lambda' else key} must be {want}" in str(exc.value)
 
     def test_from_dict_rejects_unknown_field(self):
         data = {**TrainConfig().to_dict(), "splitt": [0.5, 0.1, 0.4], "lam": 0.5}
@@ -159,6 +169,11 @@ def denorm_rows(rows, stats, n_win, sigma_floor):
     return rows * sigma + mu
 
 
+def scored_store(denorm, raw, normed, stats):
+    """(store, evaluate's keywords): the normalized store, or the raw one in raw units."""
+    return (raw, dict(denormalize=True, norm_stats=stats)) if denorm else (normed, {})
+
+
 def one_shot_metrics(pred, truth):
     return {
         "mse": float(np.mean((pred - truth) ** 2)),
@@ -171,7 +186,7 @@ def split_rows(store, l_in, l_out, split):
     return math.prod(_windows(store.values[:, split[0]:split[1]], l_in, l_out)[0].shape[:2])
 
 
-def assembled_forecast(params, store, cfg, split, denorm_stats=None):
+def assembled_forecast(params, store, cfg, split, denormalize=False, norm_stats=None):
     """Forecast and truth rows of the chunks evaluate scores; each row once, in order."""
     preds, truths = [], []
 
@@ -181,7 +196,7 @@ def assembled_forecast(params, store, cfg, split, denorm_stats=None):
         preds.append(pred.copy())
         truths.append(y.copy())
 
-    evaluate(params, store, cfg, split, denorm_stats, sink=sink)
+    evaluate(params, store, cfg, split, denormalize, sink=sink, norm_stats=norm_stats)
     return np.concatenate(preds), np.concatenate(truths)
 
 
@@ -223,13 +238,18 @@ class TestEvaluate:
         node, win = np.array([3, 0, 1, 2, 2]), np.array([0, 3, 2, 1, 3, 2, 0])
         d, w = np.tile(node, len(win)), np.repeat(win, len(node))
         raw = _windows(store.values, 3, 1)
-        got = tr._rows(raw, win, node, _norm_columns(stats, 4, floor))(0, len(d))
-        plain = tr._rows(raw, win, node, None)(0, len(d))
+        norm = _norm_columns(stats, 4, floor)
+        got = tr._rows(raw, win, node, (norm, norm))(0, len(d))
+        plain = tr._rows(raw, win, node, (None, None))(0, len(d))
+        # normalized x with raw y, as raw-unit scoring gathers them
+        mixed = tr._rows(raw, win, node, (norm, None))(0, len(d))
         for at, want in enumerate(_windows(normed.values, 3, 1)):
             assert got[at].flags.c_contiguous and got[at].flags.writeable
             assert np.array_equal(got[at].view(np.uint64), want[d, w].view(np.uint64)), floor
-            assert np.array_equal(plain[at], raw[at][d, w])
-        for rows in (got, plain):
+            assert np.array_equal(plain[at].view(np.uint64), raw[at][d, w].view(np.uint64))
+        assert np.array_equal(mixed[0].view(np.uint64), got[0].view(np.uint64))
+        assert np.array_equal(mixed[1].view(np.uint64), plain[1].view(np.uint64))
+        for rows in (got, plain, mixed):
             assert np.array_equal(rows[2], w) and np.array_equal(rows[3], d)
 
     @pytest.mark.parametrize("val_len", [1, 17])
@@ -251,28 +271,46 @@ class TestEvaluate:
     def test_raw_store_scores_as_the_normalized_one(self, kind, mode):
         # the raw store, normalized chunk by chunk as it is gathered, over
         # several 512-row chunks and a shifted last one, gives the metrics
-        # and the dumped rows of apply_norm's whole store, to the bit
+        # and the dumped rows of apply_norm's whole store, to the bit; in
+        # raw units, its rows are those forecasts mapped back by each row's
+        # node and the series' own truth, scored as np.mean scores them
         store = generate_synthetic(64, 400, Rng(4))
         cfg = small_config(decomposer=kind, mode=mode, kappa_t=5, kappa_s=3)
         params = init_params(kind, cfg.l_in, cfg.l_out, cfg.hidden, cfg.dropout, mode,
                              Rng(9).child("init"))
         normed, ranges, stats = prepare_store(store, cfg)
+        mu, scale = _norm_columns(stats, store.n_nodes, cfg.sigma_floor)
         for name in ("val", "test"):
             split = ranges[name]
             assert split_rows(store, cfg.l_in, cfg.l_out, split) > 2 * tr.EVAL_CHUNK_ROWS
             assert (baseline_last_value(store, cfg, split, stats)
                     == baseline_last_value(normed, cfg, split)), name
-            for denorm in (None, stats):
-                rows = {}
-                got = evaluate(params, store, cfg, split, denorm, norm_stats=stats,
-                               sink=lambda w, d, p, y: rows.setdefault("got", []).append(
-                                   np.hstack([w[:, None], d[:, None], p, y])))
-                want = evaluate(params, normed, cfg, split, denorm,
-                                sink=lambda w, d, p, y: rows.setdefault("want", []).append(
-                                    np.hstack([w[:, None], d[:, None], p, y])))
-                assert got == want, name
-                assert np.array_equal(np.concatenate(rows["got"]).view(np.uint64),
-                                      np.concatenate(rows["want"]).view(np.uint64)), name
+            rows = {}
+
+            def sink(key):
+                return lambda w, d, p, y: rows.setdefault(key, []).append(
+                    np.hstack([w[:, None], d[:, None], p, y]))
+
+            got = evaluate(params, store, cfg, split, sink=sink("got"), norm_stats=stats)
+            want = evaluate(params, normed, cfg, split, sink=sink("want"))
+            raw = evaluate(params, store, cfg, split, True, sink=sink("raw"), norm_stats=stats)
+            assert got == want, name
+            got_rows, want_rows = np.concatenate(rows["got"]), np.concatenate(rows["want"])
+            assert np.array_equal(got_rows.view(np.uint64), want_rows.view(np.uint64)), name
+            w, d = want_rows[:, 0].astype(int), want_rows[:, 1].astype(int)
+            pred = want_rows[:, 2:2 + cfg.l_out] * scale[d] + mu[d]
+            truth = _windows(store.values[:, split[0]:split[1]], cfg.l_in, cfg.l_out)[1][d, w]
+            want_raw = np.hstack([want_rows[:, :2], pred, truth])
+            assert np.array_equal(np.concatenate(rows["raw"]).view(np.uint64),
+                                  want_raw.view(np.uint64)), name
+            assert raw == one_shot_metrics(pred, truth), name
+
+    def test_denormalize_needs_the_stats_of_a_raw_store(self, train_store):
+        # a store the caller normalized holds no raw truth to score against
+        cfg = small_config()
+        normed, ranges, _ = prepare_store(train_store, cfg)
+        with pytest.raises(ValueError, match="denormalize needs the norm_stats"):
+            evaluate(_eval_params("mvd", cfg), normed, cfg, ranges["test"], True)
 
     @pytest.mark.parametrize("fit_nodes,store_nodes", [(9, 6), (6, 9)])
     def test_stats_for_other_nodes_raise_shape_error(self, fit_nodes, store_nodes):
@@ -286,7 +324,7 @@ class TestEvaluate:
         split = split_ranges(store.l_data, cfg.split)["test"]
         scorers = [
             lambda: evaluate(params, store, cfg, split, norm_stats=stats),
-            lambda: evaluate(params, store, cfg, split, denorm_stats=stats),
+            lambda: evaluate(params, store, cfg, split, True, norm_stats=stats),
             lambda: baseline_last_value(store, cfg, split, norm_stats=stats),
             lambda: apply_norm(store, stats),
         ]
@@ -372,9 +410,11 @@ class TestChunkedEvaluate:
         return cfg, normed, ranges["test"], stats, x_rows, y_rows, n_win
 
     @pytest.mark.parametrize("denorm", [False, True])
-    def test_chunks_assemble_every_row_in_place(self, split_setup, monkeypatch, denorm):
+    def test_chunks_assemble_every_row_in_place(self, split_setup, train_store, monkeypatch,
+                                                denorm):
         # a row-wise exact stand-in for the model makes the assembly
-        # checkable with ==: every row is predicted, in order, in 7-row calls
+        # checkable with ==: every row is predicted, in order, in 7-row calls;
+        # in raw units the truth is the series' own
         cfg, normed, split, stats, x_rows, y_rows, n_win = split_setup
         calls = []
 
@@ -384,16 +424,16 @@ class TestChunkedEvaluate:
 
         monkeypatch.setattr(tr, "EVAL_CHUNK_ROWS", 7)
         monkeypatch.setattr(md, "predict", fake_predict)
-        stats_arg = stats if denorm else None
-        pred, truth = assembled_forecast(None, normed, cfg, split, stats_arg)
+        store, scoring = scored_store(denorm, train_store, normed, stats)
+        pred, truth = assembled_forecast(None, store, cfg, split, **scoring)
         want_pred, want_truth = x_rows[:, :cfg.l_out] * 2.0 + 1.0, y_rows
         if denorm:
             want_pred = denorm_rows(want_pred, stats, n_win, cfg.sigma_floor)
-            want_truth = denorm_rows(y_rows, stats, n_win, cfg.sigma_floor)
+            want_truth = stacked_windows(train_store, cfg.l_in, cfg.l_out, split)[1]
         assert np.array_equal(pred, want_pred)
-        assert np.array_equal(truth, want_truth)
+        assert np.array_equal(truth.view(np.uint64), want_truth.view(np.uint64))
         assert calls == [7] * -(-x_rows.shape[0] // 7)
-        got = evaluate(None, normed, cfg, split, denorm_stats=stats_arg)
+        got = evaluate(None, store, cfg, split, **scoring)
         assert got == one_shot_metrics(want_pred, want_truth)
 
     def test_split_smaller_than_a_chunk_is_one_call(self, split_setup, monkeypatch):
@@ -428,8 +468,8 @@ class TestChunkedEvaluate:
         assert np.array_equal(pred[:, 0], want)
 
     @pytest.mark.parametrize("denorm", [False, True])
-    def test_metrics_equal_np_mean_of_the_forecast_bits(self, split_setup, monkeypatch,
-                                                        denorm):
+    def test_metrics_equal_np_mean_of_the_forecast_bits(self, split_setup, train_store,
+                                                        monkeypatch, denorm):
         # 7-row chunks shift the last one back, and 128-value leaves split
         # the sums into many: the metrics still equal np.mean over the
         # assembled forecast of the whole split, to the bit
@@ -438,9 +478,9 @@ class TestChunkedEvaluate:
         params = _eval_params("mvd", cfg)
         monkeypatch.setattr(tr, "EVAL_CHUNK_ROWS", 7)
         monkeypatch.setattr(numerics, "SUM_LEAF", 128)
-        stats_arg = stats if denorm else None
-        pred, truth = assembled_forecast(params, normed, cfg, split, stats_arg)
-        got = evaluate(params, normed, cfg, split, denorm_stats=stats_arg)
+        store, scoring = scored_store(denorm, train_store, normed, stats)
+        pred, truth = assembled_forecast(params, store, cfg, split, **scoring)
+        got = evaluate(params, store, cfg, split, **scoring)
         assert got == one_shot_metrics(pred, truth)
 
     def test_baseline_equals_np_mean_bits(self, split_setup, monkeypatch):
@@ -455,7 +495,8 @@ class TestChunkedEvaluate:
                                            ("stl", "separate"), ("stl", "merged"),
                                            ("plain", "separate")])
     @pytest.mark.parametrize("denorm", [False, True])
-    def test_matches_one_shot_predict(self, split_setup, monkeypatch, kind, mode, denorm):
+    def test_matches_one_shot_predict(self, split_setup, train_store, monkeypatch, kind, mode,
+                                      denorm):
         # BLAS picks kernels by matrix size, so 7-row products may round
         # differently from the full-split product in the last bits
         _, normed, split, stats, x_rows, y_rows, n_win = split_setup
@@ -463,14 +504,14 @@ class TestChunkedEvaluate:
         params = _eval_params(kind, cfg)
         pred = md.predict(params, x_rows, cfg.decomposer_config())
         truth = y_rows
-        stats_arg = stats if denorm else None
+        store, scoring = scored_store(denorm, train_store, normed, stats)
         if denorm:
             pred = denorm_rows(pred, stats, n_win, cfg.sigma_floor)
-            truth = denorm_rows(y_rows, stats, n_win, cfg.sigma_floor)
+            truth = stacked_windows(train_store, cfg.l_in, cfg.l_out, split)[1]
         want = one_shot_metrics(pred, truth)
         monkeypatch.setattr(tr, "EVAL_CHUNK_ROWS", 7)
-        got_pred, got_truth = assembled_forecast(params, normed, cfg, split, stats_arg)
-        got = evaluate(params, normed, cfg, split, denorm_stats=stats_arg)
+        got_pred, got_truth = assembled_forecast(params, store, cfg, split, **scoring)
+        got = evaluate(params, store, cfg, split, **scoring)
         np.testing.assert_allclose(got_pred, pred, rtol=1e-12, atol=1e-12)
         assert np.array_equal(got_truth, truth)
         assert got["mse"] == pytest.approx(want["mse"], rel=1e-12)
@@ -488,7 +529,7 @@ class TestChunkedEvaluate:
         store = generate_synthetic(n_nodes, 300, Rng(5))
         normed, ranges, stats = prepare_store(store, cfg)
         assert split_rows(normed, cfg.l_in, cfg.l_out, ranges["test"]) > tr.EVAL_CHUNK_ROWS
-        return normed, ranges["test"], stats
+        return store, normed, ranges["test"], stats
 
     def test_peak_memory_does_not_grow_with_nodes(self):
         # no array the size of the split is kept: the traced peak stays
@@ -497,15 +538,16 @@ class TestChunkedEvaluate:
         cfg = small_config(l_in=12, l_out=12, hidden=16)
         params = _eval_params("mvd", cfg)
         for n_nodes in (64, 512):
-            normed, split, stats = self._split_at(n_nodes, cfg)
-            for denorm in (None, stats):
-                peak = _traced_peak(lambda: evaluate(params, normed, cfg, split, denorm))
-                assert peak <= self.EVAL_PEAK, (n_nodes, peak)
+            raw, normed, split, stats = self._split_at(n_nodes, cfg)
+            for denorm in (False, True):
+                store, scoring = scored_store(denorm, raw, normed, stats)
+                peak = _traced_peak(lambda: evaluate(params, store, cfg, split, **scoring))
+                assert peak <= self.EVAL_PEAK, (n_nodes, denorm, peak)
 
     def test_baseline_peak_memory_does_not_grow_with_nodes(self):
         cfg = small_config(l_in=12, l_out=12)
         for n_nodes in (64, 512):
-            normed, split, _ = self._split_at(n_nodes, cfg)
+            _, normed, split, _ = self._split_at(n_nodes, cfg)
             peak = _traced_peak(lambda: baseline_last_value(normed, cfg, split))
             assert peak <= self.BASELINE_PEAK, (n_nodes, peak)
 
@@ -517,7 +559,8 @@ class TestRows:
     def test_rows_equal_window_gather(self, k):
         # reference: the drawn windows of each partition batch's window
         # views, each window's nodes in rows; any block of rows is that
-        # block of the whole, and normalized rows are the normalized store's
+        # block of the whole, and normalized rows are the normalized store's,
+        # x and y each by its own member of the norms pair
         store = generate_synthetic(10, 80, Rng(5))
         stats = fit_norm_stats(store, 80)
         norm = _norm_columns(stats, store.n_nodes, 1e-8)
@@ -526,7 +569,7 @@ class TestRows:
         for b in rss_partition(store, 3, 12, 6, training=True, rng=Rng(2)):
             n_win, _, n_sub = b.x.shape
             idx = Rng(7).gen.choice(n_win, size=min(k, n_win), replace=False)
-            n_rows, rows = len(idx) * n_sub, tr._rows(windows, idx, b.node_index, None)
+            n_rows, rows = len(idx) * n_sub, tr._rows(windows, idx, b.node_index, (None, None))
             x_rows, y_rows, w, node = rows(0, n_rows)
             assert np.array_equal(w, np.repeat(idx, n_sub))
             assert np.array_equal(node, np.tile(b.node_index, len(idx)))
@@ -537,10 +580,14 @@ class TestRows:
             lo, hi = n_rows // 3, n_rows - n_rows // 4
             assert all(np.array_equal(part, whole[lo:hi])
                        for part, whole in zip(rows(lo, hi), (x_rows, y_rows, w, node)))
-            normed_rows = tr._rows(windows, idx, b.node_index, norm)(0, n_rows)
-            want_rows = tr._rows(normed, idx, b.node_index, None)(0, n_rows)
-            for got, want in zip(normed_rows, want_rows):
-                assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+            want_rows = tr._rows(normed, idx, b.node_index, (None, None))(0, n_rows)
+            for norms, want in (((norm, norm), want_rows[:2]),
+                                ((norm, None), (want_rows[0], y_rows)),
+                                ((None, norm), (x_rows, want_rows[1]))):
+                got = tr._rows(windows, idx, b.node_index, norms)(0, n_rows)
+                assert np.array_equal(got[2], w) and np.array_equal(got[3], node)
+                for g, want_r in zip(got[:2], want):
+                    assert np.array_equal(g.view(np.uint64), want_r.view(np.uint64))
 
     def test_gather_copies_each_row_once(self):
         # one copy of the rows asked for, already in row order: neither the
@@ -550,7 +597,7 @@ class TestRows:
         windows = _windows(store.values, 36, 36)
         norm = _norm_columns(fit_norm_stats(store, 200), store.n_nodes, 1e-8)
         win = Rng(7).gen.choice(windows[0].shape[1], size=32, replace=False)
-        gather, n_rows = tr._rows(windows, win, batch.node_index, norm), 32 * 64
+        gather, n_rows = tr._rows(windows, win, batch.node_index, (norm, norm)), 32 * 64
         rows = []
         peak = _traced_peak(lambda: rows.extend(gather(0, n_rows)[:2]))
         held = sum(r.nbytes for r in rows)
@@ -687,8 +734,8 @@ class TestBlockedStep:
         real_rows, real_step = tr._rows, md.train_step
         gathers = []  # (n_win, win, rows, blocks) per _rows call; validation's get no blocks
 
-        def rows(windows, win, node, norm):
-            out = real_rows(windows, win, node, norm)
+        def rows(windows, win, node, norms):
+            out = real_rows(windows, win, node, norms)
             gathers.append((windows[0].shape[1], win, out(0, len(win) * len(node)), []))
             return out
 
