@@ -7,29 +7,22 @@ Prints ``OpenBLAS core: NAME | config: CONFIG``, or ``OpenBLAS core: unknown``
 when numpy's BLAS exports neither OpenBLAS nor scipy-openblas's calls. A
 DYNAMIC_ARCH build picks its core (Haswell, SkylakeX, ...) at run time, and
 float64 products, so the bytes of psld's artifacts, can differ between
-cores: the CI log and ``scripts/identity.py --out`` record it.
+cores: the CI log and ``scripts/identity.py --out`` record it. The probe is
+``psld.numerics.blas_provenance``, imported from this checkout's ``src``
+ahead of any psld on ``PYTHONPATH`` (``identity.py --src`` may name an
+older one), since the core belongs to numpy, not to psld.
 """
 
-import ctypes
+import sys
+from pathlib import Path
 
-import numpy
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-
-def describe() -> str:
-    """``NAME | config: CONFIG`` of the OpenBLAS numpy loaded, or ``unknown``."""
-    umath = getattr(numpy, "_core", None) or numpy.core
-    lib = ctypes.CDLL(umath._multiarray_umath.__file__)
-    for prefix in ("scipy_openblas", "openblas"):
-        try:
-            core, config = (getattr(lib, f"{prefix}_get_{name}64_")
-                            for name in ("corename", "config"))
-        except AttributeError:
-            continue
-        core.argtypes = config.argtypes = []
-        core.restype = config.restype = ctypes.c_char_p
-        return f"{core().decode()} | config: {config().decode()}"
-    return "unknown"
-
+from psld.numerics import blas_provenance  # noqa: E402
 
 if __name__ == "__main__":
-    print("OpenBLAS core:", describe())
+    blas = blas_provenance()
+    core = blas["openblas_core"]
+    if core != "unknown":
+        core += f" | config: {blas['openblas_config']}"
+    print("OpenBLAS core:", core)

@@ -31,9 +31,10 @@ printf 'l-in = 12\nl_out = 6\nn_subgraphs = 4\nhidden = 8\nepochs = 2\n' > "$wor
 "$@" eval --checkpoint "$work/run/checkpoint.psld" --data "$work/data/series.csv" \
     --dump-predictions "$work/preds.csv"
 
-# a 64-node test split of 39,552 values spans several of the summed
-# leaves of `psld eval`: its metrics must equal np.mean over the
-# dumped forecast to the bit, on both scales
+# a 64-node test split of 39,552 values (6,592 rows of l_out 6) spans
+# several 512-row chunks of `psld eval`, whose metrics add the chunks'
+# sums in chunk order: they must agree with np.mean over the dumped
+# forecast within 1e-12 relative, on both scales
 "$@" synth --nodes 64 --length 600 --seed 2 --out "$work/wide"
 "$@" train --data "$work/wide/series.csv" --out "$work/wide-run" \
     --config "$work/run.cfg" > /dev/null
@@ -50,8 +51,8 @@ y = np.array([float(r["y"]) for r in rows])
 err = np.array([float(r["y_hat"]) for r in rows]) - y
 printed = json.load(open(sys.argv[2]))
 want = {"mse": float(np.mean(err ** 2)), "mae": float(np.mean(np.abs(err)))}
-assert len(rows) > 2 * 16384, len(rows)
-assert {k: printed[k] for k in want} == want, (printed, want)
+assert len(rows) > 3 * 512 * 6, len(rows)
+assert all(abs(printed[k] - want[k]) <= 1e-12 * abs(want[k]) for k in want), (printed, want)
 EOF
 done
 

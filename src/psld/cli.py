@@ -2,7 +2,7 @@
 
 Exit codes: 0 on success, 1 for usage errors, 2 for runtime or numeric
 failures. All randomness derives from --seed. A run manifest (command,
-resolved config, seed, tool version, input digests, output paths) is
+config, seed, tool, numpy and BLAS versions, inputs' sha256, outputs) is
 written before any output artifact; identical flags and inputs produce
 byte-identical outputs, with timestamps confined to the manifest.
 """
@@ -31,7 +31,7 @@ from .dataset import (
 from .decomposition import KINDS
 from .exceptions import CheckpointError, PsldError
 from .model import MODES, finite_difference_check, load_checkpoint, one_of, save_checkpoint
-from .numerics import Rng
+from .numerics import Rng, blas_provenance
 from .sampler import NORM_MODES, SampleDesign, random_graph, unbiasedness_mc_check
 from .training import (
     TrainConfig,
@@ -76,6 +76,7 @@ def _write_manifest(out_dir: Path, command: str, config: dict, seed: int,
         "config": config,
         "seed": seed,
         "version": __version__,
+        **blas_provenance(),
         "inputs": {str(p): _sha256(p) for p in inputs},
         "outputs": [str(p) for p in outputs],
         "created_utc": datetime.now(timezone.utc).isoformat(timespec="seconds"),

@@ -498,13 +498,19 @@ def _windows(values: np.ndarray, l_in: int, l_out: int) -> tuple:
     return view(values[:, :n_win + l_in - 1], l_in, axis=1), view(values[:, l_in:], l_out, axis=1)
 
 
+def _split_ratios(ratios) -> tuple:
+    """The three split ratios as floats; ``ValueError`` unless each is finite and > 0."""
+    out = tuple(float(r) for r in ratios)
+    if len(out) != 3 or not all(0.0 < r < math.inf for r in out):
+        raise ValueError(f"split needs three finite positive ratios, got {ratios}")
+    return out
+
+
 def split_ranges(l_data: int, ratios=SPLIT_RATIOS) -> dict:
     """Contiguous train/val/test timestep ranges from fractional ratios."""
-    if len(ratios) != 3 or any(r <= 0 for r in ratios):
-        raise ValueError(f"need three positive ratios, got {ratios}")
-    total = float(sum(ratios))
-    a = int(l_data * ratios[0] / total)
-    b = a + int(l_data * ratios[1] / total)
+    r = _split_ratios(ratios)
+    a = int(l_data * r[0] / sum(r))
+    b = a + int(l_data * r[1] / sum(r))
     if not 0 < a < b < l_data:
         raise ValueError(f"ratios {ratios} leave an empty split for length {l_data}")
     return {"train": (0, a), "val": (a, b), "test": (b, l_data)}

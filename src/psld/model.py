@@ -431,14 +431,15 @@ class LossParts:
     per_component: dict
 
 
-def _mse(hat: np.ndarray, ref: np.ndarray, what: str) -> float:
-    """Mean squared error of one loss term; a shape mismatch or non-finite loss names ``what``."""
+def _mse(hat: np.ndarray, ref: np.ndarray, what: str) -> tuple:
+    """(mse, hat - ref) of one loss term; a shape mismatch or non-finite loss names ``what``."""
     if hat.shape != ref.shape:
         raise ShapeError(f"{what}: prediction {hat.shape} vs target {ref.shape}")
-    loss = float(np.mean((hat - ref) ** 2))
+    residual = hat - ref
+    loss = float(np.mean(residual ** 2))
     if not math.isfinite(loss):
         raise NumericError(f"non-finite loss in {what}")
-    return loss
+    return loss, residual
 
 
 def train_step(params, x_rows: np.ndarray, y_rows: np.ndarray, dcfg, lam: float, rng: Rng,
@@ -454,25 +455,29 @@ def train_step(params, x_rows: np.ndarray, y_rows: np.ndarray, dcfg, lam: float,
     """
     if isinstance(params, PlainParams):
         out, cache = _head_forward(params.head, x_rows, params.dropout, rng, buffers)
-        loss = _mse(out, y_rows, "head 'main'")
-        _head_backward(params.head, cache, (2.0 / y_rows.size) * (out - y_rows), params.grads)
+        loss, g_out = _mse(out, y_rows, "head 'main'")
+        g_out *= 2.0 / y_rows.size
+        _head_backward(params.head, cache, g_out, params.grads)
         return LossParts(loss, loss, 0.0, {}), params.grads
     state = forward(params, dc.decompose(x_rows, dcfg), training=True, rng=rng, buffers=buffers)
     return loss_and_backward(params, state, dc.decompose(y_rows, dcfg), y_rows, lam)
 
 
 def _losses(params: PsldParams, state: ForwardState, label_bundle: dc.ComponentBundle,
-            y: np.ndarray, lam: float) -> LossParts:
-    """The loss terms of ``loss_and_backward``, with no backward pass."""
+            y: np.ndarray, lam: float) -> tuple:
+    """(LossParts, residuals): ``loss_and_backward``'s loss terms, with no backward pass,
+    and each part's new ``hat - ref`` by name, the forecast's ``y_hat - y`` as ``"cbn"``."""
     if label_bundle.kind != params.kind:
         raise ValueError(
             f"label bundle kind {label_bundle.kind!r} does not match model {params.kind!r}"
         )
-    comp_losses = {nm: _mse(state.comp_hat[nm], label_bundle.parts[nm],
-                            f"component head '{nm}'") for nm in dc.part_names(params.kind)}
+    comp_losses, residuals = {}, {}
+    for nm in dc.part_names(params.kind):
+        comp_losses[nm], residuals[nm] = _mse(state.comp_hat[nm], label_bundle.parts[nm],
+                                              f"component head '{nm}'")
     l_cpn = sum(comp_losses.values())
-    l_cbn = _mse(state.y_hat, y, "combinator head 'cbn'")
-    return LossParts(l_cbn + lam * l_cpn, l_cbn, l_cpn, comp_losses)
+    l_cbn, residuals["cbn"] = _mse(state.y_hat, y, "combinator head 'cbn'")
+    return LossParts(l_cbn + lam * l_cpn, l_cbn, l_cpn, comp_losses), residuals
 
 
 def loss_and_backward(
@@ -495,9 +500,9 @@ def loss_and_backward(
     pass on ``params``. Each head's backward pass overwrites the ``h1``/``ad``
     and ``h2`` arrays of its cache in ``state``, so a state serves one call.
     """
-    losses = _losses(params, state, label_bundle, y, lam)
+    losses, d_hat = _losses(params, state, label_bundle, y, lam)
     grads = params.grads
-    g_y = np.subtract(state.y_hat, y)
+    g_y = d_hat["cbn"]
     g_y *= 2.0 / y.size
     cbn = params.combinator
     g_cbn_in = _head_backward(cbn, state.cbn_cache, g_y, grads) @ cbn.w1
@@ -513,11 +518,10 @@ def loss_and_backward(
     else:
         routed = {"t": g_y, "s": g_cbn_in, "r": g_cbn_in}
 
-    d_hat = {}
+    # each component's residual becomes its gradient in place
     for nm in dc.part_names(params.kind):
-        hat, ref = state.comp_hat[nm], label_bundle.parts[nm]
-        d = d_hat[nm] = np.subtract(hat, ref)
-        d *= lam * (2.0 / hat.size)
+        d = d_hat[nm]
+        d *= lam * (2.0 / d.size)
         d += routed[nm]
 
     for name, parts, *_ in _layout(params):
@@ -794,7 +798,7 @@ def finite_difference_check(kind: str, mode: str, seed: int) -> dict:
     def score(state):
         """The loss and the sign pattern of every kept activation."""
         caches = (*state.head_caches.values(), state.cbn_cache)
-        return (_losses(params, state, yb, y, FD_LAM).total,
+        return (_losses(params, state, yb, y, FD_LAM)[0].total,
                 tuple(np.packbits(cache.ad > 0.0).tobytes() for cache in caches))
 
     # the one backward pass; the perturbed runs below only score the loss

@@ -1,4 +1,4 @@
-"""A splittable, seed-deterministic PRNG, and numpy's summation order.
+"""A splittable, seed-deterministic PRNG, numpy's summation order, and its BLAS.
 
 Randomness flows from a single integer seed through ``Rng`` children that
 are derived from the seed and a key path alone, never from how much the
@@ -8,6 +8,7 @@ in isolation.
 
 from __future__ import annotations
 
+import ctypes
 import zlib
 
 import numpy as np
@@ -53,9 +54,6 @@ class Rng:
 # right, the eight add as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) and the last n % 8
 # follow one by one; else it adds the sums of the two parts split at _pairwise_split.
 _PAIRWISE_BLOCK = 128
-# Values per summed node of the metrics' pairwise tree, at least _PAIRWISE_BLOCK:
-# the two error buffers of ``training._metrics`` hold 128 KiB each.
-SUM_LEAF = 16384
 
 
 def _pairwise_split(n: int) -> int:
@@ -64,18 +62,30 @@ def _pairwise_split(n: int) -> int:
     return half - half % 8
 
 
-def _pairwise_leaves(n: int) -> list:
-    """Lengths, in order, of the highest nodes of numpy's pairwise tree over n
-    values that hold at most ``SUM_LEAF`` values each."""
-    if n <= SUM_LEAF:
-        return [n]
-    half = _pairwise_split(n)
-    return _pairwise_leaves(half) + _pairwise_leaves(n - half)
+def _openblas(name: str, restype):
+    """OpenBLAS's ``get_<name>`` in the BLAS numpy loaded, or ``"unknown"`` if it has none."""
+    umath = getattr(np, "_core", None) or np.core
+    lib = ctypes.CDLL(umath._multiarray_umath.__file__)
+    for prefix in ("scipy_openblas", "openblas"):
+        call = getattr(lib, f"{prefix}_get_{name}64_", None)
+        if call is not None:
+            call.argtypes, call.restype = [], restype
+            return call().decode() if restype is ctypes.c_char_p else call()
+    return "unknown"
 
 
-def _pairwise_join(n: int, leaf_sums) -> float:
-    """The pairwise sum of n values from the sums of its ``_pairwise_leaves``, taken in order."""
-    if n <= SUM_LEAF:
-        return next(leaf_sums)
-    half = _pairwise_split(n)
-    return _pairwise_join(half, leaf_sums) + _pairwise_join(n - half, leaf_sums)
+def blas_provenance() -> dict:
+    """numpy's version and its BLAS: name, version, OpenBLAS core and config, threads.
+
+    Each can change the last bits of float64 products, so of artifacts (a
+    DYNAMIC_ARCH OpenBLAS picks its core at run time); unread ones are "unknown".
+    """
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy < 1.26 has no dict mode
+        blas = {}
+    return {"numpy": np.__version__, "blas": blas.get("name", "unknown"),
+            "blas_version": blas.get("version", "unknown"),
+            "openblas_core": _openblas("corename", ctypes.c_char_p),
+            "openblas_config": _openblas("config", ctypes.c_char_p),
+            "blas_threads": _openblas("num_threads", ctypes.c_int)}

@@ -17,7 +17,8 @@ it is gathered from the raw columns, with the train split's stats. One
 gather, ``_rows``, reads the rows of both training steps and scoring
 chunks. ``evaluate`` and ``baseline_last_value`` score the store they are
 given, normalized by the caller (``prepare_store``) or, with
-``norm_stats``, row by row as they gather it.
+``norm_stats``, row by row as they gather it. A score sums its forecast
+chunks in chunk order (``_metrics``), however the store was normalized.
 """
 
 from __future__ import annotations
@@ -31,13 +32,13 @@ import numpy as np
 
 from . import decomposition as dc
 from . import model as md
-from . import numerics as nx
 from .dataset import (
     SIGMA_FLOOR,
     SPLIT_RATIOS,
     NormStats,
     SeriesStore,
     _norm_columns,
+    _split_ratios,
     _windows,
     apply_norm,
     fit_norm_stats,
@@ -119,10 +120,7 @@ class TrainConfig:
             if not check(value):
                 raise ValueError(f"{f.name} must be {want}, got {value!r}")
         dc.MvdConfig(self.epsilon), dc.StlConfig(self.kappa_t, self.kappa_s)
-        ratios = tuple(float(r) for r in self.split)
-        if len(ratios) != 3 or not all(0.0 < r < math.inf for r in ratios):
-            raise ValueError(f"split needs three finite positive ratios, got {self.split}")
-        object.__setattr__(self, "split", ratios)
+        object.__setattr__(self, "split", _split_ratios(self.split))
 
     def decomposer_config(self):
         return dc.make_config(self.decomposer, self.epsilon, self.kappa_t, self.kappa_s)
@@ -251,42 +249,20 @@ def _forecast_chunks(n_rows: int, rows, forecast, denorm: tuple | None, sink):
 
 
 def _metrics(chunks, shape: tuple) -> dict:
-    """MSE and MAE of the (pred, y) chunks that hold the rows of ``shape`` in order.
+    """MSE and MAE of the (pred, y) chunks that hold the rows of ``shape``.
 
-    ``|pred - y|`` and its square are streamed into two buffers of at
-    most ``numerics.SUM_LEAF`` values (plus one row). Each buffer is
-    summed by ``np.add.reduce`` whenever it holds a whole node of the
-    pairwise tree numpy sums a contiguous array of ``shape`` with, and
-    those sums are added up in the tree's order. So the metrics equal
-    ``np.mean`` of full-split temporaries to the bit, and nothing the size
-    of the split is allocated.
+    ``np.add.reduce`` sums each chunk's ``|pred - y|`` and its square, and
+    the chunk sums are added in chunk order, so the metrics agree with
+    ``np.mean`` over the whole split within a few ulps. Each chunk makes one
+    error array of its size, and nothing the size of the split is made.
     """
-    n_rows, width = shape
-    n = n_rows * width
-    leaves = iter(nx._pairwise_leaves(n))
-    leaf = next(leaves)
-    err, sq = np.empty((2, min(n, nx.SUM_LEAF) + width))
-    err_sums, sq_sums = [], []
-    fill = 0
+    err_sum = sq_sum = 0.0
     for pred, y in chunks:
-        row = 0
-        while row < len(y):
-            # whole rows up to the first that reaches the end of the leaf
-            take = min(len(y) - row, -(-(leaf - fill) // width))
-            stop = fill + take * width
-            e = err[fill:stop].reshape(take, width)
-            np.subtract(pred[row:row + take], y[row:row + take], out=e)
-            np.abs(e, out=e)
-            np.square(e, out=sq[fill:stop].reshape(take, width))
-            fill, row = stop, row + take
-            while leaf is not None and fill >= leaf:
-                err_sums.append(np.add.reduce(err[:leaf]))
-                sq_sums.append(np.add.reduce(sq[:leaf]))
-                fill -= leaf
-                err[:fill], sq[:fill] = err[leaf:leaf + fill], sq[leaf:leaf + fill]
-                leaf = next(leaves, None)
-    return {"mse": float(nx._pairwise_join(n, iter(sq_sums)) / n),
-            "mae": float(nx._pairwise_join(n, iter(err_sums)) / n)}
+        e = np.subtract(pred, y)
+        err_sum += np.add.reduce(np.abs(e, out=e), axis=None)
+        sq_sum += np.add.reduce(np.square(e, out=e), axis=None)
+    n = shape[0] * shape[1]
+    return {"mse": float(sq_sum / n), "mae": float(err_sum / n)}
 
 
 def evaluate(params, store: SeriesStore, config: TrainConfig, split: tuple,
@@ -296,21 +272,23 @@ def evaluate(params, store: SeriesStore, config: TrainConfig, split: tuple,
 
     The split has one row per (window, node), window-major (see ``_rows``).
     The forecast is made in chunks of ``EVAL_CHUNK_ROWS`` rows (see
-    ``_forecast_chunks``) and scored as it comes (see ``_metrics``): no
-    array the size of the split is kept, so memory does not grow with the
-    split. All chunks write the heads' hidden and output arrays into one
-    set of buffers, made afresh for each call: fresh ones per chunk (about
-    4 MiB at hidden 128) are handed back to the OS by glibc's heap trimming
-    whenever nothing live sits above them, and page-faulted in again by the
-    next chunk. With ``norm_stats`` the store holds raw values, which are
-    normalized chunk by chunk as they are gathered; the metrics equal those
-    of the store ``apply_norm`` makes with the same stats, to the bit. With
-    ``denormalize`` too, the raw truth is scored against the forecast mapped
-    back by ``norm_stats``, which it needs (else ``ValueError``): a store the
-    caller normalized holds no raw truth. ``sink(w, node, pred, y)``, if
-    given, sees every chunk ``_forecast_chunks`` yields, with each row's
-    window ``w`` (its first input step is ``split[0] + w``) and node index,
-    so one pass can both score and write the forecast.
+    ``_forecast_chunks``) and scored as it comes, chunk sum by chunk sum
+    (see ``_metrics``), so the metrics agree with ``np.mean`` over the split
+    within a few ulps: no array the size of the split is kept, so memory
+    does not grow with the split. All chunks write the heads' hidden and
+    output arrays into one set of buffers, made afresh for each call: fresh
+    ones per chunk (about 4 MiB at hidden 128) are handed back to the OS by
+    glibc's heap trimming whenever nothing live sits above them, and
+    page-faulted in again by the next chunk. With ``norm_stats`` the store
+    holds raw values, which are normalized chunk by chunk as they are
+    gathered; the metrics equal those of the store ``apply_norm`` makes with
+    the same stats, to the bit. With ``denormalize`` too, the raw truth is
+    scored against the forecast mapped back by ``norm_stats``, which it
+    needs (else ``ValueError``): a store the caller normalized holds no raw
+    truth. ``sink(w, node, pred, y)``, if given, sees every chunk
+    ``_forecast_chunks`` yields, with each row's window ``w`` (its first
+    input step is ``split[0] + w``) and node index, so one pass can both
+    score and write the forecast.
     """
     dcfg, buffers = config.decomposer_config(), {}
     return _score(store, config, split, lambda x: md.predict(params, x, dcfg, buffers),
@@ -372,31 +350,31 @@ def _blocked_step(params, n_rows: int, rows, dcfg, lam: float, rng: Rng, buffers
 def _fit(params, store: SeriesStore, config: TrainConfig, ranges: dict, stats: NormStats):
     """The epoch loop of train() and the plain baseline, on the raw store.
 
-    ``ranges`` and ``stats`` are the store's (``_split_stats``). Each
-    epoch partitions the nodes of the train columns (``restrict_time``, a
-    view), and each step draws up to ``minibatch`` of their windows with
-    one ``choice`` draw. The step's rows are those windows of its batch's
-    nodes, window-major and in ``node_index`` order, gathered from the
-    columns' window views block by block (``_rows``), normalized with
-    ``stats`` as they are gathered. Each epoch validates on the whole val
-    split, normalized chunk by chunk as evaluation gathers it. So no normalized copy of a split is made, and nothing the size of
-    a split or of a whole step is held. Trains ``params`` in place and
-    returns (best_params, reports) as train() does; ``md.train_step`` is
-    the only model-specific call. The best parameters are kept in one
-    preallocated vector, refilled with ``np.copyto`` whenever validation
-    improves, and returned as a model bound to that vector. An epoch's
-    training forward passes write their hidden and output arrays into one
-    buffer dict, as evaluation does: nothing else of a step outlives it,
-    so glibc would otherwise hand the step's freed arrays back to the OS
-    and the next step would page-fault them in again (about 12k minor
-    faults per 1344-row step). The buffers are freed before validation,
-    which would otherwise hold them at its peak. Every step runs through
-    ``_blocked_step``: a step of more than ``STEP_ROWS`` rows as balanced
-    row blocks through those buffers, with one ADAM step on the blocks'
-    summed gradient, so the buffers hold at most ``STEP_ROWS`` rows
-    whatever the node count. The blocks' running sum has one preallocated
-    vector, like the best parameters, which only steps of more than one
-    block write.
+    ``ranges`` and ``stats`` are the store's (``_split_stats``). Each epoch
+    partitions the nodes of the train columns (``restrict_time``, a view),
+    and each step draws up to ``minibatch`` of their windows with one
+    ``choice`` draw. The step's rows are those windows of its batch's nodes,
+    window-major and in ``node_index`` order, gathered from the columns'
+    window views block by block (``_rows``), normalized with ``stats`` as
+    they are gathered. Each epoch validates on the whole val split,
+    normalized chunk by chunk as evaluation gathers it. So no normalized
+    copy of a split is made, and nothing the size of a split or of a whole
+    step is held. Trains ``params`` in place and returns (best_params,
+    reports) as train() does; ``md.train_step`` is the only model-specific
+    call. The best parameters are kept in one preallocated vector, refilled
+    with ``np.copyto`` whenever validation improves, and returned as a model
+    bound to that vector. An epoch's training forward passes write their
+    hidden and output arrays into one buffer dict, as evaluation does:
+    nothing else of a step outlives it, so glibc would otherwise hand the
+    step's freed arrays back to the OS and the next step would page-fault
+    them in again (about 12k minor faults per 1344-row step). The buffers
+    are freed before validation, which would otherwise hold them at its
+    peak. Every step runs through ``_blocked_step``: a step of more than
+    ``STEP_ROWS`` rows as balanced row blocks through those buffers, with
+    one ADAM step on the blocks' summed gradient, so the buffers hold at
+    most ``STEP_ROWS`` rows whatever the node count. The blocks' running sum
+    has one preallocated vector, like the best parameters, which only steps
+    of more than one block write.
     """
     train_store = restrict_time(store, *ranges["train"])
     windows = _windows(train_store.values, config.l_in, config.l_out)

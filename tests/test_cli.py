@@ -13,7 +13,7 @@ from psld.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 from psld.dataset import _norm_columns, _windows
 from psld.exceptions import NumericError
 from psld.model import init_params, save_checkpoint
-from psld.numerics import Rng
+from psld.numerics import Rng, blas_provenance
 from psld.training import TrainConfig
 from test_model import BAD_SIDECARS, MALFORMED, bad_sidecar_checkpoint, malformed_checkpoint
 
@@ -655,7 +655,11 @@ class TestEval:
                                   "--dump-predictions", str(preds),
                                   *(["--denormalize"] if denormalize else []))
         assert code == EXIT_OK
-        assert json.loads(stdout) == {"split": split, **metrics}
+        # in raw units the metrics are np.mean over the dump's errors, which
+        # the printed chunk-ordered sums agree with within a few ulps
+        printed = json.loads(stdout)
+        assert printed.pop("split") == split
+        assert printed == (pytest.approx(metrics, rel=1e-12) if denormalize else metrics)
         assert preds.read_bytes() == want.read_bytes()
         starts = {int(line.split(",")[0]) for line in want.read_text().splitlines()[1:]}
         assert starts == set(range(t0, t1 - 12 - 6 + 1))
@@ -663,7 +667,8 @@ class TestEval:
     @pytest.mark.parametrize("split", ["val", "test"])
     def test_denormalized_dump_is_the_input_series(self, dataset, tmp_path, capsys, split):
         # each dumped y is the value load_csv reads at (node, t0 + l_in + h - 1),
-        # to the bit, and the printed metrics are np.mean over y_hat - y
+        # to the bit, and the printed metrics, chunk-ordered sums, are
+        # np.mean over y_hat - y within a few ulps
         out = tmp_path / "run"
         run_cli(capsys, *train_args(dataset, out))
         preds = tmp_path / "preds.csv"
@@ -680,8 +685,10 @@ class TestEval:
         y, y_hat = (np.array([float(r[k]) for r in rows]) for k in (3, 4))
         assert np.array_equal(y.view(np.uint64), series.values[d, t].view(np.uint64))
         err = y_hat - y
-        assert json.loads(stdout) == {"split": split, "mse": float(np.mean(err ** 2)),
-                                      "mae": float(np.mean(np.abs(err)))}
+        printed = json.loads(stdout)
+        assert printed.pop("split") == split
+        assert printed == pytest.approx({"mse": float(np.mean(err ** 2)),
+                                         "mae": float(np.mean(np.abs(err)))}, rel=1e-12)
 
 
 class TestRssCheck:
@@ -762,6 +769,19 @@ class TestTopLevel:
         assert "created_utc" in manifest
         assert manifest["config"]["nodes"] == 4
         assert manifest["inputs"] == {}
+
+    def test_manifest_names_numpy_and_its_blas(self, dataset, tmp_path, capsys):
+        # the BLAS build, core and thread count can move the last bits of
+        # an artifact, so the manifests name them; metrics.json and the
+        # checkpoint's sidecar do not, so their bytes do not depend on them
+        blas = blas_provenance()
+        run = tmp_path / "run"
+        assert run_cli(capsys, *train_args(dataset, run))[0] == EXIT_OK
+        for out in (dataset, run):
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert {k: manifest[k] for k in blas} == blas
+        for name in ("metrics.json", "checkpoint.psld.json"):
+            assert not blas.keys() & json.loads((run / name).read_text()).keys(), name
 
 
 def _raise_numeric(*args, **kwargs):

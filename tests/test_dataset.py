@@ -317,6 +317,14 @@ class TestSplitsAndWindows:
         r = split_ranges(100, (0.6, 0.2, 0.2))
         assert r == {"train": (0, 60), "val": (60, 80), "test": (80, 100)}
 
+    @pytest.mark.parametrize("ratios", [(0.6, float("nan"), 0.2), (float("inf"), 0.2, 0.2),
+                                        (0.6, 0.2, -float("inf")), (0.6, 0.2), (0.6, 0.0, 0.4)])
+    def test_split_ranges_refuse_non_finite_ratios(self, ratios):
+        # the rule TrainConfig applies to its split, with the same message
+        with pytest.raises(ValueError) as exc:
+            split_ranges(100, ratios)
+        assert str(exc.value) == f"split needs three finite positive ratios, got {ratios}"
+
     def test_split_ranges_cover_everything(self):
         for l_data in range(10, 50):
             r = split_ranges(l_data, (0.6, 0.2, 0.2))

@@ -1,9 +1,13 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 from psld import numerics
-from psld.numerics import (SUM_LEAF, _PAIRWISE_BLOCK, Rng, _pairwise_join, _pairwise_leaves,
-                           _pairwise_split)
+
+from psld.numerics import _PAIRWISE_BLOCK, Rng, _pairwise_split, blas_provenance
 
 
 class TestRng:
@@ -68,7 +72,7 @@ def pairwise_model(v, fold_below=8, block=128, split=_split, tree=True):
 
 
 class TestSummationOrder:
-    """np.add.reduce's order, which bit-exact partial sums in the package reproduce.
+    """np.add.reduce's order, which the moving averages' shifted sums reproduce.
 
     Every add of the probes' random mantissas rounds, so summing them in
     another order changes the bits; each moved rule below is seen to change
@@ -77,7 +81,7 @@ class TestSummationOrder:
     """
 
     LENGTHS = (1, 2, 7, 8, 9, 15, 16, 17, 127, 128, 129, 136, 255, 256, 257,
-               SUM_LEAF - 1, SUM_LEAF, SUM_LEAF + 1, 2 * SUM_LEAF + 11)
+               16383, 16384, 16385, 32779)
     MOVED = {
         "left fold below 16 values": dict(fold_below=16),
         "blocks of 64 values": dict(block=64),
@@ -106,13 +110,31 @@ class TestSummationOrder:
         assert _PAIRWISE_BLOCK == 128
         assert all(_pairwise_split(n) == _split(n) for n in range(129, 5000))
 
-    @pytest.mark.parametrize("leaf", [128, 1000, SUM_LEAF])
-    def test_leaf_sums_join_to_numpy_sum(self, leaf, monkeypatch):
-        monkeypatch.setattr(numerics, "SUM_LEAF", leaf)
-        for n in (leaf, leaf + 1, 3 * leaf + 17, 2 * SUM_LEAF + 11):
-            a = self.probe(n)
-            lengths = _pairwise_leaves(n)
-            assert sum(lengths) == n and max(lengths) <= leaf
-            bounds = np.cumsum([0] + lengths)
-            sums = (np.add.reduce(a[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
-            assert _pairwise_join(n, sums) == np.add.reduce(a), n
+
+class TestBlasProvenance:
+    FIELDS = {"numpy", "blas", "blas_version", "openblas_core", "openblas_config",
+              "blas_threads"}
+
+    def test_names_numpy_and_its_blas(self):
+        got = blas_provenance()
+        assert set(got) == self.FIELDS and got["numpy"] == np.__version__
+        assert all(isinstance(v, str) and v for k, v in got.items() if k != "blas_threads")
+        assert got["blas_threads"] == "unknown" or got["blas_threads"] >= 1
+
+    def test_thread_count_is_the_environment_s(self):
+        # OPENBLAS_NUM_THREADS is read when numpy loads, so a child process
+        # with 1 thread reports 1
+        code = "from psld.numerics import blas_provenance; print(blas_provenance()['blas_threads'])"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True).stdout.strip()
+        assert out == ("unknown" if blas_provenance()["blas_threads"] == "unknown" else "1")
+
+    def test_every_field_falls_back_to_unknown(self, monkeypatch):
+        def no_dicts(mode="stdout"):
+            raise TypeError("show_config() got an unexpected keyword argument 'mode'")
+
+        monkeypatch.setattr(numerics.np, "show_config", no_dicts)
+        monkeypatch.setattr(numerics.ctypes, "CDLL", lambda path: object())
+        got = blas_provenance()
+        assert got == {"numpy": np.__version__, **{k: "unknown" for k in self.FIELDS - {"numpy"}}}

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from psld import model as md
-from psld import numerics
 from psld import sampler
 from psld import training as tr
 from psld.dataset import (
@@ -181,6 +180,33 @@ def one_shot_metrics(pred, truth):
     }
 
 
+def chunk_order_metrics(pred, truth, bounds):
+    """The metrics in _metrics' documented order: np.add.reduce of |pred - truth|
+    and of its square over each chunk's values, rows bounds[i]:bounds[i + 1],
+    the chunk sums added in chunk order, each total divided by pred.size."""
+    err = sq = 0.0
+    for lo, hi in zip(bounds, bounds[1:]):
+        e = np.abs(pred[lo:hi] - truth[lo:hi]).ravel()
+        err = err + float(np.add.reduce(e))
+        sq = sq + float(np.add.reduce(e * e))
+    return {"mse": sq / pred.size, "mae": err / pred.size}
+
+
+def chunk_bounds(n_rows, size):
+    """Row bounds of the chunks _forecast_chunks yields: ``size`` rows each, but
+    for the chunk before the shifted last one, which stops where it starts."""
+    last = max(n_rows - size, 0)
+    return [*range(0, last, size), last, n_rows]
+
+
+def assert_chunk_order_metrics(got, pred, truth, bounds):
+    """got has the bits of the chunk-order oracle, and agrees with np.mean within 1e-12."""
+    assert got == chunk_order_metrics(pred, truth, bounds)
+    want = one_shot_metrics(pred, truth)
+    assert got["mse"] == pytest.approx(want["mse"], rel=1e-12)
+    assert got["mae"] == pytest.approx(want["mae"], rel=1e-12)
+
+
 def split_rows(store, l_in, l_out, split):
     """Rows of the split: one per (window, node)."""
     return math.prod(_windows(store.values[:, split[0]:split[1]], l_in, l_out)[0].shape[:2])
@@ -273,7 +299,7 @@ class TestEvaluate:
         # several 512-row chunks and a shifted last one, gives the metrics
         # and the dumped rows of apply_norm's whole store, to the bit; in
         # raw units, its rows are those forecasts mapped back by each row's
-        # node and the series' own truth, scored as np.mean scores them
+        # node and the series' own truth, summed in chunk order
         store = generate_synthetic(64, 400, Rng(4))
         cfg = small_config(decomposer=kind, mode=mode, kappa_t=5, kappa_s=3)
         params = init_params(kind, cfg.l_in, cfg.l_out, cfg.hidden, cfg.dropout, mode,
@@ -303,7 +329,8 @@ class TestEvaluate:
             want_raw = np.hstack([want_rows[:, :2], pred, truth])
             assert np.array_equal(np.concatenate(rows["raw"]).view(np.uint64),
                                   want_raw.view(np.uint64)), name
-            assert raw == one_shot_metrics(pred, truth), name
+            assert_chunk_order_metrics(raw, pred, truth, chunk_bounds(len(pred),
+                                                                      tr.EVAL_CHUNK_ROWS))
 
     def test_denormalize_needs_the_stats_of_a_raw_store(self, train_store):
         # a store the caller normalized holds no raw truth to score against
@@ -341,42 +368,43 @@ class TestEvaluate:
         assert m["mse"] == pytest.approx(c * c, rel=1e-12)
         assert m["mae"] == pytest.approx(c, rel=1e-12)
 
-    def test_chunked_metrics_equal_one_shot_bits(self):
-        # the error array has the full-split shape and layout, so the means
-        # sum in the same order as over full-split temporaries
+    def test_chunked_metrics_sum_in_chunk_order(self):
+        # the 1024-node benchmark split's shape in 512-row chunks: each
+        # chunk is summed on its own, and the chunk sums in order
         g = Rng(3).gen
         pred, truth = g.standard_normal((50176, 36)), g.standard_normal((50176, 36))
         pred[::97] = truth[::97]
         chunks = ((pred[lo:lo + 512], truth[lo:lo + 512]) for lo in range(0, len(pred), 512))
-        assert tr._metrics(chunks, pred.shape) == one_shot_metrics(pred, truth)
+        assert_chunk_order_metrics(tr._metrics(chunks, pred.shape), pred, truth,
+                                   [*range(0, len(pred), 512), len(pred)])
 
-    # lengths around numpy's 128-value block and around SUM_LEAF, several
-    # leaves, and the 64- and 1024-node benchmark splits' shapes
+    # lengths around numpy's 128-value block, long one-row and one-column
+    # chunks, and the 64- and 1024-node benchmark splits' shapes
     @pytest.mark.parametrize("rows,width", [
         (1, 1), (7, 1), (8, 1), (128, 1), (129, 1), (1, 129),
-        (numerics.SUM_LEAF - 1, 1), (numerics.SUM_LEAF, 1), (numerics.SUM_LEAF + 1, 1),
-        (1, numerics.SUM_LEAF + 1), (5 * numerics.SUM_LEAF // 7 + 3, 7), (3136, 36), (50176, 36),
+        (16383, 1), (16384, 1), (16385, 1), (1, 16385), (11705, 7), (3136, 36), (50176, 36),
     ])
-    def test_metrics_equal_np_mean_bits(self, rows, width):
+    def test_metrics_sum_in_chunk_order(self, rows, width):
         g = Rng(rows * width).gen
         pred, truth = g.standard_normal((2, rows, width))
         pred.flat[::3], truth.flat[::5] = -0.0, 0.0  # signed zeros on either side
         pred.flat[::11] = truth.flat[::11]
         truth.flat[::13] = -truth.flat[::13] * 1e30
-        want = one_shot_metrics(pred, truth)
         for size in sorted({1, 5, 512, rows}):
             if rows // size > 2000:
                 continue
             chunks = ((pred[lo:lo + size], truth[lo:lo + size]) for lo in range(0, rows, size))
-            assert tr._metrics(chunks, pred.shape) == want, size
+            assert_chunk_order_metrics(tr._metrics(chunks, pred.shape), pred, truth,
+                                       [*range(0, rows, size), rows])
 
     def test_metrics_memory_does_not_grow_with_rows(self):
         # a 1024-node split's (50176, 36) error array would be 13.8 MiB: the
-        # traced peak is the two leaf buffers plus the sums' bookkeeping
+        # traced peak is within two of one chunk's error arrays plus the
+        # sums' bookkeeping
         pred, truth = Rng(4).gen.standard_normal((2, 50176, 36))
         chunks = ((pred[lo:lo + 512], truth[lo:lo + 512]) for lo in range(0, 50176, 512))
         peak = _traced_peak(lambda: tr._metrics(chunks, pred.shape))
-        assert peak <= 2 * (numerics.SUM_LEAF + 36) * 8 + 2**16, peak
+        assert peak <= 2 * 512 * 36 * 8 + 2**16, peak
 
 
 def _eval_params(kind, cfg):
@@ -434,7 +462,7 @@ class TestChunkedEvaluate:
         assert np.array_equal(truth.view(np.uint64), want_truth.view(np.uint64))
         assert calls == [7] * -(-x_rows.shape[0] // 7)
         got = evaluate(None, store, cfg, split, **scoring)
-        assert got == one_shot_metrics(want_pred, want_truth)
+        assert_chunk_order_metrics(got, want_pred, want_truth, chunk_bounds(len(want_pred), 7))
 
     def test_split_smaller_than_a_chunk_is_one_call(self, split_setup, monkeypatch):
         cfg, normed, split, _, x_rows, _, _ = split_setup
@@ -468,28 +496,26 @@ class TestChunkedEvaluate:
         assert np.array_equal(pred[:, 0], want)
 
     @pytest.mark.parametrize("denorm", [False, True])
-    def test_metrics_equal_np_mean_of_the_forecast_bits(self, split_setup, train_store,
-                                                        monkeypatch, denorm):
-        # 7-row chunks shift the last one back, and 128-value leaves split
-        # the sums into many: the metrics still equal np.mean over the
-        # assembled forecast of the whole split, to the bit
+    def test_metrics_sum_the_forecast_in_chunk_order(self, split_setup, train_store,
+                                                     monkeypatch, denorm):
+        # 7-row chunks shift the last one back: the metrics sum the
+        # assembled forecast of the whole split chunk by chunk, the chunk
+        # before the shifted one cut short
         cfg, normed, split, stats, _, y_rows, _ = split_setup
-        assert y_rows.size > 3 * 128  # four leaves
         params = _eval_params("mvd", cfg)
         monkeypatch.setattr(tr, "EVAL_CHUNK_ROWS", 7)
-        monkeypatch.setattr(numerics, "SUM_LEAF", 128)
         store, scoring = scored_store(denorm, train_store, normed, stats)
         pred, truth = assembled_forecast(params, store, cfg, split, **scoring)
         got = evaluate(params, store, cfg, split, **scoring)
-        assert got == one_shot_metrics(pred, truth)
+        assert_chunk_order_metrics(got, pred, truth, chunk_bounds(len(pred), 7))
 
-    def test_baseline_equals_np_mean_bits(self, split_setup, monkeypatch):
+    def test_baseline_sums_in_chunk_order(self, split_setup, monkeypatch):
         # the shifted last chunk is trimmed, so each row is scored once
         cfg, normed, split, _, x_rows, y_rows, _ = split_setup
         monkeypatch.setattr(tr, "EVAL_CHUNK_ROWS", 7)
-        monkeypatch.setattr(numerics, "SUM_LEAF", 128)
         got = baseline_last_value(normed, cfg, split)
-        assert got == one_shot_metrics(x_rows[:, -1:], y_rows)
+        pred = np.broadcast_to(x_rows[:, -1:], y_rows.shape)
+        assert_chunk_order_metrics(got, pred, y_rows, chunk_bounds(len(y_rows), 7))
 
     @pytest.mark.parametrize("kind,mode", [("mvd", "separate"), ("mvd", "merged"),
                                            ("stl", "separate"), ("stl", "merged"),
@@ -519,8 +545,8 @@ class TestChunkedEvaluate:
 
     # At hidden 16 the forward pass of one 512-row chunk traces about
     # 1.0 MiB and the baseline's chunk about 0.2 MiB, and _metrics adds its
-    # two error buffers of SUM_LEAF values (0.25 MiB), whatever the split:
-    # measured 1.26 and 0.46 MiB at both node counts.
+    # chunks' error arrays (48 KiB each at l_out 12), whatever the split:
+    # measured 1.05-1.06 and 0.27 MiB at both node counts.
     EVAL_PEAK = 1.5 * 2**20
     BASELINE_PEAK = 0.75 * 2**20
 
@@ -906,17 +932,23 @@ class TestTrain:
     # lengths whose train splits differ by 1.03 MiB at 64 nodes
     @pytest.mark.parametrize("kind", ["mvd", "plain"])
     def test_epoch_memory_does_not_grow_with_the_series_length(self, kind):
-        # the traced peak of one epoch of _fit, above what was live before
-        # it, is the same at both lengths: the epoch gathers step blocks and
-        # validation chunks from the raw store, never a normalized split
+        # the traced peak of the splits' check and stats fit plus one epoch
+        # of _fit, above what was live before them, is the same at both
+        # lengths: the stats are fitted in node blocks, and the epoch gathers
+        # step blocks and validation chunks from the raw store, never a
+        # normalized split
         cfg = small_config(epochs=1, n_subgraphs=4)
         peaks, split_bytes = [], []
         for l_data in (500, 4000):
             store = generate_synthetic(64, l_data, Rng(3))
-            ranges, stats = tr._split_stats(store, cfg, ("train", "val"))
             params = _eval_params(kind, cfg)
-            peaks.append(_traced_peak(lambda: tr._fit(params, store, cfg, ranges, stats)))
-            split_bytes.append(store.n_nodes * ranges["train"][1] * 8)
+
+            def fit():
+                ranges, stats = tr._split_stats(store, cfg, ("train", "val"))
+                tr._fit(params, store, cfg, ranges, stats)
+
+            peaks.append(_traced_peak(fit))
+            split_bytes.append(store.n_nodes * split_ranges(l_data, cfg.split)["train"][1] * 8)
         assert split_bytes[1] - split_bytes[0] >= 2**20
         assert abs(peaks[1] - peaks[0]) <= 2**15, peaks
 
