@@ -8,8 +8,9 @@
 # Runs the given command end to end: synth, train with and without an
 # adjacency file, eval with prediction dumps, rss-check, and the gradient
 # check in the separate mvd and the merged stl layout. One stl run has a
-# trend kernel of over 128 values, so its moving average splits the window
-# sum in two. It then checks that a bad flag and a negative --seed exit 1
+# trend kernel of 131 values, wider than its 12-step inputs and 6-step
+# labels, so most slices its moving averages add lie wholly in the edge
+# padding. It then checks that a bad flag and a negative --seed exit 1
 # cleanly and that a malformed series or adjacency file exits 2 with a JSON
 # error naming it. Exits non-zero on the first failed check.
 set -eu

@@ -199,7 +199,7 @@ def cmd_train(args) -> int:
     try:
         ranges, stats = _split_stats(store, config, ("train", "val", "test"))
     except ValueError as err:
-        raise _UsageError(str(err)) from None
+        raise _UsageError(f"{args.data}: {err}") from None
 
     out_dir = Path(args.out)
     checkpoint = out_dir / "checkpoint.psld"
@@ -260,7 +260,10 @@ def cmd_eval(args) -> int:
     config = _sidecar_config(args.checkpoint, sidecar)
     store = load_csv(args.data)
     # a split too short for a window fails here, before a dump file is created
-    ranges, stats = _split_stats(store, config, (args.split,))
+    try:
+        ranges, stats = _split_stats(store, config, (args.split,))
+    except ValueError as err:
+        raise ValueError(f"{args.data}: {err}") from None
     split = ranges[args.split]
     dump = args.dump_predictions
     with _atomic_write(dump) if dump else contextlib.nullcontext() as f:

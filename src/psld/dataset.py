@@ -357,7 +357,14 @@ def _atomic_write(path, binary: bool = False):
 
 
 def save_csv(store: SeriesStore, path) -> None:
-    """Write the series with id column, full round-trip float precision."""
+    """Write the series with id column, full round-trip float precision.
+
+    A first id that parses as a number raises ``ValueError`` before anything
+    is written: ``load_csv`` would read that id column as a timestep.
+    """
+    if store.node_ids and _is_number(store.node_ids[0]):
+        raise ValueError(f"{path}: node id {store.node_ids[0]!r} parses as a number, "
+                         "so the id column would be read back as a timestep")
     with _atomic_write(path) as f:
         for node_id, row in zip(store.node_ids, store.values):
             f.write(node_id + "," + ",".join(repr(float(x)) for x in row) + "\n")

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ShapeError
-from .numerics import _PAIRWISE_BLOCK, _pairwise_split
 
 PART_NAMES = {"mvd": ("m", "v", "r"), "stl": ("t", "s", "r")}
 KINDS = tuple(PART_NAMES)
@@ -85,13 +84,11 @@ class ComponentBundle:
 def moving_average(series: np.ndarray, kernel: int) -> np.ndarray:
     """Centered moving average along the last axis with replicate padding.
 
-    Output length equals input length; kernel 1 is the identity. The bits
-    equal numpy's ``mean`` over each padded window, because each window's
-    sum follows the order of numpy's pairwise reduction over n contiguous
-    values (see ``numerics``). The reduction starts from +0.0 and the sum
-    is divided by the kernel.
-    Neighbouring windows share accumulators, so all windows are summed by
-    a few whole-array adds over shifted time slices.
+    Output length equals input length; kernel 1 is the identity. Each
+    window's padded values are added left to right, p[t] + p[t+1] + ... +
+    p[t+kernel-1]; then +0.0 is added, so an all-(-0.0) window gives +0.0,
+    and the sum is divided by the kernel. All windows are summed at once
+    by kernel - 1 whole-array adds over shifted time slices.
     """
     a = np.asarray(series, dtype=np.float64)
     if kernel < 1 or kernel % 2 == 0:
@@ -102,48 +99,24 @@ def moving_average(series: np.ndarray, kernel: int) -> np.ndarray:
         return a.copy()
     length, half = a.shape[-1], kernel // 2
     # A time-major copy with pad repeated edge rows at each end. Edge padding
-    # takes half rows, but no slice read from it is longer than length + 7
-    # rows, and one that lies wholly in a pad reads only the repeated row,
-    # so a longer pad would hold nothing new (see _shifted).
-    pad = min(half, length + 7)
+    # takes half rows, but every slice read from it has length rows, and one
+    # that lies wholly in a pad reads only the repeated row, so a longer pad
+    # would hold nothing new (see _shifted).
+    pad = min(half, length)
     flat = a.reshape(-1, length)
     padded = np.empty((length + 2 * pad, len(flat)))
     padded[:pad] = flat[:, 0]
     padded[pad : pad + length] = flat.T
     padded[pad + length :] = flat[:, -1]
-    total = _window_sums(padded, kernel, pad - half, length)
+    start = pad - half
+    total = _shifted(padded, start, length) + _shifted(padded, start + 1, length)
+    for i in range(2, kernel):
+        total += _shifted(padded, start + i, length)
     del padded  # freed before the output is allocated
     total += 0.0
     out = np.empty(a.shape)
     np.divide(total, kernel, out=out.reshape(-1, length).T)
     return out
-
-
-def _window_sums(padded: np.ndarray, n: int, start: int, length: int) -> np.ndarray:
-    """Sums of padded[start + t : start + t + n] in numpy's pairwise order
-    for t < length, as a time-major array of length rows. Rows before 0 or
-    past the end of padded repeat its first or last row."""
-    if n > _PAIRWISE_BLOCK:
-        split = _pairwise_split(n)
-        total = _window_sums(padded, split, start, length)
-        total += _window_sums(padded, n - split, start + split, length)
-        return total
-    if n < 8:
-        total = _shifted(padded, start, length) + _shifted(padded, start + 1, length)
-        for i in range(2, n):
-            total += _shifted(padded, start + i, length)
-        return total
-    # q[s] = padded[start+s] + padded[start+s+8] + ...: accumulator j of
-    # window t is q[t+j], so the tree over the eight is three shifted adds.
-    q = _shifted(padded, start, length + 7).copy()
-    for k in range(1, n // 8):
-        q += _shifted(padded, start + 8 * k, length + 7)
-    pairs = np.add(q[:-1], q[1:])
-    quads = np.add(pairs[:-2], pairs[2:], out=q[: length + 4])
-    total = np.add(quads[:-4], quads[4:], out=pairs[:length])
-    for i in range(n - n % 8, n):
-        total += _shifted(padded, start + i, length)
-    return total
 
 
 def _shifted(padded: np.ndarray, start: int, size: int) -> np.ndarray:

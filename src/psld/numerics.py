@@ -1,4 +1,4 @@
-"""A splittable, seed-deterministic PRNG, numpy's summation order, and its BLAS.
+"""A splittable, seed-deterministic PRNG and numpy's BLAS provenance.
 
 Randomness flows from a single integer seed through ``Rng`` children that
 are derived from the seed and a key path alone, never from how much the
@@ -47,19 +47,6 @@ class Rng:
 
     def __repr__(self) -> str:
         return f"Rng(seed={self.seed}, path={self.path})"
-
-
-# np.add.reduce sums a contiguous float64 array's n values left to right if
-# n < 8; if n <= _PAIRWISE_BLOCK, accumulator j sums values j, j+8, ... left to
-# right, the eight add as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) and the last n % 8
-# follow one by one; else it adds the sums of the two parts split at _pairwise_split.
-_PAIRWISE_BLOCK = 128
-
-
-def _pairwise_split(n: int) -> int:
-    """Where numpy's pairwise sum splits n > 128 values: half, down to a multiple of 8."""
-    half = n // 2
-    return half - half % 8
 
 
 def _openblas(name: str, restype):

@@ -74,7 +74,7 @@ def rss_partition(
     In training mode the node order is a seeded shuffle, otherwise the
     identity. Chunks are contiguous runs of size n_nodes // n_subgraphs;
     the remainder goes to the last chunk. The union of chunks is the full
-    node set and chunks are pairwise disjoint. A call costs O(n_nodes):
+    node set and no two chunks share a node. A call costs O(n_nodes):
     each batch builds its windows and adjacency block when they are read.
     """
     n = store.n_nodes

@@ -200,8 +200,8 @@ class TestTrain:
                                "--out", str(out), "--l-in", "30", "--l-out", "6",
                                "--n-sub", "3")
         assert code == EXIT_USAGE
-        assert err == ("error: val split: series of length 32 too short for windows; "
-                       "needs at least 36\n")
+        assert err == (f"error: {dataset / 'series.csv'}: val split: series of length 32 "
+                       "too short for windows; needs at least 36\n")
         assert not out.exists()
 
     def test_missing_data_is_runtime_error(self, tmp_path, capsys):
@@ -585,7 +585,7 @@ class TestEval:
         code, _, err = run_cli(capsys, "eval", "--checkpoint", str(out / "checkpoint.psld"),
                                "--data", str(short), "--dump-predictions", str(preds))
         assert code == EXIT_RUNTIME
-        assert "too short" in json.loads(err)["error"]
+        assert json.loads(err)["error"].startswith(f"{short}: test split: series of length ")
         assert not preds.exists()
 
     @pytest.mark.parametrize("denormalize", [False, True])

@@ -432,6 +432,28 @@ class TestCsv:
         assert np.array_equal(sorted_rows(back.adjacency),
                               sorted_rows(synth_store.adjacency))
 
+    @pytest.mark.parametrize("first_id", ("0", " 1.5", "nan", "-inf"))
+    def test_numeric_first_id_is_refused_and_nothing_written(self, tmp_path, first_id):
+        # an id-less file loads with ids "0", "1", ...; written back with
+        # them, it would reload as one more timestep per row
+        p = tmp_path / "series.csv"
+        p.write_text("old\n")
+        store = SeriesStore(np.arange(12.0).reshape(3, 4), (first_id, "b", "c"))
+        with pytest.raises(ValueError) as exc:
+            save_csv(store, p)
+        assert str(exc.value) == (f"{p}: node id {first_id!r} parses as a number, so the id "
+                                  "column would be read back as a timestep")
+        assert p.read_text() == "old\n"
+        assert os.listdir(tmp_path) == ["series.csv"]
+
+    def test_numeric_later_ids_round_trip(self, tmp_path):
+        p = tmp_path / "series.csv"
+        store = SeriesStore(np.arange(12.0).reshape(3, 4), ("a", "1", "2"))
+        save_csv(store, p)
+        back = load_csv(p)
+        assert back.node_ids == store.node_ids
+        assert np.array_equal(back.values, store.values)
+
     def test_empty_file(self, tmp_path):
         p = tmp_path / "empty.csv"
         p.write_text("")

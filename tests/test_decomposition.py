@@ -200,16 +200,41 @@ class TestDispatch:
 
 
 def padded_window_mean(series, kernel):
-    """The formula moving_average must match to the bit: numpy's mean over
-    each window of the edge-padded series. The series is made C-contiguous
-    first: np.pad keeps a Fortran-ordered input's order, and numpy's mean
-    then folds each window in another order."""
-    a = np.ascontiguousarray(series, dtype=np.float64)
+    """numpy's mean over each window of the edge-padded series, which
+    moving_average agrees with within assert_near_numpy_mean's bound."""
+    a = np.asarray(series, dtype=np.float64)
     if kernel == 1:
         return a.copy()
+    return padded_windows(a, kernel).mean(-1)
+
+
+def padded_window_fold(series, kernel):
+    """The order moving_average must match to the bit: each window of the
+    edge-padded series folded left to right, then +0.0, then / kernel."""
+    a = np.asarray(series, dtype=np.float64)
+    if kernel == 1:
+        return a.copy()
+    windows = padded_windows(a, kernel)
+    total = windows[..., 0].copy()
+    for i in range(1, kernel):
+        total += windows[..., i]
+    return (total + 0.0) / kernel
+
+
+def padded_windows(a, kernel):
     half = kernel // 2
     padded = np.pad(a, [(0, 0)] * (a.ndim - 1) + [(half, half)], mode="edge")
-    return np.lib.stride_tricks.sliding_window_view(padded, kernel, axis=-1).mean(-1)
+    return np.lib.stride_tricks.sliding_window_view(padded, kernel, axis=-1)
+
+
+def assert_near_numpy_mean(got, a, kernel):
+    """got is numpy's mean of each window within 2 * kernel * eps times the
+    window's mean |value|, plus the smallest subnormal. A left fold and
+    numpy's pairwise sum each err by at most about kernel * eps / 2 times
+    that magnitude (below 8 values both are left folds), and each of the
+    two divisions rounds once."""
+    bound = 2 * kernel * np.finfo(np.float64).eps * padded_window_mean(np.abs(a), kernel)
+    assert np.all(np.abs(got - padded_window_mean(a, kernel)) <= bound + 5e-324)
 
 
 def assert_same_bits(got, want):
@@ -236,19 +261,19 @@ def mixed_rows(n_rows, length, seed):
 
 class TestMovingAverageBits:
     @pytest.mark.parametrize("kernel", KERNELS)
-    def test_matches_padded_window_mean(self, kernel):
+    def test_matches_padded_window_fold(self, kernel):
         with np.errstate(over="ignore", invalid="ignore"):
             for length in (1, 2, 3, 7, 8, 9, 16, 36, 100, 128, 129, 200):
                 for n_rows in (0, 1, 5):
                     a = mixed_rows(n_rows, length, seed=kernel * 1000 + length)
-                    assert_same_bits(moving_average(a, kernel), padded_window_mean(a, kernel))
+                    assert_same_bits(moving_average(a, kernel), padded_window_fold(a, kernel))
 
     @pytest.mark.parametrize("n_rows", (64, 512, 513))
     def test_matches_on_tall_blocks(self, n_rows):
         with np.errstate(over="ignore", invalid="ignore"):
             for kernel in (7, 25, 131):
                 a = mixed_rows(n_rows, 36, seed=n_rows + kernel)
-                assert_same_bits(moving_average(a, kernel), padded_window_mean(a, kernel))
+                assert_same_bits(moving_average(a, kernel), padded_window_fold(a, kernel))
 
     def test_negative_zero_windows_average_to_positive_zero(self):
         for kernel in (3, 9, 25, 131):
@@ -263,7 +288,7 @@ class TestMovingAverageBits:
                 for kernel in (5, 25, 131):
                     got = moving_average(a, kernel)
                     assert got.flags.c_contiguous
-                    assert_same_bits(got, padded_window_mean(a, kernel))
+                    assert_same_bits(got, padded_window_fold(a, kernel))
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -275,19 +300,38 @@ class TestMovingAverageBits:
         ),
         kernel=st.integers(0, 150).map(lambda i: 2 * i + 1),
     )
-    def test_matches_padded_window_mean_property(self, a, kernel):
+    def test_matches_padded_window_fold_property(self, a, kernel):
         with np.errstate(over="ignore", invalid="ignore"):
-            assert_same_bits(moving_average(a, kernel), padded_window_mean(a, kernel))
+            assert_same_bits(moving_average(a, kernel), padded_window_fold(a, kernel))
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_agrees_with_numpy_mean(self, kernel):
+        for length in (1, 7, 36, 200):
+            a = Rng(kernel).gen.standard_normal((5, length)) * 10.0 ** np.arange(-2, 3)[:, None]
+            assert_near_numpy_mean(moving_average(a, kernel), a, kernel)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        a=hnp.arrays(
+            np.float64,
+            hnp.array_shapes(min_dims=1, max_dims=3, min_side=1, max_side=40),
+            # no window sum of up to 301 values this size overflows
+            elements=st.one_of(st.sampled_from(SPECIAL_VALUES), st.floats(-1e300, 1e300)),
+        ),
+        kernel=st.integers(0, 150).map(lambda i: 2 * i + 1),
+    )
+    def test_agrees_with_numpy_mean_property(self, a, kernel):
+        assert_near_numpy_mean(moving_average(a, kernel), a, kernel)
 
 
 class TestStlBits:
     @pytest.mark.parametrize("kappa_t,kappa_s", [(25, 7), (1, 1), (9, 3), (131, 9), (301, 129)])
-    def test_parts_match_padded_window_mean(self, kappa_t, kappa_s):
+    def test_parts_match_padded_window_fold(self, kappa_t, kappa_s):
         a = mixed_rows(7, 36, seed=kappa_t)
         a[1:] = Rng(kappa_s).gen.standard_normal((6, 36))
         b = stl_decompose(a, StlConfig(kappa_t, kappa_s))
-        trend = padded_window_mean(a, kappa_t)
-        seasonal = padded_window_mean(a - trend, kappa_s)
+        trend = padded_window_fold(a, kappa_t)
+        seasonal = padded_window_fold(a - trend, kappa_s)
         want = {"t": trend, "s": seasonal, "r": a - trend - seasonal}
         for name, part in b.parts.items():
             assert part.flags.c_contiguous
