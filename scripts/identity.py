@@ -35,9 +35,10 @@ differ between cores, and that key is not an artifact.
 To check that a change keeps every byte, run the first form once with
 ``--src`` at the parent's source and once at the change's, then compare.
 ``--compare`` prints every artifact whose digest differs or that only one
-file has, and exits 1 if there is any; else it prints the count and exits 0.
-When both files name their core and the two differ, it first prints a note
-naming both.
+file has, then one line counting them by kind (checkpoint, metrics.json or
+epochs.csv, prediction dump, stdout, other), and exits 1 if there is any;
+else it prints the count and exits 0. When both files name their core and
+the two differ, it first prints a note naming both.
 """
 
 from __future__ import annotations
@@ -115,14 +116,20 @@ def digests(root: Path) -> dict:
 
 
 def compare(a: dict, b: dict) -> list:
-    """Lines naming each artifact whose digest differs or that only one side has."""
-    lines = []
-    for name in sorted(a.keys() | b.keys()):
-        if name not in b or name not in a:
-            lines.append(f"only in {'A' if name in a else 'B'}: {name}")
-        elif a[name] != b[name]:
-            lines.append(f"differs: {name}")
-    return lines
+    """Names of the artifacts whose digest differs or that only one side has."""
+    return [name for name in sorted(a.keys() | b.keys()) if a.get(name) != b.get(name)]
+
+
+# The kind the --compare summary counts an artifact under, by its file name;
+# any other file is "other"
+KIND_OF = {"checkpoint.psld": "checkpoint", "checkpoint.psld.json": "checkpoint",
+           "metrics.json": "metrics.json/epochs.csv", "epochs.csv": "metrics.json/epochs.csv",
+           "predictions.csv": "prediction dump", "stdout": "stdout"}
+KINDS = ("checkpoint", "metrics.json/epochs.csv", "prediction dump", "stdout", "other")
+
+
+def kind(name: str) -> str:
+    return KIND_OF.get(name.rsplit("/", 1)[-1], "other")
 
 
 def main(argv=None) -> int:
@@ -139,9 +146,17 @@ def main(argv=None) -> int:
         if None not in cores and cores[0] != cores[1]:
             print(f"note: A ran on OpenBLAS core {cores[0]}, B on {cores[1]}; "
                   "artifact bytes can differ between cores")
-        lines = compare(a, b)
-        print("\n".join(lines) if lines else f"identical: {len(a)} artifacts")
-        return 1 if lines else 0
+        names = compare(a, b)
+        if not names:
+            print(f"identical: {len(a)} artifacts")
+            return 0
+        for name in names:
+            where = "differs" if name in a and name in b else f"only in {'A' if name in a else 'B'}"
+            print(f"{where}: {name}")
+        counts = [sum(kind(name) == k for name in names) for k in KINDS]
+        print(f"{len(names)} of {len(a.keys() | b.keys())} artifacts differ: "
+              + ", ".join(f"{k} {n}" for k, n in zip(KINDS, counts)))
+        return 1
     src = args.src.resolve()
     with tempfile.TemporaryDirectory() as work:
         run_matrix(Path(work), src, args.threads)

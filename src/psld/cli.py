@@ -35,11 +35,11 @@ from .numerics import Rng, blas_provenance
 from .sampler import NORM_MODES, SampleDesign, random_graph, unbiasedness_mc_check
 from .training import (
     TrainConfig,
+    _baseline_plain_mlp,
     _split_stats,
+    _train,
     baseline_last_value,
-    baseline_plain_mlp,
     evaluate,
-    train,
 )
 
 EXIT_OK = 0
@@ -212,11 +212,11 @@ def cmd_train(args) -> int:
         [checkpoint, Path(str(checkpoint) + ".json"), metrics_path, epochs_path],
     )
 
-    params, reports = train(store, config)
+    params, reports = _train(store, config, ranges, stats)
     test = evaluate(params, store, config, ranges["test"], norm_stats=stats)
     baselines = {"last_value": baseline_last_value(store, config, ranges["test"], stats)}
     if args.baseline_mlp:
-        baselines["plain_mlp"] = baseline_plain_mlp(store, config)
+        baselines["plain_mlp"] = _baseline_plain_mlp(store, config, ranges, stats)
 
     metrics = {
         "config": config.to_dict(),

@@ -359,12 +359,20 @@ def _atomic_write(path, binary: bool = False):
 def save_csv(store: SeriesStore, path) -> None:
     """Write the series with id column, full round-trip float precision.
 
-    A first id that parses as a number raises ``ValueError`` before anything
-    is written: ``load_csv`` would read that id column as a timestep.
+    Every id must read back as itself, so a store with an id that does not
+    raises ``ValueError`` naming the file and the id before anything is
+    written: a first id that parses as a number (``load_csv`` would read
+    that id column as a timestep), or any id that holds a comma or a line
+    break as ``str.splitlines`` breaks lines, or that has surrounding
+    whitespace (``load_csv`` strips it).
     """
     if store.node_ids and _is_number(store.node_ids[0]):
         raise ValueError(f"{path}: node id {store.node_ids[0]!r} parses as a number, "
                          "so the id column would be read back as a timestep")
+    for node_id in store.node_ids:
+        if "," in node_id or len(f"{node_id}.".splitlines()) > 1 or node_id != node_id.strip():
+            raise ValueError(f"{path}: node id {node_id!r} holds a comma, a line break or "
+                             "surrounding whitespace, so it would not be read back as written")
     with _atomic_write(path) as f:
         for node_id, row in zip(store.node_ids, store.values):
             f.write(node_id + "," + ",".join(repr(float(x)) for x in row) + "\n")

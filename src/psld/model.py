@@ -30,6 +30,14 @@ The plain baseline (:class:`PlainParams`) is a single head on raw windows;
 :func:`train_step` and :func:`predict` are the only places that tell it
 apart from the decomposition model.
 
+:func:`predict` is an inference pass. Dropout is then the identity, so a
+head's second layer and predictor are one linear map, and each head runs
+as ``relu(z @ W1.T + b1) @ (Wp @ W2).T + (Wp @ b2 + bp)``, with the folded
+pair made once per buffers dict and no ``h2`` array. Its forecasts agree
+with the unfolded ``forward(..., training=False)`` within a few ulps, not
+to the bit. Training (``train_step``, ``forward`` and
+``loss_and_backward``) always runs the unfolded layers.
+
 All gradients here are derived and coded by hand; there is no autodiff.
 """
 
@@ -60,6 +68,9 @@ MODES = ("separate", "merged")
 _ADAM_BLOCK = 16384
 # A head's tensors in layout order: learner layers 1 and 2, then the predictor.
 _SUFFIXES = ("l1.w", "l1.b", "l2.w", "l2.b", "p.w", "p.b")
+# The key under which predict keeps each head's folded (Wp @ W2, Wp @ b2 + bp)
+# in a buffers dict; a head with a fold there runs an inference pass.
+_FOLDS = "folds"
 
 
 def one_of(names) -> str:
@@ -248,14 +259,16 @@ class HeadCache:
 
     The backward pass writes its hidden gradients over ``h2`` and
     ``h1``/``ad`` once it has read them, so a cache serves one backward pass.
+    An inference pass (``predict``) makes no ``h2``: its cache holds None
+    there, and no backward pass can read it.
     """
 
     z: np.ndarray  # the input
     h1: np.ndarray  # relu(z @ W1.T + b1) * keep / (1 - p), written over the pre-activation
     mask: np.float64 | None  # the dropout scale 1 / (1 - p), None without dropout
     ad: np.ndarray  # the same array as h1
-    h2: np.ndarray  # ad @ W2.T + b2
-    out: np.ndarray  # h2 @ Wp.T + bp
+    h2: np.ndarray | None  # ad @ W2.T + b2; None on an inference pass
+    out: np.ndarray  # h2 @ Wp.T + bp, or ad @ (Wp @ W2).T + (Wp @ b2 + bp) on an inference pass
 
 
 def _buffer(buffers: dict | None, key: str, shape: tuple) -> np.ndarray:
@@ -291,7 +304,10 @@ def _head_forward(head: Head, z: np.ndarray, dropout: float, rng: Rng | None,
 
     A dropout mask is drawn only when an rng is given, so evaluation
     passes None and is deterministic. With ``buffers`` (see ``forward``)
-    the hidden and output arrays are written into arrays kept there.
+    the hidden and output arrays are written into arrays kept there. If
+    ``buffers`` holds the head's fold (``predict`` puts it there), the pass
+    is an inference pass: the output is ``relu(z @ W1.T + b1) @ fold.T +
+    bias`` and no ``h2`` is made.
     """
     name, in_len = head.name, head.w1.shape[1]
     if z.ndim != 2 or z.shape[1] != in_len:
@@ -300,6 +316,12 @@ def _head_forward(head: Head, z: np.ndarray, dropout: float, rng: Rng | None,
     a = _product(z, head.w1.T, _buffer(buffers, f"{name}.h1", hidden))
     a += head.b1
     np.maximum(a, 0.0, out=a)
+    out_shape = (z.shape[0], head.wp.shape[0])
+    if buffers is not None and _FOLDS in buffers:
+        fold, bias = buffers[_FOLDS][name]
+        out = np.matmul(a, fold.T, out=_buffer(buffers, f"{name}.out", out_shape))
+        out += bias
+        return out, HeadCache(z, a, None, a, None, out)
     h2 = _buffer(buffers, f"{name}.h2", hidden)
     scale = None
     if rng is not None and dropout > 0.0:
@@ -310,7 +332,6 @@ def _head_forward(head: Head, z: np.ndarray, dropout: float, rng: Rng | None,
         a *= scale
     np.matmul(a, head.w2.T, out=h2)
     h2 += head.b2
-    out_shape = (z.shape[0], head.wp.shape[0])
     out = np.matmul(h2, head.wp.T, out=_buffer(buffers, f"{name}.out", out_shape))
     out += head.bp
     return out, HeadCache(z, a, scale, a, h2, out)
@@ -378,7 +399,9 @@ def forward(
     so repeated calls on the same number of rows allocate them once. The
     returned state's caches are then overwritten by the next such call.
     ``loss_and_backward`` consumes the state: it writes the hidden
-    gradients over every cache's ``h1`` and ``h2``.
+    gradients over every cache's ``h1`` and ``h2``. Buffers that ``predict``
+    has used hold its folds, and make every pass through them an inference
+    pass, whose state has no ``h2`` to backpropagate through.
     """
     if x_bundle.kind != params.kind:
         raise ValueError(f"bundle kind {x_bundle.kind!r} does not match model {params.kind!r}")
@@ -410,16 +433,30 @@ def forward(
 
 
 def predict(params, x_rows: np.ndarray, dcfg=None, buffers: dict | None = None) -> np.ndarray:
-    """Evaluation-mode forecast for stacked (rows, l_in) input windows.
+    """Evaluation-mode forecast for stacked (rows, l_in) input windows: an inference pass.
 
-    ``buffers`` is passed on as in ``forward``; the forecast may then be
-    one of them, valid until the next call with the same buffers.
+    Dropout is the identity at inference, so each head's second layer and
+    predictor fold into one ``(out_len, width)`` matrix ``Wp @ W2`` and one
+    bias ``Wp @ b2 + bp``, and the head runs ``relu(z @ W1.T + b1) @ (Wp @
+    W2).T + (Wp @ b2 + bp)`` without a ``(rows, width) @ (width, width)``
+    product. The forecast agrees with ``forward(..., training=False).y_hat``
+    within a few ulps, not to the bit. ``buffers`` is passed on as in
+    ``forward``; the forecast may then be one of them, valid until the next
+    call with the same buffers. The folds are made on the first call with a
+    buffers dict and kept in it, so a buffers dict serves one set of
+    parameter values: once the parameters change, pass a fresh one. Without
+    ``buffers`` the call makes its own dict, and with it the same bits.
     """
-    if isinstance(params, PlainParams):
-        out, _ = _head_forward(params.head, x_rows, params.dropout, None, buffers)
-        return out
-    if dcfg is None:
+    plain = isinstance(params, PlainParams)
+    if not plain and dcfg is None:
         raise ValueError("predict on decomposition models needs a decomposer config")
+    if buffers is None:
+        buffers = {}
+    if _FOLDS not in buffers:
+        heads = [params.head] if plain else [*params.heads.values(), params.combinator]
+        buffers[_FOLDS] = {h.name: (h.wp @ h.w2, h.wp @ h.b2 + h.bp) for h in heads}
+    if plain:
+        return _head_forward(params.head, x_rows, params.dropout, None, buffers)[0]
     return forward(params, dc.decompose(x_rows, dcfg), training=False, buffers=buffers).y_hat
 
 

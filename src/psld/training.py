@@ -49,10 +49,11 @@ from .exceptions import NumericError
 from .numerics import Rng
 from .sampler import rss_partition
 
-# Rows per evaluation forward pass. At hidden 128 each (rows, hidden)
-# intermediate is 512 KiB, small enough to be reused from the allocator's
-# free lists; multi-MiB chunks are page-faulted in afresh every call and
-# made evaluation slower than the unchunked pass.
+# Rows per evaluation forward pass. An inference pass keeps one (rows, hidden)
+# array per head (model.predict folds the second layer into the predictor, so
+# there is no h2), 512 KiB at hidden 128, small enough to be reused from the
+# allocator's free lists; multi-MiB chunks are page-faulted in afresh every
+# call and made evaluation slower than the unchunked pass.
 EVAL_CHUNK_ROWS = 512
 # Most rows per training forward and backward pass. At the paper's fixed 24
 # subgraphs a step has n_nodes // 24 * minibatch rows (the remainder chunk
@@ -275,11 +276,16 @@ def evaluate(params, store: SeriesStore, config: TrainConfig, split: tuple,
     ``_forecast_chunks``) and scored as it comes, chunk sum by chunk sum
     (see ``_metrics``), so the metrics agree with ``np.mean`` over the split
     within a few ulps: no array the size of the split is kept, so memory
-    does not grow with the split. All chunks write the heads' hidden and
-    output arrays into one set of buffers, made afresh for each call: fresh
-    ones per chunk (about 4 MiB at hidden 128) are handed back to the OS by
-    glibc's heap trimming whenever nothing live sits above them, and
-    page-faulted in again by the next chunk. With ``norm_stats`` the store
+    does not grow with the split. The forecast is ``md.predict``'s
+    inference pass, which folds each head's second layer into its
+    predictor, so its last bits are not those of the unfolded
+    ``md.forward``. All chunks write each head's one hidden array and its
+    output into one set of buffers, made afresh for each call, which also
+    keeps the folds: so each call scores the parameters it is given, and
+    fresh buffers per chunk (about 2.3 MiB at hidden 128, mvd separate)
+    would be handed back to the OS by glibc's heap trimming whenever
+    nothing live sits above them, and page-faulted in again by the next
+    chunk. With ``norm_stats`` the store
     holds raw values, which are normalized chunk by chunk as they are
     gathered; the metrics equal those of the store ``apply_norm`` makes with
     the same stats, to the bit. With ``denormalize`` too, the raw truth is
@@ -433,7 +439,11 @@ def train(store: SeriesStore, config: TrainConfig):
     MSE over epochs (earliest epoch wins ties). The store keeps its raw
     values: rows are normalized as they are gathered (see ``_fit``).
     """
-    ranges, stats = _split_stats(store, config, ("train", "val"))
+    return _train(store, config, *_split_stats(store, config, ("train", "val")))
+
+
+def _train(store: SeriesStore, config: TrainConfig, ranges: dict, stats: NormStats):
+    """``train`` with the store's ``_split_stats`` given, so a caller that has them fits once."""
     params = md.init_params(
         config.decomposer, config.l_in, config.l_out, config.hidden,
         config.dropout, config.mode, Rng(config.seed).child("init"),
@@ -453,7 +463,13 @@ def baseline_last_value(store: SeriesStore, config: TrainConfig, split: tuple,
 
 def baseline_plain_mlp(store: SeriesStore, config: TrainConfig) -> dict:
     """Test metrics of the plain single-head model under the same budget."""
-    ranges, stats = _split_stats(store, config, ("train", "val", "test"))
+    return _baseline_plain_mlp(store, config,
+                               *_split_stats(store, config, ("train", "val", "test")))
+
+
+def _baseline_plain_mlp(store: SeriesStore, config: TrainConfig, ranges: dict,
+                        stats: NormStats) -> dict:
+    """``baseline_plain_mlp`` with the store's ``_split_stats`` given, as ``_train`` takes them."""
     params = md.init_plain_params(config.l_in, config.l_out, config.hidden,
                                   config.dropout, Rng(config.seed).child("init"))
     params, _ = _fit(params, store, config, ranges, stats)

@@ -173,6 +173,21 @@ class TestTrain:
         assert code == EXIT_OK
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("extra", [(), ("--baseline-mlp",)], ids=["plain", "baseline-mlp"])
+    def test_stats_are_fitted_once_per_run(self, dataset, tmp_path, capsys, monkeypatch, extra):
+        # the model, its test metrics and the plain baseline share one fit
+        calls = []
+        real = training.fit_norm_stats
+
+        def counting(store, t_train):
+            calls.append(t_train)
+            return real(store, t_train)
+
+        monkeypatch.setattr(training, "fit_norm_stats", counting)
+        code, _, _ = run_cli(capsys, *train_args(dataset, tmp_path / "run", *extra))
+        assert code == EXIT_OK
+        assert len(calls) == 1
+
     def test_adjacency_changes_no_artifact(self, dataset, tmp_path, capsys):
         # the forecaster is per node: the graph is validated and hashed into
         # the manifest, and the artifacts come out the same without it
@@ -828,7 +843,7 @@ EXIT_PATHS = [
     (f"train {SMALL} --out {{tmp}}/r --split 1:1:1000", EXIT_USAGE, "usage", {}),
     (f"train {SMALL} --out {{tmp}}/r --l-in 40", EXIT_USAGE, "usage", {}),
     (f"train {SMALL} --out {{file}}/r", EXIT_RUNTIME, "json", {}),
-    (f"train {SMALL} --out {{tmp}}/r", EXIT_RUNTIME, "json", {"train": _raise_numeric}),
+    (f"train {SMALL} --out {{tmp}}/r", EXIT_RUNTIME, "json", {"_train": _raise_numeric}),
     (f"eval {CKPT}", EXIT_OK, "out", {}),
     (f"eval {CKPT} --dump-predictions {{tmp}}/p.csv --denormalize", EXIT_OK, "out", {}),
     (f"eval {CKPT} --adjacency {{data}}/adjacency.csv", EXIT_USAGE, "argparse", {}),

@@ -446,6 +446,36 @@ class TestCsv:
         assert p.read_text() == "old\n"
         assert os.listdir(tmp_path) == ["series.csv"]
 
+    @pytest.mark.parametrize("ids,bad", [
+        (("a,b", "c"), "a,b"),       # would load as id "a" and a value "b"
+        (("a", "c\nd"), "c\nd"),     # would load as two short rows
+        ((" a", "c"), " a"),         # would reload stripped, as "a"
+        (("a", "c "), "c "),
+        (("a", "c\rd"), "c\rd"),
+        (("a", "c\u2028d"), "c\u2028d"),
+        (("a", "c\x1cd"), "c\x1cd"),
+        (("a", "\t"), "\t"),
+    ])
+    def test_id_that_would_not_read_back_is_refused_and_nothing_written(self, tmp_path, ids,
+                                                                         bad):
+        p = tmp_path / "series.csv"
+        p.write_text("old\n")
+        store = SeriesStore(np.arange(8.0).reshape(2, 4), ids)
+        with pytest.raises(ValueError) as exc:
+            save_csv(store, p)
+        assert str(exc.value) == (f"{p}: node id {bad!r} holds a comma, a line break or "
+                                  "surrounding whitespace, so it would not be read back as "
+                                  "written")
+        assert p.read_text() == "old\n"
+        assert os.listdir(tmp_path) == ["series.csv"]
+
+    @pytest.mark.parametrize("ids", [("a b", "c"), ("", "c"), ("é", "c;d"), ("a", "c\x1fd")])
+    def test_ids_that_read_back_round_trip(self, tmp_path, ids):
+        p = tmp_path / "series.csv"
+        store = SeriesStore(np.arange(8.0).reshape(2, 4), ids)
+        save_csv(store, p)
+        assert load_csv(p).node_ids == ids
+
     def test_numeric_later_ids_round_trip(self, tmp_path):
         p = tmp_path / "series.csv"
         store = SeriesStore(np.arange(12.0).reshape(3, 4), ("a", "1", "2"))

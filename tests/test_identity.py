@@ -28,6 +28,14 @@ def test_identical_digests_pass(tmp_path, capsys):
     assert capsys.readouterr().out == "identical: 3 artifacts\n"
 
 
+def _summary(total, checkpoint=0, metrics=0, dumps=0, stdout=0, other=0):
+    """The ``--compare`` line that counts the differing artifacts by kind."""
+    differ = checkpoint + metrics + dumps + stdout + other
+    return (f"{differ} of {total} artifacts differ: checkpoint {checkpoint}, "
+            f"metrics.json/epochs.csv {metrics}, prediction dump {dumps}, stdout {stdout}, "
+            f"other {other}\n")
+
+
 @pytest.mark.parametrize("change,want", [
     ({"mvd-separate/metrics.json": "d" * 64}, "differs: mvd-separate/metrics.json"),
     ({"mvd-separate/epochs.csv": "e" * 64}, "only in B: mvd-separate/epochs.csv"),
@@ -35,10 +43,24 @@ def test_identical_digests_pass(tmp_path, capsys):
 def test_one_entry_difference_is_named(tmp_path, capsys, change, want):
     a = _write(tmp_path / "a.json", DIGESTS)
     b = _write(tmp_path / "b.json", {**DIGESTS, **change})
+    summary = _summary(len({**DIGESTS, **change}), metrics=1)
     assert identity.main(["--compare", a, b]) == 1
-    assert capsys.readouterr().out == want + "\n"
+    assert capsys.readouterr().out == want + "\n" + summary
     assert identity.main(["--compare", b, a]) == 1
-    assert capsys.readouterr().out == want.replace("only in B", "only in A") + "\n"
+    assert capsys.readouterr().out == want.replace("only in B", "only in A") + "\n" + summary
+
+
+def test_summary_counts_each_kind(tmp_path, capsys):
+    names = ["mvd-separate/checkpoint.psld", "mvd-separate/checkpoint.psld.json",
+             "mvd-separate/metrics.json", "mvd-separate/epochs.csv",
+             "mvd-separate/eval-val/predictions.csv", "mvd-separate/eval-val/stdout",
+             "gradcheck-mvd-merged/stdout", "data/series.csv", "data/adjacency.csv"]
+    a = _write(tmp_path / "a.json", {**dict.fromkeys(names, "a" * 64), "same/stdout": "c" * 64})
+    b = _write(tmp_path / "b.json", {**dict.fromkeys(names, "b" * 64), "same/stdout": "c" * 64})
+    assert identity.main(["--compare", a, b]) == 1
+    lines = capsys.readouterr().out.splitlines(keepends=True)
+    assert lines[:-1] == [f"differs: {name}\n" for name in sorted(names)]
+    assert lines[-1] == _summary(10, checkpoint=2, metrics=2, dumps=1, stdout=2, other=2)
 
 
 def test_digests_leave_out_manifests(tmp_path):
@@ -73,7 +95,8 @@ def test_core_is_noted_when_it_differs_and_not_counted(tmp_path, capsys, core_a,
     assert capsys.readouterr().out == note + "identical: 3 artifacts\n"
     b = _write(tmp_path / "b.json", {**_with_core(core_b), "gradcheck-stl-merged/stdout": "d" * 64})
     assert identity.main(["--compare", a, b]) == 1
-    assert capsys.readouterr().out == note + "differs: gradcheck-stl-merged/stdout\n"
+    assert capsys.readouterr().out == (note + "differs: gradcheck-stl-merged/stdout\n"
+                                       + _summary(3, stdout=1))
 
 
 def test_blas_core_script_prints_one_line():

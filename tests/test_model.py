@@ -72,6 +72,25 @@ def reference_head_forward(head, z, dropout, rng, buffers=None):
     return out, md.HeadCache(z, h1, mask, a, h2, out)
 
 
+def folded_reference(p, x, cfg):
+    """The inference forecast with each head folded: relu(z W1ᵀ + b1) @ (Wp W2)ᵀ + (Wp b2 + bp)."""
+    def head_out(head, z):
+        fold, bias = head.wp @ head.w2, head.wp @ head.b2 + head.bp
+        return np.maximum(z @ head.w1.T + head.b1, 0.0) @ fold.T + bias
+
+    if isinstance(p, md.PlainParams):
+        return head_out(p.head, x)
+    parts, hat = decompose(x, cfg).parts, {}
+    out_lens = {nm: olen for nm, _, olen in head_plan(p.kind, p.l_in, p.l_out)}
+    for name, names, *_ in md.head_layout(p.kind, p.mode, p.l_in, p.l_out, p.hidden):
+        out = head_out(p.heads[name], np.concatenate([parts[nm] for nm in names], axis=1))
+        ends = np.cumsum([out_lens[nm] for nm in names])[:-1]
+        hat.update(zip(names, np.split(out, ends, axis=1)))
+    if p.kind == "mvd":
+        return head_out(p.combinator, hat["v"] * hat["r"]) + hat["m"]
+    return head_out(p.combinator, hat["s"] + hat["r"]) + hat["t"]
+
+
 def reference_adam_step(params, grads, m, v, t, lr):
     """The per-tensor ADAM update over dicts of moments, step number t."""
     b1c = 1.0 - md.ADAM_BETA1 ** t
@@ -179,9 +198,41 @@ class TestForward:
         assert abs(mean - a) <= 3.0 * se
 
     def test_predict_matches_forward(self):
-        xb, yb, x, y, cfg = bundle_pair("mvd")
-        p = init_params("mvd", 8, 4, 16, 0.05, "separate", Rng(1))
-        assert np.array_equal(predict(p, x, cfg), forward(p, xb).y_hat)
+        # predict folds each head's second layer into its predictor, so it
+        # agrees with the unfolded forward pass within rounding, not to the bit
+        for kind in ("mvd", "stl"):
+            xb, yb, x, y, cfg = bundle_pair(kind)
+            for mode in md.MODES:
+                p = init_params(kind, 8, 4, 16, 0.05, mode, Rng(1))
+                np.testing.assert_allclose(predict(p, x, cfg), forward(p, xb).y_hat,
+                                           rtol=1e-12, atol=0.0, err_msg=f"{kind}/{mode}")
+
+    @pytest.mark.parametrize("kind,mode", [("mvd", "separate"), ("mvd", "merged"),
+                                           ("stl", "separate"), ("stl", "merged"),
+                                           ("plain", "separate")])
+    def test_predict_is_the_folded_reference(self, kind, mode):
+        cfg = make_config("mvd" if kind == "plain" else kind, kappa_t=5, kappa_s=3)
+        if kind == "plain":
+            p = init_plain_params(8, 4, 16, 0.05, Rng(1))
+        else:
+            p = init_params(kind, 8, 4, 16, 0.05, mode, Rng(1))
+        p.flat[...] = Rng(3).gen.standard_normal(p.flat.size)
+        x = Rng(2).gen.standard_normal((7, 8))
+        want = folded_reference(p, x, cfg)
+        assert np.array_equal(bits(predict(p, x, cfg)), bits(want))
+        assert np.array_equal(bits(predict(p, x, cfg, {})), bits(want))
+
+    def test_inference_pass_makes_no_h2(self):
+        xb, yb, x, y, cfg = bundle_pair("stl")
+        p = init_params("stl", 8, 4, 16, 0.05, "merged", Rng(1))
+        buffers = {}
+        predict(p, x, cfg, buffers)
+        assert not any(key.endswith(".h2") for key in buffers)
+        state = forward(p, xb, buffers=buffers)
+        caches = (*state.head_caches.values(), state.cbn_cache)
+        assert all(cache.h2 is None and cache.mask is None for cache in caches)
+        # forward without predict's buffers keeps a state backprop can read
+        loss_and_backward(p, forward(p, xb), yb, y, 1.0)
 
     @pytest.mark.parametrize("kind,mode", [("mvd", "separate"), ("mvd", "merged"),
                                            ("stl", "separate"), ("stl", "merged"),

@@ -1,3 +1,4 @@
+import copy
 import gc
 import math
 import tracemalloc
@@ -873,6 +874,37 @@ class TestTrain:
         normed, ranges, _ = prepare_store(train_store, cfg)
         got = evaluate(params, normed, cfg, ranges["val"])
         assert got["mse"] == pytest.approx(best, rel=1e-12)
+
+    def test_validation_scores_each_epochs_parameters(self, train_store, monkeypatch):
+        # predict folds the parameters once per buffers dict, so each epoch's
+        # validation must fold afresh: its scores equal those of a fresh copy
+        # of that epoch's parameters, and every epoch's parameters differ
+        real, seen = tr.evaluate, []
+
+        def evaluate(params, *args, **kwargs):
+            got = real(params, *args, **kwargs)
+            seen.append((copy.deepcopy(params), args, kwargs, got))
+            return got
+
+        monkeypatch.setattr(tr, "evaluate", evaluate)
+        _, reports = train(train_store, small_config(epochs=3))
+        assert len(seen) == 3
+        for report, (params, args, kwargs, got) in zip(reports, seen):
+            assert real(copy.deepcopy(params), *args, **kwargs) == got
+            assert (report.val_mse, report.val_mae) == (got["mse"], got["mae"])
+        assert len({params.flat.tobytes() for params, *_ in seen}) == 3
+
+    def test_evaluate_after_an_update_scores_the_new_values(self, train_store):
+        cfg = small_config()
+        store, ranges, _ = prepare_store(train_store, cfg)
+        params = init_params(cfg.decomposer, cfg.l_in, cfg.l_out, cfg.hidden, cfg.dropout,
+                             cfg.mode, Rng(1))
+        first = evaluate(params, store, cfg, ranges["val"])
+        grads = md.Tensors(Rng(2).gen.standard_normal(params.flat.size), params.slots)
+        md.adam_step(params, grads, md.AdamState.for_params(params), cfg.lr)
+        second = evaluate(params, store, cfg, ranges["val"])
+        assert second != first
+        assert second == evaluate(copy.deepcopy(params), store, cfg, ranges["val"])
 
     def test_best_params_are_a_separate_vector(self, train_store, monkeypatch):
         # train() returns a model bound to its own vector, not to the one it trained
