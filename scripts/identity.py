@@ -20,6 +20,11 @@ matrix, on one 64-node ``psld synth`` series (seed 3) and its adjacency:
   of 1002, 1003 and 1003 rows;
 - ``psld eval`` of each of those checkpoints on val and test, with and
   without ``--denormalize``, each with ``--dump-predictions``;
+- ``psld eval --dump-predictions`` of the mvd/separate checkpoint on the
+  test split of a second 64-node series, ``psld synth --length 700``
+  (seed 3): its 4,416 rows run as 9 uneven scoring chunks of 490 and 491
+  rows (``training.EVAL_CHUNK_ROWS``), where the first series' 3,136 rows
+  run as 7 equal chunks of 448;
 - ``psld gradcheck --n-seeds 20`` for each decomposer/mode pair;
 - ``psld rss-check`` with its defaults, with ``--norm-mode symmetric_sqrt``,
   with ``--norm-mode unit`` and with ``--prob 1.0``;
@@ -93,6 +98,13 @@ def run_matrix(work: Path, src: Path, threads: int) -> None:
                 _psld(["eval", "--checkpoint", str(run / "checkpoint.psld"), "--data", series,
                        "--split", split, *scale,
                        "--dump-predictions", str(out / "predictions.csv")], out, src, threads)
+    uneven = work / "data-700"
+    _psld(["synth", "--nodes", "64", "--length", "700", "--seed", "3", "--out", str(uneven)],
+          uneven, src, threads)
+    out = work / "mvd-separate" / "eval-test-uneven-chunks"
+    _psld(["eval", "--checkpoint", str(work / "mvd-separate" / "checkpoint.psld"), "--data",
+           str(uneven / "series.csv"), "--dump-predictions", str(out / "predictions.csv")],
+          out, src, threads)
     for kind, mode in COMBOS:
         _psld(["gradcheck", "--decomposer", kind, "--mode", mode, "--n-seeds", "20"],
               work / f"gradcheck-{kind}-{mode}", src, threads)

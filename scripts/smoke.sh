@@ -32,10 +32,10 @@ printf 'l-in = 12\nl_out = 6\nn_subgraphs = 4\nhidden = 8\nepochs = 2\n' > "$wor
 "$@" eval --checkpoint "$work/run/checkpoint.psld" --data "$work/data/series.csv" \
     --dump-predictions "$work/preds.csv"
 
-# a 64-node test split of 39,552 values (6,592 rows of l_out 6) spans
-# several 512-row chunks of `psld eval`, whose metrics add the chunks'
-# sums in chunk order: they must agree with np.mean over the dumped
-# forecast within 1e-12 relative, on both scales
+# a 64-node test split of 39,552 values (6,592 rows of l_out 6) runs as
+# 13 uneven chunks of 507 and 508 rows in `psld eval`, whose metrics add
+# the chunks' sums in chunk order: they must agree with np.mean over the
+# dumped forecast within 1e-12 relative, on both scales
 "$@" synth --nodes 64 --length 600 --seed 2 --out "$work/wide"
 "$@" train --data "$work/wide/series.csv" --out "$work/wide-run" \
     --config "$work/run.cfg" > /dev/null

@@ -27,7 +27,7 @@ MIN_SYNTH_LENGTH = 64
 # an input edge's two directed rows, packed in one call
 _EDGE_PAIR = struct.Struct("6d").pack
 _OUT_OF_RANGE = "edge ({}, {}) out of range for {} nodes".format
-# Rows per block of the edge check in ``_edge_array``.
+# Rows per block of the edge check in ``_edge_array`` and of ``save_adjacency_csv``.
 _EDGE_BLOCK = 16384
 # Values per block of the deviations ``fit_norm_stats`` takes the std of.
 _FIT_BLOCK = 1 << 15
@@ -333,8 +333,14 @@ def _checked_edges(path, data: array, blank_at: list, n_nodes: int) -> np.ndarra
 
 
 def _both_directions(src, dst, w) -> np.ndarray:
-    """Edge rows (src, dst, w), (dst, src, w) interleaved per input edge."""
-    return np.stack([src, dst, w, dst, src, w], axis=1).reshape(-1, 3)
+    """Read-only edge rows (src, dst, w), (dst, src, w) interleaved per input edge.
+
+    Read-only float64, so ``SeriesStore`` and ``GraphSpec`` keep the array
+    as it is rather than copying it (see ``_edge_array``).
+    """
+    edges = np.stack([src, dst, w, dst, src, w], axis=1).reshape(-1, 3)
+    edges.flags.writeable = False
+    return edges
 
 
 @contextmanager
@@ -379,13 +385,20 @@ def save_csv(store: SeriesStore, path) -> None:
 
 
 def save_adjacency_csv(store: SeriesStore, path) -> None:
-    """Write each undirected edge once as 'src,dst,weight'."""
+    """Write each undirected edge once as 'src,dst,weight'.
+
+    The edge rows with src < dst are written in order, ``_EDGE_BLOCK``
+    rows of the store's edge array at a time, so nothing the size of the
+    edge array is made.
+    """
     edges = store.adjacency if store.adjacency is not None else np.empty((0, 3))
-    upper = edges[edges[:, 0] < edges[:, 1]]
-    ends = upper[:, :2].astype(np.int64)
     with _atomic_write(path) as f:
-        f.writelines(map("{},{},{!r}\n".format,
-                         ends[:, 0].tolist(), ends[:, 1].tolist(), upper[:, 2].tolist()))
+        for lo in range(0, len(edges), _EDGE_BLOCK):
+            block = edges[lo:lo + _EDGE_BLOCK]
+            upper = block[block[:, 0] < block[:, 1]]
+            ends = upper[:, :2].astype(np.int64)
+            f.writelines(map("{},{},{!r}\n".format,
+                             ends[:, 0].tolist(), ends[:, 1].tolist(), upper[:, 2].tolist()))
 
 
 def generate_synthetic(

@@ -15,9 +15,11 @@ identical inputs reproduces reports and parameters bit for bit.
 normalized copy of it: every row they train or score on is normalized as
 it is gathered from the raw columns, with the train split's stats. One
 gather, ``_rows``, reads the rows of both training steps and scoring
-chunks. ``evaluate`` and ``baseline_last_value`` score the store they are
-given, normalized by the caller (``prepare_store``) or, with
-``norm_stats``, row by row as they gather it. A score sums its forecast
+chunks, and one rule, ``_blocks``, cuts both into balanced row blocks of
+at most ``STEP_ROWS`` and ``EVAL_CHUNK_ROWS`` rows. ``evaluate`` and
+``baseline_last_value`` score the store they are given, normalized by the
+caller (``prepare_store``) or, with ``norm_stats``, row by row as they
+gather it. A score sums its forecast
 chunks in chunk order (``_metrics``), however the store was normalized.
 """
 
@@ -49,7 +51,8 @@ from .exceptions import NumericError
 from .numerics import Rng
 from .sampler import rss_partition
 
-# Rows per evaluation forward pass. An inference pass keeps one (rows, hidden)
+# Most rows per evaluation forward pass; a split runs as balanced chunks of at
+# most this many rows (see _blocks). An inference pass keeps one (rows, hidden)
 # array per head (model.predict folds the second layer into the predictor, so
 # there is no h2), 512 KiB at hidden 128, small enough to be reused from the
 # allocator's free lists; multi-MiB chunks are page-faulted in afresh every
@@ -215,32 +218,35 @@ def _rows(windows: tuple, win: np.ndarray, node: np.ndarray, norms: tuple):
     return rows
 
 
+def _blocks(n_rows: int, most: int):
+    """The k = ceil(n_rows / most) row blocks (lo, hi) of ``n_rows`` rows, in order.
+
+    Block i is rows [n_rows * i // k, n_rows * (i + 1) // k): the blocks
+    cover every row once, and their sizes differ by at most one row, none
+    more than ``most``. Training steps (``STEP_ROWS``) and scoring chunks
+    (``EVAL_CHUNK_ROWS``) are both cut this way.
+    """
+    k = -(-n_rows // most)
+    return [(n_rows * i // k, n_rows * (i + 1) // k) for i in range(k)]
+
+
 def _forecast_chunks(n_rows: int, rows, forecast, denorm: tuple | None, sink):
     """Yield (pred, y): ``forecast(x)`` and truth of the rows, each once, in order.
 
     ``rows(lo, hi)`` gives rows [lo, hi) of ``n_rows`` as (x, y, w, node)
-    (``_rows``), and ``forecast`` is called once per chunk. Every chunk has
-    ``EVAL_CHUNK_ROWS`` rows, or all rows if there are fewer: the last
-    one is shifted back to end at the last row, so its forecast is made in
-    a call of the same size as every other. Rows are independent, but BLAS
-    may round a product of a few rows differently in the last bit from the
-    same rows inside a larger product; with every call the same size, no
-    short remainder call depends on where the split ends. Of the rows the
-    shifted last chunk repeats, its forecasts are the ones yielded, so the
-    chunk before it stops where it starts. ``pred`` may be a buffer
-    ``forecast`` reuses, so it is valid only until the next chunk. With
-    ``denorm``, (mu, scale) columns as ``dataset._norm_columns`` gives
+    (``_rows``). The chunks are the ``_blocks`` of at most
+    ``EVAL_CHUNK_ROWS`` rows, so their sizes differ by at most one row and
+    no short remainder is forecast on its own; each chunk is gathered and
+    ``forecast`` once, and no row is forecast twice. ``pred`` may be a
+    buffer ``forecast`` reuses, so it is valid only until the next chunk.
+    With ``denorm``, (mu, scale) columns as ``dataset._norm_columns`` gives
     them, the forecast alone is mapped back to the raw scale by each row's
-    node. ``sink(w, node, pred, y)``, if given, is called with each
-    chunk's rows and their windows and nodes before the chunk is yielded.
+    node. ``sink(w, node, pred, y)``, if given, is called with each chunk's
+    rows and their windows and nodes before the chunk is yielded.
     """
-    size = min(EVAL_CHUNK_ROWS, n_rows)
-    last = n_rows - size  # where the shifted last chunk starts
-    for start in range(0, n_rows, size):
-        lo = min(start, last)
-        keep = (n_rows if lo == last else min(lo + size, last)) - lo
-        x, y, w, node = rows(lo, lo + size)
-        pred, y, w, node = forecast(x)[:keep], y[:keep], w[:keep], node[:keep]
+    for lo, hi in _blocks(n_rows, EVAL_CHUNK_ROWS):
+        x, y, w, node = rows(lo, hi)
+        pred = forecast(x)
         if denorm is not None:
             mu, scale = denorm
             pred = pred * scale[node] + mu[node]
@@ -272,11 +278,11 @@ def evaluate(params, store: SeriesStore, config: TrainConfig, split: tuple,
     """MSE and MAE over all windows, horizon steps, and nodes of the split.
 
     The split has one row per (window, node), window-major (see ``_rows``).
-    The forecast is made in chunks of ``EVAL_CHUNK_ROWS`` rows (see
-    ``_forecast_chunks``) and scored as it comes, chunk sum by chunk sum
-    (see ``_metrics``), so the metrics agree with ``np.mean`` over the split
-    within a few ulps: no array the size of the split is kept, so memory
-    does not grow with the split. The forecast is ``md.predict``'s
+    The forecast is made in balanced chunks of at most ``EVAL_CHUNK_ROWS``
+    rows, each row once (see ``_forecast_chunks``), and scored as it
+    comes, chunk sum by chunk sum (see ``_metrics``), so the metrics agree
+    with ``np.mean`` over the split within a few ulps: no array the size of
+    the split is kept, so memory does not grow with the split. The forecast is ``md.predict``'s
     inference pass, which folds each head's second layer into its
     predictor, so its last bits are not those of the unfolded
     ``md.forward``. All chunks write each head's one hidden array and its
@@ -322,8 +328,7 @@ def _blocked_step(params, n_rows: int, rows, dcfg, lam: float, rng: Rng, buffers
 
     The step has ``n_rows`` rows, and ``rows(lo, hi)`` gives its rows
     [lo, hi) as (x, y, w, node) (``_rows``); windows and nodes are not read. The
-    k = ceil(n_rows / STEP_ROWS) blocks are rows
-    [n_rows * i // k, n_rows * (i + 1) // k), so their sizes differ by at
+    blocks are ``_blocks(n_rows, STEP_ROWS)``, so their sizes differ by at
     most one row; each is gathered only when its pass runs. Each runs
     through ``md.train_step`` with the same ``rng`` and ``buffers``, in
     order, so dropout draws from the step's one stream. Every loss term
@@ -336,10 +341,10 @@ def _blocked_step(params, n_rows: int, rows, dcfg, lam: float, rng: Rng, buffers
     touches ``grad_sum``, and its losses and gradient have the bits of one
     ``md.train_step``.
     """
-    k = -(-n_rows // STEP_ROWS)
+    blocks = _blocks(n_rows, STEP_ROWS)
+    k = len(blocks)
     losses = np.zeros(3)
-    for i in range(k):
-        lo, hi = n_rows * i // k, n_rows * (i + 1) // k
+    for i, (lo, hi) in enumerate(blocks):
         x, y = rows(lo, hi)[:2]
         part, grads = md.train_step(params, x, y, dcfg, lam, rng, buffers)
         share = (hi - lo) / n_rows

@@ -32,6 +32,7 @@ from psld.dataset import (
 )
 from psld.exceptions import FormatError, ParseError, ShapeError
 from psld.numerics import Rng
+from psld.sampler import random_graph
 
 
 def sorted_rows(edges):
@@ -358,7 +359,7 @@ class TestSplitsAndWindows:
     # (window, node), window-major, gathered in chunks
     def test_window_count_exhaustive(self, tiny_store, monkeypatch):
         # over every feasible (l_in, l_out) in a length-10 store, in one
-        # chunk and in chunks of 4 rows
+        # chunk and in balanced chunks of at most 4 rows
         v = tiny_store.values
         for chunk_rows in (4, 512):
             monkeypatch.setattr(tr, "EVAL_CHUNK_ROWS", chunk_rows)
@@ -368,8 +369,9 @@ class TestSplitsAndWindows:
                     calls, x, y = split_rows(tiny_store, l_in, l_out, (0, 10))
                     assert x.shape == (n_win * 3, l_in)
                     assert y.shape == (n_win * 3, l_out)
-                    size = min(chunk_rows, n_win * 3)
-                    assert all(len(cx) == size for cx in calls)
+                    sizes = [len(cx) for cx in calls]
+                    assert len(sizes) == -(-n_win * 3 // chunk_rows)
+                    assert max(sizes) <= chunk_rows and max(sizes) - min(sizes) <= 1
                     for row in range(n_win * 3):
                         w, d = divmod(row, 3)
                         assert np.array_equal(x[row], v[d, w:w + l_in])
@@ -390,16 +392,16 @@ class TestSplitsAndWindows:
         assert np.array_equal(x, tiny_store.values[:, :6])
         assert np.array_equal(y, tiny_store.values[:, 6:])
 
-    def test_last_chunk_is_shifted_back_to_the_end(self, tiny_store, monkeypatch):
-        # 7 windows of 3 nodes in chunks of 5: starts 0, 5, 10, 15, then 16,
-        # of which the chunk at 15 keeps the one row the last does not repeat
+    def test_chunks_are_balanced_blocks(self, tiny_store, monkeypatch):
+        # 7 windows of 3 nodes in chunks of at most 5 rows: 5 chunks, at
+        # rows 0, 4, 8, 12 and 16, each forecast and yielded once
         monkeypatch.setattr(tr, "EVAL_CHUNK_ROWS", 5)
         calls, x, _ = split_rows(tiny_store, 2, 2, (0, 10))
-        assert len(calls) == 5
-        for lo, cx in zip([0, 5, 10, 15, 16], calls):
-            assert np.array_equal(cx, x[lo:lo + 5])
+        assert len(x) == 21 and len(calls) == 5
+        for lo, hi, cx in zip([0, 4, 8, 12, 16], [4, 8, 12, 16, 21], calls):
+            assert np.array_equal(cx, x[lo:hi])
         _, yielded = echo_chunks(tiny_store, 2, 2, (0, 10))
-        assert [len(pred) for _, _, pred, _ in yielded] == [5, 5, 5, 1, 5]
+        assert [len(pred) for _, _, pred, _ in yielded] == [4, 4, 4, 4, 5]
 
     def test_chunks_are_contiguous_copies(self, tiny_store, monkeypatch):
         monkeypatch.setattr(tr, "EVAL_CHUNK_ROWS", 4)
@@ -1006,6 +1008,63 @@ class TestSynthetic:
         for a, b, _ in s.adjacency:
             assert a != b
             assert (b, a) in pairs
+
+
+def reference_save_adjacency_csv(store, path):
+    """The whole-array writer save_adjacency_csv replaced, kept as its oracle."""
+    upper = store.adjacency[store.adjacency[:, 0] < store.adjacency[:, 1]]
+    ends = upper[:, :2].astype(np.int64)
+    with open(path, "w", encoding="utf-8") as f:
+        f.writelines(map("{},{},{!r}\n".format,
+                         ends[:, 0].tolist(), ends[:, 1].tolist(), upper[:, 2].tolist()))
+
+
+def random_edge_store(n_edges, seed):
+    """A 5000-node store of ``n_edges`` random undirected edges, both directions."""
+    g = Rng(seed).gen
+    src = g.integers(0, 4999, n_edges)
+    dst = src + g.integers(1, 5000 - src)
+    return SeriesStore(np.zeros((5000, 2)), range(5000),
+                       _both_directions(src, dst, g.standard_normal(n_edges)))
+
+
+class TestEdgeArray:
+    """One edge array per graph: built read-only, kept without a copy, written in blocks."""
+
+    def test_stores_keep_the_built_array(self):
+        edges = _both_directions(np.array([0, 1]), np.array([2, 3]), np.ones(2))
+        assert edges.dtype == np.float64 and not edges.flags.writeable
+        assert edges.tolist() == [[0, 2, 1], [2, 0, 1], [1, 3, 1], [3, 1, 1]]
+        assert SeriesStore(np.zeros((4, 2)), "abcd", edges).adjacency is edges
+        assert not generate_synthetic(40, 64, Rng(8)).adjacency.flags.writeable
+        graph = random_graph(30, Rng(2))
+        assert not graph.edges.flags.writeable
+        assert _edge_array(graph.edges, 30) is graph.edges
+
+    @pytest.mark.parametrize("n_edges", [0, 1, _EDGE_BLOCK // 2, _EDGE_BLOCK, 3 * _EDGE_BLOCK + 5])
+    def test_blocked_writer_writes_the_whole_array_bytes(self, tmp_path, n_edges):
+        # blocks of edge rows, split pairs across a block edge included
+        store = random_edge_store(n_edges, n_edges)
+        save_adjacency_csv(store, tmp_path / "got.csv")
+        reference_save_adjacency_csv(store, tmp_path / "want.csv")
+        got = (tmp_path / "got.csv").read_bytes()
+        assert got == (tmp_path / "want.csv").read_bytes()
+        assert got.count(b"\n") == n_edges
+
+    def test_writer_memory_does_not_grow_with_edges(self, tmp_path):
+        # one block's upper rows, ends and three lists of 8192 entries:
+        # measured 1.2 MiB at both edge counts; the whole-array writer traced
+        # 4.3 and 43 MiB
+        for n_edges in (30_000, 300_000):
+            store = random_edge_store(n_edges, 1)
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                save_adjacency_csv(store, tmp_path / "adjacency.csv")
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            assert peak <= 2 * 2**20, (n_edges, peak)
 
 
 class TestAtomicWrite:

@@ -193,11 +193,11 @@ def chunk_order_metrics(pred, truth, bounds):
     return {"mse": sq / pred.size, "mae": err / pred.size}
 
 
-def chunk_bounds(n_rows, size):
-    """Row bounds of the chunks _forecast_chunks yields: ``size`` rows each, but
-    for the chunk before the shifted last one, which stops where it starts."""
-    last = max(n_rows - size, 0)
-    return [*range(0, last, size), last, n_rows]
+def chunk_bounds(n_rows, most):
+    """Row bounds of the chunks _forecast_chunks yields: the k = ceil(n_rows / most)
+    balanced blocks, block i rows [n_rows * i // k, n_rows * (i + 1) // k)."""
+    k = -(-n_rows // most)
+    return [n_rows * i // k for i in range(k + 1)]
 
 
 def assert_chunk_order_metrics(got, pred, truth, bounds):
@@ -297,7 +297,7 @@ class TestEvaluate:
     @pytest.mark.parametrize("kind,mode", [("mvd", "separate"), ("stl", "merged")])
     def test_raw_store_scores_as_the_normalized_one(self, kind, mode):
         # the raw store, normalized chunk by chunk as it is gathered, over
-        # several 512-row chunks and a shifted last one, gives the metrics
+        # several balanced chunks of at most 512 rows, gives the metrics
         # and the dumped rows of apply_norm's whole store, to the bit; in
         # raw units, its rows are those forecasts mapped back by each row's
         # node and the series' own truth, summed in chunk order
@@ -442,8 +442,9 @@ class TestChunkedEvaluate:
     def test_chunks_assemble_every_row_in_place(self, split_setup, train_store, monkeypatch,
                                                 denorm):
         # a row-wise exact stand-in for the model makes the assembly
-        # checkable with ==: every row is predicted, in order, in 7-row calls;
-        # in raw units the truth is the series' own
+        # checkable with ==: every row is predicted once, in order, in calls
+        # of the balanced chunks of at most 7 rows; in raw units the truth is
+        # the series' own
         cfg, normed, split, stats, x_rows, y_rows, n_win = split_setup
         calls = []
 
@@ -461,7 +462,7 @@ class TestChunkedEvaluate:
             want_truth = stacked_windows(train_store, cfg.l_in, cfg.l_out, split)[1]
         assert np.array_equal(pred, want_pred)
         assert np.array_equal(truth.view(np.uint64), want_truth.view(np.uint64))
-        assert calls == [7] * -(-x_rows.shape[0] // 7)
+        assert calls == np.diff(chunk_bounds(x_rows.shape[0], 7)).tolist()
         got = evaluate(None, store, cfg, split, **scoring)
         assert_chunk_order_metrics(got, want_pred, want_truth, chunk_bounds(len(want_pred), 7))
 
@@ -478,30 +479,68 @@ class TestChunkedEvaluate:
         evaluate(None, normed, cfg, split)
         assert calls == [x_rows.shape[0]]
 
-    def test_shifted_chunk_supersedes_the_rows_it_repeats(self, split_setup, monkeypatch):
-        # a stand-in whose forecast depends on the chunk shows which
-        # chunk's forecast of a repeated row is yielded: the last one's
-        cfg, normed, split, _, x_rows, _, _ = split_setup
+    # (nodes, windows) of splits whose rows do not divide evenly into their
+    # chunks: 513 rows, one more than a chunk, in 2 chunks of 256 and 257,
+    # and 4,416 rows in 9 chunks of 490 and 491
+    UNEVEN = [(27, 19), (64, 69)]
+
+    @staticmethod
+    def _uneven_split(n_nodes, n_win, cfg):
+        store = generate_synthetic(n_nodes, 100, Rng(n_win))
+        normed, _, stats = prepare_store(store, cfg)
+        split = (5, 5 + cfg.l_in + cfg.l_out + n_win - 1)
+        n_rows = split_rows(store, cfg.l_in, cfg.l_out, split)
+        assert n_rows == n_nodes * n_win and n_rows % -(-n_rows // tr.EVAL_CHUNK_ROWS)
+        return store, normed, split, stats
+
+    @pytest.mark.parametrize("n_nodes,n_win", UNEVEN)
+    def test_each_split_row_is_forecast_once(self, monkeypatch, n_nodes, n_win):
+        # a counting stand-in for the model: the forecast calls are the
+        # balanced chunks, whose sizes sum to the split's rows
+        cfg = small_config()
+        store, _, split, stats = self._uneven_split(n_nodes, n_win, cfg)
         calls = []
 
         def fake_predict(params, x, dcfg=None, buffers=None):
             calls.append(x.shape[0])
-            return np.full((x.shape[0], cfg.l_out), float(len(calls)))
+            return x[:, :cfg.l_out]
 
-        monkeypatch.setattr(tr, "EVAL_CHUNK_ROWS", 7)
         monkeypatch.setattr(md, "predict", fake_predict)
-        pred, _ = assembled_forecast(None, normed, cfg, split)
-        n_rows = x_rows.shape[0]
-        want = np.repeat(np.arange(1.0, len(calls) + 1), 7)[:n_rows - 7]
-        want = np.concatenate([want, np.full(7, float(len(calls)))])
-        assert np.array_equal(pred[:, 0], want)
+        for denorm in (False, True):
+            calls.clear()
+            evaluate(None, store, cfg, split, denorm, norm_stats=stats)
+            assert sum(calls) == n_nodes * n_win
+            assert calls == np.diff(chunk_bounds(n_nodes * n_win, tr.EVAL_CHUNK_ROWS)).tolist()
+
+    @pytest.mark.parametrize("kind,mode", [("mvd", "separate"), ("stl", "merged")])
+    @pytest.mark.parametrize("n_nodes,n_win", UNEVEN)
+    def test_uneven_chunks_score_as_the_chunk_order_oracle(self, kind, mode, n_nodes, n_win):
+        # the oracle forecasts each balanced chunk's rows with md.predict and
+        # sums the chunks in order: the metrics and the yielded forecast are
+        # its bits, in normalized and in raw units
+        cfg = small_config(decomposer=kind, mode=mode, kappa_t=5, kappa_s=3)
+        params = _eval_params(kind, cfg)
+        store, normed, split, stats = self._uneven_split(n_nodes, n_win, cfg)
+        x_rows, y_rows, _ = stacked_windows(normed, cfg.l_in, cfg.l_out, split)
+        bounds = chunk_bounds(len(x_rows), tr.EVAL_CHUNK_ROWS)
+        pred = np.concatenate([md.predict(params, x_rows[lo:hi], cfg.decomposer_config())
+                               for lo, hi in zip(bounds, bounds[1:])])
+        for denorm in (False, True):
+            scored, scoring = scored_store(denorm, store, normed, stats)
+            want_pred, want_truth = pred, y_rows
+            if denorm:
+                want_pred = denorm_rows(pred, stats, n_win, cfg.sigma_floor)
+                want_truth = stacked_windows(store, cfg.l_in, cfg.l_out, split)[1]
+            got_pred, _ = assembled_forecast(params, scored, cfg, split, **scoring)
+            got = evaluate(params, scored, cfg, split, **scoring)
+            assert np.array_equal(got_pred.view(np.uint64), want_pred.view(np.uint64))
+            assert got == chunk_order_metrics(want_pred, want_truth, bounds), denorm
 
     @pytest.mark.parametrize("denorm", [False, True])
     def test_metrics_sum_the_forecast_in_chunk_order(self, split_setup, train_store,
                                                      monkeypatch, denorm):
-        # 7-row chunks shift the last one back: the metrics sum the
-        # assembled forecast of the whole split chunk by chunk, the chunk
-        # before the shifted one cut short
+        # the metrics sum the assembled forecast of the whole split chunk
+        # by chunk, in the balanced chunks of at most 7 rows
         cfg, normed, split, stats, _, y_rows, _ = split_setup
         params = _eval_params("mvd", cfg)
         monkeypatch.setattr(tr, "EVAL_CHUNK_ROWS", 7)
@@ -511,7 +550,7 @@ class TestChunkedEvaluate:
         assert_chunk_order_metrics(got, pred, truth, chunk_bounds(len(pred), 7))
 
     def test_baseline_sums_in_chunk_order(self, split_setup, monkeypatch):
-        # the shifted last chunk is trimmed, so each row is scored once
+        # the baseline's forecast is scored in the same balanced chunks
         cfg, normed, split, _, x_rows, y_rows, _ = split_setup
         monkeypatch.setattr(tr, "EVAL_CHUNK_ROWS", 7)
         got = baseline_last_value(normed, cfg, split)
@@ -699,6 +738,33 @@ class TestTrainingReadsNodeIndicesOnly:
                 assert b.x.shape[0] == xv.shape[1] == t1 - t0 - cfg.l_in - cfg.l_out + 1
                 assert np.array_equal(b.x, xv[b.node_index].transpose(1, 2, 0))
                 assert np.array_equal(b.y, yv[b.node_index].transpose(1, 2, 0))
+
+
+class TestBlocks:
+    """``_blocks`` cuts rows into the balanced blocks of steps and scoring chunks."""
+
+    @staticmethod
+    def _check(n_rows, most):
+        blocks = tr._blocks(n_rows, most)
+        assert len(blocks) == -(-n_rows // most)
+        assert blocks[0][0] == 0 and blocks[-1][1] == n_rows
+        assert all(hi == lo for (_, hi), (lo, _) in zip(blocks, blocks[1:]))
+        sizes = [hi - lo for lo, hi in blocks]
+        assert 1 <= min(sizes) and max(sizes) <= most and max(sizes) - min(sizes) <= 1
+
+    def test_small_cases_exhaustive(self):
+        for most in range(1, 40):
+            for n_rows in range(1, 300):
+                self._check(n_rows, most)
+
+    # splits and steps of the 64- and 1024-node benchmark problems and of
+    # the scripts' runs, and either side of a chunk's and a step's rows
+    @pytest.mark.parametrize("n_rows,most", [
+        (3136, 512), (50176, 512), (6592, 512), (4416, 512), (513, 512), (511, 512),
+        (512, 512), (2048, 1024), (3008, 1024), (1025, 1024), (907 * 24, 1024),
+    ])
+    def test_benchmark_shapes(self, n_rows, most):
+        self._check(n_rows, most)
 
 
 class TestBlockedStep:
