@@ -6,8 +6,9 @@
 #   scripts/smoke.sh python -m psld     # a checkout, with src on PYTHONPATH
 #
 # Runs the given command end to end: synth, train with and without an
-# adjacency file, eval with prediction dumps, rss-check, and the gradient
-# check in the separate mvd and the merged stl layout. One stl run has a
+# adjacency file, eval with prediction dumps of an mvd and an stl/merged
+# checkpoint, rss-check, and the gradient check in the separate mvd and
+# the merged stl layout. One stl run has a
 # trend kernel of 131 values, wider than its 12-step inputs and 6-step
 # labels, so most slices its moving averages add lie wholly in the edge
 # padding. It then checks that a bad flag and a negative --seed exit 1
@@ -35,15 +36,20 @@ printf 'l-in = 12\nl_out = 6\nn_subgraphs = 4\nhidden = 8\nepochs = 2\n' > "$wor
 # a 64-node test split of 39,552 values (6,592 rows of l_out 6) runs as
 # 13 uneven chunks of 507 and 508 rows in `psld eval`, whose metrics add
 # the chunks' sums in chunk order: they must agree with np.mean over the
-# dumped forecast within 1e-12 relative, on both scales
+# dumped forecast within 1e-12 relative, on both scales, for an mvd
+# checkpoint and for an stl/merged one, whose inference pass folds the
+# decomposition into the merged head's first layer
 "$@" synth --nodes 64 --length 600 --seed 2 --out "$work/wide"
-"$@" train --data "$work/wide/series.csv" --out "$work/wide-run" \
+"$@" train --data "$work/wide/series.csv" --out "$work/wide-mvd" \
     --config "$work/run.cfg" > /dev/null
-for scale in "" --denormalize; do
-    "$@" eval --checkpoint "$work/wide-run/checkpoint.psld" \
-        --data "$work/wide/series.csv" $scale \
-        --dump-predictions "$work/wide-preds.csv" > "$work/wide-eval.json"
-    python - "$work/wide-preds.csv" "$work/wide-eval.json" <<'EOF'
+"$@" train --data "$work/wide/series.csv" --out "$work/wide-stl-merged" \
+    --config "$work/run.cfg" --decomposer stl --mode merged > /dev/null
+for run in wide-mvd wide-stl-merged; do
+    for scale in "" --denormalize; do
+        "$@" eval --checkpoint "$work/$run/checkpoint.psld" \
+            --data "$work/wide/series.csv" $scale \
+            --dump-predictions "$work/wide-preds.csv" > "$work/wide-eval.json"
+        python - "$work/wide-preds.csv" "$work/wide-eval.json" <<'EOF'
 import csv, json, sys
 import numpy as np
 with open(sys.argv[1], newline="") as f:
@@ -55,6 +61,7 @@ want = {"mse": float(np.mean(err ** 2)), "mae": float(np.mean(np.abs(err)))}
 assert len(rows) > 3 * 512 * 6, len(rows)
 assert all(abs(printed[k] - want[k]) <= 1e-12 * abs(want[k]) for k in want), (printed, want)
 EOF
+    done
 done
 
 "$@" rss-check --nodes 16 --trials 2000

@@ -333,12 +333,25 @@ def _checked_edges(path, data: array, blank_at: list, n_nodes: int) -> np.ndarra
 
 
 def _both_directions(src, dst, w) -> np.ndarray:
-    """Read-only edge rows (src, dst, w), (dst, src, w) interleaved per input edge.
+    """Read-only edge rows (src, dst, w), (dst, src, w) interleaved per input edge."""
+    return _edge_rows([(src, dst, w)], len(src))
 
-    Read-only float64, so ``SeriesStore`` and ``GraphSpec`` keep the array
-    as it is rather than copying it (see ``_edge_array``).
+
+def _edge_rows(blocks, n_edges: int) -> np.ndarray:
+    """``_both_directions`` of ``n_edges`` edges given as (src, dst, w) blocks.
+
+    Each block is written in turn into one preallocated array, so the
+    caller can drop a block once it is written. The array is read-only
+    float64, so ``SeriesStore`` and ``GraphSpec`` keep it as it is rather
+    than copying it (see ``_edge_array``).
     """
-    edges = np.stack([src, dst, w, dst, src, w], axis=1).reshape(-1, 3)
+    edges = np.empty((2 * n_edges, 3))
+    pairs, lo = edges.reshape(-1, 6), 0
+    for src, dst, w in blocks:
+        rows = pairs[lo:lo + len(dst)]
+        rows[:, 0], rows[:, 1], rows[:, 2] = src, dst, w
+        rows[:, 3], rows[:, 4], rows[:, 5] = dst, src, w
+        lo += len(dst)
     edges.flags.writeable = False
     return edges
 
@@ -442,15 +455,22 @@ def generate_synthetic(
         values[i] = s
 
     pos = rng.child("positions").gen.random((n_nodes, 2))
-    # one row of the upper triangle at a time keeps memory O(n_nodes)
+    # one row of the upper triangle at a time keeps memory O(n_nodes); each
+    # row's later neighbours are kept as int32, half the bytes of the indices
     near = []
     for i in range(n_nodes):
         diff = pos[i] - pos[i + 1:]
-        near.append(i + 1 + np.flatnonzero(np.hypot(diff[:, 0], diff[:, 1]) <= radius))
-    src = np.repeat(np.arange(n_nodes), [len(js) for js in near])
-    dst = np.concatenate(near)
+        js = i + 1 + np.flatnonzero(np.hypot(diff[:, 0], diff[:, 1]) <= radius)
+        near.append(js.astype(np.int32))
+
+    def rows():
+        """Node i's edges to its later neighbours, dropped from ``near`` once written."""
+        for i in range(n_nodes):
+            dst, near[i] = near[i], None
+            yield i, dst, 1.0
+
     ids = tuple(f"n{i:03d}" for i in range(n_nodes))
-    return SeriesStore(values, ids, _both_directions(src, dst, np.ones(len(src))))
+    return SeriesStore(values, ids, _edge_rows(rows(), sum(map(len, near))))
 
 
 def fit_norm_stats(store: SeriesStore, train_len: int) -> NormStats:

@@ -7,7 +7,8 @@ windows go through unchanged.
 ``mvd`` splits a window into its per-row mean, the population variance of
 the centered window, and a variance-scaled residual. ``stl`` splits it
 into a moving-average trend, a moving-average seasonal part of the
-detrended series, and the remainder.
+detrended series, and the remainder. stl is therefore linear in the
+window, and ``linear_map`` gives each of its parts as a matrix.
 """
 
 from __future__ import annotations
@@ -182,6 +183,24 @@ def decompose(y: np.ndarray, cfg) -> ComponentBundle:
         return mvd_decompose(y, cfg)
     if isinstance(cfg, StlConfig):
         return stl_decompose(y, cfg)
+    raise TypeError(f"unsupported decomposer config {type(cfg).__name__}")
+
+
+def linear_map(cfg, length: int) -> dict | None:
+    """Each part's (length, length) matrix M, with ``x @ M`` that part of
+    ``decompose(x, cfg)`` up to rounding, or None if the decomposer is not
+    linear.
+
+    stl is linear: its moving averages and differences are fixed linear
+    maps of the window, so row i of M is the part of the unit window e_i,
+    and the matrices are ``stl_decompose`` run on the identity's rows. mvd
+    is not: its variance and the residual's division by it are not linear
+    in the window, and it gives None.
+    """
+    if isinstance(cfg, MvdConfig):
+        return None
+    if isinstance(cfg, StlConfig):
+        return stl_decompose(np.eye(length), cfg).parts
     raise TypeError(f"unsupported decomposer config {type(cfg).__name__}")
 
 

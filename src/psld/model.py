@@ -33,10 +33,16 @@ apart from the decomposition model.
 :func:`predict` is an inference pass. Dropout is then the identity, so a
 head's second layer and predictor are one linear map, and each head runs
 as ``relu(z @ W1.T + b1) @ (Wp @ W2).T + (Wp @ b2 + bp)``, with the folded
-pair made once per buffers dict and no ``h2`` array. Its forecasts agree
-with the unfolded ``forward(..., training=False)`` within a few ulps, not
-to the bit. Training (``train_step``, ``forward`` and
-``loss_and_backward``) always runs the unfolded layers.
+pair made once per buffers dict and no ``h2`` array. The stl decomposition
+is linear in the window too (``decomposition.linear_map``), so on an stl
+model each component head's first layer also takes in the matrices of its
+parts, ``W1 @ P.T``, and reads the raw window: no row is decomposed, and
+the merged head's first product reads l_in columns, not 3 * l_in. mvd's
+split is not linear, and its inference pass decomposes the rows. The
+forecasts agree with the unfolded ``forward(..., training=False)`` on
+decomposed windows within a few ulps, not to the bit. Training
+(``train_step``, ``forward`` and ``loss_and_backward``) always runs the
+unfolded layers on decomposed windows.
 
 All gradients here are derived and coded by hand; there is no autodiff.
 """
@@ -71,6 +77,9 @@ _SUFFIXES = ("l1.w", "l1.b", "l2.w", "l2.b", "p.w", "p.b")
 # The key under which predict keeps each head's folded (Wp @ W2, Wp @ b2 + bp)
 # in a buffers dict; a head with a fold there runs an inference pass.
 _FOLDS = "folds"
+# The key under which predict keeps, for a linear decomposer, each component
+# head with the decomposition folded into its first layer (see predict).
+_INPUT_FOLDS = "input folds"
 
 
 def one_of(names) -> str:
@@ -83,7 +92,8 @@ class Head:
     """Learner (w1, b1, ReLU, dropout, w2, b2) and predictor (wp, bp).
 
     Weights are (out, in); the widths are read off their shapes. The
-    arrays are views into their model's parameter vector.
+    arrays are views into their model's parameter vector, bar the first
+    layer of the copies ``predict`` folds stl's decomposition into.
     """
 
     name: str
@@ -384,7 +394,7 @@ class ForwardState:
 
 def forward(
     params: PsldParams,
-    x_bundle: dc.ComponentBundle,
+    x_bundle: dc.ComponentBundle | np.ndarray,
     training: bool = False,
     rng: Rng | None = None,
     buffers: dict | None = None,
@@ -402,21 +412,33 @@ def forward(
     gradients over every cache's ``h1`` and ``h2``. Buffers that ``predict``
     has used hold its folds, and make every pass through them an inference
     pass, whose state has no ``h2`` to backpropagate through.
+
+    ``x_bundle`` is a ``ComponentBundle`` of the model's kind, or, on an
+    inference pass of a linear decomposer (stl), the raw (rows, l_in)
+    windows: every component head then reads them whole, through the first
+    layer ``predict`` folded the decomposition into and kept in ``buffers``.
     """
-    if x_bundle.kind != params.kind:
-        raise ValueError(f"bundle kind {x_bundle.kind!r} does not match model {params.kind!r}")
+    if isinstance(x_bundle, dc.ComponentBundle):
+        if x_bundle.kind != params.kind:
+            raise ValueError(f"bundle kind {x_bundle.kind!r} does not match model {params.kind!r}")
+        comp_in = {nm: np.asarray(x_bundle.parts[nm], dtype=np.float64)
+                   for nm in dc.part_names(params.kind)}
+        heads = params.heads
+    elif buffers is not None and _INPUT_FOLDS in buffers:
+        x_rows, comp_in, heads = np.asarray(x_bundle, dtype=np.float64), None, buffers[_INPUT_FOLDS]
+    else:
+        raise ValueError("raw input windows need the folded first layers that predict "
+                         "keeps in its buffers")
     if not training:
         rng = None
     elif params.dropout > 0.0 and rng is None:
         raise ValueError("training forward with dropout needs an rng")
-    comp_in = {nm: np.asarray(x_bundle.parts[nm], dtype=np.float64)
-               for nm in dc.part_names(params.kind)}
     out_lens = {nm: olen for nm, _, olen in head_plan(params.kind, params.l_in, params.l_out)}
 
     comp_hat, caches = {}, {}
     for name, parts, *_ in _layout(params):
-        z = _concat([comp_in[nm] for nm in parts])
-        out, caches[name] = _head_forward(params.heads[name], z, params.dropout, rng, buffers)
+        z = x_rows if comp_in is None else _concat([comp_in[nm] for nm in parts])
+        out, caches[name] = _head_forward(heads[name], z, params.dropout, rng, buffers)
         lo = 0
         for nm in parts:
             comp_hat[nm] = out[:, lo:lo + out_lens[nm]]
@@ -439,13 +461,19 @@ def predict(params, x_rows: np.ndarray, dcfg=None, buffers: dict | None = None) 
     predictor fold into one ``(out_len, width)`` matrix ``Wp @ W2`` and one
     bias ``Wp @ b2 + bp``, and the head runs ``relu(z @ W1.T + b1) @ (Wp @
     W2).T + (Wp @ b2 + bp)`` without a ``(rows, width) @ (width, width)``
-    product. The forecast agrees with ``forward(..., training=False).y_hat``
-    within a few ulps, not to the bit. ``buffers`` is passed on as in
-    ``forward``; the forecast may then be one of them, valid until the next
-    call with the same buffers. The folds are made on the first call with a
-    buffers dict and kept in it, so a buffers dict serves one set of
-    parameter values: once the parameters change, pass a fresh one. Without
-    ``buffers`` the call makes its own dict, and with it the same bits.
+    product. A linear decomposer (stl, see ``dc.linear_map``) also folds
+    into each component head's first layer: a head whose input joins the
+    parts with matrices ``P = [M_t | M_s | ...]`` (its ``head_layout``
+    parts) gets ``z @ W1.T = x @ (W1 @ P.T).T``, so it reads the raw
+    windows and no row is decomposed. mvd's split is not linear, and its
+    rows are decomposed as in training. The forecast agrees with
+    ``forward(..., training=False).y_hat`` within a few ulps, not to the
+    bit. ``buffers`` is passed on as in ``forward``; the forecast may then
+    be one of them, valid until the next call with the same buffers. The
+    folds are made on the first call with a buffers dict and kept in it,
+    so a buffers dict serves one set of parameter values: once the
+    parameters change, pass a fresh one. Without ``buffers`` the call makes
+    its own dict, and with it the same bits.
     """
     plain = isinstance(params, PlainParams)
     if not plain and dcfg is None:
@@ -455,9 +483,17 @@ def predict(params, x_rows: np.ndarray, dcfg=None, buffers: dict | None = None) 
     if _FOLDS not in buffers:
         heads = [params.head] if plain else [*params.heads.values(), params.combinator]
         buffers[_FOLDS] = {h.name: (h.wp @ h.w2, h.wp @ h.b2 + h.bp) for h in heads}
+        maps = None if plain else dc.linear_map(dcfg, params.l_in)
+        if maps is not None:
+            folded = buffers[_INPUT_FOLDS] = {}
+            for name, parts, *_ in _layout(params):
+                head = params.heads[name]
+                p_t = _concat([maps[nm] for nm in parts]).T
+                folded[name] = dataclasses.replace(head, w1=head.w1 @ p_t)
     if plain:
         return _head_forward(params.head, x_rows, params.dropout, None, buffers)[0]
-    return forward(params, dc.decompose(x_rows, dcfg), training=False, buffers=buffers).y_hat
+    x = x_rows if _INPUT_FOLDS in buffers else dc.decompose(x_rows, dcfg)
+    return forward(params, x, training=False, buffers=buffers).y_hat
 
 
 @dataclass(frozen=True)

@@ -284,8 +284,9 @@ def evaluate(params, store: SeriesStore, config: TrainConfig, split: tuple,
     with ``np.mean`` over the split within a few ulps: no array the size of
     the split is kept, so memory does not grow with the split. The forecast is ``md.predict``'s
     inference pass, which folds each head's second layer into its
-    predictor, so its last bits are not those of the unfolded
-    ``md.forward``. All chunks write each head's one hidden array and its
+    predictor and, for stl, the decomposition into each component head's
+    first layer, so no stl row is decomposed; its last bits are not those
+    of the unfolded ``md.forward``. All chunks write each head's one hidden array and its
     output into one set of buffers, made afresh for each call, which also
     keeps the folds: so each call scores the parameters it is given, and
     fresh buffers per chunk (about 2.3 MiB at hidden 128, mvd separate)

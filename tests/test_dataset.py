@@ -1066,6 +1066,35 @@ class TestEdgeArray:
                 tracemalloc.stop()
             assert peak <= 2 * 2**20, (n_edges, peak)
 
+    def test_synthetic_graph_holds_one_edge_array(self):
+        # beyond the store's own arrays, generate_synthetic holds each node's
+        # later neighbours (4 bytes an edge) and about 0.5 MiB that does not
+        # grow with the edges: measured 0.60 and 1.60 MiB at 1200 and 2400
+        # nodes (74,288 and 299,178 edges); with src, dst and the weights
+        # alive beside 8-byte neighbour lists it was 2.55 and 9.59 MiB
+        generate_synthetic(50, 64, Rng(5))  # one-time allocations
+        for n_nodes in (1200, 2400):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                store = generate_synthetic(n_nodes, 64, Rng(5))
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            n_edges = len(store.adjacency) // 2
+            extra = peak - store.values.nbytes - store.adjacency.nbytes
+            assert extra <= 5 * n_edges + 2**20, (n_nodes, n_edges, extra)
+
+    def test_synthetic_edges_interleave_both_directions(self):
+        # the pairs i < j within the radius, in row order, as one whole-array build
+        pos = Rng(5).child("positions").gen.random((300, 2))
+        diff = pos[:, None] - pos[None]
+        near = np.hypot(diff[..., 0], diff[..., 1]) <= 0.2
+        src, dst = np.nonzero(np.triu(near, k=1))
+        store = generate_synthetic(300, 64, Rng(5))
+        assert np.array_equal(store.adjacency, _both_directions(src, dst, np.ones(len(src))))
+        assert not store.adjacency.flags.writeable
+
 
 class TestAtomicWrite:
     def test_write_that_raises_keeps_the_previous_file(self, tmp_path):

@@ -12,6 +12,7 @@ from psld.decomposition import (
     MvdConfig,
     StlConfig,
     decompose,
+    linear_map,
     make_config,
     moving_average,
     mvd_decompose,
@@ -171,6 +172,55 @@ class TestStl:
             StlConfig(kappa_t=4)
         with pytest.raises(ValueError):
             StlConfig(kappa_s=0)
+
+
+def assert_map_matches_decompose(x, cfg):
+    """x @ linear_map(cfg, l)[part] is decompose(x, cfg)'s part within
+    (kappa_t + kappa_s + l) * eps * max|x| on each row.
+
+    Both sides round a linear map of x: the moving averages' sums of
+    kappa_t and kappa_s terms, and the product's sums of l terms over
+    weights whose magnitudes add up to at most 4 for each output. Random
+    windows came within 0.13 of the bound. Underflow to subnormals rounds
+    absolutely, hence the bound's l subnormal steps.
+    """
+    length = x.shape[1]
+    maps, parts = linear_map(cfg, length), decompose(x, cfg).parts
+    rel = (cfg.kappa_t + cfg.kappa_s + length) * np.finfo(np.float64).eps
+    bound = rel * np.max(np.abs(x), axis=1, keepdims=True) + length * 2.0 ** -1074
+    assert tuple(maps) == part_names("stl")
+    for name, part in parts.items():
+        assert maps[name].shape == (length, length)
+        assert np.all(np.abs(x @ maps[name] - part) <= bound), name
+
+
+class TestLinearMap:
+    """stl's parts as matrices of the window: the maps predict folds into its heads."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(x=hnp.arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(1, 48)),
+                        elements=st.floats(-100, 100, allow_nan=False)),
+           kappa_t=st.integers(0, 70).map(lambda i: 2 * i + 1),
+           kappa_s=st.integers(0, 20).map(lambda i: 2 * i + 1))
+    def test_map_is_the_decomposition_property(self, x, kappa_t, kappa_s):
+        assert_map_matches_decompose(x, StlConfig(kappa_t, kappa_s))
+
+    @pytest.mark.parametrize("length,kappa_t,kappa_s", [(12, 131, 7), (12, 1, 1), (36, 25, 7),
+                                                        (36, 1, 7), (5, 3, 131), (1, 25, 7)])
+    def test_map_is_the_decomposition(self, length, kappa_t, kappa_s):
+        # kernels of 1 and kernels wider than the window included
+        x = Rng(length).gen.standard_normal((9, length)) * 10.0 ** np.arange(-4, 5)[:, None]
+        assert_map_matches_decompose(x, StlConfig(kappa_t, kappa_s))
+
+    def test_maps_are_stl_of_the_identity(self):
+        cfg = StlConfig(9, 3)
+        got, want = linear_map(cfg, 20), stl_decompose(np.eye(20), cfg).parts
+        assert all(np.array_equal(got[name], want[name]) for name in want)
+
+    def test_mvd_is_not_linear(self):
+        assert linear_map(MvdConfig(), 36) is None
+        with pytest.raises(TypeError):
+            linear_map(object(), 36)
 
 
 class TestDispatch:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from psld import model as md
-from psld.decomposition import ComponentBundle, decompose, make_config
+from psld.decomposition import ComponentBundle, decompose, linear_map, make_config
 from psld.exceptions import CheckpointError, ShapeError
 from psld.model import (
     AdamState,
@@ -73,17 +73,29 @@ def reference_head_forward(head, z, dropout, rng, buffers=None):
 
 
 def folded_reference(p, x, cfg):
-    """The inference forecast with each head folded: relu(z W1ᵀ + b1) @ (Wp W2)ᵀ + (Wp b2 + bp)."""
-    def head_out(head, z):
+    """The inference forecast with each head folded: relu(z W1ᵀ + b1) @ (Wp W2)ᵀ + (Wp b2 + bp).
+
+    An stl component head's first layer also takes in the matrices of its
+    parts, W1 @ [M_p | ...]ᵀ, and reads the raw windows x as z; mvd heads
+    read the decomposed parts.
+    """
+    def head_out(head, z, w1=None):
+        w1 = head.w1 if w1 is None else w1
         fold, bias = head.wp @ head.w2, head.wp @ head.b2 + head.bp
-        return np.maximum(z @ head.w1.T + head.b1, 0.0) @ fold.T + bias
+        return np.maximum(z @ w1.T + head.b1, 0.0) @ fold.T + bias
 
     if isinstance(p, md.PlainParams):
         return head_out(p.head, x)
     parts, hat = decompose(x, cfg).parts, {}
+    maps = linear_map(cfg, p.l_in)
     out_lens = {nm: olen for nm, _, olen in head_plan(p.kind, p.l_in, p.l_out)}
     for name, names, *_ in md.head_layout(p.kind, p.mode, p.l_in, p.l_out, p.hidden):
-        out = head_out(p.heads[name], np.concatenate([parts[nm] for nm in names], axis=1))
+        head = p.heads[name]
+        if maps is None:
+            out = head_out(head, np.concatenate([parts[nm] for nm in names], axis=1))
+        else:
+            joined = np.concatenate([maps[nm] for nm in names], axis=1)
+            out = head_out(head, x, head.w1 @ joined.T)
         ends = np.cumsum([out_lens[nm] for nm in names])[:-1]
         hat.update(zip(names, np.split(out, ends, axis=1)))
     if p.kind == "mvd":
@@ -198,14 +210,55 @@ class TestForward:
         assert abs(mean - a) <= 3.0 * se
 
     def test_predict_matches_forward(self):
-        # predict folds each head's second layer into its predictor, so it
-        # agrees with the unfolded forward pass within rounding, not to the bit
-        for kind in ("mvd", "stl"):
-            xb, yb, x, y, cfg = bundle_pair(kind)
-            for mode in md.MODES:
-                p = init_params(kind, 8, 4, 16, 0.05, mode, Rng(1))
-                np.testing.assert_allclose(predict(p, x, cfg), forward(p, xb).y_hat,
-                                           rtol=1e-12, atol=0.0, err_msg=f"{kind}/{mode}")
+        # predict folds each head's second layer into its predictor, and stl's
+        # decomposition into its component heads' first layers, so it agrees
+        # with the unfolded forward pass within rounding, not to the bit. The
+        # second shape is the default config's: its 2304 forecasts include
+        # ones near zero, cancelled from terms 1e4 times larger, so they are
+        # compared within atol times the largest forecast as well
+        for l_in, l_out, hidden, kappa_t, kappa_s, atol in ((8, 4, 16, 5, 3, 0.0),
+                                                           (36, 36, 128, 25, 7, 1e-12)):
+            x = Rng(0).gen.standard_normal((64, l_in))
+            for kind in ("mvd", "stl"):
+                cfg = make_config(kind, kappa_t=kappa_t, kappa_s=kappa_s)
+                for mode in md.MODES:
+                    p = init_params(kind, l_in, l_out, hidden, 0.05, mode, Rng(1))
+                    want = forward(p, decompose(x, cfg)).y_hat
+                    np.testing.assert_allclose(predict(p, x, cfg), want, rtol=1e-12,
+                                               atol=atol * np.max(np.abs(want)),
+                                               err_msg=f"{kind}/{mode}/l_in {l_in}")
+
+    @pytest.mark.parametrize("mode", md.MODES)
+    def test_stl_predict_decomposes_only_the_identity(self, monkeypatch, mode):
+        # the moving averages run on the (l_in, l_in) identity, once for
+        # each kernel per buffers dict, and never on the forecast rows
+        p = init_params("stl", 8, 4, 16, 0.05, mode, Rng(1))
+        cfg = make_config("stl", kappa_t=5, kappa_s=3)
+        x1, x2 = Rng(2).gen.standard_normal((2, 6, 8))
+        calls = []
+
+        def recording(series, kernel, real=md.dc.moving_average):
+            calls.append((np.shape(series), kernel))
+            return real(series, kernel)
+
+        monkeypatch.setattr(md.dc, "moving_average", recording)
+        monkeypatch.setattr(md.dc, "decompose", None)
+        buffers = {}
+        first = predict(p, x1, cfg, buffers).copy()
+        predict(p, x2, cfg, buffers)
+        assert calls == [((8, 8), 5), ((8, 8), 3)]
+        assert np.array_equal(first, predict(p, x1, cfg))
+        assert calls == [((8, 8), 5), ((8, 8), 3)] * 2
+
+    def test_raw_windows_need_predicts_folds(self):
+        _, _, x, _, cfg = bundle_pair("stl")
+        p = init_params("stl", 8, 4, 16, 0.05, "merged", Rng(1))
+        for buffers in (None, {}):
+            with pytest.raises(ValueError, match="raw input windows"):
+                forward(p, x, buffers=buffers)
+        buffers = {}
+        want = predict(p, x, cfg, buffers).copy()
+        assert np.array_equal(forward(p, x, buffers=buffers).y_hat, want)
 
     @pytest.mark.parametrize("kind,mode", [("mvd", "separate"), ("mvd", "merged"),
                                            ("stl", "separate"), ("stl", "merged"),
@@ -228,9 +281,11 @@ class TestForward:
         buffers = {}
         predict(p, x, cfg, buffers)
         assert not any(key.endswith(".h2") for key in buffers)
-        state = forward(p, xb, buffers=buffers)
-        caches = (*state.head_caches.values(), state.cbn_cache)
-        assert all(cache.h2 is None and cache.mask is None for cache in caches)
+        # decomposed windows run the heads' own first layers, raw ones the folded ones
+        for x_in in (xb, x):
+            state = forward(p, x_in, buffers=buffers)
+            caches = (*state.head_caches.values(), state.cbn_cache)
+            assert all(cache.h2 is None and cache.mask is None for cache in caches)
         # forward without predict's buffers keeps a state backprop can read
         loss_and_backward(p, forward(p, xb), yb, y, 1.0)
 

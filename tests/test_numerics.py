@@ -50,8 +50,11 @@ class TestBlasProvenance:
     def test_thread_count_is_the_environment_s(self):
         # OPENBLAS_NUM_THREADS is read when numpy loads, so a child process
         # with 1 thread reports 1
+        # the child imports psld from where this process did, installed or not
         code = "from psld.numerics import blas_provenance; print(blas_provenance()['blas_threads'])"
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+        package_root = os.path.dirname(os.path.dirname(os.path.abspath(numerics.__file__)))
+        path = os.pathsep.join(filter(None, (package_root, os.environ.get("PYTHONPATH"))))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=path)
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True).stdout.strip()
         assert out == ("unknown" if blas_provenance()["blas_threads"] == "unknown" else "1")
