@@ -18,6 +18,9 @@ matrix, on one 64-node ``psld synth`` series (seed 3) and its adjacency:
   equal row blocks (``training.STEP_ROWS``); and mvd/separate with
   ``--n-sub 1 --minibatch 47``, whose 3008-row steps run as uneven blocks
   of 1002, 1003 and 1003 rows;
+- ``psld train`` mvd/separate, seed 3, 3 epochs, ``--baseline-mlp``, once
+  with ``--dropout 0`` (no dropout draw) and once with ``--l-out 1``
+  (every head has one output), the folded head pass's edge cases;
 - ``psld eval`` of each of those checkpoints on val and test, with and
   without ``--denormalize``, each with ``--dump-predictions``;
 - ``psld eval --dump-predictions`` of the mvd/separate checkpoint on the
@@ -62,6 +65,9 @@ BLAS_CORE = Path(__file__).resolve().with_name("blas_core.py")
 CORE_KEY = "openblas_core"
 COMBOS = [(kind, mode) for kind in ("mvd", "stl") for mode in ("separate", "merged")]
 TRAIN_ARGS = ("--seed", "3", "--epochs", "3", "--baseline-mlp")
+# train runs of the folded head pass's edge cases, with no eval runs
+EDGE_RUNS = {"mvd-separate-no-dropout": ["--dropout", "0"],
+             "mvd-separate-l-out-1": ["--l-out", "1"]}
 RSS_CHECKS = {"default": [], "symmetric-sqrt": ["--norm-mode", "symmetric_sqrt"],
               "unit": ["--norm-mode", "unit"], "prob-1": ["--prob", "1.0"]}
 
@@ -98,6 +104,10 @@ def run_matrix(work: Path, src: Path, threads: int) -> None:
                 _psld(["eval", "--checkpoint", str(run / "checkpoint.psld"), "--data", series,
                        "--split", split, *scale,
                        "--dump-predictions", str(out / "predictions.csv")], out, src, threads)
+    for name, flags in EDGE_RUNS.items():
+        run = work / name
+        _psld(["train", "--data", series, "--out", str(run), *TRAIN_ARGS, *flags], run, src,
+              threads)
     uneven = work / "data-700"
     _psld(["synth", "--nodes", "64", "--length", "700", "--seed", "3", "--out", str(uneven)],
           uneven, src, threads)

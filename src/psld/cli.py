@@ -47,6 +47,8 @@ EXIT_USAGE = 1
 EXIT_RUNTIME = 2
 
 GRADCHECK_TOL = 1e-4
+# node ids the low-sigma warning of psld train names before it elides the rest
+LOW_SIGMA_SHOWN = 5
 RSS_CHECK_Z_BOUND = 5.0
 MIN_RELIABLE_TRIALS = 100
 
@@ -189,6 +191,21 @@ def _train_config_from_args(args) -> TrainConfig:
         raise _UsageError(str(err)) from None
 
 
+def _warn_low_sigma(store, stats, sigma_floor: float) -> None:
+    """One stderr line if any node's train-split sigma is below ``sigma_floor``.
+
+    Such a node is scaled by ``sigma_floor``, not its sigma (a constant
+    series, say). The line gives the count and the first
+    ``LOW_SIGMA_SHOWN`` ids; nothing else changes.
+    """
+    low = (stats.sigma < sigma_floor).nonzero()[0].tolist()
+    if low:
+        ids = ", ".join(store.node_ids[i] for i in low[:LOW_SIGMA_SHOWN])
+        more = ", ..." if len(low) > LOW_SIGMA_SHOWN else ""
+        print(f"warning: {len(low)} node(s) have a train-split sigma below sigma_floor "
+              f"{sigma_floor!r} and are scaled by it: {ids}{more}", file=sys.stderr)
+
+
 def cmd_train(args) -> int:
     config = _train_config_from_args(args)
     store = load_csv(args.data, args.adjacency)
@@ -200,6 +217,7 @@ def cmd_train(args) -> int:
         ranges, stats = _split_stats(store, config, ("train", "val", "test"))
     except ValueError as err:
         raise _UsageError(f"{args.data}: {err}") from None
+    _warn_low_sigma(store, stats, config.sigma_floor)
 
     out_dir = Path(args.out)
     checkpoint = out_dir / "checkpoint.psld"

@@ -30,19 +30,26 @@ The plain baseline (:class:`PlainParams`) is a single head on raw windows;
 :func:`train_step` and :func:`predict` are the only places that tell it
 apart from the decomposition model.
 
-:func:`predict` is an inference pass. Dropout is then the identity, so a
-head's second layer and predictor are one linear map, and each head runs
-as ``relu(z @ W1.T + b1) @ (Wp @ W2).T + (Wp @ b2 + bp)``, with the folded
-pair made once per buffers dict and no ``h2`` array. The stl decomposition
-is linear in the window too (``decomposition.linear_map``), so on an stl
-model each component head's first layer also takes in the matrices of its
-parts, ``W1 @ P.T``, and reads the raw window: no row is decomposed, and
-the merged head's first product reads l_in columns, not 3 * l_in. mvd's
-split is not linear, and its inference pass decomposes the rows. The
-forecasts agree with the unfolded ``forward(..., training=False)`` on
-decomposed windows within a few ulps, not to the bit. Training
-(``train_step``, ``forward`` and ``loss_and_backward``) always runs the
-unfolded layers on decomposed windows.
+:func:`_head_forward` is the one head pass, of training and inference
+alike. A head's second layer is linear after dropout, and so is its
+predictor, so the two fold into one ``(out_len, width)`` map, far smaller
+than the ``(width, width)`` layer at the defaults: each head runs as
+``dropout(relu(z @ W1.T + b1)) @ U.T + c`` with ``U = Wp @ W2`` and ``c =
+Wp @ b2 + bp``, made once per pass, and its backward pass runs the chain
+through ``U`` (see ``_head_backward``). Such a pass makes no ``h2`` array
+and no ``(rows, width) @ (width, width)`` product. Only a training pass of
+at most ``out_len`` rows, for which the fold costs more multiply-adds,
+runs the two layers in turn. :func:`predict` is an inference pass:
+dropout is the identity, and it makes the folds once per buffers dict.
+The stl decomposition is linear in the window too
+(``decomposition.linear_map``), so on an stl model each component head's
+first layer also takes in the matrices of its parts, ``W1 @ P.T``, and
+reads the raw window: no row is decomposed, and the merged head's first
+product reads l_in columns, not 3 * l_in. So an stl forecast agrees with
+``forward(..., training=False)`` on decomposed windows within a few ulps,
+not to the bit. mvd's split is not linear, and its inference pass
+decomposes the rows: an mvd or plain forecast has the bits of a training
+pass without dropout on more rows than outputs.
 
 All gradients here are derived and coded by hand; there is no autodiff.
 """
@@ -93,7 +100,9 @@ class Head:
 
     Weights are (out, in); the widths are read off their shapes. The
     arrays are views into their model's parameter vector, bar the first
-    layer of the copies ``predict`` folds stl's decomposition into.
+    layer of the copies ``predict`` folds stl's decomposition into. Passes
+    run the second layer and predictor folded into one map (see ``_fold``
+    and ``_head_forward``); the checkpoint keeps them apart.
     """
 
     name: str
@@ -267,18 +276,22 @@ def init_plain_params(l_in: int, l_out: int, hidden: int, dropout: float, rng: R
 class HeadCache:
     """What a head's backward pass reads; the benchmark's tracer reads these fields.
 
-    The backward pass writes its hidden gradients over ``h2`` and
-    ``h1``/``ad`` once it has read them, so a cache serves one backward pass.
-    An inference pass (``predict``) makes no ``h2``: its cache holds None
-    there, and no backward pass can read it.
+    A pass keeps either ``fold`` (U = Wp @ W2) or, with at most out_len
+    rows, ``h2`` (see ``_head_forward``); the other is None. The backward
+    pass writes its hidden gradients over ``h1``/``ad`` and ``h2``, or a
+    gradient term over ``fold``, once it has read them, so a cache serves
+    one backward pass. An inference pass (``predict``) uses the fold
+    ``predict`` keeps: its cache holds None under both, and no backward
+    pass can read it.
     """
 
     z: np.ndarray  # the input
     h1: np.ndarray  # relu(z @ W1.T + b1) * keep / (1 - p), written over the pre-activation
     mask: np.float64 | None  # the dropout scale 1 / (1 - p), None without dropout
     ad: np.ndarray  # the same array as h1
-    h2: np.ndarray | None  # ad @ W2.T + b2; None on an inference pass
-    out: np.ndarray  # h2 @ Wp.T + bp, or ad @ (Wp @ W2).T + (Wp @ b2 + bp) on an inference pass
+    h2: np.ndarray | None  # ad @ W2.T + b2, made only by a pass of at most out_len rows
+    out: np.ndarray  # ad @ U.T + c, with (U, c) the head's _fold, or h2 @ Wp.T + bp
+    fold: np.ndarray | None  # U = Wp @ W2 as this pass made it, or None
 
 
 def _buffer(buffers: dict | None, key: str, shape: tuple) -> np.ndarray:
@@ -300,24 +313,44 @@ def _buffer(buffers: dict | None, key: str, shape: tuple) -> np.ndarray:
 def _product(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
     """``a @ b`` written into ``out``.
 
-    numpy's matmul runs a one-column ``a`` (the mvd m and v heads' input
-    and output) through its own loop, about twice as slow as ``np.dot``,
-    which hands it to BLAS with the same bits, zero signs included. For
-    wider ``a``, matmul is the faster.
+    numpy's matmul runs a one-column ``a`` (the mvd m and v heads' input,
+    and their output gradient in ``g_out @ U``) through its own loop, about
+    twice as slow as ``np.dot``, which hands it to BLAS with the same bits,
+    zero signs included. For wider ``a``, matmul is the faster.
     """
     return (np.dot if a.shape[1] == 1 else np.matmul)(a, b, out=out)
 
 
+def _fold(head: Head, out: np.ndarray | None = None) -> tuple:
+    """(U, c) = (Wp @ W2, Wp @ b2 + bp): the head's second layer and predictor as one map.
+
+    The second layer is linear after dropout, so ``a @ W2.T + b2`` followed
+    by the predictor is ``a @ U.T + c``, an (out_len, width) product in
+    place of a (width, width) one. ``U`` is written into ``out`` if given.
+    """
+    bias = head.wp @ head.b2
+    bias += head.bp
+    return np.matmul(head.wp, head.w2, out=out), bias
+
+
 def _head_forward(head: Head, z: np.ndarray, dropout: float, rng: Rng | None,
                   buffers: dict | None = None):
-    """Output and backward cache of one head.
+    """Output and backward cache of one head: ``dropout(relu(z @ W1.T + b1)) @ U.T + c``.
 
-    A dropout mask is drawn only when an rng is given, so evaluation
-    passes None and is deterministic. With ``buffers`` (see ``forward``)
-    the hidden and output arrays are written into arrays kept there. If
-    ``buffers`` holds the head's fold (``predict`` puts it there), the pass
-    is an inference pass: the output is ``relu(z @ W1.T + b1) @ fold.T +
-    bias`` and no ``h2`` is made.
+    ``(U, c)`` is the head's ``_fold``, made once per pass, so a pass of
+    more rows than outputs makes no ``(rows, width) @ (width, width)``
+    product and no ``h2`` array: per row it saves ``3 * width**2``
+    multiply-adds, forward and backward, and per pass it pays ``3 *
+    out_len * width**2``. A training pass of at most ``out_len`` rows
+    (the merged stl head's 64-row steps, say) runs the cheaper
+    association, ``h2 = a @ W2.T + b2`` and then ``h2 @ Wp.T + bp``, and
+    caches ``h2`` in place of ``U``. A dropout mask is drawn only when an
+    rng is given, so evaluation passes None and is deterministic. With
+    ``buffers`` (see ``forward``) the hidden, output and ``U`` or ``h2``
+    arrays are written into arrays kept there. If ``buffers`` holds the
+    head's fold (``predict`` puts it there), the pass is an inference
+    pass: it uses that fold whatever its rows, and its cache holds neither
+    ``U`` nor ``h2``, so no backward pass can read it.
     """
     name, in_len = head.name, head.w1.shape[1]
     if z.ndim != 2 or z.shape[1] != in_len:
@@ -326,49 +359,70 @@ def _head_forward(head: Head, z: np.ndarray, dropout: float, rng: Rng | None,
     a = _product(z, head.w1.T, _buffer(buffers, f"{name}.h1", hidden))
     a += head.b1
     np.maximum(a, 0.0, out=a)
-    out_shape = (z.shape[0], head.wp.shape[0])
-    if buffers is not None and _FOLDS in buffers:
-        fold, bias = buffers[_FOLDS][name]
-        out = np.matmul(a, fold.T, out=_buffer(buffers, f"{name}.out", out_shape))
-        out += bias
-        return out, HeadCache(z, a, None, a, None, out)
-    h2 = _buffer(buffers, f"{name}.h2", hidden)
     scale = None
     if rng is not None and dropout > 0.0:
         # inverted dropout: zero with probability p, scale survivors by 1/(1-p);
-        # the uniforms are drawn into h2, which is not written until after
-        a *= rng.gen.random(out=h2) >= dropout
+        # the uniforms are used up at once, so every head draws into one flat
+        # buffer, kept as large as the largest head's draw
+        draw = _buffer(buffers, "draw", (a.size,)).reshape(hidden)
+        a *= rng.gen.random(out=draw) >= dropout
         scale = np.float64(1.0 / (1.0 - dropout))
         a *= scale
-    np.matmul(a, head.w2.T, out=h2)
-    h2 += head.b2
-    out = np.matmul(h2, head.wp.T, out=_buffer(buffers, f"{name}.out", out_shape))
-    out += head.bp
-    return out, HeadCache(z, a, scale, a, h2, out)
+    out_shape = (z.shape[0], head.wp.shape[0])
+    h2 = fold = None
+    if buffers is not None and _FOLDS in buffers:
+        left, (right, bias) = a, buffers[_FOLDS][name]
+    elif out_shape[0] > out_shape[1]:
+        left, (right, bias) = a, _fold(head, _buffer(buffers, f"{name}.fold", head.wp.shape))
+        fold = right
+    else:
+        left = h2 = np.matmul(a, head.w2.T, out=_buffer(buffers, f"{name}.h2", hidden))
+        h2 += head.b2
+        right, bias = head.wp, head.bp
+    out = np.matmul(left, right.T, out=_buffer(buffers, f"{name}.out", out_shape))
+    out += bias
+    return out, HeadCache(z, a, scale, a, h2, out, fold)
 
 
 def _head_backward(head: Head, cache: HeadCache, g_out: np.ndarray, grads: Tensors) -> np.ndarray:
     """Write this head's gradients from d(loss)/d(out) into ``grads``; return d(loss)/d(h1).
 
-    With out = h2 @ Wp.T + bp the weight gradient is g_out.T @ h2 and the
-    bias gradient the column sums of g_out; the two learner layers follow
-    the same pattern with the dropout scale and then the ReLU gate ad > 0
-    (kept and positive) applied on the way down. This order keeps the bits,
-    zero signs included, of the float-mask product while d_ad / (1 - p) is finite.
-    Each hidden gradient is written over the cache array it replaces once
-    that array has been read, d_h2 into ``h2`` and d_h1 into ``h1``/``ad``,
-    so no (rows, width) float array is allocated. The returned d_h1 is that
-    ``ad`` array; d(loss)/d(z) is ``d_h1 @ W1``, which only the combinator's
-    caller forms.
+    With out = a @ U.T + c, U = Wp @ W2 and c = Wp @ b2 + bp, the chain
+    runs through dU = g_out.T @ a and dc = g_out.sum(0) and never forms
+    h2 or d_h2: d(Wp) = dU @ W2.T + outer(dc, b2), d(bp) = dc,
+    d(W2) = Wp.T @ dU, d(b2) = Wp.T @ dc and d(a) = g_out @ U. dU waits in
+    Wp's gradient slot, and dU @ W2.T is written over the cache's ``U``
+    once d(a) has read it. A cache with ``h2`` (a pass of at most out_len
+    rows) runs the same chain through d_h2 = g_out @ Wp, written over
+    ``h2``: d(Wp) = g_out.T @ h2, d(W2) = d_h2.T @ a, d(a) = d_h2 @ W2.
+    The first layer follows with the dropout scale and then the ReLU gate
+    ad > 0 (kept and positive) applied on the way down. This order keeps
+    the bits, zero signs included, of the float-mask product while d_ad /
+    (1 - p) is finite. d(a) is written over ``ad`` once it has been read,
+    so nothing the size of the rows is allocated and the cache serves one
+    backward pass. The returned d_h1 is that ``ad`` array; d(loss)/d(z) is
+    ``d_h1 @ W1``, which only the combinator's caller forms.
     """
     name = head.name
-    np.matmul(g_out.T, cache.h2, out=grads[f"{name}.p.w"])
-    np.sum(g_out, axis=0, out=grads[f"{name}.p.b"])
-    d_h2 = _product(g_out, head.wp, cache.h2)
-    np.matmul(d_h2.T, cache.ad, out=grads[f"{name}.l2.w"])
-    np.sum(d_h2, axis=0, out=grads[f"{name}.l2.b"])
-    gate = cache.ad > 0.0
-    d_h1 = np.matmul(d_h2, head.w2, out=cache.ad)
+    d_wp, d_bias = grads[f"{name}.p.w"], grads[f"{name}.p.b"]
+    np.sum(g_out, axis=0, out=d_bias)
+    if cache.fold is None:
+        np.matmul(g_out.T, cache.h2, out=d_wp)
+        d_h2 = _product(g_out, head.wp, cache.h2)
+        np.matmul(d_h2.T, cache.ad, out=grads[f"{name}.l2.w"])
+        np.sum(d_h2, axis=0, out=grads[f"{name}.l2.b"])
+        gate = cache.ad > 0.0
+        d_h1 = np.matmul(d_h2, head.w2, out=cache.ad)
+    else:
+        d_fold = np.matmul(g_out.T, cache.ad, out=d_wp)
+        np.matmul(head.wp.T, d_fold, out=grads[f"{name}.l2.w"])
+        np.matmul(head.wp.T, d_bias, out=grads[f"{name}.l2.b"])
+        gate = cache.ad > 0.0
+        d_h1 = _product(g_out, cache.fold, cache.ad)
+        # d(Wp) = outer(dc, b2) + dU @ W2.T: the same bits in either order
+        np.matmul(d_fold, head.w2.T, out=cache.fold)
+        np.multiply.outer(d_bias, head.b2, out=d_wp)
+        d_wp += cache.fold
     if cache.mask is not None:
         d_h1 *= cache.mask
     d_h1 *= gate
@@ -404,14 +458,17 @@ def forward(
     Dropout masks are drawn only when training is true; evaluation is
     deterministic. With every parameter zero all outputs are zero.
 
-    ``buffers`` is an optional dict the caller keeps across calls: each
-    head then writes its hidden and output arrays into arrays kept there,
-    so repeated calls on the same number of rows allocate them once. The
-    returned state's caches are then overwritten by the next such call.
-    ``loss_and_backward`` consumes the state: it writes the hidden
-    gradients over every cache's ``h1`` and ``h2``. Buffers that ``predict``
+    Each head runs folded on more rows than it has outputs (see
+    ``_head_forward``), with no ``h2``. ``buffers`` is an optional dict
+    the caller keeps across calls: each head then writes its hidden,
+    output and ``U`` (or ``h2``) arrays into arrays kept there, and the
+    dropout uniforms go into one array all heads share, so repeated calls
+    on the same number of rows allocate them once. The returned state's
+    caches are then overwritten by the next such call.
+    ``loss_and_backward`` consumes the state: it writes gradients over
+    every cache's ``h1`` and ``fold`` or ``h2``. Buffers that ``predict``
     has used hold its folds, and make every pass through them an inference
-    pass, whose state has no ``h2`` to backpropagate through.
+    pass, whose state keeps neither to backpropagate through.
 
     ``x_bundle`` is a ``ComponentBundle`` of the model's kind, or, on an
     inference pass of a linear decomposer (stl), the raw (rows, l_in)
@@ -457,23 +514,23 @@ def forward(
 def predict(params, x_rows: np.ndarray, dcfg=None, buffers: dict | None = None) -> np.ndarray:
     """Evaluation-mode forecast for stacked (rows, l_in) input windows: an inference pass.
 
-    Dropout is the identity at inference, so each head's second layer and
-    predictor fold into one ``(out_len, width)`` matrix ``Wp @ W2`` and one
-    bias ``Wp @ b2 + bp``, and the head runs ``relu(z @ W1.T + b1) @ (Wp @
-    W2).T + (Wp @ b2 + bp)`` without a ``(rows, width) @ (width, width)``
-    product. A linear decomposer (stl, see ``dc.linear_map``) also folds
-    into each component head's first layer: a head whose input joins the
-    parts with matrices ``P = [M_t | M_s | ...]`` (its ``head_layout``
-    parts) gets ``z @ W1.T = x @ (W1 @ P.T).T``, so it reads the raw
-    windows and no row is decomposed. mvd's split is not linear, and its
-    rows are decomposed as in training. The forecast agrees with
-    ``forward(..., training=False).y_hat`` within a few ulps, not to the
-    bit. ``buffers`` is passed on as in ``forward``; the forecast may then
-    be one of them, valid until the next call with the same buffers. The
-    folds are made on the first call with a buffers dict and kept in it,
-    so a buffers dict serves one set of parameter values: once the
-    parameters change, pass a fresh one. Without ``buffers`` the call makes
-    its own dict, and with it the same bits.
+    Dropout is the identity at inference, and each head runs folded
+    whatever its rows, ``relu(z @ W1.T + b1) @ U.T + c`` with its ``_fold``
+    ``(U, c)``, made once per buffers dict rather than once per pass. A
+    linear decomposer (stl, see ``dc.linear_map``) also folds into each
+    component head's first layer: a head whose input joins the parts with
+    matrices ``P = [M_t | M_s | ...]`` (its ``head_layout`` parts) gets ``z
+    @ W1.T = x @ (W1 @ P.T).T``, so it reads the raw windows and no row is
+    decomposed; the forecast then agrees with ``forward(...,
+    training=False).y_hat`` within a few ulps, not to the bit. mvd's split
+    is not linear, and its rows are decomposed as in training, so an mvd
+    or plain forecast of more rows than outputs has the bits of that
+    forward pass. ``buffers`` is passed on as in ``forward``; the forecast
+    may then be one of them, valid until the next call with the same
+    buffers. The folds are made on the first call with a buffers dict and
+    kept in it, so a buffers dict serves one set of parameter values: once
+    the parameters change, pass a fresh one. Without ``buffers`` the call
+    makes its own dict, and with it the same bits.
     """
     plain = isinstance(params, PlainParams)
     if not plain and dcfg is None:
@@ -482,7 +539,7 @@ def predict(params, x_rows: np.ndarray, dcfg=None, buffers: dict | None = None) 
         buffers = {}
     if _FOLDS not in buffers:
         heads = [params.head] if plain else [*params.heads.values(), params.combinator]
-        buffers[_FOLDS] = {h.name: (h.wp @ h.w2, h.wp @ h.b2 + h.bp) for h in heads}
+        buffers[_FOLDS] = {h.name: _fold(h) for h in heads}
         maps = None if plain else dc.linear_map(dcfg, params.l_in)
         if maps is not None:
             folded = buffers[_INPUT_FOLDS] = {}
@@ -522,9 +579,12 @@ def train_step(params, x_rows: np.ndarray, y_rows: np.ndarray, dcfg, lam: float,
     Decomposition models decompose inputs and targets with ``dcfg`` and
     minimise cbn + lam * cpn; the plain model minimises the forecast MSE
     alone. Dropout masks come from ``rng``, and ``buffers`` is passed on
-    to the forward pass as in ``forward``. No state of the forward pass
-    outlives the call; the gradients are ``params.grads``, valid until
-    the next backward pass on ``params``.
+    to the forward pass as in ``forward``. A head of fewer outputs than
+    rows runs folded, forward and backward (see ``_head_forward`` and
+    ``_head_backward``), with no ``(rows, width) @ (width, width)``
+    product. No state of the
+    forward pass outlives the call; the gradients are ``params.grads``,
+    valid until the next backward pass on ``params``.
     """
     if isinstance(params, PlainParams):
         out, cache = _head_forward(params.head, x_rows, params.dropout, rng, buffers)
@@ -571,7 +631,7 @@ def loss_and_backward(
     exactly, the loss and every gradient are zero. The gradients are
     written into ``params.grads`` and stay valid until the next backward
     pass on ``params``. Each head's backward pass overwrites the ``h1``/``ad``
-    and ``h2`` arrays of its cache in ``state``, so a state serves one call.
+    and ``fold`` or ``h2`` arrays of its cache in ``state``, so a state serves one call.
     """
     losses, d_hat = _losses(params, state, label_bundle, y, lam)
     grads = params.grads

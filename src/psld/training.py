@@ -53,14 +53,15 @@ from .sampler import rss_partition
 
 # Most rows per evaluation forward pass; a split runs as balanced chunks of at
 # most this many rows (see _blocks). An inference pass keeps one (rows, hidden)
-# array per head (model.predict folds the second layer into the predictor, so
-# there is no h2), 512 KiB at hidden 128, small enough to be reused from the
+# array per head (every head pass folds its second layer into its predictor,
+# so there is no h2), 512 KiB at hidden 128, small enough to be reused from the
 # allocator's free lists; multi-MiB chunks are page-faulted in afresh every
 # call and made evaluation slower than the unchunked pass.
 EVAL_CHUNK_ROWS = 512
 # Most rows per training forward and backward pass. At the paper's fixed 24
 # subgraphs a step has n_nodes // 24 * minibatch rows (the remainder chunk
-# more), and its (rows, hidden) arrays set the run's peak memory; a larger
+# more), and its (rows, hidden) arrays, one activation per head and one
+# dropout draw that the heads share, set the run's peak memory; a larger
 # step runs as row blocks summed before its one ADAM step (see _blocked_step),
 # so step memory stops growing with the node count. 1024 rows keep every
 # step of a 64-node run at the defaults (at most 576 rows) one pass.
@@ -283,10 +284,11 @@ def evaluate(params, store: SeriesStore, config: TrainConfig, split: tuple,
     comes, chunk sum by chunk sum (see ``_metrics``), so the metrics agree
     with ``np.mean`` over the split within a few ulps: no array the size of
     the split is kept, so memory does not grow with the split. The forecast is ``md.predict``'s
-    inference pass, which folds each head's second layer into its
-    predictor and, for stl, the decomposition into each component head's
-    first layer, so no stl row is decomposed; its last bits are not those
-    of the unfolded ``md.forward``. All chunks write each head's one hidden array and its
+    inference pass, which runs each head with its second layer folded into
+    its predictor, as training does, and, for stl, the decomposition folded
+    into each component head's first layer, so no stl row is decomposed;
+    stl's last bits are not those of ``md.forward`` on decomposed windows.
+    All chunks write each head's one hidden array and its
     output into one set of buffers, made afresh for each call, which also
     keeps the folds: so each call scores the parameters it is given, and
     fresh buffers per chunk (about 2.3 MiB at hidden 128, mvd separate)

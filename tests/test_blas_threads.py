@@ -47,8 +47,8 @@ def series(tmp_path_factory):
     (64, "stl", "separate", ()),
     pytest.param(64, "stl", "merged", (), marks=pytest.mark.xfail(
         raises=AssertionError,
-        reason="the merged stl head's h2 @ wp.T at 64 rows, (64, 384) @ (384, 108), "
-               "rounds differently under 1 and 2 OpenBLAS threads")),
+        reason="the merged stl head's output product a @ (Wp @ W2).T at 64 rows, "
+               "(64, 384) @ (384, 108), rounds differently under 1 and 2 OpenBLAS threads")),
     # one subgraph: 64 nodes x 32 windows = 2048-row steps, each run as two
     # row blocks (training.STEP_ROWS)
     (64, "mvd", "separate", ("--n-sub", "1")),
@@ -56,8 +56,9 @@ def series(tmp_path_factory):
     # 912-row blocks, a length that is not 0 or 31 mod 32
     pytest.param(57, "mvd", "separate", ("--n-sub", "1"), marks=pytest.mark.xfail(
         raises=AssertionError,
-        reason="the weight-gradient sums over a 912-row block, such as "
-               "(128, 912) @ (912, 36), round differently under 1 and 2 OpenBLAS threads")),
+        reason="the weight-gradient sums over a 912-row block, g_out.T @ a, "
+               "(36, 912) @ (912, 128), and d_h1.T @ z, (128, 912) @ (912, 36), "
+               "round differently under 1 and 2 OpenBLAS threads")),
 ], ids=["mvd-separate", "mvd-merged", "stl-separate", "stl-merged", "mvd-separate-n-sub-1",
         "mvd-separate-57-nodes-n-sub-1"])
 def test_artifacts_do_not_depend_on_blas_threads(series, tmp_path, nodes, kind, mode, extra):

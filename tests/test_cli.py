@@ -106,6 +106,35 @@ class TestTrain:
         assert "last_value" in metrics["baselines"]
         assert len(metrics["epochs"]) == 2
 
+    @pytest.mark.parametrize("flat", [1, 7])
+    def test_low_sigma_nodes_get_one_warning_line(self, dataset, tmp_path, capsys,
+                                                  monkeypatch, flat):
+        # constant nodes have sigma 0 on the train split; the warning names
+        # the first five and changes no artifact and no stdout byte
+        store = psld.load_csv(dataset / "series.csv")
+        values = store.values.copy()
+        values[3:3 + flat] = 2.5
+        data = tmp_path / "flat-data"
+        data.mkdir()
+        psld.save_csv(psld.SeriesStore(values, store.node_ids), data / "series.csv")
+        (data / "adjacency.csv").write_bytes((dataset / "adjacency.csv").read_bytes())
+        code, stdout, err = run_cli(capsys, *train_args(data, tmp_path / "run"))
+        assert code == EXIT_OK
+        ids = ", ".join(store.node_ids[3:3 + min(flat, cli.LOW_SIGMA_SHOWN)])
+        more = ", ..." if flat > cli.LOW_SIGMA_SHOWN else ""
+        assert err == (f"warning: {flat} node(s) have a train-split sigma below sigma_floor "
+                       f"1e-08 and are scaled by it: {ids}{more}\n")
+        monkeypatch.setattr(cli, "_warn_low_sigma", lambda *args: None)
+        code, quiet_stdout, quiet_err = run_cli(capsys, *train_args(data, tmp_path / "quiet"))
+        assert code == EXIT_OK and quiet_err == "" and quiet_stdout == stdout
+        for name in ("metrics.json", "epochs.csv", "checkpoint.psld", "checkpoint.psld.json"):
+            assert ((tmp_path / "run" / name).read_bytes()
+                    == (tmp_path / "quiet" / name).read_bytes()), name
+
+    def test_no_warning_without_low_sigma_nodes(self, dataset, tmp_path, capsys):
+        code, _, err = run_cli(capsys, *train_args(dataset, tmp_path / "run"))
+        assert code == EXIT_OK and err == ""
+
     def test_epochs_csv_matches_metrics(self, dataset, tmp_path, capsys):
         out = tmp_path / "run"
         run_cli(capsys, *train_args(dataset, out))

@@ -38,14 +38,26 @@ def bundle_pair(kind, seed=0, n=6, l_in=8, l_out=4):
 
 
 def reference_head_backward(head, cache, g_out, grads):
-    """The per-tensor backward pass: fresh gradient arrays stored by name, d_h1 returned."""
+    """The per-tensor backward pass: fresh gradient arrays stored by name, d_h1 returned.
+
+    A cache with U = Wp @ W2 runs the chain through dU = g_out.T @ a and
+    dc = g_out.sum(0), one with h2 through d_h2 = g_out @ Wp, as written
+    out in ``model._head_backward``.
+    """
     name = head.name
-    grads[f"{name}.p.w"] = g_out.T @ cache.h2
-    grads[f"{name}.p.b"] = g_out.sum(axis=0)
-    d_h2 = g_out @ head.wp
-    grads[f"{name}.l2.w"] = d_h2.T @ cache.ad
-    grads[f"{name}.l2.b"] = d_h2.sum(axis=0)
-    d_ad = d_h2 @ head.w2
+    grads[f"{name}.p.b"] = d_c = g_out.sum(axis=0)
+    if cache.fold is not None:
+        d_u = g_out.T @ cache.ad
+        grads[f"{name}.p.w"] = d_u @ head.w2.T + np.outer(d_c, head.b2)
+        grads[f"{name}.l2.w"] = head.wp.T @ d_u
+        grads[f"{name}.l2.b"] = head.wp.T @ d_c
+        d_ad = g_out @ cache.fold
+    else:
+        grads[f"{name}.p.w"] = g_out.T @ cache.h2
+        d_h2 = g_out @ head.wp
+        grads[f"{name}.l2.w"] = d_h2.T @ cache.ad
+        grads[f"{name}.l2.b"] = d_h2.sum(axis=0)
+        d_ad = d_h2 @ head.w2
     d_a = d_ad * cache.mask if cache.mask is not None else d_ad
     d_h1 = d_a * (cache.h1 > 0.0)
     grads[f"{name}.l1.w"] = d_h1.T @ cache.z
@@ -56,10 +68,13 @@ def reference_head_backward(head, cache, g_out, grads):
 def reference_head_forward(head, z, dropout, rng, buffers=None):
     """The forward pass with fresh arrays and an out-of-place float-mask dropout.
 
-    Its cache keeps what the backward pass used to read: the pre-activation
-    as ``h1`` and the float mask keep / (1 - p) as ``mask``, so
-    ``reference_head_backward`` gates with the pre-activation's sign and
-    not with the kept activation. ``buffers`` is ignored.
+    With more rows than outputs the output is ``a @ (Wp @ W2).T + (Wp @ b2
+    + bp)``, ``a`` the dropped-out activation, and the cache keeps ``U =
+    Wp @ W2``; else it is ``(a @ W2.T + b2) @ Wp.T + bp`` and the cache
+    keeps ``h2``. The cache keeps the pre-activation as ``h1`` and the
+    float mask keep / (1 - p) as ``mask``, so ``reference_head_backward``
+    gates with the pre-activation's sign and not with the kept
+    activation. ``buffers`` is ignored.
     """
     h1 = z @ head.w1.T + head.b1
     a = np.maximum(h1, 0.0)
@@ -67,9 +82,13 @@ def reference_head_forward(head, z, dropout, rng, buffers=None):
     if rng is not None and dropout > 0.0:
         mask = (rng.gen.random(a.shape) >= dropout) / (1.0 - dropout)
         a = a * mask
-    h2 = a @ head.w2.T + head.b2
-    out = h2 @ head.wp.T + head.bp
-    return out, md.HeadCache(z, h1, mask, a, h2, out)
+    if z.shape[0] > head.wp.shape[0]:
+        u, h2 = head.wp @ head.w2, None
+        out = a @ u.T + (head.wp @ head.b2 + head.bp)
+    else:
+        u, h2 = None, a @ head.w2.T + head.b2
+        out = h2 @ head.wp.T + head.bp
+    return out, md.HeadCache(z, h1, mask, a, h2, out, u)
 
 
 def folded_reference(p, x, cfg):
@@ -514,6 +533,118 @@ class TestFiniteDifference:
         assert a == b
 
 
+def loss_and_signs(p, x, y, cfg, lam, seed):
+    """A training pass's loss, masks drawn from Rng(seed), and every kept activation's sign."""
+    rng = Rng(seed)
+    if isinstance(p, md.PlainParams):
+        out, cache = md._head_forward(p.head, x, p.dropout, rng)
+        loss, caches = float(np.mean((out - y) ** 2)), [cache]
+    else:
+        state = forward(p, decompose(x, cfg), training=True, rng=rng)
+        loss = md._losses(p, state, decompose(y, cfg), y, lam)[0].total
+        caches = [*state.head_caches.values(), state.cbn_cache]
+    return loss, tuple(np.packbits(cache.ad > 0.0).tobytes() for cache in caches)
+
+
+def gradcheck(p, x, y, cfg, lam=1.0, seed=5, step=1e-5):
+    """(worst relative error, entries compared) of ``train_step``'s gradient.
+
+    Central differences of ``loss_and_signs`` as ``finite_difference_check``
+    takes them: an entry whose perturbation flips a kept activation's sign
+    is skipped.
+    """
+    analytic = md.train_step(p, x, y, cfg, lam, Rng(seed))[1].flat.copy()
+    worst, compared = 0.0, 0
+    for i in range(p.flat.size):
+        orig = p.flat[i]
+        p.flat[i] = orig + step
+        loss_plus, signs_plus = loss_and_signs(p, x, y, cfg, lam, seed)
+        p.flat[i] = orig - step
+        loss_minus, signs_minus = loss_and_signs(p, x, y, cfg, lam, seed)
+        p.flat[i] = orig
+        if signs_plus != signs_minus:
+            continue
+        fd = (loss_plus - loss_minus) / (2.0 * step)
+        worst = max(worst, abs(analytic[i] - fd) / max(abs(analytic[i]) + abs(fd), 1e-6))
+        compared += 1
+    return worst, compared
+
+
+# (l_out, hidden, rows, dropout) of the folded pass's edge cases on 6-step
+# windows: every head with one output, one hidden unit, no dropout, half
+# dropped, and rows below and above every head's out_len (9 for stl merged)
+GRADCHECK_SHAPES = {"base": (3, 4, 2, 0.05), "l_out-1": (1, 4, 5, 0.05),
+                    "hidden-1": (3, 1, 5, 0.05), "dropout-0": (3, 4, 5, 0.0),
+                    "dropout-0.5": (3, 4, 5, 0.5), "rows-above-out": (3, 4, 12, 0.05)}
+
+
+class TestFoldedPass:
+    @pytest.mark.parametrize("shape", GRADCHECK_SHAPES)
+    @pytest.mark.parametrize("kind,mode", MODEL_VARIANTS)
+    def test_gradients_match_finite_differences(self, kind, mode, shape):
+        l_out, hidden, rows, dropout = GRADCHECK_SHAPES[shape]
+        if kind == "plain":
+            p, cfg = init_plain_params(6, l_out, hidden, dropout, Rng(1)), None
+        else:
+            p = init_params(kind, 6, l_out, hidden, dropout, mode, Rng(1))
+            cfg = make_config(kind, kappa_t=5, kappa_s=3)
+        if l_out == 1:  # every separate head has one output, the merged one one per part
+            heads = [p.head] if kind == "plain" else [*p.heads.values(), p.combinator]
+            assert all(h.wp.shape[0] == (3 if h.name == "merged" else 1) for h in heads)
+        g = Rng(2).gen
+        x, y = g.standard_normal((rows, 6)), g.standard_normal((rows, l_out))
+        worst, compared = gradcheck(p, x, y, cfg)
+        assert worst <= 1e-4
+        assert compared > p.flat.size // 2
+
+    @pytest.mark.parametrize("kind,mode", [("mvd", "separate"), ("mvd", "merged"),
+                                           ("plain", None)])
+    def test_train_mode_forward_is_predict(self, kind, mode):
+        # at dropout 0 a training pass runs predict's formula on decomposed
+        # windows, so the forecasts agree to the bit, with and without buffers
+        x = Rng(2).gen.standard_normal((7, 8))
+        if kind == "plain":
+            p, cfg = init_plain_params(8, 4, 16, 0.0, Rng(1)), None
+        else:
+            p, cfg = init_params(kind, 8, 4, 16, 0.0, mode, Rng(1)), make_config(kind)
+        want = predict(p, x, cfg)
+        for buffers in (None, {}):
+            if kind == "plain":
+                got = md._head_forward(p.head, x, 0.0, Rng(3), buffers)[0]
+            else:
+                got = forward(p, decompose(x, cfg), True, Rng(3), buffers).y_hat
+            assert np.array_equal(bits(got), bits(want))
+
+    @pytest.mark.parametrize("kind,mode", MODEL_VARIANTS[:4])
+    def test_training_pass_of_more_rows_than_outputs_makes_no_h2(self, kind, mode):
+        # 13 rows, more than any head's outputs (12 for the merged stl head)
+        xb, yb, x, y, cfg = bundle_pair(kind, n=13)
+        p = init_params(kind, 8, 4, 16, 0.3, mode, Rng(1))
+        buffers = {}
+        state = forward(p, xb, training=True, rng=Rng(2), buffers=buffers)
+        for name, cache in [*state.head_caches.items(), ("cbn", state.cbn_cache)]:
+            assert cache.h2 is None and np.shares_memory(cache.fold, buffers[f"{name}.fold"])
+        assert not any(key.endswith(".h2") for key in buffers)
+        loss_and_backward(p, state, yb, y, 1.0)
+
+    def test_pass_of_at_most_out_len_rows_keeps_h2(self):
+        # the merged stl head has 12 outputs, so 12 rows run (a @ W2.T + b2) @
+        # Wp.T + bp and keep h2, while the combinator's 4 outputs fold; the
+        # forecast is the folded one within rounding (the gradients of both
+        # associations are gradchecked above)
+        xb, yb, x, y, cfg = bundle_pair("stl", n=12)
+        p = init_params("stl", 8, 4, 16, 0.3, "merged", Rng(1))
+        buffers = {}
+        state = forward(p, xb, training=True, rng=Rng(2), buffers=buffers)
+        merged, cbn, head = state.head_caches["merged"], state.cbn_cache, p.heads["merged"]
+        assert merged.fold is None and merged.h2.shape == (12, 48)
+        assert cbn.h2 is None and cbn.fold.shape == (4, 16)
+        assert "merged.fold" not in buffers and "cbn.h2" not in buffers
+        folded = merged.ad @ (head.wp @ head.w2).T + (head.wp @ head.b2 + head.bp)
+        np.testing.assert_allclose(merged.out, folded, rtol=1e-12, atol=1e-15)
+        loss_and_backward(p, state, yb, y, 1.0)
+
+
 class TestPlainHead:
     def test_init_and_step(self):
         p = init_plain_params(8, 4, 16, 0.0, Rng(2))
@@ -566,7 +697,7 @@ class TestKeptActivationGate:
                  zip(md._SUFFIXES, (w1, b1, head.w2, head.b2, head.wp, head.bp))}
         d_h1 = md._head_backward(head, cache, g_out, grads)
         assert d_h1 is cache.ad
-        d_ad = (g_out @ head.wp) @ head.w2
+        d_ad = g_out @ (head.wp @ head.w2)
         assert (d_ad < 0.0).all()
         want_d_h1 = (d_ad * want.mask if dropout else d_ad) * (want.h1 > 0.0)
         assert np.array_equal(bits(d_h1), bits(want_d_h1))
@@ -616,7 +747,7 @@ class TestRankOneProducts:
         out, cache = md._head_forward(head, z, dropout, Rng(2))
         want_out, want = reference_head_forward(head, z, dropout, Rng(2))
         assert np.array_equal(bits(out), bits(want_out))
-        assert np.array_equal(bits(cache.h2), bits(want.h2))
+        assert np.array_equal(bits(cache.fold), bits(want.fold))
         grads = {f"m.{s}": np.empty(t.shape) for s, t in
                  zip(md._SUFFIXES, (head.w1, head.b1, head.w2, head.b2, head.wp, head.bp))}
         d_h1 = md._head_backward(head, cache, g_out, grads)
@@ -631,17 +762,20 @@ class TestRankOneProducts:
 class TestStepMemory:
     # traced bytes of one training step with step buffers, in units of one
     # (rows, width) float64 array, width the component heads' hidden width:
-    # the first step allocates the buffers, a warm step adds only transients;
-    # backward writes its hidden gradients over the cache arrays it has read,
-    # and dropout draws its uniforms into the h2 buffer. Training passes at
-    # most training.STEP_ROWS rows per call and runs larger steps as row blocks
+    # the first step allocates the buffers, a warm step adds only transients.
+    # Each head keeps its activation and output, and its U = Wp @ W2 in an
+    # (out_len, width) buffer; dropout draws its uniforms into one buffer that
+    # every head shares; backward writes its gradients over the cache arrays
+    # it has read and into the gradient slots. Training passes at most
+    # training.STEP_ROWS rows per call and runs larger steps as row blocks.
+    # The pins are the measured figures plus about 0.3 units
     @pytest.mark.parametrize("kind,mode,rows,first,warm", [
         # a whole train-large step, 1024 nodes in 24 subgraphs at minibatch 32,
-        # which training runs as two 672-row blocks (measured 10.8 and 2.2)
-        ("mvd", "separate", 1344, 11.5, 2.5),
+        # which training runs as two 672-row blocks (measured 7.96 and 2.32)
+        ("mvd", "separate", 1344, 8.3, 2.5),
         # the largest train-small-stl-merged step: the 18-node remainder chunk
-        # (measured 4.7 and 1.7)
-        ("stl", "merged", 576, 5, 2),
+        # (measured 4.62 and 1.70)
+        ("stl", "merged", 576, 4.9, 2),
     ])
     def test_step_working_set(self, kind, mode, rows, first, warm):
         hidden, length = 128, 36
@@ -706,13 +840,28 @@ class TestFlatBuffers:
             assert got_loss == loss
             for name in want:
                 assert np.array_equal(bits(got[name]), bits(want[name])), name
-        # each buffer keeps the most rows asked for, 9, and serves 6 as a view
-        assert buffers and all(b.shape[0] == 9 for b in buffers.values())
+        # each activation and output buffer keeps the most rows asked for, 9,
+        # and serves 6 as a view; so does the one flat dropout draw, 9 rows of
+        # the widest head. A head's U = Wp @ W2 has an (out_len, width)
+        # buffer, made by passes of more rows than outputs; passes of at most
+        # out_len rows (the merged heads', 6 and, for stl, 9) keep h2 instead
+        heads = [p.head] if kind == "plain" else [*p.heads.values(), p.combinator]
+        for h in heads:
+            out_len, width = h.wp.shape
+            folds, h2 = buffers.get(f"{h.name}.fold"), buffers.get(f"{h.name}.h2")
+            assert (folds is not None) == (9 > out_len) and (h2 is not None) == (6 <= out_len)
+            assert folds is None or folds.shape == (out_len, width)
+            assert h2 is None or h2.shape == (9 if 9 <= out_len else 6, width)
+        assert buffers["draw"].shape == (9 * max(h.w2.shape[0] for h in heads),)
+        row_buffers = [b for key, b in buffers.items() if key.endswith((".h1", ".out"))]
+        assert len(row_buffers) == 2 * len(heads) and all(b.shape[0] == 9 for b in row_buffers)
 
     def test_alternating_block_sizes_share_one_array_per_buffer(self):
-        # balanced row blocks alternate between 906 and 907 rows: each key's
-        # array is made for the first 906-row block and again for the first
-        # 907-row one, then serves every block as a view of its first rows
+        # balanced row blocks alternate between 906 and 907 rows: each row
+        # key's array is made for the first 906-row block and again for the
+        # first 907-row one, then serves every block as a view of its first
+        # rows (the flat dropout draw as a view of its first rows × 16
+        # entries); each head's (out_len, width) U buffer is made once
         p, cfg = variant_model("mvd", "separate")
         buffers, seen = {}, []
         for step, rows in enumerate([906, 907] * 4):
@@ -720,10 +869,15 @@ class TestFlatBuffers:
             x, y = g.standard_normal((rows, 8)), g.standard_normal((rows, 4))
             md.train_step(p, x, y, cfg, 0.5, Rng(5).child(step), buffers)
             seen.append(dict(buffers))  # holds every array made, so no id is reused
-        made = {id(b) for kept in seen for b in kept.values()}
-        assert buffers and len(made) == 2 * len(buffers)
-        assert all(b.shape[0] == 907 for b in buffers.values())
-        key, kept = next(iter(buffers.items()))
+        folds = {key for key in buffers if key.endswith(".fold")}
+        assert folds == {f"{name}.fold" for name in ("m", "v", "r", "cbn")}
+        row_buffers = {key: b for key, b in buffers.items() if key not in folds}
+        for keys, times in ((row_buffers, 2), (folds, 1)):
+            made = {id(b) for kept in seen for key, b in kept.items() if key in keys}
+            assert len(made) == times * len(keys)
+        assert buffers["draw"].shape == (907 * 16,)
+        assert all(b.shape[0] == 907 for key, b in row_buffers.items() if key != "draw")
+        key, kept = next(iter(row_buffers.items()))
         view = md._buffer(buffers, key, (906, kept.shape[1]))
         assert view.shape == (906, kept.shape[1]) and view.flags.c_contiguous
         assert np.shares_memory(view, kept) and buffers[key] is kept
