@@ -369,11 +369,11 @@ def _head_forward(head: Head, z: np.ndarray, dropout: float, rng: Rng | None,
         scale = np.float64(1.0 / (1.0 - dropout))
         a *= scale
     out_shape = (z.shape[0], head.wp.shape[0])
-    h2 = fold = None
+    left, h2, fold = a, None, None
     if buffers is not None and _FOLDS in buffers:
-        left, (right, bias) = a, buffers[_FOLDS][name]
+        right, bias = buffers[_FOLDS][name]
     elif out_shape[0] > out_shape[1]:
-        left, (right, bias) = a, _fold(head, _buffer(buffers, f"{name}.fold", head.wp.shape))
+        right, bias = _fold(head, _buffer(buffers, f"{name}.fold", head.wp.shape))
         fold = right
     else:
         left = h2 = np.matmul(a, head.w2.T, out=_buffer(buffers, f"{name}.h2", hidden))
@@ -406,18 +406,17 @@ def _head_backward(head: Head, cache: HeadCache, g_out: np.ndarray, grads: Tenso
     name = head.name
     d_wp, d_bias = grads[f"{name}.p.w"], grads[f"{name}.p.b"]
     np.sum(g_out, axis=0, out=d_bias)
+    gate = cache.ad > 0.0
     if cache.fold is None:
         np.matmul(g_out.T, cache.h2, out=d_wp)
         d_h2 = _product(g_out, head.wp, cache.h2)
         np.matmul(d_h2.T, cache.ad, out=grads[f"{name}.l2.w"])
         np.sum(d_h2, axis=0, out=grads[f"{name}.l2.b"])
-        gate = cache.ad > 0.0
         d_h1 = np.matmul(d_h2, head.w2, out=cache.ad)
     else:
         d_fold = np.matmul(g_out.T, cache.ad, out=d_wp)
         np.matmul(head.wp.T, d_fold, out=grads[f"{name}.l2.w"])
         np.matmul(head.wp.T, d_bias, out=grads[f"{name}.l2.b"])
-        gate = cache.ad > 0.0
         d_h1 = _product(g_out, cache.fold, cache.ad)
         # d(Wp) = outer(dc, b2) + dU @ W2.T: the same bits in either order
         np.matmul(d_fold, head.w2.T, out=cache.fold)
