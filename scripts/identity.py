@@ -43,10 +43,11 @@ differ between cores, and that key is not an artifact.
 To check that a change keeps every byte, run the first form once with
 ``--src`` at the parent's source and once at the change's, then compare.
 ``--compare`` prints every artifact whose digest differs or that only one
-file has, then one line counting them by kind (checkpoint, metrics.json or
-epochs.csv, prediction dump, stdout, other), and exits 1 if there is any;
-else it prints the count and exits 0. When both files name their core and
-the two differ, it first prints a note naming both.
+file has, then one line counting them by kind (checkpoint, its JSON
+sidecar, metrics.json or epochs.csv, prediction dump, stdout, other), and
+exits 1 if there is any; else it prints the count and exits 0. When both
+files name their core and the two differ, it first prints a note naming
+both.
 """
 
 from __future__ import annotations
@@ -144,10 +145,11 @@ def compare(a: dict, b: dict) -> list:
 
 # The kind the --compare summary counts an artifact under, by its file name;
 # any other file is "other"
-KIND_OF = {"checkpoint.psld": "checkpoint", "checkpoint.psld.json": "checkpoint",
+KIND_OF = {"checkpoint.psld": "checkpoint", "checkpoint.psld.json": "sidecar",
            "metrics.json": "metrics.json/epochs.csv", "epochs.csv": "metrics.json/epochs.csv",
            "predictions.csv": "prediction dump", "stdout": "stdout"}
-KINDS = ("checkpoint", "metrics.json/epochs.csv", "prediction dump", "stdout", "other")
+KINDS = ("checkpoint", "sidecar", "metrics.json/epochs.csv", "prediction dump", "stdout",
+         "other")
 
 
 def kind(name: str) -> str:

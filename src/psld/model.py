@@ -48,8 +48,13 @@ reads the raw window: no row is decomposed, and the merged head's first
 product reads l_in columns, not 3 * l_in. So an stl forecast agrees with
 ``forward(..., training=False)`` on decomposed windows within a few ulps,
 not to the bit. mvd's split is not linear, and its inference pass
-decomposes the rows: an mvd or plain forecast has the bits of a training
-pass without dropout on more rows than outputs.
+decomposes the rows. A head of one input and one output (mvd/separate's
+m and v heads) is, at inference, a piecewise-linear function of its
+input with at most ``width`` breakpoints: ``predict`` tabulates each
+interval's slope and intercept (``_Scalar``), and the pass looks up the
+row's interval and makes no hidden array. So an mvd/merged or plain
+forecast has the bits of a training pass without dropout on more rows
+than outputs, and an mvd/separate one agrees with it within rounding.
 
 All gradients here are derived and coded by hand; there is no autodiff.
 """
@@ -57,6 +62,7 @@ All gradients here are derived and coded by hand; there is no autodiff.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -282,13 +288,15 @@ class HeadCache:
     gradient term over ``fold``, once it has read them, so a cache serves
     one backward pass. An inference pass (``predict``) uses the fold
     ``predict`` keeps: its cache holds None under both, and no backward
-    pass can read it.
+    pass can read it. The inference pass of a head of one input and one
+    output makes no hidden array either: its cache holds ``z`` and ``out``,
+    and None in every other field.
     """
 
     z: np.ndarray  # the input
-    h1: np.ndarray  # relu(z @ W1.T + b1) * keep / (1 - p), written over the pre-activation
+    h1: np.ndarray | None  # relu(z @ W1.T + b1) * keep / (1 - p), written over the pre-activation
     mask: np.float64 | None  # the dropout scale 1 / (1 - p), None without dropout
-    ad: np.ndarray  # the same array as h1
+    ad: np.ndarray | None  # the same array as h1
     h2: np.ndarray | None  # ad @ W2.T + b2, made only by a pass of at most out_len rows
     out: np.ndarray  # ad @ U.T + c, with (U, c) the head's _fold, or h2 @ Wp.T + bp
     fold: np.ndarray | None  # U = Wp @ W2 as this pass made it, or None
@@ -333,6 +341,76 @@ def _fold(head: Head, out: np.ndarray | None = None) -> tuple:
     return np.matmul(head.wp, head.w2, out=out), bias
 
 
+@dataclass(frozen=True)
+class _Scalar:
+    """A head of one input and one output as the piecewise-linear map it computes.
+
+    Without dropout, ``relu(z * w1 + b1) @ U.T + c`` is linear in ``z``
+    between the breakpoints ``t_j = -b1_j / w1_j`` of its units with
+    ``w1_j != 0``: on interval ``k``, ``breaks[k - 1] <= z < breaks[k]``,
+    it is ``slopes[k] * z + intercepts[k]``, with ``slopes[k]`` the sum
+    of ``U_j w1_j`` and ``intercepts[k]`` that of ``U_j b1_j``, plus
+    ``c``, over the units active there. A unit with ``w1_j > 0`` is
+    active above its breakpoint and one with ``w1_j < 0`` below it, which
+    its rank among the sorted breakpoints decides; a unit with ``w1_j =
+    0`` adds ``U_j relu(b1_j)`` to every intercept. So a row costs a
+    binary search over at most ``width`` breakpoints, two gathers and a
+    multiply-add, in place of the head's ``(rows, width)`` hidden array.
+    It agrees with the head's pass within ``(width + 4) * eps`` times
+    ``sum_j |U_j| (|w1_j z| + |b1_j|) + |c|``, ``eps`` float64's machine
+    epsilon: each side rounds within ``(width + 3) * eps / 2`` times that
+    sum, and a breakpoint's rounding can put a unit on the wrong side of
+    ``z`` only where its term is within ``eps / 2`` times ``|U_j b1_j|``.
+    A NaN input gives a NaN output.
+    """
+
+    breaks: np.ndarray  # (n,) the sorted breakpoints of the n units with w1_j != 0
+    slopes: np.ndarray  # (n + 1,) one per interval
+    intercepts: np.ndarray  # (n + 1,)
+
+    @classmethod
+    def of(cls, head: Head, u: np.ndarray, c: np.ndarray) -> "_Scalar":
+        """The map of ``head``, whose ``_fold`` is ``(u, c)``."""
+        w, b, u = head.w1[:, 0], head.b1, u[0]
+        turns = w != 0.0
+        breaks = -b[turns] / w[turns]
+        # a stable sort ranks tied breakpoints in unit order on every CPU, so
+        # the sums below, and the forecasts' bits, do not depend on the sort
+        order = np.argsort(breaks, kind="stable")
+        w_on, b_on, u_on = (arr[turns][order] for arr in (w, b, u))
+        # the unit of rank r is active on interval k from k = r + 1 up if
+        # w1 > 0, and up to k = r if w1 < 0
+        k, r = np.arange(breaks.size + 1)[:, None], np.arange(breaks.size)
+        active = ((k > r) == (w_on > 0.0)).astype(np.float64)
+        intercepts = active @ (u_on * b_on)
+        intercepts += u[~turns] @ np.maximum(b[~turns], 0.0) + c[0]
+        return cls(breaks[order], active @ (u_on * w_on), intercepts)
+
+    def __call__(self, z: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """The map of the (rows, 1) inputs ``z``, written into the (rows, 1) ``out``."""
+        k = np.searchsorted(self.breaks, z[:, 0], side="right")
+        col = out[:, 0]
+        # k is in [0, n], so nothing is clipped; "clip" lets take write to col unbuffered
+        np.take(self.slopes, k, out=col, mode="clip")
+        col *= z[:, 0]
+        col += np.take(self.intercepts, k)
+        return out
+
+
+def _inference_fold(head: Head):
+    """What ``predict`` keeps for a head: its ``_fold`` ``(U, c)``, or its ``_Scalar`` map.
+
+    A head of one input and one output gets the map, unless a parameter
+    the map reads is not finite: the head's pass then keeps its NaNs and
+    infinities as they fall.
+    """
+    fold = _fold(head)
+    if head.w1.shape[1] == head.wp.shape[0] == 1 and all(
+            np.isfinite(arr).all() for arr in (head.w1, head.b1, *fold)):
+        return _Scalar.of(head, *fold)
+    return fold
+
+
 def _head_forward(head: Head, z: np.ndarray, dropout: float, rng: Rng | None,
                   buffers: dict | None = None):
     """Output and backward cache of one head: ``dropout(relu(z @ W1.T + b1)) @ U.T + c``.
@@ -346,15 +424,24 @@ def _head_forward(head: Head, z: np.ndarray, dropout: float, rng: Rng | None,
     association, ``h2 = a @ W2.T + b2`` and then ``h2 @ Wp.T + bp``, and
     caches ``h2`` in place of ``U``. A dropout mask is drawn only when an
     rng is given, so evaluation passes None and is deterministic. With
-    ``buffers`` (see ``forward``) the hidden, output and ``U`` or ``h2``
-    arrays are written into arrays kept there. If ``buffers`` holds the
-    head's fold (``predict`` puts it there), the pass is an inference
-    pass: it uses that fold whatever its rows, and its cache holds neither
-    ``U`` nor ``h2``, so no backward pass can read it.
+    ``buffers`` (see ``forward``) the hidden and output arrays are written
+    into arrays kept there, and ``U`` or ``h2``, which no pass makes both
+    of, into one array per head kept under ``<head>.l2``. If ``buffers``
+    holds the head's fold (``predict`` puts it there), the pass is an
+    inference pass: it uses that fold whatever its rows, and its cache
+    holds neither ``U`` nor ``h2``, so no backward pass can read it. A
+    head of one input and one output has a ``_Scalar`` map there in place
+    of ``(U, c)``: its inference pass runs that map, makes no hidden
+    array, and its cache holds ``z`` and ``out`` alone.
     """
     name, in_len = head.name, head.w1.shape[1]
     if z.ndim != 2 or z.shape[1] != in_len:
         raise ShapeError(f"head '{name}': expected input (rows, {in_len}), got {z.shape}")
+    out_shape = (z.shape[0], head.wp.shape[0])
+    inference = buffers[_FOLDS][name] if buffers is not None and _FOLDS in buffers else None
+    if isinstance(inference, _Scalar):
+        out = inference(z, _buffer(buffers, f"{name}.out", out_shape))
+        return out, HeadCache(z, None, None, None, None, out, None)
     hidden = (z.shape[0], head.w1.shape[0])
     a = _product(z, head.w1.T, _buffer(buffers, f"{name}.h1", hidden))
     a += head.b1
@@ -368,15 +455,14 @@ def _head_forward(head: Head, z: np.ndarray, dropout: float, rng: Rng | None,
         a *= rng.gen.random(out=draw) >= dropout
         scale = np.float64(1.0 / (1.0 - dropout))
         a *= scale
-    out_shape = (z.shape[0], head.wp.shape[0])
     left, h2, fold = a, None, None
-    if buffers is not None and _FOLDS in buffers:
-        right, bias = buffers[_FOLDS][name]
+    if inference is not None:
+        right, bias = inference
     elif out_shape[0] > out_shape[1]:
-        right, bias = _fold(head, _buffer(buffers, f"{name}.fold", head.wp.shape))
+        right, bias = _fold(head, _buffer(buffers, f"{name}.l2", head.wp.shape))
         fold = right
     else:
-        left = h2 = np.matmul(a, head.w2.T, out=_buffer(buffers, f"{name}.h2", hidden))
+        left = h2 = np.matmul(a, head.w2.T, out=_buffer(buffers, f"{name}.l2", hidden))
         h2 += head.b2
         right, bias = head.wp, head.bp
     out = np.matmul(left, right.T, out=_buffer(buffers, f"{name}.out", out_shape))
@@ -467,7 +553,8 @@ def forward(
     ``loss_and_backward`` consumes the state: it writes gradients over
     every cache's ``h1`` and ``fold`` or ``h2``. Buffers that ``predict``
     has used hold its folds, and make every pass through them an inference
-    pass, whose state keeps neither to backpropagate through.
+    pass, whose state keeps neither to backpropagate through; a training
+    pass through them raises ``ValueError``.
 
     ``x_bundle`` is a ``ComponentBundle`` of the model's kind, or, on an
     inference pass of a linear decomposer (stl), the raw (rows, l_in)
@@ -487,6 +574,10 @@ def forward(
                          "keeps in its buffers")
     if not training:
         rng = None
+    elif buffers is not None and _FOLDS in buffers:
+        # predict's folds make an inference pass, which has no dropout and
+        # keeps nothing to backpropagate through
+        raise ValueError("a training forward cannot run through predict's buffers")
     elif params.dropout > 0.0 and rng is None:
         raise ValueError("training forward with dropout needs an rng")
     out_lens = {nm: olen for nm, _, olen in head_plan(params.kind, params.l_in, params.l_out)}
@@ -516,16 +607,21 @@ def predict(params, x_rows: np.ndarray, dcfg=None, buffers: dict | None = None) 
     Dropout is the identity at inference, and each head runs folded
     whatever its rows, ``relu(z @ W1.T + b1) @ U.T + c`` with its ``_fold``
     ``(U, c)``, made once per buffers dict rather than once per pass. A
+    head of one input and one output runs as the ``_Scalar`` map made from
+    that fold, a binary search and a multiply-add per row with no hidden
+    array; it agrees with the folded pass within ``(width + 4) * eps``
+    times the sum of its terms' magnitudes. A
     linear decomposer (stl, see ``dc.linear_map``) also folds into each
     component head's first layer: a head whose input joins the parts with
     matrices ``P = [M_t | M_s | ...]`` (its ``head_layout`` parts) gets ``z
     @ W1.T = x @ (W1 @ P.T).T``, so it reads the raw windows and no row is
     decomposed; the forecast then agrees with ``forward(...,
     training=False).y_hat`` within a few ulps, not to the bit. mvd's split
-    is not linear, and its rows are decomposed as in training, so an mvd
-    or plain forecast of more rows than outputs has the bits of that
-    forward pass. ``buffers`` is passed on as in ``forward``; the forecast
-    may then be one of them, valid until the next call with the same
+    is not linear, and its rows are decomposed as in training, so an
+    mvd/merged or plain forecast of more rows than outputs has the bits of
+    that forward pass, and an mvd/separate one, whose m and v heads run as
+    their maps, agrees with it within rounding. ``buffers`` is passed on
+    as in ``forward``; the forecast may then be one of them, valid until the next call with the same
     buffers. The folds are made on the first call with a buffers dict and
     kept in it, so a buffers dict serves one set of parameter values: once
     the parameters change, pass a fresh one. Without ``buffers`` the call
@@ -537,15 +633,15 @@ def predict(params, x_rows: np.ndarray, dcfg=None, buffers: dict | None = None) 
     if buffers is None:
         buffers = {}
     if _FOLDS not in buffers:
-        heads = [params.head] if plain else [*params.heads.values(), params.combinator]
-        buffers[_FOLDS] = {h.name: _fold(h) for h in heads}
+        heads = {"main": params.head} if plain else {**params.heads, "cbn": params.combinator}
         maps = None if plain else dc.linear_map(dcfg, params.l_in)
         if maps is not None:
             folded = buffers[_INPUT_FOLDS] = {}
             for name, parts, *_ in _layout(params):
                 head = params.heads[name]
                 p_t = _concat([maps[nm] for nm in parts]).T
-                folded[name] = dataclasses.replace(head, w1=head.w1 @ p_t)
+                heads[name] = folded[name] = dataclasses.replace(head, w1=head.w1 @ p_t)
+        buffers[_FOLDS] = {name: _inference_fold(head) for name, head in heads.items()}
     if plain:
         return _head_forward(params.head, x_rows, params.dropout, None, buffers)[0]
     x = x_rows if _INPUT_FOLDS in buffers else dc.decompose(x_rows, dcfg)
@@ -764,17 +860,24 @@ def save_checkpoint(path, params: PsldParams, config: dict) -> None:
     Layout: the magic bytes, then for each tensor a little-endian u32 name
     length, the UTF-8 name, a u32 rank, u64 dims, and the float64 payload.
     The payloads, in order, are the parameter vector. Identical parameters
-    serialize to identical bytes.
+    serialize to identical bytes. The sidecar records the sha256 of the
+    bytes written, which ``load_checkpoint`` checks.
     """
+    digest = hashlib.sha256()
     with _atomic_write(path, binary=True) as f:
-        f.write(CHECKPOINT_MAGIC)
+        def write(chunk):
+            f.write(chunk)
+            digest.update(chunk)
+
+        write(CHECKPOINT_MAGIC)
         for name, shape, start, stop in params.slots:
             encoded = name.encode("utf-8")
-            f.write(struct.pack(f"<I{len(encoded)}sI{len(shape)}Q",
-                                len(encoded), encoded, len(shape), *shape))
-            f.write(params.flat[start:stop].astype("<f8", copy=False))
+            write(struct.pack(f"<I{len(encoded)}sI{len(shape)}Q",
+                              len(encoded), encoded, len(shape), *shape))
+            write(params.flat[start:stop].astype("<f8", copy=False))
     sidecar = {
         "format": CHECKPOINT_MAGIC.decode("ascii"),
+        "sha256": digest.hexdigest(),
         "kind": params.kind,
         "mode": params.mode,
         "l_in": params.l_in,
@@ -821,7 +924,24 @@ def _read_sidecar(path) -> dict:
             raise CheckpointError(f"{where} has no field {key!r}")
         if not check(sidecar[key]):
             raise CheckpointError(f"{where}: field {key!r} must be {want}, got {sidecar[key]!r}")
+    if "sha256" in sidecar and not _is_sha256(sidecar["sha256"]):
+        raise CheckpointError(f"{where}: field 'sha256' must be 64 lowercase hex digits, "
+                              f"got {sidecar['sha256']!r}")
     return sidecar
+
+
+def _is_sha256(value) -> bool:
+    return (type(value) is str and len(value) == 64
+            and all(ch in "0123456789abcdef" for ch in value))
+
+
+def _sha256(f) -> str:
+    """The sha256 of the file ``f`` from its start, read a MiB at a time."""
+    f.seek(0)
+    digest = hashlib.sha256()
+    for block in iter(lambda: f.read(1 << 20), b""):
+        digest.update(block)
+    return digest.hexdigest()
 
 
 def _read_exact(f, n: int, what: str) -> bytes:
@@ -851,8 +971,12 @@ def _read_name(f, longest: int) -> str | None:
 def load_checkpoint(path):
     """Read a checkpoint back into PsldParams plus its sidecar dict.
 
-    The sidecar fixes the layout, and the records must follow it. Each
-    record is checked against its slot before its payload is read
+    The sidecar fixes the layout, and the records must follow it. A
+    sidecar with a ``sha256`` field (``save_checkpoint`` writes one) must
+    name the file's sha256, checked before any record is read, so a
+    changed byte raises ``CheckpointError`` naming the file; a sidecar
+    without the field (written before it was recorded) is read on trust.
+    Each record is checked against its slot before its payload is read
     straight into the parameter vector: a missing, unknown, duplicate or
     misshaped tensor raises ``CheckpointError`` naming it.
     """
@@ -861,6 +985,11 @@ def load_checkpoint(path):
         if magic != CHECKPOINT_MAGIC:
             raise CheckpointError(f"bad magic in checkpoint {path}: {magic!r}")
         sidecar = _read_sidecar(path)
+        if "sha256" in sidecar:
+            if _sha256(f) != sidecar["sha256"]:
+                raise CheckpointError(f"checkpoint {path} does not match the sha256 its "
+                                      f"sidecar {path}.json records")
+            f.seek(len(CHECKPOINT_MAGIC))
         kind, mode = sidecar["kind"], sidecar["mode"]
         l_in, l_out, hidden = sidecar["l_in"], sidecar["l_out"], sidecar["hidden"]
         dropout = float(sidecar["dropout"])

@@ -54,7 +54,8 @@ from .sampler import rss_partition
 # Most rows per evaluation forward pass; a split runs as balanced chunks of at
 # most this many rows (see _blocks). An inference pass keeps one (rows, hidden)
 # array per head (every head pass folds its second layer into its predictor,
-# so there is no h2), 512 KiB at hidden 128, small enough to be reused from the
+# so there is no h2, and a head of one input and one output runs as its
+# piecewise-linear map, with none), 512 KiB at hidden 128, small enough to be reused from the
 # allocator's free lists; multi-MiB chunks are page-faulted in afresh every
 # call and made evaluation slower than the unchunked pass.
 EVAL_CHUNK_ROWS = 512
@@ -288,10 +289,13 @@ def evaluate(params, store: SeriesStore, config: TrainConfig, split: tuple,
     its predictor, as training does, and, for stl, the decomposition folded
     into each component head's first layer, so no stl row is decomposed;
     stl's last bits are not those of ``md.forward`` on decomposed windows.
-    All chunks write each head's one hidden array and its
-    output into one set of buffers, made afresh for each call, which also
+    A head of one input and one output (mvd/separate's m and v) runs as
+    its piecewise-linear map, with no hidden array, so mvd/separate's last
+    bits are not those of ``md.forward`` either. All chunks write each
+    head's hidden array, if it has one, and its output into one set of
+    buffers, made afresh for each call, which also
     keeps the folds: so each call scores the parameters it is given, and
-    fresh buffers per chunk (about 2.3 MiB at hidden 128, mvd separate)
+    fresh buffers per chunk (about 1.3 MiB at hidden 128, mvd separate)
     would be handed back to the OS by glibc's heap trimming whenever
     nothing live sits above them, and page-faulted in again by the next
     chunk. With ``norm_stats`` the store

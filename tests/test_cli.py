@@ -560,6 +560,20 @@ class TestEval:
         assert code == EXIT_RUNTIME
         assert "bad magic" in err
 
+    def test_changed_checkpoint_byte_is_json_runtime_error(self, dataset, tmp_path, capsys):
+        # a flipped payload bit still parses; the sidecar's sha256 refuses it
+        out = tmp_path / "run"
+        run_cli(capsys, *train_args(dataset, out))
+        ckpt = out / "checkpoint.psld"
+        raw = bytearray(ckpt.read_bytes())
+        raw[-3] ^= 0x01
+        ckpt.write_bytes(bytes(raw))
+        code, stdout, err = run_cli(capsys, "eval", "--checkpoint", str(ckpt),
+                                    "--data", str(dataset / "series.csv"))
+        assert code == EXIT_RUNTIME and stdout == ""
+        assert json.loads(err)["error"] == (f"checkpoint {ckpt} does not match the sha256 "
+                                            f"its sidecar {ckpt}.json records")
+
     @pytest.mark.parametrize("case", sorted(MALFORMED))
     def test_malformed_checkpoint_is_json_runtime_error(self, tmp_path, capsys, case):
         ckpt = tmp_path / "model.psld"

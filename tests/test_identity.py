@@ -28,12 +28,12 @@ def test_identical_digests_pass(tmp_path, capsys):
     assert capsys.readouterr().out == "identical: 3 artifacts\n"
 
 
-def _summary(total, checkpoint=0, metrics=0, dumps=0, stdout=0, other=0):
+def _summary(total, checkpoint=0, sidecar=0, metrics=0, dumps=0, stdout=0, other=0):
     """The ``--compare`` line that counts the differing artifacts by kind."""
-    differ = checkpoint + metrics + dumps + stdout + other
+    differ = checkpoint + sidecar + metrics + dumps + stdout + other
     return (f"{differ} of {total} artifacts differ: checkpoint {checkpoint}, "
-            f"metrics.json/epochs.csv {metrics}, prediction dump {dumps}, stdout {stdout}, "
-            f"other {other}\n")
+            f"sidecar {sidecar}, metrics.json/epochs.csv {metrics}, prediction dump {dumps}, "
+            f"stdout {stdout}, other {other}\n")
 
 
 @pytest.mark.parametrize("change,want", [
@@ -60,7 +60,8 @@ def test_summary_counts_each_kind(tmp_path, capsys):
     assert identity.main(["--compare", a, b]) == 1
     lines = capsys.readouterr().out.splitlines(keepends=True)
     assert lines[:-1] == [f"differs: {name}\n" for name in sorted(names)]
-    assert lines[-1] == _summary(10, checkpoint=2, metrics=2, dumps=1, stdout=2, other=2)
+    assert lines[-1] == _summary(10, checkpoint=1, sidecar=1, metrics=2, dumps=1, stdout=2,
+                                 other=2)
 
 
 def test_digests_leave_out_manifests(tmp_path):

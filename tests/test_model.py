@@ -1,10 +1,13 @@
 import copy
+import hashlib
 import json
 import struct
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from psld import model as md
 from psld.decomposition import ComponentBundle, decompose, linear_map, make_config
@@ -91,15 +94,41 @@ def reference_head_forward(head, z, dropout, rng, buffers=None):
     return out, md.HeadCache(z, h1, mask, a, h2, out, u)
 
 
+def interval_reference(head, z):
+    """A head of one input and one output, evaluated from its interval's slope and intercept.
+
+    Each unit's side of each interval is decided by evaluating it at a
+    point inside the interval (its midpoint, or one beyond an end), not by
+    the unit's rank; the slopes and intercepts are summed over the units
+    in breakpoint order, as ``model._Scalar`` sums them. The breakpoints
+    must be distinct and every ``w1`` entry nonzero.
+    """
+    (u,), (c,) = head.wp @ head.w2, head.wp @ head.b2 + head.bp
+    w, b = head.w1[:, 0], head.b1
+    order = np.argsort(-b / w)
+    breaks = (-b / w)[order]
+    inside = np.concatenate([[breaks[0] - 1.0], (breaks[:-1] + breaks[1:]) / 2,
+                             [breaks[-1] + 1.0]])
+    active = (np.outer(inside, w[order]) + b[order] > 0.0).astype(np.float64)
+    slopes = active @ (u[order] * w[order])
+    intercepts = active @ (u[order] * b[order])
+    intercepts += c
+    k = np.searchsorted(breaks, z[:, 0], side="right")
+    return (slopes[k] * z[:, 0] + intercepts[k])[:, None]
+
+
 def folded_reference(p, x, cfg):
     """The inference forecast with each head folded: relu(z W1ᵀ + b1) @ (Wp W2)ᵀ + (Wp b2 + bp).
 
     An stl component head's first layer also takes in the matrices of its
     parts, W1 @ [M_p | ...]ᵀ, and reads the raw windows x as z; mvd heads
-    read the decomposed parts.
+    read the decomposed parts. A head of one input and one output (mvd
+    separate's m and v) is evaluated by ``interval_reference``.
     """
     def head_out(head, z, w1=None):
         w1 = head.w1 if w1 is None else w1
+        if w1.shape[1] == head.wp.shape[0] == 1:
+            return interval_reference(head, z)
         fold, bias = head.wp @ head.w2, head.wp @ head.b2 + head.bp
         return np.maximum(z @ w1.T + head.b1, 0.0) @ fold.T + bias
 
@@ -137,6 +166,30 @@ def reference_adam_step(params, grads, m, v, t, lr):
 
 def bits(a):
     return np.ascontiguousarray(a).view(np.uint64)
+
+
+def scalar_bound(head, z):
+    """How far ``model._Scalar`` may fall from the head's pass on the (rows, 1) inputs z.
+
+    ``(width + 4) * eps * (sum_j |U_j| (|w1_j z| + |b1_j|) + |c|)`` per row,
+    with ``(U, c)`` the head's ``_fold`` and ``eps`` float64's machine
+    epsilon (twice the unit roundoff u). The head's pass rounds
+    ``z * w1_j + b1_j`` twice, then sums ``width`` products and adds
+    ``c``: within ``(width + 3) u`` of that sum, to first order (ReLU
+    moves no error up). The map rounds each ``U_j w1_j`` or ``U_j b1_j``
+    once and sums at most ``width`` of them, with ``c`` and the
+    zero-``w1`` units' ``U_j relu(b1_j)`` added in two more roundings,
+    then rounds ``slope * z`` and the add: again ``(width + 3) u``. The
+    rounded breakpoint ``fl(-b1_j / w1_j)`` is within ``u |b1_j / w1_j|``
+    of the true one, so a unit put on the wrong side of ``z`` by it
+    contributes ``|U_j w1_j (z - t_j)| <= u |U_j b1_j|``. Together:
+    ``(2 width + 7) u``, under ``(width + 4) eps`` with room for the
+    second-order terms.
+    """
+    (u,), (c,) = md._fold(head)
+    terms = np.abs(u) * (np.abs(z * head.w1[:, 0]) + np.abs(head.b1))
+    width = head.w1.shape[0]
+    return (width + 4) * np.finfo(np.float64).eps * (terms.sum(axis=1, keepdims=True) + abs(c))
 
 
 MODEL_VARIANTS = [("mvd", "separate"), ("mvd", "merged"), ("stl", "separate"),
@@ -307,6 +360,8 @@ class TestForward:
             assert all(cache.h2 is None and cache.mask is None for cache in caches)
         # forward without predict's buffers keeps a state backprop can read
         loss_and_backward(p, forward(p, xb), yb, y, 1.0)
+        with pytest.raises(ValueError, match="predict's buffers"):
+            forward(p, xb, training=True, rng=Rng(2), buffers=buffers)
 
     @pytest.mark.parametrize("kind,mode", [("mvd", "separate"), ("mvd", "merged"),
                                            ("stl", "separate"), ("stl", "merged"),
@@ -506,6 +561,7 @@ class TestCheckpoint:
         path = tmp_path / "model.psld"
         save_checkpoint(path, p, {})
         path.write_bytes(path.read_bytes() + b"\x01" * stray)
+        reseal(path)
         with pytest.raises(CheckpointError) as exc:
             load_checkpoint(path)
         assert "name length" in str(exc.value)
@@ -601,19 +657,33 @@ class TestFoldedPass:
                                            ("plain", None)])
     def test_train_mode_forward_is_predict(self, kind, mode):
         # at dropout 0 a training pass runs predict's formula on decomposed
-        # windows, so the forecasts agree to the bit, with and without buffers
+        # windows, so the forecasts agree to the bit, with and without
+        # buffers; bar mvd/separate's m and v heads, which predict runs as
+        # their piecewise-linear maps: those agree within the map's bound,
+        # the r head to the bit, and the forecast within rounding
         x = Rng(2).gen.standard_normal((7, 8))
         if kind == "plain":
             p, cfg = init_plain_params(8, 4, 16, 0.0, Rng(1)), None
         else:
             p, cfg = init_params(kind, 8, 4, 16, 0.0, mode, Rng(1)), make_config(kind)
-        want = predict(p, x, cfg)
+        inference = {}
+        want = predict(p, x, cfg, inference)
         for buffers in (None, {}):
             if kind == "plain":
                 got = md._head_forward(p.head, x, 0.0, Rng(3), buffers)[0]
             else:
-                got = forward(p, decompose(x, cfg), True, Rng(3), buffers).y_hat
-            assert np.array_equal(bits(got), bits(want))
+                xb = decompose(x, cfg)
+                state = forward(p, xb, True, Rng(3), buffers)
+                got = state.y_hat
+            if (kind, mode) != ("mvd", "separate"):
+                assert np.array_equal(bits(got), bits(want))
+                continue
+            folded = forward(p, xb, buffers=inference)
+            for name in ("m", "v"):
+                bound = scalar_bound(p.heads[name], xb.parts[name])
+                assert np.all(np.abs(folded.comp_hat[name] - state.comp_hat[name]) <= bound)
+            assert np.array_equal(bits(folded.comp_hat["r"]), bits(state.comp_hat["r"]))
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
 
     @pytest.mark.parametrize("kind,mode", MODEL_VARIANTS[:4])
     def test_training_pass_of_more_rows_than_outputs_makes_no_h2(self, kind, mode):
@@ -623,8 +693,8 @@ class TestFoldedPass:
         buffers = {}
         state = forward(p, xb, training=True, rng=Rng(2), buffers=buffers)
         for name, cache in [*state.head_caches.items(), ("cbn", state.cbn_cache)]:
-            assert cache.h2 is None and np.shares_memory(cache.fold, buffers[f"{name}.fold"])
-        assert not any(key.endswith(".h2") for key in buffers)
+            assert cache.h2 is None and np.shares_memory(cache.fold, buffers[f"{name}.l2"])
+            assert buffers[f"{name}.l2"].shape == cache.fold.shape
         loss_and_backward(p, state, yb, y, 1.0)
 
     def test_pass_of_at_most_out_len_rows_keeps_h2(self):
@@ -639,10 +709,136 @@ class TestFoldedPass:
         merged, cbn, head = state.head_caches["merged"], state.cbn_cache, p.heads["merged"]
         assert merged.fold is None and merged.h2.shape == (12, 48)
         assert cbn.h2 is None and cbn.fold.shape == (4, 16)
-        assert "merged.fold" not in buffers and "cbn.h2" not in buffers
+        assert np.shares_memory(merged.h2, buffers["merged.l2"])
+        assert np.shares_memory(cbn.fold, buffers["cbn.l2"])
         folded = merged.ad @ (head.wp @ head.w2).T + (head.wp @ head.b2 + head.bp)
         np.testing.assert_allclose(merged.out, folded, rtol=1e-12, atol=1e-15)
         loss_and_backward(p, state, yb, y, 1.0)
+
+    def test_h2_and_fold_share_one_buffer(self):
+        # no pass makes both, so a head keeps one (≤ out_len, width) array
+        # for them, as large as the largest asked for: the merged stl head's
+        # 6-row h2, then its (12, 48) U, then 9 and 12-row h2 as its views
+        p = init_params("stl", 8, 4, 16, 0.3, "merged", Rng(1))
+        cfg = make_config("stl", kappa_t=5, kappa_s=3)
+        buffers, made = {}, set()
+        for step, rows in enumerate((6, 13, 9, 12)):
+            g = Rng(9).child(step).gen
+            x, y = g.standard_normal((rows, 8)), g.standard_normal((rows, 4))
+            want = md.train_step(p, x, y, cfg, 0.5, Rng(5).child(step))[1].flat.copy()
+            got = md.train_step(p, x, y, cfg, 0.5, Rng(5).child(step), buffers)[1].flat
+            assert np.array_equal(bits(got), bits(want))
+            made.add(id(buffers["merged.l2"]))
+            assert buffers["merged.l2"].shape == (min(rows, 12) if step == 0 else 12, 48)
+        assert len(made) == 2
+        assert not any(key.endswith((".h2", ".fold")) for key in buffers)
+
+
+def _magnitudes(g, n):
+    """n values of magnitude 1e-8 to 1e8, log-uniform, with random signs."""
+    return np.exp(g.uniform(np.log(1e-8), np.log(1e8), n)) * g.choice((-1.0, 1.0), n)
+
+
+@st.composite
+def scalar_heads(draw):
+    """A head of one input and one output, and inputs at, beside and between its breakpoints.
+
+    Widths 1 to 64, every weight of magnitude 1e-8 to 1e8; some units
+    share an earlier unit's breakpoint (both of its first-layer weights
+    scaled by a signed power of two, which flips its side when negative),
+    and some have ``w1`` exactly zero.
+    """
+    width = draw(st.integers(1, 64))
+    share, zero = draw(st.floats(0.0, 0.5)), draw(st.floats(0.0, 0.5))
+    g = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    w1, b1 = _magnitudes(g, width), _magnitudes(g, width)
+    for j in range(1, width):
+        if g.random() < share:
+            scale = g.choice((-1.0, 1.0)) * 2.0 ** g.integers(-3, 4)
+            i = g.integers(j)
+            w1[j], b1[j] = w1[i] * scale, b1[i] * scale
+    w1[g.random(width) < zero] = 0.0
+    head = md.Head("s", w1[:, None], b1, _magnitudes(g, width * width).reshape(width, width),
+                   _magnitudes(g, width), _magnitudes(g, width)[None, :], _magnitudes(g, 1))
+    turns = w1[w1 != 0.0]
+    breaks = -b1[w1 != 0.0] / turns
+    z = np.concatenate([breaks, np.nextafter(breaks, np.inf), np.nextafter(breaks, -np.inf),
+                        [0.0], _magnitudes(g, 16)])
+    return head, z[:, None]
+
+
+class TestScalarMap:
+    # a head of one input and one output runs, at inference, as the
+    # piecewise-linear map its units make (model._Scalar)
+    @settings(max_examples=300, deadline=None)
+    @given(scalar_heads())
+    def test_map_is_the_head_within_its_bound(self, case):
+        head, z = case
+        want = md._head_forward(head, z, 0.0, None)[0]
+        got = md._inference_fold(head)(z, np.empty_like(z))
+        assert np.all(np.abs(got - want) <= scalar_bound(head, z))
+
+    def test_shared_breakpoint_and_zero_weight(self):
+        # units z, -z and relu(2), with U = 1: |z| + 2, both sloped units
+        # turning at 0 and the constant one in every intercept
+        head = md.Head("s", np.array([[1.0], [-1.0], [0.0]]), np.array([0.0, 0.0, 2.0]),
+                       np.eye(3), np.zeros(3), np.ones((1, 3)), np.zeros(1))
+        table = md._inference_fold(head)
+        assert table.breaks.tolist() == [0.0, 0.0]
+        assert table.slopes.tolist() == [-1.0, 0.0, 1.0]
+        assert table.intercepts.tolist() == [2.0, 2.0, 2.0]
+        z = np.array([[-3.0], [-0.0], [0.0], [1e-300], [5.0]])
+        assert table(z, np.empty_like(z)).ravel().tolist() == [5.0, 2.0, 2.0, 2.0, 7.0]
+
+    def test_nan_input_gives_nan_forecast(self):
+        p = init_params("mvd", 8, 4, 16, 0.05, "separate", Rng(1))
+        cfg = make_config("mvd")
+        x = Rng(2).gen.standard_normal((7, 8))
+        want = predict(p, x, cfg).copy()
+        x[3, 5] = np.nan
+        got = predict(p, x, cfg)
+        assert np.isnan(got[3]).all()
+        assert np.array_equal(np.delete(got, 3, axis=0), np.delete(want, 3, axis=0))
+        head = p.heads["m"]
+        z = np.array([[np.nan], [0.5]])
+        assert np.isnan(md._inference_fold(head)(z, np.empty_like(z))[0, 0])
+
+    def test_predict_makes_no_hidden_array_for_scalar_heads(self):
+        p = init_params("mvd", 8, 4, 16, 0.05, "separate", Rng(1))
+        cfg = make_config("mvd")
+        x = Rng(2).gen.standard_normal((7, 8))
+        buffers = {}
+        predict(p, x, cfg, buffers)
+        assert {"m.h1", "v.h1", "m.l2", "v.l2"}.isdisjoint(buffers)
+        assert {"m.out", "r.h1", "v.out"} <= buffers.keys()
+        state = forward(p, decompose(x, cfg), buffers=buffers)
+        for name in ("m", "v"):
+            cache = state.head_caches[name]
+            assert cache.z.shape == cache.out.shape == (7, 1)
+            assert (cache.h1, cache.mask, cache.ad, cache.h2, cache.fold) == (None,) * 5
+        assert state.head_caches["r"].h1 is not None
+
+    def test_only_heads_of_one_input_and_one_output_get_a_map(self):
+        for kind, mode in MODEL_VARIANTS:
+            p, cfg = variant_model(kind, mode)
+            buffers = {}
+            predict(p, Rng(2).gen.standard_normal((7, 8)), cfg, buffers)
+            maps = {name for name, fold in buffers[md._FOLDS].items()
+                    if isinstance(fold, md._Scalar)}
+            assert maps == ({"m", "v"} if (kind, mode) == ("mvd", "separate") else set())
+
+    def test_non_finite_parameters_keep_the_head_pass(self):
+        # the map would turn an infinite bias into finite slopes; the head's
+        # own pass keeps the infinities and NaNs it makes
+        p = init_params("mvd", 8, 4, 16, 0.05, "separate", Rng(1))
+        p.heads["m"].b1[0] = np.inf
+        cfg = make_config("mvd")
+        x = Rng(2).gen.standard_normal((7, 8))
+        buffers = {}
+        got = predict(p, x, cfg, buffers)
+        assert not isinstance(buffers[md._FOLDS]["m"], md._Scalar)
+        assert isinstance(buffers[md._FOLDS]["v"], md._Scalar)
+        np.testing.assert_array_equal(got, forward(p, decompose(x, cfg)).y_hat)
 
 
 class TestPlainHead:
@@ -842,16 +1038,14 @@ class TestFlatBuffers:
                 assert np.array_equal(bits(got[name]), bits(want[name])), name
         # each activation and output buffer keeps the most rows asked for, 9,
         # and serves 6 as a view; so does the one flat dropout draw, 9 rows of
-        # the widest head. A head's U = Wp @ W2 has an (out_len, width)
-        # buffer, made by passes of more rows than outputs; passes of at most
-        # out_len rows (the merged heads', 6 and, for stl, 9) keep h2 instead
+        # the widest head. A pass of more rows than outputs makes U = Wp @ W2,
+        # (out_len, width), and one of at most out_len rows (the merged
+        # heads', 6 and, for stl, 9) makes h2 instead: a head keeps one
+        # buffer for both, of min(rows, out_len) rows at most, so 9 or out_len
         heads = [p.head] if kind == "plain" else [*p.heads.values(), p.combinator]
         for h in heads:
             out_len, width = h.wp.shape
-            folds, h2 = buffers.get(f"{h.name}.fold"), buffers.get(f"{h.name}.h2")
-            assert (folds is not None) == (9 > out_len) and (h2 is not None) == (6 <= out_len)
-            assert folds is None or folds.shape == (out_len, width)
-            assert h2 is None or h2.shape == (9 if 9 <= out_len else 6, width)
+            assert buffers[f"{h.name}.l2"].shape == (min(9, out_len), width)
         assert buffers["draw"].shape == (9 * max(h.w2.shape[0] for h in heads),)
         row_buffers = [b for key, b in buffers.items() if key.endswith((".h1", ".out"))]
         assert len(row_buffers) == 2 * len(heads) and all(b.shape[0] == 9 for b in row_buffers)
@@ -869,8 +1063,8 @@ class TestFlatBuffers:
             x, y = g.standard_normal((rows, 8)), g.standard_normal((rows, 4))
             md.train_step(p, x, y, cfg, 0.5, Rng(5).child(step), buffers)
             seen.append(dict(buffers))  # holds every array made, so no id is reused
-        folds = {key for key in buffers if key.endswith(".fold")}
-        assert folds == {f"{name}.fold" for name in ("m", "v", "r", "cbn")}
+        folds = {key for key in buffers if key.endswith(".l2")}
+        assert folds == {f"{name}.l2" for name in ("m", "v", "r", "cbn")}
         row_buffers = {key: b for key, b in buffers.items() if key not in folds}
         for keys, times in ((row_buffers, 2), (folds, 1)):
             made = {id(b) for kept in seen for key, b in kept.items() if key in keys}
@@ -979,12 +1173,26 @@ def checkpoint_records(params):
             for n, t in named_tensors(params)]
 
 
+def reseal(path):
+    """Record the checkpoint's sha256 in its sidecar, as if its writer had made these bytes.
+
+    So the loader checks the records themselves, not only the hash.
+    """
+    side = path.parent / (path.name + ".json")
+    sidecar = json.loads(side.read_text())
+    sidecar["sha256"] = hashlib.sha256(path.read_bytes()).hexdigest()
+    side.write_text(json.dumps(sidecar))
+
+
 def write_records(path, records):
+    """Write the records as a checkpoint, resealing its sidecar if it has one."""
     with open(path, "wb") as f:
         f.write(md.CHECKPOINT_MAGIC)
         for name, rank, dims, payload in records:
             f.write(struct.pack("<I", len(name)) + name + struct.pack("<I", rank)
                     + struct.pack(f"<{len(dims)}Q", *dims) + payload)
+    if (path.parent / (path.name + ".json")).exists():
+        reseal(path)
 
 
 def _extra(r):
@@ -1144,3 +1352,66 @@ class TestSidecarSchema:
         loaded, read = load_checkpoint(path)
         assert loaded.flat.tobytes() == p.flat.tobytes()
         assert loaded.dropout == 0.0 and read["config"] == {"note": "kept"}
+
+
+def _flip(path, at, mask=0x01):
+    raw = bytearray(path.read_bytes())
+    raw[at] ^= mask
+    path.write_bytes(bytes(raw))
+
+
+class TestCheckpointHash:
+    def _saved(self, tmp_path):
+        path = tmp_path / "model.psld"
+        p = init_params("mvd", 4, 2, 4, 0.0, "separate", Rng(0))
+        save_checkpoint(path, p, {})
+        return path, p
+
+    def test_sidecar_records_the_checkpoint_sha256(self, tmp_path):
+        path, _ = self._saved(tmp_path)
+        sidecar = json.loads((tmp_path / "model.psld.json").read_text())
+        assert sidecar["sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
+
+    def test_every_flipped_byte_is_refused(self, tmp_path):
+        path, _ = self._saved(tmp_path)
+        size = path.stat().st_size
+        for at in range(size):
+            _flip(path, at)
+            with pytest.raises(CheckpointError) as exc:
+                load_checkpoint(path)
+            assert str(path) in str(exc.value), at
+            _flip(path, at)
+        assert size > 1000 and load_checkpoint(path)[1]["kind"] == "mvd"
+
+    def test_sidecar_without_hash_loads(self, tmp_path):
+        # sidecars written before the hash was recorded are read on trust
+        path, p = self._saved(tmp_path)
+        side = tmp_path / "model.psld.json"
+        sidecar = json.loads(side.read_text())
+        del sidecar["sha256"]
+        side.write_text(json.dumps(sidecar))
+        assert load_checkpoint(path)[0].flat.tobytes() == p.flat.tobytes()
+
+    def test_mismatched_hash_names_both_files(self, tmp_path):
+        path, _ = self._saved(tmp_path)
+        side = tmp_path / "model.psld.json"
+        sidecar = json.loads(side.read_text())
+        sidecar["sha256"] = "0" * 64
+        side.write_text(json.dumps(sidecar))
+        with pytest.raises(CheckpointError) as exc:
+            load_checkpoint(path)
+        assert str(exc.value) == (f"checkpoint {path} does not match the sha256 its "
+                                  f"sidecar {path}.json records")
+
+    @pytest.mark.parametrize("value", [None, 7, "0" * 63, "0" * 65, "A" * 64, "g" * 64,
+                                       ["0" * 64]])
+    def test_malformed_hash_is_refused(self, tmp_path, value):
+        path, _ = self._saved(tmp_path)
+        side = tmp_path / "model.psld.json"
+        sidecar = json.loads(side.read_text())
+        sidecar["sha256"] = value
+        side.write_text(json.dumps(sidecar))
+        with pytest.raises(CheckpointError) as exc:
+            load_checkpoint(path)
+        assert str(exc.value) == (f"checkpoint sidecar {path}.json: field 'sha256' must be "
+                                  f"64 lowercase hex digits, got {value!r}")
